@@ -39,7 +39,7 @@ from .curvature import (CurvatureReportRow, VerticalValue,
 from .errors import (ChartExitError, ConfigError, DomainError, FibrumError,
                      LinearityRequiredError, NonFiniteOutputError,
                      SecondOrderUnavailableError, StepBudgetError,
-                     TangentBundleRequiredError)
+                     TangentBundleRequiredError, TooFewSamplesError)
 from .scenarios import CheckRow, VerificationReport, run_scenario
 from .transport import (CurveOnBase, IntegratorConfig, SprayField, flow,
                         flow_base, geodesic, holonomy_loop,

@@ -44,8 +44,10 @@ class Box:
     def contains(self, coords: Sequence[Scalar]) -> bool:
         if len(coords) != self.dim:
             return False
-        return all(lo < float_value(c) < hi
-                   for c, lo, hi in zip(coords, self.lower, self.upper))
+        for c, lo, hi in zip(coords, self.lower, self.upper):
+            if not lo < float_value(c) < hi:
+                return False
+        return True
 
     def sample(self, rng: np.random.Generator, margin: float = 0.1) -> np.ndarray:
         """Uniform draw from the box shrunk by a relative margin per side."""

@@ -289,6 +289,11 @@ def random_tangent(conn: ConnectionField, e: Point,
 
 
 # -- standard curves ----------------------------------------------------------
+# Each curve carries a closed-form velocity that repeats the operation order
+# of the DScalar pass through ``fn``, so it is bit-equal to
+# ``derivative(fn, t)``.  Reversal negates exactly, since IEEE rounding is
+# sign-symmetric; only a coordinate constant in t (the latitude's theta)
+# comes out -0.0 where the DScalar pass gives 0.0.
 
 def segment_curve(bundle: TrivializedBundle, p: Sequence[float],
                   q: Sequence[float], t0: float = 0.0,
@@ -302,15 +307,22 @@ def segment_curve(bundle: TrivializedBundle, p: Sequence[float],
         lam = (t - t0) / (t1 - t0)
         return [pi + lam * (qi - pi) for pi, qi in zip(p, q)]
 
-    return CurveOnBase(bundle, fn, t0, t1)
+    def velocity(t):
+        rate = 1.0 / float(t1 - t0)
+        return [rate * (qi - pi) for pi, qi in zip(p, q)]
+
+    return CurveOnBase(bundle, fn, t0, t1, velocity)
 
 
 def reversed_curve(curve):
     """The same image traversed backwards."""
     from .transport import CurveOnBase
     t0, t1 = curve.t0, curve.t1
+    inner = curve.velocity_fn
+    velocity = None if inner is None else (
+        lambda t: [-c for c in inner(t0 + t1 - t)])
     return CurveOnBase(curve.bundle,
-                       lambda t: curve.fn(t0 + t1 - t), t0, t1)
+                       lambda t: curve.fn(t0 + t1 - t), t0, t1, velocity)
 
 
 def latitude_loop(bundle: TrivializedBundle, theta0: float,
@@ -325,7 +337,10 @@ def latitude_loop(bundle: TrivializedBundle, theta0: float,
         lam = (t - t0) / (t1 - t0)
         return [theta0, -math.pi + 2.0 * math.pi * lam]
 
-    return CurveOnBase(bundle, fn, t0, t1)
+    def velocity(t):
+        return [0.0, (1.0 / float(t1 - t0)) * (2.0 * math.pi)]
+
+    return CurveOnBase(bundle, fn, t0, t1, velocity)
 
 
 def circle_loop(bundle: TrivializedBundle, center: Sequence[float],
@@ -341,7 +356,12 @@ def circle_loop(bundle: TrivializedBundle, center: Sequence[float],
         ang = 2.0 * math.pi * (t - t0) / (t1 - t0)
         return [cx + r * cos(ang), cy + r * sin(ang)]
 
-    return CurveOnBase(bundle, fn, t0, t1)
+    def velocity(t):
+        ang = 2.0 * math.pi * (t - t0) / (t1 - t0)
+        rate = 2.0 * math.pi / float(t1 - t0)
+        return [-math.sin(ang) * rate * r, math.cos(ang) * rate * r]
+
+    return CurveOnBase(bundle, fn, t0, t1, velocity)
 
 
 # -- sphere-specific helpers (round metric) ----------------------------------

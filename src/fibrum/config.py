@@ -106,6 +106,18 @@ class ScenarioConfig:
         }
 
 
+def _step(value, field: str) -> float:
+    """An integrator step: a finite positive real, else a ConfigError."""
+    try:
+        step = float(value)
+    except (TypeError, ValueError):
+        step = math.nan
+    if not (step > 0.0 and math.isfinite(step)):
+        raise ConfigError(f"{field} must be a finite positive real, got "
+                          f"{value!r}", field=field)
+    return step
+
+
 def load_config(source, seed_override: Optional[int] = None,
                 step_override: Optional[float] = None,
                 out_override: Optional[str] = None) -> ScenarioConfig:
@@ -173,10 +185,7 @@ def load_config(source, seed_override: Optional[int] = None,
     if unknown:
         raise ConfigError(f"unknown integrator keys {sorted(unknown)}",
                           field="integrator")
-    step = float(integrator.get("step", DEFAULT_STEP))
-    if not (step > 0.0) or not math.isfinite(step):
-        raise ConfigError("integrator.step must be a positive real",
-                          field="integrator.step")
+    step = _step(integrator.get("step", DEFAULT_STEP), "integrator.step")
     max_steps = integrator.get("max_steps", DEFAULT_MAX_STEPS)
     if not isinstance(max_steps, int) or max_steps < 1:
         raise ConfigError("integrator.max_steps must be a positive integer",
@@ -204,9 +213,7 @@ def load_config(source, seed_override: Optional[int] = None,
     if seed_override is not None:
         seed = int(seed_override)
     if step_override is not None:
-        step = float(step_override)
-        if not (step > 0.0):
-            raise ConfigError("step override must be positive", field="step")
+        step = _step(step_override, "step")
     if out_override is not None:
         output_path = out_override
 

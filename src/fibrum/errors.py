@@ -29,6 +29,11 @@ class NonFiniteOutputError(FibrumError):
     """An evaluator produced NaN or infinity, signalling a singularity."""
 
 
+class TooFewSamplesError(FibrumError):
+    """A check has fewer sample points than it needs to measure anything;
+    it fails rather than pass on an empty measurement."""
+
+
 class SecondOrderUnavailableError(FibrumError):
     """An evaluator is not closed under nested derivative-carrying scalars,
     so second derivatives cannot be formed."""

@@ -36,10 +36,11 @@ from .curvature import (compare_curvature_routes, composition_commutator,
                         curv_via_lifts, curv_via_vertical_projection,
                         curvature, second_covariant_derivative,
                         tensoriality_check_curvature, torsion, leibniz_check)
-from .errors import FibrumError
+from .errors import FibrumError, TooFewSamplesError
 from .transport import (CurveOnBase, IntegratorConfig, flow, geodesic,
                         holonomy_loop, lie_derivative_covariant,
-                        parallel_transport_path, spray_from_connection)
+                        parallel_transport_path, parallel_transport_vector,
+                        spray_from_connection)
 
 SIGN_CONVENTION = (
     "curvature reported as (H_[u,v] - [H_u, H_v]) composed with the section; "
@@ -623,26 +624,42 @@ def curvature_checks(conn: ConnectionField, cfg: ScenarioConfig) -> list[CheckRo
 # transport-module checks
 # --------------------------------------------------------------------------
 
-def _five_point_residual(conn: ConnectionField, curve: CurveOnBase,
-                         path) -> float:
-    """Max |y'(t) + gamma(c(t), y) c'(t)| over interior path nodes, with the
-    time derivative from a fourth-order stencil on the samples."""
-    ts = [t for t, _ in path]
-    ys = [y for _, y in path]
+def _five_point_residual(ts, ys, coeff) -> float:
+    """Max |y'(t_k) + coeff(k)| over interior path nodes, with the time
+    derivative from a fourth-order stencil on the samples.
+
+    A path of fewer than five nodes has no interior node to measure, so it
+    raises instead of passing on nothing.
+    """
     n = len(ts)
     if n < 5:
-        return 0.0
+        raise TooFewSamplesError(
+            f"path has {n} nodes; the five-point stencil needs at least 5")
     h = ts[1] - ts[0]
     worst = 0.0
-    stride = max(1, n // 40)
-    for k in range(2, n - 2, stride):
+    for k in range(2, n - 2, max(1, n // 40)):
         ydot = (-ys[k + 2] + 8.0 * ys[k + 1] - 8.0 * ys[k - 1] + ys[k - 2]) \
             / (12.0 * h)
-        x = curve.fn(ts[k])
-        cdot = curve.velocity(ts[k])
-        g = as_float_array(conn.gamma(list(x), list(ys[k]), list(cdot)))
-        worst = max(worst, float(np.max(np.abs(ydot + g))))
+        worst = max(worst, float(np.max(np.abs(ydot + coeff(k)))))
     return worst
+
+
+def _transport_residual(conn: ConnectionField, curve: CurveOnBase,
+                        path) -> float:
+    """Stencil residual of y' + gamma(c(t), y) c'(t) along a transport path."""
+    ts = [t for t, _ in path]
+    ys = [y for _, y in path]
+    return _five_point_residual(ts, ys, lambda k: as_float_array(conn.gamma(
+        list(curve.fn(ts[k])), list(ys[k]), list(curve.velocity(ts[k])))))
+
+
+def _geodesic_residual(conn: ConnectionField, samples) -> float:
+    """Stencil residual of v' + gamma(x, v) v along geodesic samples."""
+    ts = [t for t, _, _ in samples]
+    xs = [x for _, x, _ in samples]
+    vs = [v for _, _, v in samples]
+    return _five_point_residual(ts, vs, lambda k: as_float_array(conn.gamma(
+        list(xs[k]), list(vs[k]), list(vs[k]))))
 
 
 def _default_transport_data(conn: ConnectionField,
@@ -719,9 +736,9 @@ def transport_checks(conn: ConnectionField, cfg: ScenarioConfig) -> list[CheckRo
         worst = 0.0
         for _ in range(3):
             curve, y0 = _default_transport_data(conn, rng)
-            y1, _ = parallel_transport_path(conn, curve, y0, icfg)
+            y1 = parallel_transport_vector(conn, curve, y0, icfg)
             back = reversed_curve(curve)
-            y2, _ = parallel_transport_path(conn, back, y1, icfg)
+            y2 = parallel_transport_vector(conn, back, y1, icfg)
             worst = max(worst, float(np.max(np.abs(y2 - y0))))
         return worst, ""
 
@@ -733,7 +750,7 @@ def transport_checks(conn: ConnectionField, cfg: ScenarioConfig) -> list[CheckRo
         for _ in range(3):
             curve, y0 = _default_transport_data(conn, rng)
             _, path = parallel_transport_path(conn, curve, y0, icfg)
-            worst = max(worst, _five_point_residual(conn, curve, path))
+            worst = max(worst, _transport_residual(conn, curve, path))
         return worst, ""
 
     rows.append(_guarded(cfg, "transport_covariantly_constant", 3,
@@ -796,20 +813,7 @@ def transport_checks(conn: ConnectionField, cfg: ScenarioConfig) -> list[CheckRo
                 x0 = list(bundle.base_box.sample(rng, margin=0.3))
                 v0 = list(0.3 * rng.uniform(-1, 1, size=m))
             samples = geodesic(conn, x0, v0, 1.0, icfg)
-            ts = np.array([t for t, _, _ in samples])
-            xs = [x for _, x, _ in samples]
-            vs = [v for _, _, v in samples]
-            n = len(ts)
-            h = ts[1] - ts[0]
-            worst = 0.0
-            stride = max(1, n // 40)
-            for k in range(2, n - 2, stride):
-                vdot = (-vs[k + 2] + 8.0 * vs[k + 1] - 8.0 * vs[k - 1]
-                        + vs[k - 2]) / (12.0 * h)
-                g = as_float_array(conn.gamma(list(xs[k]), list(vs[k]),
-                                              list(vs[k])))
-                worst = max(worst, float(np.max(np.abs(vdot + g))))
-            return worst, ""
+            return _geodesic_residual(conn, samples), ""
 
         rows.append(_guarded(cfg, "geodesic_covariant_residual", 1,
                              geodesic_residual))
@@ -994,9 +998,9 @@ def _transport_scenario(conn, cfg, icfg, report) -> list[CheckRow]:
             y0 = [float(c) for c in cfg.scenario_params["y0"]]
 
     def run():
-        y1, path = parallel_transport_path(conn, curve, y0, icfg)
+        y1 = parallel_transport_vector(conn, curve, y0, icfg)
         back = reversed_curve(curve)
-        y2, _ = parallel_transport_path(conn, back, y1, icfg)
+        y2 = parallel_transport_vector(conn, back, y1, icfg)
         report.results = {
             "start": _vec(curve.point_at(curve.t0)),
             "end": _vec(curve.point_at(curve.t1)),
@@ -1033,18 +1037,7 @@ def _geodesic_scenario(conn, cfg, icfg, report) -> list[CheckRow]:
             "x0": _vec(x0), "v0": _vec(v0), "T": T,
             "x_final": _vec(xf), "v_final": _vec(vf),
         }
-        ts = np.array([tt for tt, _, _ in samples])
-        vs = [v for _, _, v in samples]
-        xs = [x for _, x, _ in samples]
-        h = ts[1] - ts[0]
-        worst = 0.0
-        for k in range(2, len(ts) - 2, max(1, len(ts) // 40)):
-            vdot = (-vs[k + 2] + 8.0 * vs[k + 1] - 8.0 * vs[k - 1]
-                    + vs[k - 2]) / (12.0 * h)
-            g = as_float_array(conn.gamma(list(xs[k]), list(vs[k]),
-                                          list(vs[k])))
-            worst = max(worst, float(np.max(np.abs(vdot + g))))
-        return worst, ""
+        return _geodesic_residual(conn, samples), ""
 
     return [_guarded(cfg, "geodesic_covariant_residual", 1, run)]
 

@@ -9,6 +9,7 @@ Trajectories must stay inside the chart box; leaving it raises
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -17,7 +18,7 @@ import numpy as np
 
 from .bundle import (BaseVectorField, Point, SectionMap, SpaceTag,
                      TotalVectorField, TrivializedBundle)
-from .calculus import Scalar, as_float_array, derivative
+from .calculus import Scalar, as_float_array, derivative, float_value
 from .connection import ConnectionField, horizontal_lift_field
 from .errors import (ChartExitError, DomainError, StepBudgetError,
                      TangentBundleRequiredError)
@@ -29,15 +30,12 @@ class IntegratorConfig:
 
     step: float = 1e-3
     max_steps: int = 10_000_000
-    method: str = "rk4"
 
     def __post_init__(self):
         if self.step <= 0.0:
             raise DomainError("integrator step must be positive")
         if self.max_steps < 1:
             raise DomainError("max_steps must be at least 1")
-        if self.method.lower() != "rk4":
-            raise DomainError(f"unsupported integrator method '{self.method}'")
 
     def n_steps(self, interval: float) -> int:
         n = max(1, int(math.ceil(abs(interval) / self.step - 1e-12)))
@@ -51,17 +49,28 @@ class IntegratorConfig:
 @dataclass(frozen=True)
 class CurveOnBase:
     """Parameterized curve t -> base coordinates, closed under DScalar
-    inputs so its velocity is available by differentiation."""
+    inputs so its velocity is available by differentiation.
+
+    ``velocity_fn`` is an optional closed-form velocity t -> c'(t), a list
+    of floats.  When given it must be bit-equal to the DScalar derivative
+    ``derivative(fn, t)``, up to the sign of a zero component: it has to
+    repeat the operation order of that pass, so that transport results do
+    not change with its presence.  Without it the velocity is
+    differentiated.
+    """
 
     bundle: TrivializedBundle
     fn: Callable[[Scalar], Sequence[Scalar]]
     t0: float
     t1: float
+    velocity_fn: Optional[Callable[[float], Sequence[float]]] = None
 
     def point_at(self, t: float) -> np.ndarray:
         return as_float_array(self.fn(t))
 
     def velocity(self, t: float) -> np.ndarray:
+        if self.velocity_fn is not None:
+            return as_float_array(self.velocity_fn(float(t)))
         return as_float_array(derivative(self.fn, float(t)))
 
 
@@ -86,26 +95,33 @@ class SprayField:
 def _rk4(rhs, z0: np.ndarray, span: float, cfg: IntegratorConfig,
          inside, what: str, t_base: float = 0.0,
          collect: bool = False):
-    """Autonomous-or-not RK4 driver; ``rhs(t, z)``, state checked per node."""
+    """Fixed-step RK4 driver for ``rhs(t, z)``; the state is checked per node.
+
+    The state is a plain list of floats and ``rhs`` returns one; the final
+    state and the collected (t, z) path entries come back as ndarrays.
+    """
+    z = [float(c) for c in z0]
+    path = [(t_base, np.array(z))] if collect else None
     if span == 0.0:
-        return (z0.copy(), [(t_base, z0.copy())]) if collect else z0.copy()
+        return (np.array(z), path) if collect else np.array(z)
     n = cfg.n_steps(span)
     h = span / n
-    z = z0.astype(float).copy()
-    path = [(t_base, z.copy())]
+    hh = 0.5 * h
+    h6 = h / 6.0
     t = t_base
     for k in range(n):
         k1 = rhs(t, z)
-        k2 = rhs(t + 0.5 * h, z + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, z + 0.5 * h * k2)
-        k4 = rhs(t + h, z + h * k3)
-        z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k2 = rhs(t + hh, [zi + hh * a for zi, a in zip(z, k1)])
+        k3 = rhs(t + hh, [zi + hh * b for zi, b in zip(z, k2)])
+        k4 = rhs(t + h, [zi + h * c for zi, c in zip(z, k3)])
+        z = [zi + h6 * (((a + 2.0 * b) + 2.0 * c) + d)
+             for zi, a, b, c, d in zip(z, k1, k2, k3, k4)]
         t = t_base + (k + 1) * h
         if not inside(z):
             raise ChartExitError(f"{what} left the chart box", t)
         if collect:
-            path.append((t, z.copy()))
-    return (z, path) if collect else z
+            path.append((t, np.array(z)))
+    return (np.array(z), path) if collect else np.array(z)
 
 
 def flow(X: TotalVectorField, e0: Point, lam: float,
@@ -116,7 +132,7 @@ def flow(X: TotalVectorField, e0: Point, lam: float,
     bundle = X.bundle
 
     def rhs(t, z):
-        return as_float_array(X.fn(list(z)))
+        return [float_value(c) for c in X.fn(list(z))]
 
     z = _rk4(rhs, np.array(e0.coords), float(lam), cfg,
              bundle.contains_total, "flow")
@@ -131,7 +147,7 @@ def flow_base(v: BaseVectorField, x0: Point, lam: float,
     bundle = v.bundle
 
     def rhs(t, z):
-        return as_float_array(v.fn(list(z)))
+        return [float_value(c) for c in v.fn(list(z))]
 
     z = _rk4(rhs, np.array(x0.coords), float(lam), cfg,
              bundle.contains_base, "base flow")
@@ -139,40 +155,27 @@ def flow_base(v: BaseVectorField, x0: Point, lam: float,
 
 
 def _transport_rhs(conn: ConnectionField, curve: CurveOnBase):
+    """Right-hand side -gamma(c(t), y) c'(t) of the transport equation.
+
+    A one-entry cache keyed on t computes the curve point and velocity once
+    per distinct node time; RK4 stages k2 and k3 share the midpoint.
+    """
+    gamma = conn.gamma
+    fn = curve.fn
+    velocity = curve.velocity_fn or functools.partial(derivative, fn)
+    node = [None, None, None]  # t, c(t), c'(t)
+
     def rhs(t, y):
-        x = curve.fn(t)
-        cdot = derivative(curve.fn, t)
-        g = conn.gamma(list(x), list(y), list(cdot))
-        return -as_float_array(g)
+        if t != node[0]:
+            node[:] = t, list(fn(t)), list(velocity(t))
+        return [-float_value(c) for c in gamma(node[1], y, node[2])]
+
     return rhs
 
 
-def _transport_inside(conn: ConnectionField, curve: CurveOnBase):
-    bundle = conn.bundle
-
-    def inside(y):
-        # the graph point (c(t), y(t)) must stay in the chart; the exact t
-        # is not available here, so check the fibre box (the curve image is
-        # checked against the base box separately at node times)
-        return bundle.fibre_box.contains(y)
-
-    return inside
-
-
-def parallel_transport_vector(conn: ConnectionField, curve: CurveOnBase,
-                              y0: Sequence[float],
-                              cfg: IntegratorConfig) -> np.ndarray:
-    """Transport a fibre element along a base curve by integrating the
-    horizontal-lift equation dy/dt = -gamma(c(t), y) c'(t)."""
-    y1, _ = parallel_transport_path(conn, curve, y0, cfg)
-    return y1
-
-
-def parallel_transport_path(conn: ConnectionField, curve: CurveOnBase,
-                            y0: Sequence[float], cfg: IntegratorConfig
-                            ) -> tuple[np.ndarray, list]:
-    """Like :func:`parallel_transport_vector` but also returns the sampled
-    path as a list of (t, y) pairs."""
+def _transport(conn: ConnectionField, curve: CurveOnBase,
+               y0: Sequence[float], cfg: IntegratorConfig, collect: bool):
+    """Integrate the transport equation; the path is built only on request."""
     bundle = conn.bundle
     start = curve.point_at(curve.t0)
     if not bundle.contains_base(start):
@@ -181,37 +184,49 @@ def parallel_transport_path(conn: ConnectionField, curve: CurveOnBase,
     if not bundle.fibre_box.contains(y0):
         raise DomainError("initial fibre element lies outside the fibre box")
     span = curve.t1 - curve.t0
-
-    rhs = _transport_rhs(conn, curve)
     n = cfg.n_steps(span) if span != 0.0 else 0
-    # node-time base-box check rides along with the fibre check
-    times = [curve.t0 + span * (k + 1) / n for k in range(n)] if n else []
-    for t in times:
+    # the integrator checks only the fibre box (it does not see c(t)), so
+    # the curve image is checked against the base box at the node times
+    for k in range(n):
+        t = curve.t0 + span * (k + 1) / n
         if not bundle.contains_base(curve.fn(t)):
             raise ChartExitError("curve left the base box", t)
+    return _rk4(_transport_rhs(conn, curve), y0, span, cfg,
+                bundle.fibre_box.contains, "parallel transport", curve.t0,
+                collect)
 
-    y1, path = _rk4(rhs, y0, span, cfg, _transport_inside(conn, curve),
-                    "parallel transport", t_base=curve.t0, collect=True)
-    return y1, path
+
+def parallel_transport_vector(conn: ConnectionField, curve: CurveOnBase,
+                              y0: Sequence[float],
+                              cfg: IntegratorConfig) -> np.ndarray:
+    """Transport a fibre element along a base curve by integrating the
+    horizontal-lift equation dy/dt = -gamma(c(t), y) c'(t)."""
+    return _transport(conn, curve, y0, cfg, False)
+
+
+def parallel_transport_path(conn: ConnectionField, curve: CurveOnBase,
+                            y0: Sequence[float], cfg: IntegratorConfig
+                            ) -> tuple[np.ndarray, list]:
+    """Like :func:`parallel_transport_vector` but also returns the sampled
+    path as a list of (t, y) pairs."""
+    return _transport(conn, curve, y0, cfg, True)
 
 
 def covariant_derivative_along_curve(conn: ConnectionField, curve: CurveOnBase,
                                      y_of_t: Callable[[Scalar], Sequence[Scalar]],
-                                     t: float,
-                                     cfg: Optional[IntegratorConfig] = None
-                                     ) -> np.ndarray:
+                                     t: float) -> np.ndarray:
     """Covariant derivative of a fibre element field given along the curve:
     y'(t) + gamma(c(t), y(t)) c'(t), in closed form.
 
-    This is the derivative of the transport pull-back; ``cfg`` is accepted
-    for interface symmetry but no integration is needed.
+    This is the derivative of the transport pull-back; no integration is
+    needed.
     """
     x = curve.point_at(t)
     y = as_float_array(y_of_t(t))
     if not conn.bundle.contains_base(x) or not conn.bundle.fibre_box.contains(y):
         raise DomainError("curve/fibre data leave the chart box at t")
     ydot = as_float_array(derivative(y_of_t, float(t)))
-    cdot = derivative(curve.fn, float(t))
+    cdot = curve.velocity(t)
     g = as_float_array(conn.gamma(list(x), list(y), list(cdot)))
     return ydot + g
 
@@ -252,9 +267,8 @@ def geodesic(conn: ConnectionField, x0: Sequence[float], v0: Sequence[float],
         raise DomainError("geodesic initial data outside the chart box")
 
     def rhs(t, z):
-        x, v = list(z[:m]), list(z[m:])
-        a = conn.gamma(x, v, v)
-        return np.concatenate([z[m:], -as_float_array(a)])
+        v = z[m:]
+        return v + [-float_value(c) for c in conn.gamma(z[:m], v, v)]
 
     _, path = _rk4(rhs, z0, float(T), cfg, bundle.contains_total,
                    "geodesic", collect=True)

@@ -57,6 +57,22 @@ def test_unknown_scenario_and_keys_rejected(tmp_path):
                                       "integrator": {"step": -1.0}}))
 
 
+@pytest.mark.parametrize("step", [float("inf"), float("nan"), 0.0, -1e-3,
+                                  "abc", [1e-3]])
+def test_integrator_step_must_be_finite_positive(step):
+    with pytest.raises(ConfigError) as err:
+        load_config({"bundle_name": "flat", "scenario": "verify-all",
+                     "integrator": {"step": step}})
+    assert err.value.field == "integrator.step"
+
+
+@pytest.mark.parametrize("step", ["inf", "-inf", "nan", "0", "-1e-3"])
+def test_cli_step_override_must_be_finite_positive(step, capsys):
+    from fibrum.cli import main
+    assert main(["verify", "flat", f"--step={step}"]) == 2
+    assert "(field: step)" in capsys.readouterr().err
+
+
 def test_parse_error_reports_location(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text('{"bundle_name": "flat",\n  scenario:}', encoding="utf-8")
@@ -158,6 +174,28 @@ def test_geodesic_scenario_results():
     assert report.overall_pass
     assert abs(report.results["x_final"][0] - math.pi / 2) < 1e-10
     assert abs(report.results["x_final"][1] - 1.0) < 1e-10
+
+
+def test_too_few_stencil_nodes_fail_the_row():
+    # one RK4 step leaves a two-node path: the five-point stencil has no
+    # interior node, so the residual rows fail instead of reading 0
+    cfg = load_config({"bundle_name": "sphere", "scenario": "geodesic",
+                       "integrator": {"step": 1e300}})
+    row = run_scenario(cfg).checks[-1]
+    assert row.check_name == "geodesic_covariant_residual"
+    assert not row.passed
+    assert "TooFewSamplesError" in row.note
+
+    from fibrum import build_connection
+    from fibrum.scenarios import transport_checks
+    rows = {r.check_name: r for r in transport_checks(
+        build_connection("sphere"),
+        load_config({"bundle_name": "sphere", "scenario": "verify-all",
+                     "integrator": {"step": 1e300}}))}
+    for name in ("transport_covariantly_constant",
+                 "geodesic_covariant_residual"):
+        assert not rows[name].passed
+        assert "TooFewSamplesError" in rows[name].note
 
 
 def test_holonomy_scenario_sphere():
