@@ -137,10 +137,6 @@ class DScalar:
         return f"DScalar({self.value!r}, grad={self.grad!r}, tag={self.tag})"
 
 
-def is_dscalar(z) -> bool:
-    return isinstance(z, DScalar)
-
-
 def float_value(z) -> float:
     """Strip all derivative layers and return the underlying float."""
     while isinstance(z, DScalar):

@@ -16,7 +16,8 @@ Catalog contents:
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -155,27 +156,56 @@ def make_custom_christoffel(coeffs: dict[str, float], m: int = 2,
     return ConnectionField(bundle, gamma, ConnectionKind.LINEAR)
 
 
+@dataclass(frozen=True)
+class Capabilities:
+    """What a catalog entry declares about its connection beyond what the
+    connection shows itself (its kind and dimensions).  The scenario layer
+    decides which checks apply from these and from the connection."""
+
+    zero_curvature: bool = False
+    symmetric_christoffels: bool = False
+    # default (theta0, y0) of the round-sphere latitude loop, whose holonomy
+    # angle has a closed form and a boundary-integral oracle
+    latitude_holonomy: Optional[tuple] = None
+    # fixed geodesic start (x0, v0); without one, checks draw a start
+    geodesic_start: Optional[tuple] = None
+
+
+# Stands for every Christoffel coefficient key, G_a_bc or G_a_bc_xk.
+CHRISTOFFELS = "G_a_bc[_xk]..."
+
+# Each entry's ``params`` maps every accepted bundle parameter to the type
+# its builder takes.
 CATALOG: dict[str, dict] = {
     "flat": {
         "builder": make_flat,
-        "params": ["m", "f", "base_half", "fibre_half"],
+        "params": {"m": int, "f": int, "base_half": float,
+                   "fibre_half": float},
+        "capabilities": Capabilities(zero_curvature=True),
         "description": "zero coefficient on an (m+f)-dimensional chart",
     },
     "sphere": {
         "builder": make_sphere,
-        "params": ["fibre_half"],
+        "params": {"fibre_half": float},
+        "capabilities": Capabilities(
+            symmetric_christoffels=True,
+            latitude_holonomy=(math.pi / 3.0, (1.0, 0.0)),
+            geodesic_start=((1.0, 0.3), (0.3, 0.4))),
         "description": "tangent bundle of the unit round sphere, polar chart "
                        f"with collar {SPHERE_COLLAR} excluded at both poles",
     },
     "nonlinear-demo": {
         "builder": make_nonlinear_demo,
-        "params": ["base_half", "fibre_half"],
+        "params": {"base_half": float, "fibre_half": float},
+        "capabilities": Capabilities(),
         "description": "scalar-fibre coefficient (y + y^3, x1*y), nonlinear "
                        "in the fibre coordinate",
     },
     "tm-custom-christoffel": {
         "builder": make_custom_christoffel,
-        "params": ["m", "base_half", "fibre_half", "G_a_bc[_xk]..."],
+        "params": {"m": int, "base_half": float, "fibre_half": float,
+                   CHRISTOFFELS: float},
+        "capabilities": Capabilities(),
         "description": "tangent-bundle chart with user-supplied constant or "
                        "degree-one Christoffel coefficients",
     },
@@ -186,29 +216,21 @@ def build_connection(name: str, params: dict | None = None) -> ConnectionField:
     if name not in CATALOG:
         raise ConfigError(f"unknown bundle '{name}'; catalog has "
                           f"{sorted(CATALOG)}", field="bundle_name")
-    params = dict(params or {})
-    if name == "tm-custom-christoffel":
-        coeffs = {k: v for k, v in params.items() if k.startswith("G_")}
-        rest = {k: v for k, v in params.items() if not k.startswith("G_")}
-        _check_params(name, rest, {"m", "base_half", "fibre_half"})
-        if "m" in rest:
-            rest["m"] = int(rest["m"])
-        return make_custom_christoffel(coeffs, **rest)
-    allowed = {"flat": {"m", "f", "base_half", "fibre_half"},
-               "sphere": {"fibre_half"},
-               "nonlinear-demo": {"base_half", "fibre_half"}}[name]
-    _check_params(name, params, allowed)
-    for key in ("m", "f"):
-        if key in params:
-            params[key] = int(params[key])
-    return CATALOG[name]["builder"](**params)
-
-
-def _check_params(name: str, params: dict, allowed: set):
-    unknown = set(params) - allowed
+    schema = CATALOG[name]["params"]
+    kwargs, coeffs, unknown = {}, {}, []
+    for key, value in (params or {}).items():
+        if CHRISTOFFELS in schema and key.startswith("G_"):
+            coeffs[key] = value
+        elif key in schema:
+            kwargs[key] = schema[key](value)
+        else:
+            unknown.append(key)
     if unknown:
         raise ConfigError(f"unknown bundle_params {sorted(unknown)} for "
                           f"'{name}'", field="bundle_params")
+    if CHRISTOFFELS in schema:
+        kwargs["coeffs"] = coeffs
+    return CATALOG[name]["builder"](**kwargs)
 
 
 # -- seeded random test data -------------------------------------------------
@@ -274,11 +296,6 @@ def random_total_scalar_field(bundle: TrivializedBundle,
                               rng: np.random.Generator):
     """Random smooth scalar evaluator on the total space."""
     return _sin_combination(rng, bundle.total_dim, 1.0, 0.6)
-
-
-def random_base_scalar_field(bundle: TrivializedBundle,
-                             rng: np.random.Generator):
-    return _sin_combination(rng, bundle.base_dim, 1.0, 0.6)
 
 
 def random_tangent(conn: ConnectionField, e: Point,

@@ -94,11 +94,9 @@ def main(argv=None) -> int:
     try:
         if args.command == "catalog":
             for name, entry in CATALOG.items():
-                conn = build_connection(name) if name != "tm-custom-christoffel" \
-                    else build_connection(name, {})
-                b = conn.bundle
+                b = build_connection(name).bundle
                 print(f"{name}: base_dim={b.base_dim} fibre_dim={b.fibre_dim} "
-                      f"params={entry['params']}")
+                      f"params={list(entry['params'])}")
                 print(f"    {entry['description']}")
             return 0
 

@@ -71,7 +71,7 @@ DEFAULT_TOLERANCES: dict[str, float] = {
 _SCENARIO_PARAMS: dict[str, set[str]] = {
     "verify-all": {"seed"},
     "theorem41": {"seed", "samples"},
-    "transport": {"seed", "latitude", "radius", "y0"},
+    "transport": {"seed", "latitude", "y0"},
     "geodesic": {"seed", "x0", "v0", "T"},
     "holonomy": {"seed", "latitude", "radius", "y0"},
     "curvature-table": {"seed", "samples"},

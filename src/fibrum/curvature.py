@@ -76,7 +76,11 @@ class CurvatureReportRow:
     via_lifts: np.ndarray
     via_covariant: np.ndarray
     residual: float
-    cross_residual: float
+    cross: np.ndarray  # cross_bracket_sum at the point, a total vector
+
+    @property
+    def cross_residual(self) -> float:
+        return float(np.max(np.abs(self.cross)))
 
 
 def _pv_apply(conn: ConnectionField, x, y, vec):
@@ -279,7 +283,7 @@ def compare_curvature_routes(conn: ConnectionField, s: SectionMap,
             via_lifts=lifts,
             via_covariant=cov,
             residual=float(np.max(np.abs(cov - lifts))),
-            cross_residual=float(np.max(np.abs(cross))),
+            cross=cross,
         ))
     return rows
 

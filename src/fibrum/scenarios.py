@@ -4,6 +4,15 @@ Every check produces one row {check_name, samples, max_residual, tolerance,
 pass}; chart-exit and domain errors become failed rows with reason strings
 instead of crashes.  All sampling is seeded and draw order is fixed, so a
 given config yields a byte-identical report.
+
+The checks form one ordered table, ``CHECKS``.  An entry names its row,
+which is also the name of its random stream, states its sample count once,
+says when it applies to a connection, and computes (residual, note).
+``verify-all`` runs every applicable entry in table order; the
+``transport``, ``geodesic`` and ``holonomy`` scenarios run entries by name
+on the inputs their parameters fix.  Applicability reads the connection
+(linear, tangent configuration, base dimension) and the catalog entry's
+declared :class:`~fibrum.catalog.Capabilities`.
 """
 
 from __future__ import annotations
@@ -11,7 +20,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -19,25 +28,25 @@ from .bundle import (BaseVectorField, SectionMap, TotalTangent,
                      TotalVectorField, base_lie_bracket, check_p_related,
                      lie_bracket)
 from .calculus import as_float_array, float_value, sin
-from .catalog import (build_connection, circle_loop, latitude_loop,
-                      random_base_field, random_base_point, random_section,
-                      random_tangent, random_total_point,
+from .catalog import (CATALOG, Capabilities, build_connection, circle_loop,
+                      latitude_loop, random_base_field, random_base_point,
+                      random_section, random_tangent, random_total_point,
                       random_total_scalar_field, reversed_curve, segment_curve,
                       sphere_angle_between, sphere_latitude_gb_angle,
                       sphere_metric)
 from .config import ScenarioConfig
 from .connection import (ConnectionField, ConnectionKind, covariant_derivative,
-                         extend_covariant_derivative, extend_natural_derivative,
-                         horizontal_lift, horizontal_lift_field,
-                         horizontal_projector, lift_rank_check,
-                         natural_derivative, vertical_projector)
+                         extend_natural_derivative, horizontal_lift,
+                         horizontal_lift_field, horizontal_projector,
+                         lift_rank_check, natural_derivative,
+                         vertical_projector)
 from .curvature import (compare_curvature_routes, composition_commutator,
                         cocurvature, cross_bracket_sum, curv_via_covariant,
                         curv_via_lifts, curv_via_vertical_projection,
                         curvature, second_covariant_derivative,
                         tensoriality_check_curvature, torsion, leibniz_check)
 from .errors import FibrumError, TooFewSamplesError
-from .transport import (CurveOnBase, IntegratorConfig, flow, geodesic,
+from .transport import (IntegratorConfig, flow, geodesic,
                         holonomy_loop, lie_derivative_covariant,
                         parallel_transport_path, parallel_transport_vector,
                         spray_from_connection)
@@ -53,6 +62,12 @@ ROUTES_NOTE = (
     "reproduce the lift-route curvature: the exact defect is the "
     "cross-bracket sum [H_v, nabla_u] + [nabla_v, H_u] on the graph (see the "
     "bracket_expansion_identity row, README, and demos/02)")
+
+# Default fibre element of the holonomy scenario's circle loop, as a
+# fraction of the fibre box width above its centre.  Around the default
+# loop, nonlinear-demo's cubic coefficient carries y0 >= 0.4 out of its
+# fibre box; 0.05 gives y0 = 0.15, whose path peaks at 0.33.
+HOLONOMY_Y0_OFFSET = 0.05
 
 
 @dataclass(frozen=True)
@@ -103,6 +118,74 @@ class VerificationReport:
         return tree
 
 
+@dataclass
+class Subject:
+    """The configured connection, its catalog capabilities, and the inputs
+    its scenario fixes.
+
+    ``transport`` (curve, y0) and ``geodesic`` (x0, v0, T), when set,
+    replace the draws of the checks that read them.  ``record`` holds what
+    the running check computed, for the scenario's ``results``.
+    """
+
+    cfg: ScenarioConfig
+    transport: Optional[tuple] = None
+    geodesic: Optional[tuple] = None
+    record: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.conn = build_connection(self.cfg.bundle_name,
+                                     self.cfg.bundle_params)
+        self.caps: Capabilities = CATALOG[self.cfg.bundle_name]["capabilities"]
+        self.bundle = self.conn.bundle
+        self.m, self.f = self.bundle.base_dim, self.bundle.fibre_dim
+        self.linear = self.conn.kind is ConnectionKind.LINEAR
+        self.tm = self.f == self.m
+        self.icfg = IntegratorConfig(step=self.cfg.step,
+                                     max_steps=self.cfg.max_steps)
+
+
+@dataclass(frozen=True)
+class Check:
+    """One entry of the check table; ``run(subject, rng, samples)``
+    returns (residual, note)."""
+
+    name: str
+    samples: int
+    applies: Callable[[Subject], bool]
+    run: Callable[[Subject, np.random.Generator, int], tuple]
+
+
+# The check table; insertion order is the row order of verify-all.
+CHECKS: dict[str, Check] = {}
+
+
+def _always(sub: Subject) -> bool:
+    return True
+
+
+def _check(name: str, samples: int,
+           applies: Callable[[Subject], bool] = _always):
+    def register(run):
+        CHECKS[name] = Check(name, samples, applies, run)
+        return run
+    return register
+
+
+def _sampled(name: str, samples: int,
+             applies: Callable[[Subject], bool] = _always, note: str = ""):
+    """A check whose residual is the largest of ``residual(sub, rng)`` over
+    its samples, each drawing its own data from the check's stream."""
+    def register(residual):
+        def run(sub, rng, n):
+            worst = 0.0
+            for _ in range(n):
+                worst = max(worst, residual(sub, rng))
+            return worst, note
+        return _check(name, samples, applies)(run)
+    return register
+
+
 def _rng_for(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng([seed, zlib.crc32(name.encode())])
 
@@ -114,510 +197,400 @@ def _row(cfg: ScenarioConfig, name: str, samples: int, residual: float,
     return CheckRow(name, samples, float(residual), float(tol), ok, note)
 
 
-def _guarded(cfg: ScenarioConfig, name: str, samples: int, fn,
-             note: str = "") -> CheckRow:
+def _run(sub: Subject, check: Check,
+         samples: Optional[int] = None) -> CheckRow:
+    """The row of ``check`` over its own random stream.  A scenario passes
+    ``samples=1``: it runs the check once, on the input it fixes."""
+    n = check.samples if samples is None else samples
+    rng = _rng_for(sub.cfg.seed, check.name)
+    sub.record = {}
     try:
-        residual, extra = fn()
+        residual, note = check.run(sub, rng, n)
     except FibrumError as exc:
-        return CheckRow(name, samples, float("inf"), cfg.tolerance(name),
-                        False, f"{type(exc).__name__}: {exc}")
-    text = note if not extra else (f"{note}; {extra}" if note else extra)
-    return _row(cfg, name, samples, residual, text)
-
-
-def _is_tm_config(conn: ConnectionField) -> bool:
-    return conn.bundle.fibre_dim == conn.bundle.base_dim
+        return CheckRow(check.name, n, float("inf"),
+                        sub.cfg.tolerance(check.name), False,
+                        f"{type(exc).__name__}: {exc}")
+    return _row(sub.cfg, check.name, n, residual, note)
 
 
 def _vec(values) -> list:
     return [float(v) for v in np.asarray(values, dtype=float)]
 
 
+def _draw_suvx(bundle, rng):
+    s = random_section(bundle, rng)
+    u = random_base_field(bundle, rng)
+    v = random_base_field(bundle, rng)
+    x = random_base_point(bundle, rng)
+    return s, u, v, x
+
+
+def _max_abs(values) -> float:
+    return float(np.max(np.abs(values)))
+
+
 # --------------------------------------------------------------------------
 # connection-module checks
 # --------------------------------------------------------------------------
 
-def connection_checks(conn: ConnectionField, cfg: ScenarioConfig) -> list[CheckRow]:
-    bundle = conn.bundle
-    m, f = bundle.base_dim, bundle.fibre_dim
-    rows: list[CheckRow] = []
+@_sampled("catalog_integrity", 25)
+def _catalog_integrity(sub, rng):
+    conn = sub.conn
+    e = random_total_point(sub.bundle, rng)
+    pv = vertical_projector(conn, e).matrix
+    ph = horizontal_projector(conn, e).matrix
+    X = random_tangent(conn, e, rng)
+    Y = random_tangent(conn, e, rng)
+    return max(np.max(np.abs(pv @ pv - pv)),
+               np.max(np.abs(pv + ph - np.eye(sub.bundle.total_dim))),
+               np.max(np.abs(pv @ ph)),
+               _max_abs(cocurvature(conn, e, X, Y).as_vector()))
 
-    def projector_algebra():
-        rng = _rng_for(cfg.seed, "projector_algebra")
-        worst = 0.0
-        eye = np.eye(m + f)
-        for _ in range(200):
-            e = random_total_point(bundle, rng)
-            pv = vertical_projector(conn, e).matrix
-            ph = horizontal_projector(conn, e).matrix
-            worst = max(worst,
-                        np.max(np.abs(pv @ pv - pv)),
-                        np.max(np.abs(ph @ ph - ph)),
-                        np.max(np.abs(pv @ ph)),
-                        np.max(np.abs(ph @ pv)),
-                        np.max(np.abs(pv + ph - eye)))
-            ranks_ok = (np.linalg.matrix_rank(pv, tol=1e-8) == f
-                        and np.linalg.matrix_rank(ph, tol=1e-8) == m)
-            if not ranks_ok:
-                worst = max(worst, 1.0)
-        return float(worst), ""
 
-    rows.append(_guarded(cfg, "projector_algebra", 200, projector_algebra))
+@_sampled("projector_algebra", 200)
+def _projector_algebra(sub, rng):
+    e = random_total_point(sub.bundle, rng)
+    pv = vertical_projector(sub.conn, e).matrix
+    ph = horizontal_projector(sub.conn, e).matrix
+    worst = max(np.max(np.abs(pv @ pv - pv)),
+                np.max(np.abs(ph @ ph - ph)),
+                np.max(np.abs(pv @ ph)),
+                np.max(np.abs(ph @ pv)),
+                np.max(np.abs(pv + ph - np.eye(sub.m + sub.f))))
+    ranks_ok = (np.linalg.matrix_rank(pv, tol=1e-8) == sub.f
+                and np.linalg.matrix_rank(ph, tol=1e-8) == sub.m)
+    return float(worst) if ranks_ok else max(float(worst), 1.0)
 
-    def gamma_linearity():
-        rng = _rng_for(cfg.seed, "gamma_linearity")
-        worst = 0.0
-        for _ in range(100):
-            e = random_total_point(bundle, rng)
-            x, y = bundle.split(list(e.coords))
-            a, b = rng.uniform(-2, 2, size=2)
-            u = rng.uniform(-1, 1, size=m)
-            v = rng.uniform(-1, 1, size=m)
-            lhs = as_float_array(conn.gamma(x, y, list(a * u + b * v)))
-            rhs = a * as_float_array(conn.gamma(x, y, list(u))) \
-                + b * as_float_array(conn.gamma(x, y, list(v)))
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-        return worst, ""
 
-    rows.append(_guarded(cfg, "gamma_linearity", 100, gamma_linearity))
+@_sampled("gamma_linearity", 100)
+def _gamma_linearity(sub, rng):
+    conn = sub.conn
+    e = random_total_point(sub.bundle, rng)
+    x, y = sub.bundle.split(list(e.coords))
+    a, b = rng.uniform(-2, 2, size=2)
+    u = rng.uniform(-1, 1, size=sub.m)
+    v = rng.uniform(-1, 1, size=sub.m)
+    lhs = as_float_array(conn.gamma(x, y, list(a * u + b * v)))
+    rhs = a * as_float_array(conn.gamma(x, y, list(u))) \
+        + b * as_float_array(conn.gamma(x, y, list(v)))
+    return _max_abs(lhs - rhs)
 
-    if conn.kind is ConnectionKind.LINEAR:
-        def fibre_linearity():
-            rng = _rng_for(cfg.seed, "gamma_fibre_linearity")
-            worst = 0.0
-            for _ in range(100):
-                x = list(bundle.base_box.sample(rng))
-                y1 = list(bundle.fibre_box.sample(rng, margin=0.3))
-                y2 = list(bundle.fibre_box.sample(rng, margin=0.3))
-                a, b = rng.uniform(-0.7, 0.7, size=2)
-                v = list(rng.uniform(-1, 1, size=m))
-                mix = [a * c1 + b * c2 for c1, c2 in zip(y1, y2)]
-                lhs = as_float_array(conn.gamma(x, mix, v))
-                rhs = a * as_float_array(conn.gamma(x, y1, v)) \
-                    + b * as_float_array(conn.gamma(x, y2, v))
-                worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-            return worst, ""
 
-        rows.append(_guarded(cfg, "gamma_fibre_linearity", 100, fibre_linearity))
+@_sampled("gamma_fibre_linearity", 100, lambda sub: sub.linear)
+def _gamma_fibre_linearity(sub, rng):
+    conn, bundle = sub.conn, sub.bundle
+    x = list(bundle.base_box.sample(rng))
+    y1 = list(bundle.fibre_box.sample(rng, margin=0.3))
+    y2 = list(bundle.fibre_box.sample(rng, margin=0.3))
+    a, b = rng.uniform(-0.7, 0.7, size=2)
+    v = list(rng.uniform(-1, 1, size=sub.m))
+    mix = [a * c1 + b * c2 for c1, c2 in zip(y1, y2)]
+    lhs = as_float_array(conn.gamma(x, mix, v))
+    rhs = a * as_float_array(conn.gamma(x, y1, v)) \
+        + b * as_float_array(conn.gamma(x, y2, v))
+    return _max_abs(lhs - rhs)
 
-    def right_inverse():
-        rng = _rng_for(cfg.seed, "lift_right_inverse")
-        worst = 0.0
-        for _ in range(100):
-            e = random_total_point(bundle, rng)
-            v = rng.uniform(-1, 1, size=m)
-            tangent = horizontal_lift(conn, e, v)
-            worst = max(worst, float(np.max(np.abs(tangent.base_part - v))))
-            pv = vertical_projector(conn, e).matrix
-            worst = max(worst,
-                        float(np.max(np.abs(pv @ tangent.as_vector()))))
-        return worst, ""
 
-    rows.append(_guarded(cfg, "lift_right_inverse", 100, right_inverse))
+@_sampled("lift_right_inverse", 100)
+def _lift_right_inverse(sub, rng):
+    e = random_total_point(sub.bundle, rng)
+    v = rng.uniform(-1, 1, size=sub.m)
+    tangent = horizontal_lift(sub.conn, e, v)
+    pv = vertical_projector(sub.conn, e).matrix
+    return max(_max_abs(tangent.base_part - v),
+               _max_abs(pv @ tangent.as_vector()))
 
-    def split_law():
-        rng = _rng_for(cfg.seed, "split_law")
-        worst = 0.0
-        for _ in range(100):
-            s = random_section(bundle, rng)
-            v = random_base_field(bundle, rng)
-            x = random_base_point(bundle, rng)
-            nat = natural_derivative(s, v, x)
-            e = s.graph(x)
-            cov = covariant_derivative(conn, s, v, x)
-            lift = horizontal_lift(conn, e, as_float_array(v(x)))
-            worst = max(worst,
-                        float(np.max(np.abs(nat.base_part - lift.base_part))),
-                        float(np.max(np.abs(nat.fibre_part
-                                            - (cov + lift.fibre_part)))))
-        return worst, ""
 
-    rows.append(_guarded(cfg, "split_law", 100, split_law))
+@_sampled("split_law", 100)
+def _split_law(sub, rng):
+    s = random_section(sub.bundle, rng)
+    v = random_base_field(sub.bundle, rng)
+    x = random_base_point(sub.bundle, rng)
+    nat = natural_derivative(s, v, x)
+    cov = covariant_derivative(sub.conn, s, v, x)
+    lift = horizontal_lift(sub.conn, s.graph(x), as_float_array(v(x)))
+    return max(_max_abs(nat.base_part - lift.base_part),
+               _max_abs(nat.fibre_part - (cov + lift.fibre_part)))
 
-    def nat_related():
-        rng = _rng_for(cfg.seed, "natural_derivative_relatedness")
-        s = random_section(bundle, rng)
-        v = random_base_field(bundle, rng)
-        ext = extend_natural_derivative(s, v)
-        samples = [random_total_point(bundle, rng) for _ in range(100)]
-        return check_p_related(ext, v, samples), ""
 
-    rows.append(_guarded(cfg, "natural_derivative_relatedness", 100, nat_related))
+@_check("natural_derivative_relatedness", 100)
+def _natural_derivative_relatedness(sub, rng, n):
+    s = random_section(sub.bundle, rng)
+    v = random_base_field(sub.bundle, rng)
+    ext = extend_natural_derivative(s, v)
+    samples = [random_total_point(sub.bundle, rng) for _ in range(n)]
+    return check_p_related(ext, v, samples), ""
 
-    def lift_related():
-        rng = _rng_for(cfg.seed, "lift_field_relatedness")
-        v = random_base_field(bundle, rng)
-        hv = horizontal_lift_field(conn, v)
-        samples = [random_total_point(bundle, rng) for _ in range(100)]
-        return check_p_related(hv, v, samples), ""
 
-    rows.append(_guarded(cfg, "lift_field_relatedness", 100, lift_related))
+@_check("lift_field_relatedness", 100)
+def _lift_field_relatedness(sub, rng, n):
+    v = random_base_field(sub.bundle, rng)
+    hv = horizontal_lift_field(sub.conn, v)
+    samples = [random_total_point(sub.bundle, rng) for _ in range(n)]
+    return check_p_related(hv, v, samples), ""
 
-    def translation_invariance():
-        rng = _rng_for(cfg.seed, "extension_translation_invariance")
-        worst = 0.0
-        for _ in range(100):
-            s = random_section(bundle, rng)
-            v = random_base_field(bundle, rng)
-            ext = extend_natural_derivative(s, v)
-            shift = rng.uniform(-0.2, 0.2, size=f)
-            ext_shift = extend_natural_derivative(s, v, offset_shift=shift)
-            x = bundle.base_box.sample(rng)
-            y1 = bundle.fibre_box.sample(rng, margin=0.3)
-            y2 = bundle.fibre_box.sample(rng, margin=0.3)
-            e1 = bundle.graph_point(x, y1)
-            e2 = bundle.graph_point(x, y2)
-            v1 = as_float_array(ext(e1))
-            worst = max(worst,
-                        float(np.max(np.abs(v1 - as_float_array(ext(e2))))),
-                        float(np.max(np.abs(v1 - as_float_array(ext_shift(e1))))))
-        return worst, ""
 
-    rows.append(_guarded(cfg, "extension_translation_invariance", 100,
-                         translation_invariance))
+@_sampled("extension_translation_invariance", 100)
+def _extension_translation_invariance(sub, rng):
+    bundle = sub.bundle
+    s = random_section(bundle, rng)
+    v = random_base_field(bundle, rng)
+    ext = extend_natural_derivative(s, v)
+    shift = rng.uniform(-0.2, 0.2, size=sub.f)
+    ext_shift = extend_natural_derivative(s, v, offset_shift=shift)
+    x = bundle.base_box.sample(rng)
+    y1 = bundle.fibre_box.sample(rng, margin=0.3)
+    y2 = bundle.fibre_box.sample(rng, margin=0.3)
+    e1 = bundle.graph_point(x, y1)
+    e2 = bundle.graph_point(x, y2)
+    v1 = as_float_array(ext(e1))
+    return max(_max_abs(v1 - as_float_array(ext(e2))),
+               _max_abs(v1 - as_float_array(ext_shift(e1))))
 
-    def rank_check():
-        rng = _rng_for(cfg.seed, "lift_rank")
-        worst = 0
-        for _ in range(50):
-            s = random_section(bundle, rng)
-            x = random_base_point(bundle, rng)
-            worst = max(worst, abs(lift_rank_check(conn, s, x) - m))
-        return float(worst), ""
 
-    rows.append(_guarded(cfg, "lift_rank", 50, rank_check))
+@_sampled("lift_rank", 50)
+def _lift_rank(sub, rng):
+    s = random_section(sub.bundle, rng)
+    x = random_base_point(sub.bundle, rng)
+    return float(abs(lift_rank_check(sub.conn, s, x) - sub.m))
 
-    def section_tensoriality():
-        rng = _rng_for(cfg.seed, "lift_tensoriality_in_section")
-        worst = 0.0
-        for _ in range(20):
-            s1 = random_section(bundle, rng)
-            x = random_base_point(bundle, rng)
-            x0 = np.array(x.coords)
-            amps = rng.uniform(-0.05, 0.05, size=f)
 
-            def bumped(coords, _s=s1, _amps=amps, _x0=x0):
-                base = _s.fn(coords)
-                bump = 1.0
-                for j in range(m):
-                    bump = bump * sin(coords[j] - _x0[j])
-                return [b + a * bump for b, a in zip(base, _amps)]
+@_sampled("lift_tensoriality_in_section", 20,
+          note="same point-value sections give bitwise-equal lifts")
+def _lift_tensoriality_in_section(sub, rng):
+    conn, bundle, m = sub.conn, sub.bundle, sub.m
+    s1 = random_section(bundle, rng)
+    x = random_base_point(bundle, rng)
+    x0 = np.array(x.coords)
+    amps = rng.uniform(-0.05, 0.05, size=sub.f)
 
-            s2 = SectionMap(bundle, bumped)
-            for j in range(m):
-                basis = [1.0 if k == j else 0.0 for k in range(m)]
-                e = s1.graph(x)
-                l1 = horizontal_lift(conn, e, basis).as_vector()
-                l2 = horizontal_lift(conn, s2.graph(x), basis).as_vector()
-                worst = max(worst, float(np.max(np.abs(l1 - l2))))
-        return worst, "same point-value sections give bitwise-equal lifts"
+    def bumped(coords):
+        base = s1.fn(coords)
+        bump = 1.0
+        for j in range(m):
+            bump = bump * sin(coords[j] - x0[j])
+        return [b + a * bump for b, a in zip(base, amps)]
 
-    rows.append(_guarded(cfg, "lift_tensoriality_in_section", 20,
-                         section_tensoriality))
+    s2 = SectionMap(bundle, bumped)
+    worst = 0.0
+    for j in range(m):
+        basis = [1.0 if k == j else 0.0 for k in range(m)]
+        l1 = horizontal_lift(conn, s1.graph(x), basis).as_vector()
+        l2 = horizontal_lift(conn, s2.graph(x), basis).as_vector()
+        worst = max(worst, _max_abs(l1 - l2))
+    return worst
 
-    def tensorial_in_v():
-        rng = _rng_for(cfg.seed, "covariant_tensoriality_in_v")
-        worst = 0.0
-        for _ in range(100):
-            s = random_section(bundle, rng)
-            v = random_base_field(bundle, rng)
-            x = random_base_point(bundle, rng)
-            scale_fn = random_total_scalar_field(bundle, rng)
 
-            def scaled(coords, _v=v, _sf=scale_fn):
-                c = _sf(list(coords) + [0.0] * f)
-                return [c * comp for comp in _v.fn(coords)]
+@_sampled("covariant_tensoriality_in_v", 100)
+def _covariant_tensoriality_in_v(sub, rng):
+    bundle, f = sub.bundle, sub.f
+    s = random_section(bundle, rng)
+    v = random_base_field(bundle, rng)
+    x = random_base_point(bundle, rng)
+    scale_fn = random_total_scalar_field(bundle, rng)
 
-            fv = BaseVectorField(bundle, scaled)
-            lhs = covariant_derivative(conn, s, fv, x)
-            fx = float_value(scale_fn(list(x.coords) + [0.0] * f))
-            rhs = fx * covariant_derivative(conn, s, v, x)
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-        return worst, ""
+    def scaled(coords):
+        c = scale_fn(list(coords) + [0.0] * f)
+        return [c * comp for comp in v.fn(coords)]
 
-    rows.append(_guarded(cfg, "covariant_tensoriality_in_v", 100, tensorial_in_v))
-    return rows
+    lhs = covariant_derivative(sub.conn, s, BaseVectorField(bundle, scaled), x)
+    fx = float_value(scale_fn(list(x.coords) + [0.0] * f))
+    return _max_abs(lhs - fx * covariant_derivative(sub.conn, s, v, x))
 
 
 # --------------------------------------------------------------------------
 # curvature-module checks
 # --------------------------------------------------------------------------
 
-def curvature_checks(conn: ConnectionField, cfg: ScenarioConfig) -> list[CheckRow]:
-    bundle = conn.bundle
-    m, f = bundle.base_dim, bundle.fibre_dim
-    rows: list[CheckRow] = []
+@_sampled("bracket_projectability", 100)
+def _bracket_projectability(sub, rng):
+    u = random_base_field(sub.bundle, rng)
+    v = random_base_field(sub.bundle, rng)
+    e = random_total_point(sub.bundle, rng)
+    br = lie_bracket(horizontal_lift_field(sub.conn, u),
+                     horizontal_lift_field(sub.conn, v))
+    base = as_float_array(br(e))[:sub.m]
+    uv = base_lie_bracket(u, v)
+    return _max_abs(base - as_float_array(uv(list(e.base_coords))))
 
-    def draw(rng):
-        s = random_section(bundle, rng)
-        u = random_base_field(bundle, rng)
-        v = random_base_field(bundle, rng)
-        x = random_base_point(bundle, rng)
-        return s, u, v, x
 
-    def projectability():
-        rng = _rng_for(cfg.seed, "bracket_projectability")
-        worst = 0.0
-        for _ in range(100):
-            u = random_base_field(bundle, rng)
-            v = random_base_field(bundle, rng)
-            e = random_total_point(bundle, rng)
-            br = lie_bracket(horizontal_lift_field(conn, u),
-                             horizontal_lift_field(conn, v))
-            uv = base_lie_bracket(u, v)
-            base = as_float_array(br(e))[:m]
-            worst = max(worst, float(np.max(np.abs(
-                base - as_float_array(uv(list(e.base_coords)))))))
-        return worst, ""
+@_sampled("lift_route_internal_identity", 100)
+def _lift_route_internal_identity(sub, rng):
+    s, u, v, x = _draw_suvx(sub.bundle, rng)
+    a = curv_via_lifts(sub.conn, s, u, v, x).fibre_part
+    b = curv_via_vertical_projection(sub.conn, s, u, v, x).fibre_part
+    return _max_abs(a - b)
 
-    rows.append(_guarded(cfg, "bracket_projectability", 100, projectability))
 
-    def internal_identity():
-        rng = _rng_for(cfg.seed, "lift_route_internal_identity")
-        worst = 0.0
-        for _ in range(100):
-            s, u, v, x = draw(rng)
-            a = curv_via_lifts(conn, s, u, v, x).fibre_part
-            b = curv_via_vertical_projection(conn, s, u, v, x).fibre_part
-            worst = max(worst, float(np.max(np.abs(a - b))))
-        return worst, ""
+@_sampled("curvature_verticality", 100)
+def _curvature_verticality(sub, rng):
+    conn = sub.conn
+    s, u, v, x = _draw_suvx(sub.bundle, rng)
+    e = s.graph(x)
+    hu = horizontal_lift_field(conn, u)
+    hv = horizontal_lift_field(conn, v)
+    hw = horizontal_lift_field(conn, base_lie_bracket(u, v))
+    diff = as_float_array(hw(e)) - as_float_array(lie_bracket(hu, hv)(e))
+    return _max_abs(diff[:sub.m])
 
-    rows.append(_guarded(cfg, "lift_route_internal_identity", 100,
-                         internal_identity))
 
-    def verticality():
-        rng = _rng_for(cfg.seed, "curvature_verticality")
-        worst = 0.0
-        for _ in range(100):
-            s, u, v, x = draw(rng)
-            e = s.graph(x)
-            hu = horizontal_lift_field(conn, u)
-            hv = horizontal_lift_field(conn, v)
-            hw = horizontal_lift_field(conn, base_lie_bracket(u, v))
-            diff = as_float_array(hw(e)) - as_float_array(lie_bracket(hu, hv)(e))
-            worst = max(worst, float(np.max(np.abs(diff[:m]))))
-        return worst, ""
+@_sampled("curvature_horizontality", 100)
+def _curvature_horizontality(sub, rng):
+    conn = sub.conn
+    e = random_total_point(sub.bundle, rng)
+    vert = TotalTangent(e, np.zeros(sub.m), rng.uniform(-1, 1, size=sub.f))
+    other = random_tangent(conn, e, rng)
+    return max(_max_abs(curvature(conn, e, vert, other).fibre_part),
+               _max_abs(curvature(conn, e, other, vert).fibre_part))
 
-    rows.append(_guarded(cfg, "curvature_verticality", 100, verticality))
 
-    def horizontality():
-        rng = _rng_for(cfg.seed, "curvature_horizontality")
-        worst = 0.0
-        for _ in range(100):
-            e = random_total_point(bundle, rng)
-            vert = TotalTangent(e, np.zeros(m), rng.uniform(-1, 1, size=f))
-            other = random_tangent(conn, e, rng)
-            worst = max(worst,
-                        float(np.max(np.abs(curvature(conn, e, vert, other)
-                                            .fibre_part))),
-                        float(np.max(np.abs(curvature(conn, e, other, vert)
-                                            .fibre_part))))
-        return worst, ""
+@_sampled("curvature_antisymmetry", 100)
+def _curvature_antisymmetry(sub, rng):
+    conn = sub.conn
+    e = random_total_point(sub.bundle, rng)
+    X = random_tangent(conn, e, rng)
+    Y = random_tangent(conn, e, rng)
+    Z = random_tangent(conn, e, rng)
+    a, b = rng.uniform(-2, 2, size=2)
+    rxy = curvature(conn, e, X, Y).fibre_part
+    ryx = curvature(conn, e, Y, X).fibre_part
+    mix = TotalTangent(e, a * X.base_part + b * Z.base_part,
+                       a * X.fibre_part + b * Z.fibre_part)
+    rmix = curvature(conn, e, mix, Y).fibre_part
+    rxz = curvature(conn, e, Z, Y).fibre_part
+    return max(_max_abs(rxy + ryx), _max_abs(rmix - a * rxy - b * rxz))
 
-    rows.append(_guarded(cfg, "curvature_horizontality", 100, horizontality))
 
-    def antisymmetry():
-        rng = _rng_for(cfg.seed, "curvature_antisymmetry")
-        worst = 0.0
-        for _ in range(100):
-            e = random_total_point(bundle, rng)
-            X = random_tangent(conn, e, rng)
-            Y = random_tangent(conn, e, rng)
-            Z = random_tangent(conn, e, rng)
-            a, b = rng.uniform(-2, 2, size=2)
-            rxy = curvature(conn, e, X, Y).fibre_part
-            ryx = curvature(conn, e, Y, X).fibre_part
-            worst = max(worst, float(np.max(np.abs(rxy + ryx))))
-            mix = TotalTangent(e, a * X.base_part + b * Z.base_part,
-                               a * X.fibre_part + b * Z.fibre_part)
-            rmix = curvature(conn, e, mix, Y).fibre_part
-            rxz = curvature(conn, e, Z, Y).fibre_part
-            worst = max(worst, float(np.max(np.abs(rmix - a * rxy - b * rxz))))
-        return worst, ""
+@_sampled("cocurvature", 200)
+def _cocurvature(sub, rng):
+    conn, bundle, m = sub.conn, sub.bundle, sub.m
+    e = random_total_point(bundle, rng)
+    X = random_tangent(conn, e, rng)
+    Y = random_tangent(conn, e, rng)
+    val = cocurvature(conn, e, X, Y)
+    # stronger form: arbitrary smooth vertical fields still bracket
+    # to vertical fields (the fibres foliate the total space)
+    f1 = random_total_scalar_field(bundle, rng)
+    f2 = random_total_scalar_field(bundle, rng)
+    w1 = rng.uniform(-1, 1, size=sub.f)
+    w2 = rng.uniform(-1, 1, size=sub.f)
 
-    rows.append(_guarded(cfg, "curvature_antisymmetry", 100, antisymmetry))
+    def vfield(scalar, w):
+        def ev(coords):
+            c = scalar(coords)
+            return [0.0] * m + [c * wi for wi in w]
+        return TotalVectorField(bundle, ev)
 
-    def cocurv():
-        rng = _rng_for(cfg.seed, "cocurvature")
-        worst = 0.0
-        for _ in range(200):
-            e = random_total_point(bundle, rng)
-            X = random_tangent(conn, e, rng)
-            Y = random_tangent(conn, e, rng)
-            val = cocurvature(conn, e, X, Y)
-            worst = max(worst, float(np.max(np.abs(val.as_vector()))))
-            # stronger form: arbitrary smooth vertical fields still bracket
-            # to vertical fields (the fibres foliate the total space)
-            f1 = random_total_scalar_field(bundle, rng)
-            f2 = random_total_scalar_field(bundle, rng)
-            w1 = rng.uniform(-1, 1, size=f)
-            w2 = rng.uniform(-1, 1, size=f)
+    br = lie_bracket(vfield(f1, w1), vfield(f2, w2))(e)
+    return max(_max_abs(val.as_vector()), _max_abs(as_float_array(br)[:m]))
 
-            def vfield(scalar, w):
-                def ev(coords):
-                    c = scalar(coords)
-                    return [0.0] * m + [c * wi for wi in w]
-                return TotalVectorField(bundle, ev)
 
-            br = lie_bracket(vfield(f1, w1), vfield(f2, w2))(e)
-            worst = max(worst, float(np.max(np.abs(as_float_array(br)[:m]))))
-        return worst, ""
+@_check("curvature_tensoriality", 100)
+def _curvature_tensoriality(sub, rng, n):
+    m = sub.m
+    worst = 0.0
+    fields = []
+    for _ in range(3):
+        fields.append(random_total_scalar_field(sub.bundle, rng))
 
-    rows.append(_guarded(cfg, "cocurvature", 200, cocurv))
+    def poly_field(coords):
+        return coords[0] + coords[m] * coords[m]
 
-    def tensoriality():
-        rng = _rng_for(cfg.seed, "curvature_tensoriality")
-        worst = 0.0
-        fields = []
-        for _ in range(3):
-            fields.append(random_total_scalar_field(bundle, rng))
+    fields.append(poly_field)
+    for scalar in fields:
+        for _ in range(n // len(fields)):
+            e = random_total_point(sub.bundle, rng)
+            X = random_tangent(sub.conn, e, rng)
+            Y = random_tangent(sub.conn, e, rng)
+            worst = max(worst, tensoriality_check_curvature(
+                sub.conn, e, X, Y, scalar))
+    return worst, "includes x1 + y1^2 alongside 3 random smooth fields"
 
-        def poly_field(coords):
-            return coords[0] + coords[m] * coords[m]
 
-        fields.append(poly_field)
-        for scalar in fields:
-            for _ in range(25):
-                e = random_total_point(bundle, rng)
-                X = random_tangent(conn, e, rng)
-                Y = random_tangent(conn, e, rng)
-                worst = max(worst, tensoriality_check_curvature(
-                    conn, e, X, Y, scalar))
-        return worst, "includes x1 + y1^2 alongside 3 random smooth fields"
+@_sampled("curvature_routes_equality", 100, note=ROUTES_NOTE)
+def _curvature_routes_equality(sub, rng):
+    s, u, v, x = _draw_suvx(sub.bundle, rng)
+    return compare_curvature_routes(sub.conn, s, u, v, [x])[0].residual
 
-    rows.append(_guarded(cfg, "curvature_tensoriality", 100, tensoriality))
 
-    def routes_equality():
-        rng = _rng_for(cfg.seed, "curvature_routes_equality")
-        worst = 0.0
-        for _ in range(100):
-            s, u, v, x = draw(rng)
-            row = compare_curvature_routes(conn, s, u, v, [x])[0]
-            worst = max(worst, row.residual)
-        return worst, ROUTES_NOTE
+@_sampled("bracket_expansion_identity", 100,
+          note="exact bilinear expansion of [T_u, T_v] = T_[u,v]; "
+               "this is what the bracketing machinery must satisfy")
+def _bracket_expansion_identity(sub, rng):
+    s, u, v, x = _draw_suvx(sub.bundle, rng)
+    lifts = curv_via_lifts(sub.conn, s, u, v, x).fibre_part
+    cov = curv_via_covariant(sub.conn, s, u, v, x).fibre_part
+    cross = cross_bracket_sum(sub.conn, s, u, v, x)
+    return max(_max_abs(cov - lifts - cross[sub.m:]),
+               _max_abs(cross[:sub.m]))
 
-    rows.append(_guarded(cfg, "curvature_routes_equality", 100, routes_equality))
 
-    def expansion_identity():
-        rng = _rng_for(cfg.seed, "bracket_expansion_identity")
-        worst = 0.0
-        for _ in range(100):
-            s, u, v, x = draw(rng)
-            lifts = curv_via_lifts(conn, s, u, v, x).fibre_part
-            cov = curv_via_covariant(conn, s, u, v, x).fibre_part
-            cross = cross_bracket_sum(conn, s, u, v, x)
-            worst = max(worst,
-                        float(np.max(np.abs(cov - lifts - cross[m:]))),
-                        float(np.max(np.abs(cross[:m]))))
-        return worst, ("exact bilinear expansion of [T_u, T_v] = T_[u,v]; "
-                       "this is what the bracketing machinery must satisfy")
+@_sampled("extension_independence", 50,
+          note="translation-leaf offset shifted by a random amount")
+def _extension_independence(sub, rng):
+    s, u, v, x = _draw_suvx(sub.bundle, rng)
+    base = curv_via_covariant(sub.conn, s, u, v, x).fibre_part
+    shift = rng.uniform(-0.2, 0.2, size=sub.f)
+    pert = curv_via_covariant(sub.conn, s, u, v, x,
+                              offset_shift=shift).fibre_part
+    return _max_abs(base - pert)
 
-    rows.append(_guarded(cfg, "bracket_expansion_identity", 100,
-                         expansion_identity))
 
-    def extension_independence():
-        rng = _rng_for(cfg.seed, "extension_independence")
-        worst = 0.0
-        for _ in range(50):
-            s, u, v, x = draw(rng)
-            base = curv_via_covariant(conn, s, u, v, x).fibre_part
-            shift = rng.uniform(-0.2, 0.2, size=f)
-            pert = curv_via_covariant(conn, s, u, v, x,
-                                      offset_shift=shift).fibre_part
-            worst = max(worst, float(np.max(np.abs(base - pert))))
-        return worst, "translation-leaf offset shifted by a random amount"
+@_sampled("flatness_via_lifts", 100, lambda sub: sub.caps.zero_curvature)
+def _flatness_via_lifts(sub, rng):
+    s, u, v, x = _draw_suvx(sub.bundle, rng)
+    return _max_abs(curv_via_lifts(sub.conn, s, u, v, x).fibre_part)
 
-    rows.append(_guarded(cfg, "extension_independence", 50,
-                         extension_independence))
 
-    if conn.bundle.name == "flat":
-        def flat_lifts():
-            rng = _rng_for(cfg.seed, "flatness_via_lifts")
-            worst = 0.0
-            for _ in range(100):
-                s, u, v, x = draw(rng)
-                worst = max(worst, float(np.max(np.abs(
-                    curv_via_lifts(conn, s, u, v, x).fibre_part))))
-            return worst, ""
+@_sampled("flatness_via_covariant", 100, lambda sub: sub.caps.zero_curvature,
+          note=ROUTES_NOTE)
+def _flatness_via_covariant(sub, rng):
+    s, u, v, x = _draw_suvx(sub.bundle, rng)
+    return _max_abs(curv_via_covariant(sub.conn, s, u, v, x).fibre_part)
 
-        rows.append(_guarded(cfg, "flatness_via_lifts", 100, flat_lifts))
 
-        def flat_cov():
-            rng = _rng_for(cfg.seed, "flatness_via_covariant")
-            worst = 0.0
-            for _ in range(100):
-                s, u, v, x = draw(rng)
-                worst = max(worst, float(np.max(np.abs(
-                    curv_via_covariant(conn, s, u, v, x).fibre_part))))
-            return worst, ROUTES_NOTE
+@_sampled("leibniz_rule", 50, lambda sub: sub.linear)
+def _leibniz_rule(sub, rng):
+    s = random_section(sub.bundle, rng)
+    v = random_base_field(sub.bundle, rng)
+    x = random_base_point(sub.bundle, rng)
+    scalar = random_total_scalar_field(sub.bundle, rng)
 
-        rows.append(_guarded(cfg, "flatness_via_covariant", 100, flat_cov))
+    def f_on_base(coords):
+        return scalar(list(coords) + [0.0] * sub.f)
 
-    if conn.kind is ConnectionKind.LINEAR:
-        def leibniz():
-            rng = _rng_for(cfg.seed, "leibniz_rule")
-            worst = 0.0
-            for _ in range(50):
-                s = random_section(bundle, rng)
-                v = random_base_field(bundle, rng)
-                x = random_base_point(bundle, rng)
-                scalar = random_total_scalar_field(bundle, rng)
+    return leibniz_check(sub.conn, s, f_on_base, v, x)
 
-                def f_on_base(coords, _s=scalar):
-                    return _s(list(coords) + [0.0] * f)
 
-                worst = max(worst, leibniz_check(conn, s, f_on_base, v, x))
-            return worst, ""
+@_sampled("composition_commutator_curvature", 50, lambda sub: sub.linear,
+          note="operator compositions, not field brackets")
+def _composition_commutator_curvature(sub, rng):
+    s, u, v, x = _draw_suvx(sub.bundle, rng)
+    comp = composition_commutator(sub.conn, s, u, v, x)
+    return _max_abs(comp - curv_via_lifts(sub.conn, s, u, v, x).fibre_part)
 
-        rows.append(_guarded(cfg, "leibniz_rule", 50, leibniz))
 
-        def composition_curvature():
-            rng = _rng_for(cfg.seed, "composition_commutator_curvature")
-            worst = 0.0
-            for _ in range(50):
-                s, u, v, x = draw(rng)
-                comp = composition_commutator(conn, s, u, v, x)
-                lifts = curv_via_lifts(conn, s, u, v, x).fibre_part
-                worst = max(worst, float(np.max(np.abs(comp - lifts))))
-            return worst, "operator compositions, not field brackets"
+@_sampled("second_derivative_torsion_form", 50,
+          lambda sub: sub.linear and sub.tm)
+def _second_derivative_torsion_form(sub, rng):
+    conn = sub.conn
+    s, u, v, x = _draw_suvx(sub.bundle, rng)
+    d2uv = second_covariant_derivative(conn, s, u, v, x)
+    d2vu = second_covariant_derivative(conn, s, v, u, x)
+    tors = torsion(conn, u, v, x)
+    w = BaseVectorField(sub.bundle, lambda c: list(tors))
+    nt = covariant_derivative(conn, s, w, x)
+    lifts = curv_via_lifts(conn, s, u, v, x).fibre_part
+    return _max_abs(d2uv - d2vu + nt - lifts)
 
-        rows.append(_guarded(cfg, "composition_commutator_curvature", 50,
-                             composition_curvature))
 
-        if _is_tm_config(conn):
-            def torsion_form():
-                rng = _rng_for(cfg.seed, "second_derivative_torsion_form")
-                worst = 0.0
-                for _ in range(50):
-                    s, u, v, x = draw(rng)
-                    d2uv = second_covariant_derivative(conn, s, u, v, x)
-                    d2vu = second_covariant_derivative(conn, s, v, u, x)
-                    tors = torsion(conn, u, v, x)
-                    w = BaseVectorField(bundle,
-                                        lambda c, _t=tors: list(_t))
-                    nt = covariant_derivative(conn, s, w, x)
-                    lifts = curv_via_lifts(conn, s, u, v, x).fibre_part
-                    worst = max(worst, float(np.max(np.abs(
-                        d2uv - d2vu + nt - lifts))))
-                return worst, ""
-
-            rows.append(_guarded(cfg, "second_derivative_torsion_form", 50,
-                                 torsion_form))
-
-    if conn.bundle.name == "sphere":
-        def torsion_sym():
-            rng = _rng_for(cfg.seed, "torsion_symmetric")
-            worst = 0.0
-            for _ in range(50):
-                u = random_base_field(bundle, rng)
-                v = random_base_field(bundle, rng)
-                x = random_base_point(bundle, rng)
-                worst = max(worst, float(np.max(np.abs(torsion(conn, u, v, x)))))
-            return worst, "round-metric coefficients are symmetric"
-
-        rows.append(_guarded(cfg, "torsion_symmetric", 50, torsion_sym))
-
-    return rows
+@_sampled("torsion_symmetric", 50, lambda sub: sub.caps.symmetric_christoffels,
+          note="round-metric coefficients are symmetric")
+def _torsion_symmetric(sub, rng):
+    u = random_base_field(sub.bundle, rng)
+    v = random_base_field(sub.bundle, rng)
+    x = random_base_point(sub.bundle, rng)
+    return _max_abs(torsion(sub.conn, u, v, x))
 
 
 # --------------------------------------------------------------------------
@@ -640,32 +613,16 @@ def _five_point_residual(ts, ys, coeff) -> float:
     for k in range(2, n - 2, max(1, n // 40)):
         ydot = (-ys[k + 2] + 8.0 * ys[k + 1] - 8.0 * ys[k - 1] + ys[k - 2]) \
             / (12.0 * h)
-        worst = max(worst, float(np.max(np.abs(ydot + coeff(k)))))
+        worst = max(worst, _max_abs(ydot + coeff(k)))
     return worst
 
 
-def _transport_residual(conn: ConnectionField, curve: CurveOnBase,
-                        path) -> float:
-    """Stencil residual of y' + gamma(c(t), y) c'(t) along a transport path."""
-    ts = [t for t, _ in path]
-    ys = [y for _, y in path]
-    return _five_point_residual(ts, ys, lambda k: as_float_array(conn.gamma(
-        list(curve.fn(ts[k])), list(ys[k]), list(curve.velocity(ts[k])))))
-
-
-def _geodesic_residual(conn: ConnectionField, samples) -> float:
-    """Stencil residual of v' + gamma(x, v) v along geodesic samples."""
-    ts = [t for t, _, _ in samples]
-    xs = [x for _, x, _ in samples]
-    vs = [v for _, _, v in samples]
-    return _five_point_residual(ts, vs, lambda k: as_float_array(conn.gamma(
-        list(xs[k]), list(vs[k]), list(vs[k]))))
-
-
-def _default_transport_data(conn: ConnectionField,
-                            rng: np.random.Generator):
-    """A safe in-box curve and start element for any catalog bundle."""
-    bundle = conn.bundle
+def _transport_data(sub: Subject, rng: np.random.Generator) -> tuple:
+    """(curve, y0): the scenario's fixed input, else a safe in-box segment
+    and start element drawn from ``rng``."""
+    if sub.transport is not None:
+        return sub.transport
+    bundle = sub.bundle
     p = bundle.base_box.sample(rng, margin=0.25)
     q = bundle.base_box.sample(rng, margin=0.25)
     curve = segment_curve(bundle, p, q)
@@ -676,238 +633,211 @@ def _default_transport_data(conn: ConnectionField,
     return curve, y0
 
 
-def transport_checks(conn: ConnectionField, cfg: ScenarioConfig) -> list[CheckRow]:
-    bundle = conn.bundle
-    m = bundle.base_dim
-    icfg = IntegratorConfig(step=cfg.step, max_steps=cfg.max_steps)
-    rows: list[CheckRow] = []
-
-    def rk4_order():
-        # linear-field oracle: a rotation field keeps the trajectory inside
-        # the box and has a clean nonzero fifth-order error term
-        rng = _rng_for(cfg.seed, "rk4_order")
-        d = bundle.total_dim
-        raw = rng.uniform(-1.0, 1.0, size=(d, d))
-        mat = raw - raw.T
-        lo = np.concatenate([bundle.base_box.lower, bundle.fibre_box.lower])
-        hi = np.concatenate([bundle.base_box.upper, bundle.fibre_box.upper])
-        centre = 0.5 * (lo + hi)
-
-        def linear_fn(coords):
-            rel = [c - ci for c, ci in zip(coords, centre)]
-            return [sum(mat[i, j] * rel[j] for j in range(d)) for i in range(d)]
-
-        field = TotalVectorField(bundle, linear_fn)
-        x0 = bundle.base_box.sample(rng, margin=0.45)
-        y0 = bundle.fibre_box.sample(rng, margin=0.45)
-        e0 = bundle.graph_point(x0, y0)
-        lam = 0.5
-        vals = []
-        for divisor in (10, 20, 40):
-            c = IntegratorConfig(step=lam / divisor, max_steps=cfg.max_steps)
-            vals.append(np.array(flow(field, e0, lam, c).coords))
-        e1 = float(np.max(np.abs(vals[0] - vals[1])))
-        e2 = float(np.max(np.abs(vals[1] - vals[2])))
-        if e2 < 1e-15:
-            return -1.0, f"step-halving errors below round-off ({e1:.3g})"
-        order = math.log2(e1 / e2)
-        return 3.9 - order, f"observed order {order:.3f}"
-
-    rows.append(_guarded(cfg, "rk4_order", 3, rk4_order))
-
-    def group_law():
-        rng = _rng_for(cfg.seed, "flow_group_law")
-        worst = 0.0
-        for _ in range(5):
-            v = random_base_field(bundle, rng)
-            hv = horizontal_lift_field(conn, v)
-            e0 = random_total_point(bundle, rng)
-            lam, mu = 0.08, 0.05
-            once = flow(hv, e0, lam + mu, icfg)
-            twice = flow(hv, flow(hv, e0, mu, icfg), lam, icfg)
-            worst = max(worst, float(np.max(np.abs(
-                np.array(once.coords) - np.array(twice.coords)))))
-        return worst, ""
-
-    rows.append(_guarded(cfg, "flow_group_law", 5, group_law))
-
-    def roundtrip():
-        rng = _rng_for(cfg.seed, "transport_roundtrip")
-        worst = 0.0
-        for _ in range(3):
-            curve, y0 = _default_transport_data(conn, rng)
-            y1 = parallel_transport_vector(conn, curve, y0, icfg)
-            back = reversed_curve(curve)
-            y2 = parallel_transport_vector(conn, back, y1, icfg)
-            worst = max(worst, float(np.max(np.abs(y2 - y0))))
-        return worst, ""
-
-    rows.append(_guarded(cfg, "transport_roundtrip", 3, roundtrip))
-
-    def covariantly_constant():
-        rng = _rng_for(cfg.seed, "transport_covariantly_constant")
-        worst = 0.0
-        for _ in range(3):
-            curve, y0 = _default_transport_data(conn, rng)
-            _, path = parallel_transport_path(conn, curve, y0, icfg)
-            worst = max(worst, _transport_residual(conn, curve, path))
-        return worst, ""
-
-    rows.append(_guarded(cfg, "transport_covariantly_constant", 3,
-                         covariantly_constant))
-
-    def bridge_order():
-        rng = _rng_for(cfg.seed, "flow_algebra_bridge_order")
-        best = None
-        for _ in range(3):
-            s = random_section(bundle, rng)
-            v = random_base_field(bundle, rng)
-            x = random_base_point(bundle, rng)
-            alg = covariant_derivative(conn, s, v, x)
-            errs = []
-            for lam in (1e-2, 1e-3, 1e-4):
-                c = IntegratorConfig(step=lam, max_steps=cfg.max_steps)
-                fd = lie_derivative_covariant(conn, s, v, x, c)
-                errs.append(float(np.max(np.abs(fd - alg))))
-            if best is None or errs[0] > best[0]:
-                best = (errs[0], errs)
-        errs = best[1]
-        if errs[1] < 1e-14 or errs[2] < 1e-14:
-            return -1.0, "errors at round-off floor"
-        orders = [math.log10(errs[i] / errs[i + 1]) for i in range(2)]
-        return 1.9 - min(orders), (
-            f"errors {errs[0]:.3g}/{errs[1]:.3g}/{errs[2]:.3g}, "
-            f"orders {orders[0]:.3f}, {orders[1]:.3f}")
-
-    rows.append(_guarded(cfg, "flow_algebra_bridge_order", 3, bridge_order))
-
-    if _is_tm_config(conn):
-        def spray_agreement():
-            rng = _rng_for(cfg.seed, "geodesic_spray_agreement")
-            if bundle.name == "sphere":
-                x0, v0 = [1.0, 0.3], [0.3, 0.4]
-            else:
-                x0 = list(bundle.base_box.sample(rng, margin=0.3))
-                v0 = list(0.3 * rng.uniform(-1, 1, size=m))
-            T = 1.0
-            samples = geodesic(conn, x0, v0, T, icfg)
-            spray = spray_from_connection(conn)
-            e0 = bundle.total_point(list(x0) + list(v0))
-            end = flow(spray.as_total_field(), e0, T, icfg)
-            t, xf, vf = samples[-1]
-            resid = float(np.max(np.abs(np.array(end.coords)
-                                        - np.concatenate([xf, vf]))))
-            lift_at = horizontal_lift(conn, e0, v0)
-            spray_val = as_float_array(spray(list(e0.coords)))
-            compat = float(np.max(np.abs(lift_at.as_vector() - spray_val)))
-            return max(resid, compat), "includes lift/spray compatibility"
-
-        rows.append(_guarded(cfg, "geodesic_spray_agreement", 1,
-                             spray_agreement))
-
-        def geodesic_residual():
-            rng = _rng_for(cfg.seed, "geodesic_covariant_residual")
-            if bundle.name == "sphere":
-                x0, v0 = [1.0, 0.3], [0.3, 0.4]
-            else:
-                x0 = list(bundle.base_box.sample(rng, margin=0.3))
-                v0 = list(0.3 * rng.uniform(-1, 1, size=m))
-            samples = geodesic(conn, x0, v0, 1.0, icfg)
-            return _geodesic_residual(conn, samples), ""
-
-        rows.append(_guarded(cfg, "geodesic_covariant_residual", 1,
-                             geodesic_residual))
-
-    if bundle.name == "flat" and m == 2:
-        def flat_loop():
-            loop = circle_loop(bundle, [0.0, 0.0], 0.8)
-            y0 = np.full(bundle.fibre_dim, 0.5)
-            _, disp = holonomy_loop(conn, loop, y0, icfg)
-            return disp, ""
-
-        rows.append(_guarded(cfg, "holonomy_flat_loop", 1, flat_loop))
-
-    if bundle.name == "sphere":
-        theta0 = float(cfg.scenario_params.get("latitude", math.pi / 3.0))
-        rows.extend(sphere_holonomy_checks(conn, cfg, icfg, theta0))
-
-    return rows
+def _geodesic_start(sub: Subject, rng: np.random.Generator) -> tuple:
+    """(x0, v0): the catalog's fixed geodesic start, else drawn from
+    ``rng``."""
+    if sub.caps.geodesic_start is not None:
+        return tuple(list(c) for c in sub.caps.geodesic_start)
+    return (list(sub.bundle.base_box.sample(rng, margin=0.3)),
+            list(0.3 * rng.uniform(-1, 1, size=sub.m)))
 
 
-def sphere_holonomy_checks(conn: ConnectionField, cfg: ScenarioConfig,
-                           icfg: IntegratorConfig, theta0: float,
-                           y0=(1.0, 0.0)) -> list[CheckRow]:
-    bundle = conn.bundle
+def _vector_param(sub: Subject, key: str, default) -> list:
+    return [float(c) for c in sub.cfg.scenario_params.get(key, default)]
+
+
+def _latitude(sub: Subject) -> tuple:
+    """(theta0, y0) of the latitude loop: the catalog's default, overridden
+    by the scenario's ``latitude`` and ``y0`` parameters."""
+    theta0, y0 = sub.caps.latitude_holonomy
+    return (float(sub.cfg.scenario_params.get("latitude", theta0)),
+            _vector_param(sub, "y0", y0))
+
+
+def _latitude_transport(sub: Subject, step: float) -> tuple:
+    """y0 carried once around the latitude loop at ``step``, and the angle
+    it turned by in the round metric."""
+    theta0, y0 = _latitude(sub)
+    icfg = IntegratorConfig(step=step, max_steps=sub.cfg.max_steps)
+    y1, _ = holonomy_loop(sub.conn, latitude_loop(sub.bundle, theta0), y0,
+                          icfg)
+    return y1, sphere_angle_between([theta0, 0.0], y0, y1)
+
+
+@_check("rk4_order", 3)
+def _rk4_order(sub, rng, n):
+    # linear-field oracle: a rotation field keeps the trajectory inside
+    # the box and has a clean nonzero fifth-order error term; the three
+    # samples are the step sizes lam/10, lam/20, lam/40
+    bundle = sub.bundle
+    d = bundle.total_dim
+    raw = rng.uniform(-1.0, 1.0, size=(d, d))
+    mat = raw - raw.T
+    lo = np.concatenate([bundle.base_box.lower, bundle.fibre_box.lower])
+    hi = np.concatenate([bundle.base_box.upper, bundle.fibre_box.upper])
+    centre = 0.5 * (lo + hi)
+
+    def linear_fn(coords):
+        rel = [c - ci for c, ci in zip(coords, centre)]
+        return [sum(mat[i, j] * rel[j] for j in range(d)) for i in range(d)]
+
+    field = TotalVectorField(bundle, linear_fn)
+    x0 = bundle.base_box.sample(rng, margin=0.45)
+    y0 = bundle.fibre_box.sample(rng, margin=0.45)
+    e0 = bundle.graph_point(x0, y0)
+    lam = 0.5
+    vals = []
+    for divisor in (10, 20, 40):
+        c = IntegratorConfig(step=lam / divisor, max_steps=sub.cfg.max_steps)
+        vals.append(np.array(flow(field, e0, lam, c).coords))
+    e1 = _max_abs(vals[0] - vals[1])
+    e2 = _max_abs(vals[1] - vals[2])
+    if e2 < 1e-15:
+        return -1.0, f"step-halving errors below round-off ({e1:.3g})"
+    order = math.log2(e1 / e2)
+    return 3.9 - order, f"observed order {order:.3f}"
+
+
+@_sampled("flow_group_law", 5)
+def _flow_group_law(sub, rng):
+    icfg = sub.icfg
+    v = random_base_field(sub.bundle, rng)
+    hv = horizontal_lift_field(sub.conn, v)
+    e0 = random_total_point(sub.bundle, rng)
+    lam, mu = 0.08, 0.05
+    once = flow(hv, e0, lam + mu, icfg)
+    twice = flow(hv, flow(hv, e0, mu, icfg), lam, icfg)
+    return _max_abs(np.array(once.coords) - np.array(twice.coords))
+
+
+@_sampled("transport_roundtrip", 3)
+def _transport_roundtrip(sub, rng):
+    curve, y0 = _transport_data(sub, rng)
+    y1 = parallel_transport_vector(sub.conn, curve, y0, sub.icfg)
+    y2 = parallel_transport_vector(sub.conn, reversed_curve(curve), y1,
+                                   sub.icfg)
+    residual = _max_abs(y2 - np.asarray(y0, dtype=float))
+    sub.record = {"transported": y1, "roundtrip_residual": residual}
+    return residual
+
+
+@_sampled("transport_covariantly_constant", 3)
+def _transport_covariantly_constant(sub, rng):
+    """Stencil residual of y' + gamma(c(t), y) c'(t) along the path."""
+    curve, y0 = _transport_data(sub, rng)
+    _, path = parallel_transport_path(sub.conn, curve, y0, sub.icfg)
+    ts = [t for t, _ in path]
+    ys = [y for _, y in path]
+    return _five_point_residual(ts, ys, lambda k: as_float_array(sub.conn.gamma(
+        list(curve.fn(ts[k])), list(ys[k]), list(curve.velocity(ts[k])))))
+
+
+@_check("flow_algebra_bridge_order", 3)
+def _flow_algebra_bridge_order(sub, rng, n):
+    best = None
+    for _ in range(n):
+        s, v, x = (random_section(sub.bundle, rng),
+                   random_base_field(sub.bundle, rng),
+                   random_base_point(sub.bundle, rng))
+        alg = covariant_derivative(sub.conn, s, v, x)
+        errs = []
+        for lam in (1e-2, 1e-3, 1e-4):
+            c = IntegratorConfig(step=lam, max_steps=sub.cfg.max_steps)
+            errs.append(_max_abs(lie_derivative_covariant(sub.conn, s, v, x, c)
+                                 - alg))
+        if best is None or errs[0] > best[0]:
+            best = errs
+    errs = best
+    if errs[1] < 1e-14 or errs[2] < 1e-14:
+        return -1.0, "errors at round-off floor"
+    orders = [math.log10(errs[i] / errs[i + 1]) for i in range(2)]
+    return 1.9 - min(orders), (
+        f"errors {errs[0]:.3g}/{errs[1]:.3g}/{errs[2]:.3g}, "
+        f"orders {orders[0]:.3f}, {orders[1]:.3f}")
+
+
+@_check("geodesic_spray_agreement", 1, lambda sub: sub.tm)
+def _geodesic_spray_agreement(sub, rng, n):
+    conn, icfg = sub.conn, sub.icfg
+    x0, v0 = _geodesic_start(sub, rng)
+    T = 1.0
+    samples = geodesic(conn, x0, v0, T, icfg)
+    spray = spray_from_connection(conn)
+    e0 = sub.bundle.total_point(x0 + v0)
+    end = flow(spray.as_total_field(), e0, T, icfg)
+    _, xf, vf = samples[-1]
+    resid = _max_abs(np.array(end.coords) - np.concatenate([xf, vf]))
+    lift_at = horizontal_lift(conn, e0, v0)
+    spray_val = as_float_array(spray(list(e0.coords)))
+    compat = _max_abs(lift_at.as_vector() - spray_val)
+    return max(resid, compat), "includes lift/spray compatibility"
+
+
+@_check("geodesic_covariant_residual", 1, lambda sub: sub.tm)
+def _geodesic_covariant_residual(sub, rng, n):
+    """Stencil residual of v' + gamma(x, v) v along the geodesic."""
+    x0, v0, T = sub.geodesic or (*_geodesic_start(sub, rng), 1.0)
+    samples = geodesic(sub.conn, x0, v0, T, sub.icfg)
+    ts, xs, vs = zip(*samples)
+    sub.record = {"x_final": xs[-1], "v_final": vs[-1]}
+    return _five_point_residual(ts, vs, lambda k: as_float_array(sub.conn.gamma(
+        list(xs[k]), list(vs[k]), list(vs[k])))), ""
+
+
+@_check("holonomy_flat_loop", 1,
+        lambda sub: sub.caps.zero_curvature and sub.m == 2)
+def _holonomy_flat_loop(sub, rng, n):
+    loop, y0 = sub.transport or (circle_loop(sub.bundle, [0.0, 0.0], 0.8),
+                                 np.full(sub.f, 0.5))
+    y1, disp = holonomy_loop(sub.conn, loop, y0, sub.icfg)
+    sub.record = {"transported": y1}
+    return disp, ""
+
+
+def _latitude_oracle(sub: Subject) -> bool:
+    return sub.caps.latitude_holonomy is not None
+
+
+@_check("holonomy_latitude_angle", 1, _latitude_oracle)
+def _holonomy_latitude_angle(sub, rng, n):
+    theta0, _ = _latitude(sub)
     expected = 2.0 * math.pi * (1.0 - math.cos(theta0))
     folded = abs(math.remainder(expected, 2.0 * math.pi))
+    y1, ang = _latitude_transport(sub, sub.cfg.step)
+    sub.record = {"transported": y1, "rotation_angle": ang,
+                  "closed_form_angle": folded}
+    return abs(ang - folded), f"measured {ang:.9f}, closed form {folded:.9f}"
 
-    def angle_of(step: float) -> float:
-        c = IntegratorConfig(step=step, max_steps=cfg.max_steps)
-        loop = latitude_loop(bundle, theta0)
-        y1, _ = holonomy_loop(conn, loop, list(y0), c)
-        x = [theta0, 0.0]
-        return sphere_angle_between(x, list(y0), y1)
 
-    state: dict = {}
+@_check("holonomy_oracle_agreement", 1, _latitude_oracle)
+def _holonomy_oracle_agreement(sub, rng, n):
+    theta0, _ = _latitude(sub)
+    _, fine = _latitude_transport(sub, sub.cfg.step / 16.0)
+    gb = sphere_latitude_gb_angle(sub.conn, theta0)
+    gb_folded = abs(math.remainder(gb, 2.0 * math.pi))
+    return abs(fine - gb_folded), (
+        f"fine transport {fine:.10f}, boundary-integral {gb_folded:.10f}")
 
-    def latitude_angle():
-        ang = angle_of(cfg.step)
-        state["angle"] = ang
-        return abs(ang - folded), (
-            f"measured {ang:.9f}, closed form {folded:.9f}")
 
-    def oracle_agreement():
-        fine = angle_of(cfg.step / 16.0)
-        gb = sphere_latitude_gb_angle(conn, theta0)
-        gb_folded = abs(math.remainder(gb, 2.0 * math.pi))
-        return abs(fine - gb_folded), (
-            f"fine transport {fine:.10f}, boundary-integral {gb_folded:.10f}")
-
-    def metric_compat():
-        loop = latitude_loop(bundle, theta0)
-        _, path = parallel_transport_path(conn, loop, list(y0), icfg)
-        g0 = None
-        worst = 0.0
-        for t, y in path[:: max(1, len(path) // 200)]:
-            g = sphere_metric(loop.fn(t))
-            norm = float(y @ g @ y)
-            if g0 is None:
-                g0 = norm
-            worst = max(worst, abs(norm - g0))
-        return worst, "round-metric norm conserved along transport"
-
-    return [
-        _guarded(cfg, "holonomy_latitude_angle", 1, latitude_angle),
-        _guarded(cfg, "holonomy_oracle_agreement", 1, oracle_agreement),
-        _guarded(cfg, "metric_compatibility", 1, metric_compat),
-    ]
+@_check("metric_compatibility", 1, _latitude_oracle)
+def _metric_compatibility(sub, rng, n):
+    theta0, y0 = _latitude(sub)
+    loop = latitude_loop(sub.bundle, theta0)
+    _, path = parallel_transport_path(sub.conn, loop, y0, sub.icfg)
+    g0 = None
+    worst = 0.0
+    for t, y in path[:: max(1, len(path) // 200)]:
+        g = sphere_metric(loop.fn(t))
+        norm = float(y @ g @ y)
+        if g0 is None:
+            g0 = norm
+        worst = max(worst, abs(norm - g0))
+    return worst, "round-metric norm conserved along transport"
 
 
 # --------------------------------------------------------------------------
 # scenario dispatch
 # --------------------------------------------------------------------------
-
-def catalog_integrity_row(conn: ConnectionField, cfg: ScenarioConfig) -> CheckRow:
-    def integrity():
-        rng = _rng_for(cfg.seed, "catalog_integrity")
-        worst = 0.0
-        eye = np.eye(conn.bundle.total_dim)
-        for _ in range(25):
-            e = random_total_point(conn.bundle, rng)
-            pv = vertical_projector(conn, e).matrix
-            ph = horizontal_projector(conn, e).matrix
-            worst = max(worst,
-                        np.max(np.abs(pv @ pv - pv)),
-                        np.max(np.abs(pv + ph - eye)),
-                        np.max(np.abs(pv @ ph)))
-            X = random_tangent(conn, e, rng)
-            Y = random_tangent(conn, e, rng)
-            worst = max(worst, float(np.max(np.abs(
-                cocurvature(conn, e, X, Y).as_vector()))))
-        return float(worst), ""
-
-    return _guarded(cfg, "catalog_integrity", 25, integrity)
-
 
 def _theorem41_rows(conn: ConnectionField, cfg: ScenarioConfig,
                     n_samples: int):
@@ -918,14 +848,10 @@ def _theorem41_rows(conn: ConnectionField, cfg: ScenarioConfig,
     worst_cross = 0.0
     m = bundle.base_dim
     for _ in range(n_samples):
-        s = random_section(bundle, rng)
-        u = random_base_field(bundle, rng)
-        v = random_base_field(bundle, rng)
-        x = random_base_point(bundle, rng)
+        s, u, v, x = _draw_suvx(bundle, rng)
         row = compare_curvature_routes(conn, s, u, v, [x])[0]
-        cross = cross_bracket_sum(conn, s, u, v, x)
         eq_resid = float(np.max(np.abs(
-            row.via_covariant - row.via_lifts - cross[m:])))
+            row.via_covariant - row.via_lifts - row.cross[m:])))
         worst_eq = max(worst_eq, row.residual)
         worst_cross = max(worst_cross, eq_resid)
         table.append({
@@ -946,153 +872,106 @@ def _theorem41_rows(conn: ConnectionField, cfg: ScenarioConfig,
 
 def run_scenario(cfg: ScenarioConfig) -> VerificationReport:
     """Build the configured bundle, run the scenario, return the report."""
-    conn = build_connection(cfg.bundle_name, cfg.bundle_params)
-    icfg = IntegratorConfig(step=cfg.step, max_steps=cfg.max_steps)
+    sub = Subject(cfg)
     report = VerificationReport(
         scenario=cfg.echo(),
         environment={"seed": cfg.seed, "step": cfg.step,
                      "max_steps": cfg.max_steps},
         sign_convention=SIGN_CONVENTION,
     )
-    report.checks.append(catalog_integrity_row(conn, cfg))
-
     if cfg.scenario == "verify-all":
-        report.checks.extend(connection_checks(conn, cfg))
-        report.checks.extend(curvature_checks(conn, cfg))
-        report.checks.extend(transport_checks(conn, cfg))
+        report.checks.extend(_run(sub, check) for check in CHECKS.values()
+                             if check.applies(sub))
+        return report
 
-    elif cfg.scenario == "theorem41":
+    report.checks.append(_run(sub, CHECKS["catalog_integrity"]))
+    if cfg.scenario == "theorem41":
         n = int(cfg.scenario_params.get("samples", 100))
-        checks, table = _theorem41_rows(conn, cfg, n)
+        checks, report.table = _theorem41_rows(sub.conn, cfg, n)
         report.checks.extend(checks)
-        report.table = table
-
-    elif cfg.scenario == "transport":
-        report.checks.extend(_transport_scenario(conn, cfg, icfg, report))
-
-    elif cfg.scenario == "geodesic":
-        report.checks.extend(_geodesic_scenario(conn, cfg, icfg, report))
-
-    elif cfg.scenario == "holonomy":
-        report.checks.extend(_holonomy_scenario(conn, cfg, icfg, report))
-
     elif cfg.scenario == "curvature-table":
         n = int(cfg.scenario_params.get("samples", 12))
-        _, table = _theorem41_rows(conn, cfg, n)
-        report.table = table
-
+        _, report.table = _theorem41_rows(sub.conn, cfg, n)
+    elif cfg.scenario == "transport":
+        _transport_scenario(sub, report)
+    elif cfg.scenario == "geodesic":
+        _geodesic_scenario(sub, report)
+    elif cfg.scenario == "holonomy":
+        _holonomy_scenario(sub, report)
     return report
 
 
-def _transport_scenario(conn, cfg, icfg, report) -> list[CheckRow]:
-    bundle = conn.bundle
-    rows = []
-    rng = _rng_for(cfg.seed, "transport_scenario")
-    if bundle.name == "sphere":
-        theta0 = float(cfg.scenario_params.get("latitude", math.pi / 3.0))
-        y0 = [float(c) for c in cfg.scenario_params.get("y0", [1.0, 0.0])]
-        curve = latitude_loop(bundle, theta0)
-    else:
-        curve, y0 = _default_transport_data(conn, rng)
-        if "y0" in cfg.scenario_params:
-            y0 = [float(c) for c in cfg.scenario_params["y0"]]
+def _run_named(sub: Subject, report: VerificationReport, *names: str) -> dict:
+    """Append the rows of ``names`` run on the scenario's fixed inputs;
+    returns the record of the first."""
+    report.checks.append(_run(sub, CHECKS[names[0]], 1))
+    record = sub.record
+    report.checks.extend(_run(sub, CHECKS[name], 1) for name in names[1:])
+    return record
 
-    def run():
-        y1 = parallel_transport_vector(conn, curve, y0, icfg)
-        back = reversed_curve(curve)
-        y2 = parallel_transport_vector(conn, back, y1, icfg)
+
+def _transport_scenario(sub: Subject, report: VerificationReport) -> None:
+    names = ["transport_roundtrip"]
+    if sub.caps.latitude_holonomy is not None:
+        theta0, y0 = _latitude(sub)
+        curve = latitude_loop(sub.bundle, theta0)
+        names += ["holonomy_latitude_angle", "holonomy_oracle_agreement",
+                  "metric_compatibility"]
+    else:
+        curve, y0 = _transport_data(
+            sub, _rng_for(sub.cfg.seed, "transport_scenario"))
+        y0 = _vector_param(sub, "y0", y0)
+    sub.transport = (curve, y0)
+    record = _run_named(sub, report, *names)
+    if record:
         report.results = {
             "start": _vec(curve.point_at(curve.t0)),
             "end": _vec(curve.point_at(curve.t1)),
             "y0": _vec(y0),
-            "transported": _vec(y1),
-            "roundtrip_residual": float(np.max(np.abs(y2 - np.asarray(y0)))),
+            "transported": _vec(record["transported"]),
+            "roundtrip_residual": record["roundtrip_residual"],
         }
-        return report.results["roundtrip_residual"], ""
-
-    rows.append(_guarded(cfg, "transport_roundtrip", 1, run))
-    if bundle.name == "sphere":
-        theta0 = float(cfg.scenario_params.get("latitude", math.pi / 3.0))
-        rows.extend(sphere_holonomy_checks(conn, cfg, icfg, theta0,
-                                           tuple(y0)))
-    return rows
 
 
-def _geodesic_scenario(conn, cfg, icfg, report) -> list[CheckRow]:
-    bundle = conn.bundle
-    rng = _rng_for(cfg.seed, "geodesic_scenario")
-    if bundle.name == "sphere":
-        x0_default, v0_default = [1.0, 0.3], [0.3, 0.4]
-    else:
-        x0_default = list(bundle.base_box.sample(rng, margin=0.3))
-        v0_default = list(0.3 * rng.uniform(-1, 1, size=bundle.base_dim))
-    x0 = [float(c) for c in cfg.scenario_params.get("x0", x0_default)]
-    v0 = [float(c) for c in cfg.scenario_params.get("v0", v0_default)]
-    T = float(cfg.scenario_params.get("T", 1.0))
-
-    def run():
-        samples = geodesic(conn, x0, v0, T, icfg)
-        t, xf, vf = samples[-1]
+def _geodesic_scenario(sub: Subject, report: VerificationReport) -> None:
+    x0, v0 = _geodesic_start(sub, _rng_for(sub.cfg.seed, "geodesic_scenario"))
+    x0, v0 = _vector_param(sub, "x0", x0), _vector_param(sub, "v0", v0)
+    T = float(sub.cfg.scenario_params.get("T", 1.0))
+    sub.geodesic = (x0, v0, T)
+    record = _run_named(sub, report, "geodesic_covariant_residual")
+    if record:
         report.results = {
             "x0": _vec(x0), "v0": _vec(v0), "T": T,
-            "x_final": _vec(xf), "v_final": _vec(vf),
+            "x_final": _vec(record["x_final"]),
+            "v_final": _vec(record["v_final"]),
         }
-        return _geodesic_residual(conn, samples), ""
-
-    return [_guarded(cfg, "geodesic_covariant_residual", 1, run)]
 
 
-def _holonomy_scenario(conn, cfg, icfg, report) -> list[CheckRow]:
-    bundle = conn.bundle
-    rows = []
-    if bundle.name == "sphere":
-        theta0 = float(cfg.scenario_params.get("latitude", math.pi / 3.0))
-        y0 = [float(c) for c in cfg.scenario_params.get("y0", [1.0, 0.0])]
-        loop = latitude_loop(bundle, theta0)
-
-        def run():
-            y1, disp = holonomy_loop(conn, loop, y0, icfg)
-            ang = sphere_angle_between([theta0, 0.0], y0, y1)
-            expected = 2.0 * math.pi * (1.0 - math.cos(theta0))
-            folded = abs(math.remainder(expected, 2.0 * math.pi))
-            report.results = {
-                "latitude": theta0, "y0": _vec(y0),
-                "transported": _vec(y1), "displacement": disp,
-                "rotation_angle": ang, "closed_form_angle": folded,
-            }
-            return abs(ang - folded), ""
-
-        rows.append(_guarded(cfg, "holonomy_latitude_angle", 1, run))
-        rows.extend(sphere_holonomy_checks(conn, cfg, icfg, theta0,
-                                           tuple(y0))[1:2])
+def _holonomy_scenario(sub: Subject, report: VerificationReport) -> None:
+    """Sphere: the latitude rows.  Elsewhere a circle loop, whose holonomy
+    must vanish on a zero-curvature bundle; on any other bundle it is only
+    reported, and the loop transport is checked by its round trip."""
+    if sub.caps.latitude_holonomy is not None:
+        theta0, y0 = _latitude(sub)
+        head = {"latitude": theta0}
+        names = ["holonomy_latitude_angle", "holonomy_oracle_agreement"]
     else:
-        radius = float(cfg.scenario_params.get("radius", 0.6))
-        y0 = cfg.scenario_params.get("y0")
-        if y0 is None:
-            lo = np.asarray(bundle.fibre_box.lower)
-            hi = np.asarray(bundle.fibre_box.upper)
-            y0 = list(0.5 * (lo + hi) + 0.15 * (hi - lo))
-        y0 = [float(c) for c in y0]
-        loop = circle_loop(bundle, [0.0, 0.0], radius)
-
-        def run():
-            y1, disp = holonomy_loop(conn, loop, y0, icfg)
-            report.results = {
-                "radius": radius, "y0": _vec(y0),
-                "transported": _vec(y1), "displacement": disp,
-            }
-            return disp, "flat coefficients transport trivially"
-
-        if bundle.name == "flat":
-            rows.append(_guarded(cfg, "holonomy_flat_loop", 1, run))
-        else:
-            def run_open():
-                y1, disp = holonomy_loop(conn, loop, y0, icfg)
-                report.results = {
-                    "radius": radius, "y0": _vec(y0),
-                    "transported": _vec(y1), "displacement": disp,
-                }
-                return 0.0, f"loop displacement {disp:.12g} (reported only)"
-
-            rows.append(_guarded(cfg, "transport_roundtrip", 1, run_open))
-    return rows
+        radius = float(sub.cfg.scenario_params.get("radius", 0.6))
+        lo = np.asarray(sub.bundle.fibre_box.lower)
+        hi = np.asarray(sub.bundle.fibre_box.upper)
+        y0 = _vector_param(sub, "y0",
+                           0.5 * (lo + hi) + HOLONOMY_Y0_OFFSET * (hi - lo))
+        sub.transport = (circle_loop(sub.bundle, [0.0, 0.0], radius), y0)
+        head = {"radius": radius}
+        names = ["holonomy_flat_loop" if sub.caps.zero_curvature
+                 else "transport_roundtrip"]
+    record = _run_named(sub, report, *names)
+    if record:
+        y1 = record["transported"]
+        report.results = {
+            **head, "y0": _vec(y0), "transported": _vec(y1),
+            "displacement": float(np.linalg.norm(
+                y1 - np.asarray(y0, dtype=float))),
+            **{key: record[key] for key in ("rotation_angle",
+                                            "closed_form_angle")
+               if key in record}}

@@ -10,6 +10,7 @@ from fibrum import (ConnectionKind, build_connection, make_custom_christoffel,
                     random_base_field, random_base_point, random_section,
                     random_total_point, sphere_metric)
 from fibrum.calculus import as_float_array
+from fibrum.catalog import CATALOG, CHRISTOFFELS
 from fibrum.errors import ConfigError
 
 
@@ -81,6 +82,26 @@ def test_build_connection_dispatch():
         build_connection("flat", {"radius": 1.0})
     conn = build_connection("tm-custom-christoffel", {"G_1_12": 1.0, "m": 2})
     assert conn.bundle.fibre_dim == 2
+
+
+_PARAM_VALUES = {"m": 2.0, "f": 1.0, "base_half": 1.5, "fibre_half": 1.8}
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_catalog_params_schema(name):
+    schema = CATALOG[name]["params"]
+    for key in schema:
+        params = ({"G_1_12": 0.5} if key == CHRISTOFFELS
+                  else {key: _PARAM_VALUES[key]})
+        bundle = build_connection(name, params).bundle
+        assert isinstance(bundle.base_dim, int)
+        assert isinstance(bundle.fibre_dim, int)
+    undeclared = {"radius": 1.0}
+    if "m" not in schema:
+        undeclared["m"] = 2
+    with pytest.raises(ConfigError) as err:
+        build_connection(name, undeclared)
+    assert err.value.field == "bundle_params"
 
 
 def test_samplers_stay_inside_with_margin(any_conn, rng):

@@ -186,12 +186,9 @@ def test_too_few_stencil_nodes_fail_the_row():
     assert not row.passed
     assert "TooFewSamplesError" in row.note
 
-    from fibrum import build_connection
-    from fibrum.scenarios import transport_checks
-    rows = {r.check_name: r for r in transport_checks(
-        build_connection("sphere"),
+    rows = {r.check_name: r for r in run_scenario(
         load_config({"bundle_name": "sphere", "scenario": "verify-all",
-                     "integrator": {"step": 1e300}}))}
+                     "integrator": {"step": 1e300}})).checks}
     for name in ("transport_covariantly_constant",
                  "geodesic_covariant_residual"):
         assert not rows[name].passed
@@ -203,6 +200,50 @@ def test_holonomy_scenario_sphere():
     report = run_scenario(cfg)
     assert report.overall_pass
     assert abs(report.results["rotation_angle"] - math.pi) < 1e-4
+
+
+_HEAD = ["catalog_integrity", "projector_algebra", "gamma_linearity"]
+_MIDDLE = ["lift_right_inverse", "split_law",
+           "natural_derivative_relatedness", "lift_field_relatedness",
+           "extension_translation_invariance", "lift_rank",
+           "lift_tensoriality_in_section", "covariant_tensoriality_in_v",
+           "bracket_projectability", "lift_route_internal_identity",
+           "curvature_verticality", "curvature_horizontality",
+           "curvature_antisymmetry", "cocurvature", "curvature_tensoriality",
+           "curvature_routes_equality", "bracket_expansion_identity",
+           "extension_independence"]
+_FLATNESS = ["flatness_via_lifts", "flatness_via_covariant"]
+_LINEAR_CURVATURE = ["leibniz_rule", "composition_commutator_curvature"]
+_TRANSPORT = ["rk4_order", "flow_group_law", "transport_roundtrip",
+              "transport_covariantly_constant", "flow_algebra_bridge_order"]
+_GEODESIC = ["geodesic_spray_agreement", "geodesic_covariant_residual"]
+_LATITUDE = ["holonomy_latitude_angle", "holonomy_oracle_agreement",
+             "metric_compatibility"]
+_LINEAR = ["gamma_fibre_linearity"]
+_TORSION_FORM = ["second_derivative_torsion_form"]
+_DEGREE_ONE = {"G_1_12": 0.1, "G_2_11_x1": -0.05, "G_1_22": 0.07}
+
+
+@pytest.mark.parametrize("bundle, params, expected", [
+    ("flat", {}, _HEAD + _LINEAR + _MIDDLE + _FLATNESS + _LINEAR_CURVATURE
+     + _TORSION_FORM + _TRANSPORT + _GEODESIC + ["holonomy_flat_loop"]),
+    ("flat", {"m": 3, "f": 1}, _HEAD + _LINEAR + _MIDDLE + _FLATNESS
+     + _LINEAR_CURVATURE + _TRANSPORT),
+    ("sphere", {}, _HEAD + _LINEAR + _MIDDLE + _LINEAR_CURVATURE
+     + _TORSION_FORM + ["torsion_symmetric"] + _TRANSPORT + _GEODESIC
+     + _LATITUDE),
+    ("nonlinear-demo", {}, _HEAD + _MIDDLE + _TRANSPORT),
+    ("tm-custom-christoffel", {}, _HEAD + _LINEAR + _MIDDLE
+     + _LINEAR_CURVATURE + _TORSION_FORM + _TRANSPORT + _GEODESIC),
+    ("tm-custom-christoffel", _DEGREE_ONE, _HEAD + _LINEAR + _MIDDLE
+     + _LINEAR_CURVATURE + _TORSION_FORM + _TRANSPORT + _GEODESIC),
+])
+def test_verify_all_rows_follow_capabilities(bundle, params, expected):
+    # read from the check table without running any check
+    from fibrum.scenarios import CHECKS, Subject
+    sub = Subject(load_config({"bundle_name": bundle, "bundle_params": params,
+                               "scenario": "verify-all"}))
+    assert [c.name for c in CHECKS.values() if c.applies(sub)] == expected
 
 
 def test_transport_scenario_flat():
@@ -242,6 +283,8 @@ def test_cli_catalog_lists_bundles():
     assert out.returncode == 0
     for name in ("flat", "sphere", "nonlinear-demo", "tm-custom-christoffel"):
         assert name in out.stdout
+    assert ("tm-custom-christoffel: base_dim=2 fibre_dim=2 params=['m', "
+            "'base_half', 'fibre_half', 'G_a_bc[_xk]...']") in out.stdout
 
 
 def test_cli_config_error_exit_2(tmp_path):
@@ -264,6 +307,26 @@ def test_cli_run_scenario_and_exit_codes(tmp_path):
     assert (tmp_path / "rep.json").exists()
     tree = json.loads((tmp_path / "rep.json").read_text())
     assert tree["overall_pass"] is True
+
+
+def test_cli_holonomy_nonlinear_default_stays_in_chart(tmp_path):
+    # the default y0 must stay inside nonlinear-demo's fibre box all around
+    # the default loop, so the run exits 0
+    cfg = _write(tmp_path, {"bundle_name": "nonlinear-demo",
+                            "scenario": "holonomy",
+                            "output_path": str(tmp_path / "rep.json")})
+    out = _cli("run", str(cfg), "--quiet")
+    assert out.returncode == 0, out.stdout
+    tree = json.loads((tmp_path / "rep.json").read_text())
+    assert tree["results"]["displacement"] > 0.01
+
+
+def test_cli_transport_rejects_radius(tmp_path):
+    cfg = _write(tmp_path, {"bundle_name": "flat", "scenario": "transport",
+                            "scenario_params": {"radius": 0.5}})
+    out = _cli("run", str(cfg))
+    assert out.returncode == 2
+    assert "scenario_params" in out.stderr
 
 
 def test_cli_seed_precedence(tmp_path):

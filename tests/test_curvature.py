@@ -317,6 +317,7 @@ def test_compare_curvature_routes_rows(sphere_conn, rng):
         assert row.residual == pytest.approx(
             float(np.max(np.abs(row.via_covariant - row.via_lifts))))
         cross = cross_bracket_sum(sphere_conn, s, u, v, row.point)
+        assert np.array_equal(row.cross, cross)
         m = sphere_conn.bundle.base_dim
         assert row.cross_residual == pytest.approx(
             float(np.max(np.abs(cross))), abs=1e-15)
