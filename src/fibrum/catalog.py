@@ -15,6 +15,7 @@ Catalog contents:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -42,17 +43,6 @@ def make_flat(m: int = 2, f: int = 2, base_half: float = 2.0,
                            ConnectionKind.LINEAR)
 
 
-def sphere_christoffels(x: Sequence) -> dict[tuple[int, int, int], object]:
-    """Nonzero round-metric Christoffels G^a_bc at x = (theta, phi)."""
-    th = x[0]
-    cot = cos(th) / sin(th)
-    return {
-        (0, 1, 1): -sin(th) * cos(th),  # G^theta_phi,phi
-        (1, 0, 1): cot,                 # G^phi_theta,phi
-        (1, 1, 0): cot,                 # G^phi_phi,theta
-    }
-
-
 def make_sphere(fibre_half: float = 4.0) -> ConnectionField:
     lo = SPHERE_COLLAR
     hi = math.pi - SPHERE_COLLAR
@@ -65,15 +55,14 @@ def make_sphere(fibre_half: float = 4.0) -> ConnectionField:
     )
 
     def gamma(x, y, v):
-        g = sphere_christoffels(x)
-        out = []
-        for a in range(2):
-            acc = 0.0
-            for (aa, b, c), coeff in g.items():
-                if aa == a:
-                    acc = acc + coeff * v[b] * y[c]
-            out.append(acc)
-        return out
+        # G^theta_phiphi = -sin cos, G^phi_thetaphi = G^phi_phitheta = cot,
+        # summed in index order; the leading 0.0 fixes the sign of zero.
+        th = x[0]
+        s = sin(th)
+        c = cos(th)
+        cot = c / s
+        return [0.0 + -s * c * v[1] * y[1],
+                (0.0 + cot * v[0] * y[1]) + cot * v[1] * y[0]]
 
     return ConnectionField(bundle, gamma, ConnectionKind.LINEAR)
 
@@ -131,6 +120,16 @@ def make_custom_christoffel(coeffs: dict[str, float], m: int = 2,
         else:
             slope[(a, b, c, k)] = float(val)
 
+    # Per output a, the terms G^a_bc v^b y^c in summation order as
+    # (b, c, constant, [(k, slope), ...]), leaving out those that are 0.
+    terms = [[] for _ in range(m)]
+    for a, b, c in itertools.product(range(m), repeat=3):
+        g0 = const.get((a, b, c), 0.0)
+        slopes = [(k, slope[a, b, c, k]) for k in range(m)
+                  if slope.get((a, b, c, k), 0.0) != 0.0]
+        if g0 != 0.0 or slopes:
+            terms[a].append((b, c, g0, slopes))
+
     bundle = TrivializedBundle(
         name="tm-custom-christoffel",
         base_box=Box((-base_half,) * m, (base_half,) * m),
@@ -139,17 +138,13 @@ def make_custom_christoffel(coeffs: dict[str, float], m: int = 2,
 
     def gamma(x, y, v):
         out = []
-        for a in range(m):
+        for row in terms:
             acc = 0.0
-            for b in range(m):
-                for c in range(m):
-                    g = const.get((a, b, c), 0.0)
-                    for k in range(m):
-                        sl = slope.get((a, b, c, k), 0.0)
-                        if sl != 0.0:
-                            g = g + sl * x[k]
-                    if not (isinstance(g, float) and g == 0.0):
-                        acc = acc + g * v[b] * y[c]
+            for b, c, g, slopes in row:
+                for k, sl in slopes:
+                    g = g + sl * x[k]
+                if not (isinstance(g, float) and g == 0.0):
+                    acc = acc + g * v[b] * y[c]
             out.append(acc)
         return out
 

@@ -68,13 +68,38 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "metric_compatibility": 1e-8,
 }
 
-_SCENARIO_PARAMS: dict[str, set[str]] = {
-    "verify-all": {"seed"},
-    "theorem41": {"seed", "samples"},
-    "transport": {"seed", "latitude", "y0"},
-    "geodesic": {"seed", "x0", "v0", "T"},
-    "holonomy": {"seed", "latitude", "radius", "y0"},
-    "curvature-table": {"seed", "samples"},
+
+def _integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _real(value) -> bool:
+    """A finite real: an int or float (not a bool) that fits a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+_SEED = (lambda v: _integer(v) and v >= 0, "a non-negative integer")
+_SAMPLES = (lambda v: _integer(v) and v >= 1, "an integer >= 1")
+_REAL = (_real, "a finite real")
+_VECTOR = (lambda v: isinstance(v, (list, tuple)) and all(map(_real, v)),
+           "a list of finite reals")
+
+# Each scenario's parameter schema: name -> (accepts(value), what it takes).
+# Vector lengths and the latitude's range depend on the bundle and are
+# checked where it is built (``scenarios.Subject``).
+_SCENARIO_PARAMS: dict[str, dict[str, tuple]] = {
+    "verify-all": {"seed": _SEED},
+    "theorem41": {"seed": _SEED, "samples": _SAMPLES},
+    "transport": {"seed": _SEED, "latitude": _REAL, "y0": _VECTOR},
+    "geodesic": {"seed": _SEED, "x0": _VECTOR, "v0": _VECTOR, "T": _REAL},
+    "holonomy": {"seed": _SEED, "latitude": _REAL, "radius": _REAL,
+                 "y0": _VECTOR},
+    "curvature-table": {"seed": _SEED, "samples": _SAMPLES},
 }
 
 
@@ -171,12 +196,17 @@ def load_config(source, seed_override: Optional[int] = None,
     if not isinstance(scenario_params, dict):
         raise ConfigError("scenario_params must be an object",
                           field="scenario_params")
-    unknown = set(scenario_params) - _SCENARIO_PARAMS[scenario]
+    schema = _SCENARIO_PARAMS[scenario]
+    unknown = set(scenario_params) - set(schema)
     if unknown:
         raise ConfigError(
             f"unknown scenario_params {sorted(unknown)} for '{scenario}' "
-            f"(allowed: {sorted(_SCENARIO_PARAMS[scenario])})",
-            field="scenario_params")
+            f"(allowed: {sorted(schema)})", field="scenario_params")
+    for name, value in scenario_params.items():
+        accepts, what = schema[name]
+        if not accepts(value):
+            raise ConfigError(f"scenario_params.{name} must be {what}, got "
+                              f"{value!r}", field=f"scenario_params.{name}")
 
     integrator = raw.get("integrator", {})
     if not isinstance(integrator, dict):
@@ -207,11 +237,11 @@ def load_config(source, seed_override: Optional[int] = None,
         raise ConfigError("output_path must be a string", field="output_path")
 
     seed = scenario_params.get("seed", DEFAULT_SEED)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError("scenario_params.seed must be an integer",
-                          field="seed")
     if seed_override is not None:
         seed = int(seed_override)
+        if seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got "
+                              f"{seed}", field="seed")
     if step_override is not None:
         step = _step(step_override, "step")
     if out_override is not None:

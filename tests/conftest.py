@@ -1,7 +1,17 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from fibrum import (make_flat, make_nonlinear_demo, make_sphere)
+
+# pytest puts src/ on sys.path (pyproject.toml); the CLI tests' child
+# interpreters need it on PYTHONPATH to import the same checkout.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [_SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
+              if p])
 
 
 @pytest.fixture

@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from fibrum import (ConnectionKind, build_connection, make_custom_christoffel,
-                    make_flat, make_nonlinear_demo, make_sphere,
-                    random_base_field, random_base_point, random_section,
-                    random_total_point, sphere_metric)
-from fibrum.calculus import as_float_array
-from fibrum.catalog import CATALOG, CHRISTOFFELS
+from fibrum import (ConnectionField, ConnectionKind, IntegratorConfig,
+                    build_connection, holonomy_loop, latitude_loop,
+                    make_custom_christoffel, make_flat, make_nonlinear_demo,
+                    make_sphere, random_base_field, random_base_point,
+                    random_section, random_total_point, sphere_metric)
+from fibrum.calculus import DScalar, as_float_array, cos, seed_scalars, sin
+from fibrum.catalog import CATALOG, CHRISTOFFELS, _parse_christoffel_key
+from fibrum.config import DEFAULT_STEP
 from fibrum.errors import ConfigError
 
 
@@ -138,3 +140,137 @@ def test_sphere_metric_values():
     g = sphere_metric([1.3, 0.0])
     assert g[0, 0] == 1.0
     assert abs(g[1, 1] - math.sin(1.3) ** 2) < 1e-15
+
+
+# -- evaluators against the table walks they replaced -------------------------
+# The two references below are the earlier evaluators, kept verbatim in
+# their operation order: the catalog's straight-line sphere evaluator and
+# its compiled custom terms must give the same bits, DScalar parts and the
+# sign of zero included.
+
+def _reference_sphere_gamma(x, y, v):
+    th = x[0]
+    cot = cos(th) / sin(th)
+    g = {
+        (0, 1, 1): -sin(th) * cos(th),
+        (1, 0, 1): cot,
+        (1, 1, 0): cot,
+    }
+    out = []
+    for a in range(2):
+        acc = 0.0
+        for (aa, b, c), coeff in g.items():
+            if aa == a:
+                acc = acc + coeff * v[b] * y[c]
+        out.append(acc)
+    return out
+
+
+def _reference_custom_gamma(coeffs, m):
+    const, slope = {}, {}
+    for key, val in coeffs.items():
+        a, b, c, k = _parse_christoffel_key(key, m)
+        if k is None:
+            const[(a, b, c)] = float(val)
+        else:
+            slope[(a, b, c, k)] = float(val)
+
+    def gamma(x, y, v):
+        out = []
+        for a in range(m):
+            acc = 0.0
+            for b in range(m):
+                for c in range(m):
+                    g = const.get((a, b, c), 0.0)
+                    for k in range(m):
+                        sl = slope.get((a, b, c, k), 0.0)
+                        if sl != 0.0:
+                            g = g + sl * x[k]
+                    if not (isinstance(g, float) and g == 0.0):
+                        acc = acc + g * v[b] * y[c]
+            out.append(acc)
+        return out
+
+    return gamma
+
+
+def _assert_bit_equal(got, want):
+    if isinstance(want, DScalar):
+        assert isinstance(got, DScalar) and got.tag == want.tag
+        _assert_bit_equal(got.value, want.value)
+        assert len(got.grad) == len(want.grad)
+        for g, w in zip(got.grad, want.grad):
+            _assert_bit_equal(g, w)
+    else:
+        assert not isinstance(got, DScalar)
+        assert got == want
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+def _gamma_inputs(m, base_lo, base_hi):
+    """(x, y, v) triples: random ones, signed zeros, and some of them as
+    first- and second-order DScalars, and with DScalars in y and v only."""
+    rng = np.random.default_rng(7)
+    floats = []
+    for _ in range(20):
+        floats.append((list(rng.uniform(base_lo, base_hi, size=m)),
+                       list(rng.uniform(-2.0, 2.0, size=m)),
+                       list(rng.uniform(-2.0, 2.0, size=m))))
+    xs = [list(rng.uniform(base_lo, base_hi, size=m))]
+    if base_lo < 0.0 < base_hi:  # zero slope terms, where the chart allows
+        xs += [[0.0] * m, [0.7] + [-0.0] * (m - 1)]
+    units = ([1.0] + [0.0] * (m - 1), [-0.0] * m, [0.0] * (m - 1) + [-1.0])
+    for x in xs:
+        for y in units:
+            for v in units:
+                floats.append((x, y, v))
+    cases = list(floats)
+    for x, y, v in floats[:5] + floats[-12:]:
+        first = seed_scalars(x + y + v)
+        cases.append((first[:m], first[m:2 * m], first[2 * m:]))
+        second = seed_scalars(seed_scalars(x + y + v))
+        cases.append((second[:m], second[m:2 * m], second[2 * m:]))
+        fibre = seed_scalars(y + v)  # x stays a float
+        cases.append((x, fibre[:m], fibre[m:]))
+    return cases
+
+
+def _assert_same_evaluator(conn, reference):
+    box = conn.bundle.base_box
+    m = conn.bundle.base_dim
+    for x, y, v in _gamma_inputs(m, box.lower[0] + 0.1, box.upper[0] - 0.1):
+        got, want = conn.gamma(x, y, v), reference(x, y, v)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_bit_equal(g, w)
+
+
+def test_sphere_gamma_bit_equal_to_reference():
+    _assert_same_evaluator(make_sphere(), _reference_sphere_gamma)
+
+
+@pytest.mark.parametrize("coeffs,m", [
+    ({"G_1_12": 0.7, "G_2_11": -1.3, "G_1_22": 0.25}, 2),  # constants only
+    ({"G_1_12_x1": 0.5, "G_2_21_x2": -0.75, "G_2_11_x1": 0.3}, 2),  # slopes
+    ({"G_1_12": 0.0, "G_1_12_x2": 0.4, "G_2_22": 0.0}, 2),  # 0.0 with slope
+    ({"G_1_12": 0.0, "G_2_11_x1": 0.0, "G_2_22": -0.0}, 2),  # all zero
+    ({}, 2),
+    ({"G_1_23": 0.2, "G_3_12_x3": 0.1, "G_2_33": -0.15, "G_2_33_x1": 0.3,
+      "G_1_11_x2": -0.0, "G_3_31": 1.1, "G_3_31_x1": 0.37, "G_3_31_x2": -1.9,
+      "G_3_31_x3": 0.61}, 3),
+])
+def test_custom_gamma_bit_equal_to_reference(coeffs, m):
+    _assert_same_evaluator(make_custom_christoffel(coeffs, m=m),
+                           _reference_custom_gamma(coeffs, m))
+
+
+def test_sphere_latitude_holonomy_bit_equal_to_reference():
+    conn = make_sphere()
+    reference = ConnectionField(conn.bundle, _reference_sphere_gamma,
+                                ConnectionKind.LINEAR)
+    loop = latitude_loop(conn.bundle, math.pi / 3.0)
+    cfg = IntegratorConfig(step=DEFAULT_STEP)
+    got, got_disp = holonomy_loop(conn, loop, [1.0, 0.0], cfg)
+    want, want_disp = holonomy_loop(reference, loop, [1.0, 0.0], cfg)
+    assert got.tolist() == want.tolist()
+    assert got_disp == want_disp

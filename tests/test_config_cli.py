@@ -73,6 +73,63 @@ def test_cli_step_override_must_be_finite_positive(step, capsys):
     assert "(field: step)" in capsys.readouterr().err
 
 
+# Each of these once ended in a traceback (exit 1) or, for samples <= 0,
+# in an empty table that passed (exit 0).  The raw config text lets 1e400
+# reach the loader as the float it parses to, inf, and 10**400 as an int.
+@pytest.mark.parametrize("scenario,params,field", [
+    ("theorem41", '{"samples": "x"}', "samples"),
+    ("theorem41", '{"samples": -3}', "samples"),
+    ("curvature-table", '{"samples": 0}', "samples"),
+    ("geodesic", '{"T": "x"}', "T"),
+    ("geodesic", '{"T": 1e400}', "T"),
+    pytest.param("geodesic", '{"T": 1%s}' % ("0" * 400), "T",
+                 id="geodesic-T-10**400-T"),
+    ("transport", '{"y0": "ab"}', "y0"),
+])
+def test_cli_bad_scenario_param_exits_2(tmp_path, capsys, scenario, params,
+                                        field):
+    from fibrum.cli import main
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"bundle_name": "sphere", "scenario": "%s", '
+                   '"scenario_params": %s}' % (scenario, params),
+                   encoding="utf-8")
+    assert main(["run", str(cfg), "--quiet"]) == 2
+    assert f"(field: scenario_params.{field})" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bundle,scenario,params,field", [
+    ("sphere", "transport", {"y0": [1.0]}, "y0"),
+    ("flat", "geodesic", {"x0": [0.1, 0.2, 0.3]}, "x0"),
+    ("sphere", "geodesic", {"v0": []}, "v0"),
+    ("sphere", "holonomy", {"latitude": 0.1}, "latitude"),
+    ("sphere", "transport", {"latitude": 3.0}, "latitude"),
+    ("flat", "holonomy", {"latitude": 1.0}, "latitude"),
+    ("flat", "holonomy", {"radius": float("nan")}, "radius"),
+    ("flat", "verify-all", {"seed": -1}, "seed"),
+    ("flat", "theorem41", {"samples": 2.0}, "samples"),
+])
+def test_scenario_params_checked_before_running(bundle, scenario, params,
+                                                field):
+    with pytest.raises(ConfigError) as err:
+        run_scenario(load_config({"bundle_name": bundle,
+                                  "scenario": scenario,
+                                  "scenario_params": params}))
+    assert err.value.field == f"scenario_params.{field}"
+
+
+def test_negative_seed_override_exits_2(capsys):
+    from fibrum.cli import main
+    assert main(["verify", "flat", "--seed", "-1"]) == 2
+    assert "(field: seed)" in capsys.readouterr().err
+
+
+def test_scenario_params_echoed_raw():
+    cfg = load_config({"bundle_name": "sphere", "scenario": "geodesic",
+                       "scenario_params": {"T": 1, "x0": [1, 0.5]}})
+    assert run_scenario(cfg).scenario["scenario_params"] == {
+        "T": 1, "x0": [1, 0.5]}
+
+
 def test_parse_error_reports_location(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text('{"bundle_name": "flat",\n  scenario:}', encoding="utf-8")
