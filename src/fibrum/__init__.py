@@ -9,10 +9,9 @@ from .bundle import (BaseVectorField, Box, Point, SectionMap, SpaceTag,
                      TotalTangent, TotalVectorField, TrivializedBundle,
                      base_lie_bracket, check_p_related, lie_bracket)
 from .calculus import (DScalar, arctan, as_float_array, cos,
-                       derivative, dot, evaluate_second_order, exp,
-                       float_value, hessian, jacobian, log, mat_vec,
-                       seed_scalars, sin, sqrt, tan, vec_add, vec_scale,
-                       vec_sub)
+                       derivative, dot, exp, float_value, hessian, jacobian,
+                       log, mat_vec, seed_scalars, sin, sqrt, tan,
+                       value_and_jacobian, vec_add, vec_scale, vec_sub)
 from .catalog import (CATALOG, build_connection, circle_loop, latitude_loop,
                       make_custom_christoffel, make_flat, make_nonlinear_demo,
                       make_sphere, random_base_field, random_base_point,
@@ -28,9 +27,8 @@ from .connection import (ConnectionField, ConnectionKind, HorizontalProjector,
                          horizontal_lift_field, horizontal_projector,
                          lift_rank_check, natural_derivative,
                          vertical_projector)
-from .curvature import (CurvatureReportRow, VerticalValue,
-                        base_covariant_derivative, cocurvature,
-                        compare_curvature_routes, composition_commutator,
+from .curvature import (VerticalValue, base_covariant_derivative,
+                        cocurvature, composition_commutator,
                         covariant_derivative_section, cross_bracket_sum,
                         curv_via_covariant, curv_via_covariant_composition,
                         curv_via_lifts, curv_via_vertical_projection,

@@ -15,7 +15,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .calculus import Scalar, as_float_array, dot, float_value, jacobian
+from .calculus import (Scalar, as_float_array, dot, float_value,
+                       value_and_jacobian)
 from .errors import DomainError
 
 
@@ -219,10 +220,8 @@ def _bracket_fn(fx, fy):
     """Coordinate Lie bracket e -> DY(e) X(e) - DX(e) Y(e), nesting-safe."""
 
     def ev(coords):
-        jx = jacobian(fx, coords)
-        jy = jacobian(fy, coords)
-        xe = fx(coords)
-        ye = fy(coords)
+        xe, jx = value_and_jacobian(fx, coords)
+        ye, jy = value_and_jacobian(fy, coords)
         return [dot(jy[i], xe) - dot(jx[i], ye) for i in range(len(xe))]
 
     return ev

@@ -26,7 +26,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import NonFiniteOutputError, SecondOrderUnavailableError
+from .errors import NonFiniteOutputError
 
 Scalar = Union[float, "DScalar"]
 VectorFn = Callable[[Sequence[Scalar]], Sequence[Scalar]]
@@ -42,22 +42,20 @@ class DScalar:
     """Scalar with a gradient of fixed seed length; components may nest.
 
     ``tag`` identifies the differentiation pass the gradient belongs to;
-    user-constructed scalars share tag 0 and combine elementwise.  ``hess``
-    is never propagated by arithmetic; it is assembled once by
-    :func:`evaluate_second_order` and is ``None`` everywhere else.
+    user-constructed scalars share tag 0 and combine elementwise.  Second
+    derivatives come from nesting passes (:func:`hessian`), never from a
+    slot of their own.
     """
 
-    __slots__ = ("value", "grad", "hess", "tag")
+    __slots__ = ("value", "grad", "tag")
 
     # Make numpy defer binary ops to our reflected methods instead of
     # broadcasting us into object arrays.
     __array_ufunc__ = None
 
-    def __init__(self, value: Scalar, grad: Sequence[Scalar], hess=None,
-                 tag: int = 0):
+    def __init__(self, value: Scalar, grad: Sequence[Scalar], tag: int = 0):
         self.value = value
         self.grad = tuple(grad)
-        self.hess = hess
         self.tag = tag
 
     # -- arithmetic ------------------------------------------------------
@@ -239,14 +237,16 @@ def seed_scalars(coords: Sequence[Scalar], tag: int | None = None
             for j in range(n)]
 
 
-def jacobian(fn: VectorFn, coords: Sequence[Scalar]):
-    """Exact forward-mode Jacobian of ``fn`` at ``coords``.
+def value_and_jacobian(fn: VectorFn, coords: Sequence[Scalar]):
+    """Values and exact forward-mode Jacobian of ``fn`` at ``coords``.
 
-    Column ``j`` is the directional derivative along basis vector ``e_j``.
-    For plain float input returns a float ``(k, n)`` ndarray and checks the
-    output for NaN/inf; when ``coords`` carries DScalars from an enclosing
-    differentiation, returns nested lists whose entries belong to that
-    enclosing pass.
+    One evaluation gives both.  The values are the pass's outputs with its
+    own layer stripped: ``fn(coords)``, except that a division by a varying
+    ``b`` rounds as a product with ``b ** -1``.  Column ``j`` of the
+    Jacobian is the directional derivative along ``e_j``.  For plain float
+    input it is a float ``(k, n)`` ndarray, checked for NaN/inf; when
+    ``coords`` carries DScalars from an enclosing differentiation, values
+    and entries (nested lists) belong to that enclosing pass.
     """
     coords = list(coords)
     n = len(coords)
@@ -257,19 +257,26 @@ def jacobian(fn: VectorFn, coords: Sequence[Scalar]):
     except (ZeroDivisionError, OverflowError) as exc:
         raise NonFiniteOutputError(
             f"evaluator is singular at this point: {exc}") from exc
-    rows = []
+    values, rows = [], []
     for comp in out:
         if isinstance(comp, DScalar) and comp.tag == tag:
+            values.append(comp.value)
             rows.append(list(comp.grad))
         else:
+            values.append(comp)
             rows.append([0.0] * n)  # constant w.r.t. this pass
     if nested:
-        return rows
+        return values, rows
     mat = np.array([[float_value(entry) for entry in row] for row in rows])
     if not np.all(np.isfinite(mat)):
         raise NonFiniteOutputError(
             "jacobian produced non-finite entries; evaluator is singular here")
-    return mat
+    return values, mat
+
+
+def jacobian(fn: VectorFn, coords: Sequence[Scalar]):
+    """The Jacobian half of :func:`value_and_jacobian`."""
+    return value_and_jacobian(fn, coords)[1]
 
 
 def derivative(fn: Callable[[Scalar], Sequence[Scalar]], t: Scalar) -> list:
@@ -296,38 +303,3 @@ def hessian(fn: VectorFn, coords: Sequence[float]) -> np.ndarray:
             if isinstance(entry, DScalar):
                 out[i, j, :] = [float_value(g) for g in entry.grad]
     return out
-
-
-def evaluate_second_order(fn: Callable[[Sequence[Scalar]], Scalar],
-                          coords: Sequence[float]) -> DScalar:
-    """Evaluate a scalar map with value, gradient and Hessian attached.
-
-    The Hessian is assembled from a single nested pass and stored on the
-    returned DScalar's ``hess`` slot (the only place ``hess`` is ever set).
-    """
-    coords = [float(c) for c in coords]
-    n = len(coords)
-    inner = seed_scalars(coords)
-    outer_tag = _fresh_tag()
-    doubled = [DScalar(inner[j], tuple(1.0 if k == j else 0.0 for k in range(n)),
-                       tag=outer_tag)
-               for j in range(n)]
-    try:
-        res = fn(doubled)
-    except (TypeError, AttributeError) as exc:
-        raise SecondOrderUnavailableError(
-            "evaluator is not closed under nested derivative-carrying "
-            "scalars") from exc
-    if not isinstance(res, DScalar):
-        return DScalar(float(res), (0.0,) * n, hess=np.zeros((n, n)))
-    value = float_value(res)
-    if isinstance(res.value, DScalar):
-        grad = tuple(float_value(g) for g in res.value.grad)
-    else:
-        grad = tuple(float_value(g) for g in res.grad)
-    hess = np.zeros((n, n))
-    for j in range(n):
-        gj = res.grad[j] if j < len(res.grad) else 0.0
-        if isinstance(gj, DScalar):
-            hess[j, :] = [float_value(g) for g in gj.grad]
-    return DScalar(value, grad, hess=hess)

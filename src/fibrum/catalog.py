@@ -170,7 +170,7 @@ class Capabilities:
 CHRISTOFFELS = "G_a_bc[_xk]..."
 
 # Each entry's ``params`` maps every accepted bundle parameter to the type
-# its builder takes.
+# its builder takes; ``_param`` says which values each type accepts.
 CATALOG: dict[str, dict] = {
     "flat": {
         "builder": make_flat,
@@ -207,6 +207,27 @@ CATALOG: dict[str, dict] = {
 }
 
 
+def _param(name: str, kind: type, value):
+    """Bundle parameter ``name`` as its schema type ``kind``, else a
+    ConfigError: an int is a whole number >= 1, a float a finite real, and
+    a half-width (``*_half``) a finite real > 0."""
+    try:
+        finite = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a real, or an int past float
+        finite = False
+    if kind is int:
+        ok = finite and value == int(value) and value >= 1
+        what = "a whole number >= 1"
+    elif name.endswith("_half"):
+        ok, what = finite and value > 0, "a finite real > 0"
+    else:
+        ok, what = finite, "a finite real"
+    if not ok:
+        raise ConfigError(f"bundle_params.{name} must be {what}, got "
+                          f"{value!r}", field=f"bundle_params.{name}")
+    return kind(value)
+
+
 def build_connection(name: str, params: dict | None = None) -> ConnectionField:
     if name not in CATALOG:
         raise ConfigError(f"unknown bundle '{name}'; catalog has "
@@ -215,9 +236,9 @@ def build_connection(name: str, params: dict | None = None) -> ConnectionField:
     kwargs, coeffs, unknown = {}, {}, []
     for key, value in (params or {}).items():
         if CHRISTOFFELS in schema and key.startswith("G_"):
-            coeffs[key] = value
+            coeffs[key] = _param(key, schema[CHRISTOFFELS], value)
         elif key in schema:
-            kwargs[key] = schema[key](value)
+            kwargs[key] = _param(key, schema[key], value)
         else:
             unknown.append(key)
     if unknown:

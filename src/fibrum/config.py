@@ -183,14 +183,12 @@ def load_config(source, seed_override: Optional[int] = None,
             f"scenario must be one of {list(SCENARIOS)}, got {scenario!r}",
             field="scenario")
 
+    # Each value is checked against the catalog entry's schema when the
+    # bundle is built (``catalog.build_connection``).
     bundle_params = raw.get("bundle_params", {})
     if not isinstance(bundle_params, dict):
         raise ConfigError("bundle_params must be an object",
                           field="bundle_params")
-    for key, val in bundle_params.items():
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise ConfigError(f"bundle_params['{key}'] must be a number",
-                              field="bundle_params")
 
     scenario_params = raw.get("scenario_params", {})
     if not isinstance(scenario_params, dict):
@@ -217,7 +215,7 @@ def load_config(source, seed_override: Optional[int] = None,
                           field="integrator")
     step = _step(integrator.get("step", DEFAULT_STEP), "integrator.step")
     max_steps = integrator.get("max_steps", DEFAULT_MAX_STEPS)
-    if not isinstance(max_steps, int) or max_steps < 1:
+    if not _integer(max_steps) or max_steps < 1:
         raise ConfigError("integrator.max_steps must be a positive integer",
                           field="integrator.max_steps")
 
@@ -228,9 +226,9 @@ def load_config(source, seed_override: Optional[int] = None,
         if name not in DEFAULT_TOLERANCES:
             raise ConfigError(f"unknown tolerance name '{name}'",
                               field="tolerances")
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise ConfigError(f"tolerances['{name}'] must be a number",
-                              field="tolerances")
+        if not _real(val):
+            raise ConfigError(f"tolerances.{name} must be a finite real, "
+                              f"got {val!r}", field=f"tolerances.{name}")
 
     output_path = raw.get("output_path")
     if output_path is not None and not isinstance(output_path, str):

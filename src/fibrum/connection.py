@@ -24,7 +24,7 @@ import numpy as np
 from .bundle import (BaseVectorField, Point, SectionMap, SpaceTag,
                      TotalTangent, TotalVectorField, TrivializedBundle)
 from .calculus import (Scalar, as_float_array, float_value, jacobian,
-                       mat_vec, vec_add, vec_sub)
+                       mat_vec, value_and_jacobian, vec_add, vec_sub)
 from .errors import DomainError
 
 GammaFn = Callable[[Sequence[Scalar], Sequence[Scalar], Sequence[Scalar]],
@@ -145,8 +145,10 @@ def _leaf_derivative(s: SectionMap, coords_x, coords_y, vx,
     The leaf through e = (x, y) is the section x' -> s(x') + (y - s(x));
     translating the graph fibre-wise keeps the graph itself as the zero
     leaf.  ``offset_shift`` moves the anchor to (x, y + shift) on a
-    neighbouring leaf; leaves are parallel, so the derivative must not
-    change (that invariance is load-bearing and is tested).
+    neighbouring leaf.  Neither changes the result, since the Jacobian of
+    s + const is that of s: the velocity is Ds(x) vx for every y and shift,
+    so ``extension_independence`` and the shifted half of
+    ``extension_translation_invariance`` pass by construction.
     """
     offset = vec_sub(coords_y, s.fn(coords_x))
     if offset_shift is not None:
@@ -186,8 +188,8 @@ def covariant_derivative(conn: ConnectionField, s: SectionMap,
     coords = list(x.coords)
     s.graph(x)  # validates that the graph point is inside the chart
     vx = v.fn(coords)
-    ds = jacobian(s.fn, coords)
-    g = conn.gamma(coords, s.fn(coords), vx)
+    sx, ds = value_and_jacobian(s.fn, coords)
+    g = conn.gamma(coords, sx, vx)
     return ds @ as_float_array(vx) + as_float_array(g)
 
 

@@ -46,7 +46,7 @@ import numpy as np
 from .bundle import (BaseVectorField, Point, SectionMap, TotalTangent,
                      TotalVectorField, base_lie_bracket, lie_bracket)
 from .calculus import (Scalar, as_float_array, derivative, jacobian, mat_vec,
-                       vec_add, vec_scale, vec_sub)
+                       value_and_jacobian, vec_add, vec_scale, vec_sub)
 from .connection import (ConnectionField, ConnectionKind, constant_base_field,
                          covariant_derivative, extend_covariant_derivative,
                          horizontal_lift_field)
@@ -66,21 +66,6 @@ class VerticalValue:
                            np.asarray(self.fibre_part, dtype=float))
         if self.fibre_part.shape != (self.anchor.bundle.fibre_dim,):
             raise DomainError("fibre_part has wrong dimension")
-
-
-@dataclass(frozen=True, eq=False)
-class CurvatureReportRow:
-    """One sample of the two curvature routes and their disagreement."""
-
-    point: Point
-    via_lifts: np.ndarray
-    via_covariant: np.ndarray
-    residual: float
-    cross: np.ndarray  # cross_bracket_sum at the point, a total vector
-
-    @property
-    def cross_residual(self) -> float:
-        return float(np.max(np.abs(self.cross)))
 
 
 def _pv_apply(conn: ConnectionField, x, y, vec):
@@ -229,8 +214,9 @@ def curv_via_covariant_composition(conn: ConnectionField, s: SectionMap,
 
     def nabla_along_s(w_fn, along: BaseVectorField):
         ax = along.fn(coords)
-        sx, wx = s.fn(coords), w_fn(coords)
-        dw = mat_vec(jacobian(w_fn, coords), ax)
+        sx = s.fn(coords)
+        wx, jw = value_and_jacobian(w_fn, coords)
+        dw = mat_vec(jw, ax)
         dg = derivative(
             lambda t: conn.gamma(coords, vec_add(sx, vec_scale(t, wx)), ax),
             0.0)
@@ -265,27 +251,6 @@ def cross_bracket_sum(conn: ConnectionField, s: SectionMap,
     term1 = lie_bracket(hv, nu)(e)
     term2 = lie_bracket(nv, hu)(e)
     return as_float_array(vec_add(term1, term2))
-
-
-def compare_curvature_routes(conn: ConnectionField, s: SectionMap,
-                             u: BaseVectorField, v: BaseVectorField,
-                             samples: Sequence[Point]
-                             ) -> list[CurvatureReportRow]:
-    """Evaluate both curvature routes and the cross-bracket defect at each
-    sample base point."""
-    rows = []
-    for x in samples:
-        lifts = curv_via_lifts(conn, s, u, v, x).fibre_part
-        cov = curv_via_covariant(conn, s, u, v, x).fibre_part
-        cross = cross_bracket_sum(conn, s, u, v, x)
-        rows.append(CurvatureReportRow(
-            point=x,
-            via_lifts=lifts,
-            via_covariant=cov,
-            residual=float(np.max(np.abs(cov - lifts))),
-            cross=cross,
-        ))
-    return rows
 
 
 def tensoriality_check_curvature(conn: ConnectionField, e: Point,
@@ -326,9 +291,9 @@ def _cov_value(conn: ConnectionField, s_fn, v_fn, coords):
     gamma extends canonically, so evaluating outside the box is sound.
     """
     vx = v_fn(coords)
-    ds_v = mat_vec(jacobian(s_fn, coords), vx)
-    g = conn.gamma(coords, s_fn(coords), vx)
-    return vec_add(ds_v, g)
+    sx, ds = value_and_jacobian(s_fn, coords)
+    g = conn.gamma(coords, sx, vx)
+    return vec_add(mat_vec(ds, vx), g)
 
 
 def _require_linear(conn: ConnectionField, what: str):

@@ -91,6 +91,35 @@ def test_bracket_hand_example():
     assert np.allclose(out, [-1.0, 0.0], atol=1e-15)
 
 
+def test_bracket_calls_each_field_once(rng):
+    # one forward pass per field gives both its value and its Jacobian, at
+    # float input and inside an enclosing bracket's pass
+    bundle = make_flat().bundle
+    calls = dict.fromkeys("XYZuv", 0)
+
+    def counted(name, fn):
+        def ev(coords):
+            calls[name] += 1
+            return fn(coords)
+        return ev
+
+    X = TotalVectorField(bundle, counted(
+        "X", lambda e: [sin(e[1]), e[0] * e[2], 0.5, e[3] * e[3]]))
+    Y = TotalVectorField(bundle, counted(
+        "Y", lambda e: [e[2], sin(e[0]) * e[3], e[1], -e[0]]))
+    Z = TotalVectorField(bundle, counted(
+        "Z", lambda e: [e[3] * e[1], 1.0, sin(e[2]), e[0]]))
+    e = random_total_point(bundle, rng)
+    lie_bracket(X, Y)(e)
+    assert calls == {"X": 1, "Y": 1, "Z": 0, "u": 0, "v": 0}
+    lie_bracket(lie_bracket(X, Y), Z)(e)
+    assert calls == {"X": 2, "Y": 2, "Z": 1, "u": 0, "v": 0}
+    u = BaseVectorField(bundle, counted("u", lambda x: [x[1], 0.0]))
+    v = BaseVectorField(bundle, counted("v", lambda x: [sin(x[0]), x[1]]))
+    base_lie_bracket(u, v)([0.4, 0.9])
+    assert calls["u"] == 1 and calls["v"] == 1
+
+
 def test_bracket_antisymmetry_and_bilinearity(rng):
     bundle = make_flat().bundle
 

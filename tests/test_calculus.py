@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibrum import (DScalar, cos, evaluate_second_order, exp, float_value,
-                    hessian, jacobian, log, seed_scalars, sin, sqrt, tan)
+from fibrum import (DScalar, cos, exp, float_value, hessian, jacobian, log,
+                    seed_scalars, sin, sqrt, tan, value_and_jacobian)
 from fibrum.errors import NonFiniteOutputError
 
 from conftest import central_fd_jacobian
@@ -133,20 +133,68 @@ def test_hessian_exact():
 
 
 def test_second_order_scalar_symmetry():
-    ds = evaluate_second_order(
-        lambda x: exp(x[0] * x[1]) + sin(x[0]) / (x[1] + 2.0), [0.4, 0.9])
-    assert ds.hess is not None
-    assert np.max(np.abs(ds.hess - ds.hess.T)) < 1e-12
-    got = np.array(ds.grad)
+    fn = lambda x: [exp(x[0] * x[1]) + sin(x[0]) / (x[1] + 2.0)]
+    H = hessian(fn, [0.4, 0.9])[0]
+    assert np.max(np.abs(H - H.T)) < 1e-12
+    got = jacobian(fn, [0.4, 0.9])[0]
     fd = central_fd_jacobian(
         lambda x: [math.exp(x[0] * x[1]) + math.sin(x[0]) / (x[1] + 2.0)],
         [0.4, 0.9], 1e-6)[0]
     assert np.max(np.abs(got - fd)) < 1e-8
 
 
-def test_hess_absent_in_plain_arithmetic():
-    x, y = seed_scalars([1.0, 2.0])
-    assert (x * y + sin(x)).hess is None
+def _bits(z):
+    """Every float a scalar carries, nested layers included, as hex."""
+    if isinstance(z, DScalar):
+        return (_bits(z.value), tuple(_bits(g) for g in z.grad))
+    return float(z).hex()
+
+
+def _plain_evaluators(rng):
+    """(fn, n): maps built from + - * and the smooth functions only."""
+    from fibrum import (make_custom_christoffel, make_nonlinear_demo,
+                        make_sphere, random_section)
+    demo = make_nonlinear_demo()
+    custom = make_custom_christoffel({"G_1_12": 0.5, "G_2_11_x1": -0.4,
+                                      "G_2_21": 0.3, "G_1_22_x2": 1.1})
+    return [(random_section(make_sphere().bundle, rng).fn, 2),
+            (random_section(demo.bundle, rng).fn, 2),
+            (lambda e: demo.gamma(e[:2], e[2:], [0.7, -1.3]), 3),
+            (lambda e: custom.gamma(e[:2], e[2:], [e[0], -0.6]), 4)]
+
+
+def test_value_and_jacobian_values_are_fn_values():
+    rng = np.random.default_rng(11)
+    for fn, n in _plain_evaluators(rng):
+        for _ in range(5):
+            coords = list(rng.uniform(-0.9, 0.9, n))
+            values, J = value_and_jacobian(fn, coords)
+            assert [_bits(z) for z in values] == [_bits(z) for z in fn(coords)]
+            assert np.array_equal(J, jacobian(fn, coords))
+            outer = seed_scalars(coords)
+            values, rows = value_and_jacobian(fn, outer)
+            assert [_bits(z) for z in values] == [_bits(z) for z in fn(outer)]
+            want = jacobian(fn, outer)
+            assert ([[_bits(z) for z in row] for row in rows]
+                    == [[_bits(z) for z in row] for row in want])
+
+
+def test_value_and_jacobian_division_rounds_as_product():
+    # the sphere's cot = c / s runs as c * s ** -1 in the pass
+    from fibrum import make_sphere
+    sphere = make_sphere()
+
+    def fn(e):
+        return sphere.gamma(e[:2], e[2:], [0.8, -0.5])
+
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        coords = [rng.uniform(0.3, 2.8), rng.uniform(-3.0, 3.0),
+                  rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)]
+        values, _ = value_and_jacobian(fn, coords)
+        plain = fn(coords)
+        for got, want in zip(values, plain):
+            assert abs(got - want) <= 4.0 * math.ulp(abs(want) + 1.0)
 
 
 def test_nested_layers_do_not_mix():

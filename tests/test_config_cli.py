@@ -97,6 +97,49 @@ def test_cli_bad_scenario_param_exits_2(tmp_path, capsys, scenario, params,
     assert f"(field: scenario_params.{field})" in capsys.readouterr().err
 
 
+# Each of these once ended in a numpy or overflow traceback, a DomainError
+# (exit 1), a silently truncated m (2.5 ran as 2), a max_steps of True (a
+# budget of 1) or a tolerance that turned its row red.  Python's json
+# reads NaN and Infinity, so raw config text can carry them.
+@pytest.mark.parametrize("bundle,key,value,field", [
+    ("flat", "bundle_params", '{"m": 0}', "bundle_params.m"),
+    ("flat", "bundle_params", '{"m": -1}', "bundle_params.m"),
+    ("flat", "bundle_params", '{"m": 2.5}', "bundle_params.m"),
+    ("flat", "bundle_params", '{"f": true}', "bundle_params.f"),
+    ("flat", "bundle_params", '{"base_half": Infinity}',
+     "bundle_params.base_half"),
+    ("flat", "bundle_params", '{"fibre_half": -1}',
+     "bundle_params.fibre_half"),
+    ("sphere", "bundle_params", '{"fibre_half": 0}',
+     "bundle_params.fibre_half"),
+    ("nonlinear-demo", "bundle_params", '{"base_half": NaN}',
+     "bundle_params.base_half"),
+    ("tm-custom-christoffel", "bundle_params", '{"m": "2"}',
+     "bundle_params.m"),
+    ("tm-custom-christoffel", "bundle_params", '{"G_1_12": Infinity}',
+     "bundle_params.G_1_12"),
+    ("flat", "integrator", '{"max_steps": true}', "integrator.max_steps"),
+    ("flat", "tolerances", '{"catalog_integrity": NaN}',
+     "tolerances.catalog_integrity"),
+    ("flat", "tolerances", '{"catalog_integrity": Infinity}',
+     "tolerances.catalog_integrity"),
+    pytest.param("flat", "tolerances", '{"catalog_integrity": 1%s}'
+                 % ("0" * 400), "tolerances.catalog_integrity",
+                 id="tolerance-10**400"),
+])
+def test_cli_bad_config_value_exits_2(tmp_path, capsys, bundle, key, value,
+                                      field):
+    from fibrum.cli import main
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"bundle_name": "%s", "scenario": "curvature-table", '
+                   '"scenario_params": {"samples": 1}, "%s": %s}'
+                   % (bundle, key, value), encoding="utf-8")
+    assert main(["run", str(cfg), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"(field: {field})" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("bundle,scenario,params,field", [
     ("sphere", "transport", {"y0": [1.0]}, "y0"),
     ("flat", "geodesic", {"x0": [0.1, 0.2, 0.3]}, "x0"),

@@ -29,14 +29,14 @@ import pytest
 
 from fibrum import (BaseVectorField, SectionMap, TotalTangent,
                     base_covariant_derivative, cocurvature,
-                    compare_curvature_routes, composition_commutator,
-                    covariant_derivative, cross_bracket_sum,
+                    composition_commutator, covariant_derivative,
+                    cross_bracket_sum,
                     curv_via_covariant, curv_via_covariant_composition,
                     curv_via_lifts, curv_via_vertical_projection, curvature, horizontal_lift,
                     leibniz_check, lift_rank_check, make_custom_christoffel,
-                    make_flat, random_base_field, random_base_point,
-                    random_section, random_tangent, random_total_point,
-                    second_covariant_derivative, sin,
+                    make_flat, make_sphere, random_base_field,
+                    random_base_point, random_section, random_tangent,
+                    random_total_point, second_covariant_derivative, sin,
                     tensoriality_check_curvature, torsion)
 from fibrum.errors import (LinearityRequiredError, TangentBundleRequiredError)
 
@@ -306,24 +306,32 @@ def test_commutator_route_defect_sphere_closed_form(sphere_conn):
         assert np.max(np.abs(lifts - np.array([0.0, -1.0]))) < 1e-12
 
 
-def test_compare_curvature_routes_rows(sphere_conn, rng):
-    s = random_section(sphere_conn.bundle, rng)
-    u = random_base_field(sphere_conn.bundle, rng)
-    v = random_base_field(sphere_conn.bundle, rng)
-    samples = [random_base_point(sphere_conn.bundle, rng) for _ in range(5)]
-    rows = compare_curvature_routes(sphere_conn, s, u, v, samples)
-    assert len(rows) == 5
-    for row in rows:
-        assert row.residual == pytest.approx(
-            float(np.max(np.abs(row.via_covariant - row.via_lifts))))
-        cross = cross_bracket_sum(sphere_conn, s, u, v, row.point)
-        assert np.array_equal(row.cross, cross)
-        m = sphere_conn.bundle.base_dim
-        assert row.cross_residual == pytest.approx(
-            float(np.max(np.abs(cross))), abs=1e-15)
-        # the defect IS the cross sum
-        assert np.max(np.abs(row.via_covariant - row.via_lifts
-                             - cross[m:])) < 1e-12
+def test_theorem41_table_rows():
+    # each table row carries both routes, their residual and the size of
+    # the cross-bracket sum at the same draw; the defect is that sum
+    import zlib
+    from fibrum import load_config, run_scenario
+    seed = 3
+    report = run_scenario(load_config({
+        "bundle_name": "sphere", "scenario": "theorem41",
+        "scenario_params": {"seed": seed, "samples": 4}}))
+    assert len(report.table) == 4
+    conn = make_sphere()
+    bundle = conn.bundle
+    rng = np.random.default_rng([seed, zlib.crc32(b"theorem41")])
+    m = bundle.base_dim
+    for row in report.table:
+        s = random_section(bundle, rng)
+        u = random_base_field(bundle, rng)
+        v = random_base_field(bundle, rng)
+        x = random_base_point(bundle, rng)
+        assert row["point"] == list(x.coords)
+        lifts = np.array(row["via_lifts"])
+        cov = np.array(row["via_covariant"])
+        assert row["residual"] == float(np.max(np.abs(cov - lifts)))
+        cross = cross_bracket_sum(conn, s, u, v, x)
+        assert row["cross_residual"] == float(np.max(np.abs(cross)))
+        assert np.max(np.abs(cov - lifts - cross[m:])) < 1e-12
 
 
 def test_extension_offset_shift_does_not_move_commutator_route(any_conn, rng):
