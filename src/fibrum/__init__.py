@@ -8,10 +8,10 @@ geodesics, sprays and holonomy, plus a scenario-driven verification CLI.
 from .bundle import (BaseVectorField, Box, Point, SectionMap, SpaceTag,
                      TotalTangent, TotalVectorField, TrivializedBundle,
                      base_lie_bracket, check_p_related, lie_bracket)
-from .calculus import (DScalar, arctan, as_float_array, cos,
-                       derivative, dot, exp, float_value, hessian, jacobian,
-                       log, mat_vec, seed_scalars, sin, sqrt, tan,
-                       value_and_jacobian, vec_add, vec_scale, vec_sub)
+from .calculus import (DScalar, as_float_array, cos, derivative, dot, exp,
+                       float_value, hessian, jacobian, log, mat_vec,
+                       seed_scalars, sin, sqrt, tan, value_and_jacobian,
+                       vec_add, vec_scale, vec_sub)
 from .catalog import (CATALOG, build_connection, circle_loop, latitude_loop,
                       make_custom_christoffel, make_flat, make_nonlinear_demo,
                       make_sphere, random_base_field, random_base_point,

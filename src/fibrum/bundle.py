@@ -42,11 +42,12 @@ class Box:
     def dim(self) -> int:
         return len(self.lower)
 
-    def contains(self, coords: Sequence[Scalar]) -> bool:
+    def contains(self, coords: Sequence[float]) -> bool:
+        """Whether the real coordinates ``coords`` lie inside the box."""
         if len(coords) != self.dim:
             return False
         for c, lo, hi in zip(coords, self.lower, self.upper):
-            if not lo < float_value(c) < hi:
+            if not lo < c < hi:
                 return False
         return True
 
@@ -93,10 +94,10 @@ class TrivializedBundle:
         m = self.base_dim
         return list(coords[:m]), list(coords[m:])
 
-    def contains_base(self, coords: Sequence[Scalar]) -> bool:
+    def contains_base(self, coords: Sequence[float]) -> bool:
         return self.base_box.contains(coords)
 
-    def contains_total(self, coords: Sequence[Scalar]) -> bool:
+    def contains_total(self, coords: Sequence[float]) -> bool:
         x, y = self.split(coords)
         return self.base_box.contains(x) and self.fibre_box.contains(y)
 

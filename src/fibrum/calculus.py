@@ -183,14 +183,6 @@ def sqrt(z: Scalar) -> Scalar:
     return math.sqrt(z)
 
 
-def arctan(z: Scalar) -> Scalar:
-    if isinstance(z, DScalar):
-        denom = 1.0 + z.value * z.value
-        return DScalar(arctan(z.value), tuple(g / denom for g in z.grad),
-                       tag=z.tag)
-    return math.atan(z)
-
-
 # -- generic small linear algebra (entries float or DScalar) ---------------
 
 def dot(a: Sequence[Scalar], b: Sequence[Scalar]) -> Scalar:

@@ -150,11 +150,15 @@ def load_config(source, seed_override: Optional[int] = None,
     if isinstance(source, dict):
         raw = source
     else:
-        if str(source) == "-":
-            import sys
-            text = sys.stdin.read()
-        else:
-            text = Path(source).read_text(encoding="utf-8")
+        try:
+            if str(source) == "-":
+                import sys
+                text = sys.stdin.read()
+            else:
+                text = Path(source).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config {str(source)!r}: {exc}",
+                              field="config") from exc
         try:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -244,6 +248,12 @@ def load_config(source, seed_override: Optional[int] = None,
         step = _step(step_override, "step")
     if out_override is not None:
         output_path = out_override
+    # checked before anything runs, so a bad path does not cost a scenario
+    if output_path and (Path(output_path).is_dir()
+                        or not Path(output_path).parent.is_dir()):
+        name = "out" if out_override is not None else "output_path"
+        raise ConfigError(f"{name} must name a file in an existing directory, "
+                          f"got {output_path!r}", field=name)
 
     return ScenarioConfig(
         bundle_name=bundle_name,

@@ -42,7 +42,8 @@ class ConnectionField:
 
     ``gamma(x, y, v)`` must be linear in ``v`` exactly; when ``kind`` is
     LINEAR it must be linear in ``y`` as well.  The evaluator has to be
-    closed under DScalar inputs and twice differentiable.
+    closed under DScalar inputs and twice differentiable, and to return
+    reals for float inputs: transport and geodesics use those as they are.
     """
 
     bundle: TrivializedBundle

@@ -323,27 +323,16 @@ def base_covariant_derivative(conn: ConnectionField, u: BaseVectorField,
 
 def second_covariant_derivative(conn: ConnectionField, s: SectionMap,
                                 u: BaseVectorField, v: BaseVectorField,
-                                x: Point,
-                                base_conn: Optional[ConnectionField] = None
-                                ) -> np.ndarray:
+                                x: Point) -> np.ndarray:
     """Second covariant derivative nabla^2_uv s = nabla_u(nabla_v s)
-    - nabla_{nabla_u v} s for a linear connection.
-
-    ``base_conn`` supplies the connection on the base tangent bundle used
-    for nabla_u v; on a tangent-bundle configuration it defaults to the
-    connection itself.
+    - nabla_{nabla_u v} s for a linear connection on a tangent-bundle
+    configuration, which also supplies nabla_u v.
     """
     _require_linear(conn, "second_covariant_derivative")
-    if base_conn is None:
-        if conn.bundle.fibre_dim != conn.bundle.base_dim:
-            raise TangentBundleRequiredError(
-                "supply base_conn: the bundle is not a tangent-bundle "
-                "configuration, so nabla_u v is not defined by conn itself")
-        base_conn = conn
+    w = base_covariant_derivative(conn, u, v)  # raises unless f = m
     coords = list(x.coords)
     inner = covariant_derivative_section(conn, s, v)
     term1 = _cov_value(conn, inner.fn, u.fn, coords)
-    w = base_covariant_derivative(base_conn, u, v)
     term2 = _cov_value(conn, s.fn, w.fn, coords)
     return as_float_array(vec_sub(term1, term2))
 

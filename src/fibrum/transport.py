@@ -158,17 +158,23 @@ def _transport_rhs(conn: ConnectionField, curve: CurveOnBase):
     """Right-hand side -gamma(c(t), y) c'(t) of the transport equation.
 
     A one-entry cache keyed on t computes the curve point and velocity once
-    per distinct node time; RK4 stages k2 and k3 share the midpoint.
+    per distinct stage time; RK4 stages k2 and k3 share the midpoint.  The
+    curve point is checked against the base box there, so every stage time
+    (t, t + h/2, t + h) is checked, and an exit reports that stage time.
     """
     gamma = conn.gamma
     fn = curve.fn
     velocity = curve.velocity_fn or functools.partial(derivative, fn)
+    in_base = conn.bundle.base_box.contains
     node = [None, None, None]  # t, c(t), c'(t)
 
     def rhs(t, y):
         if t != node[0]:
-            node[:] = t, list(fn(t)), list(velocity(t))
-        return [-float_value(c) for c in gamma(node[1], y, node[2])]
+            x = list(fn(t))
+            if not in_base(x):
+                raise ChartExitError("curve left the base box", t)
+            node[:] = t, x, list(velocity(t))
+        return [-c for c in gamma(node[1], y, node[2])]
 
     return rhs
 
@@ -184,13 +190,6 @@ def _transport(conn: ConnectionField, curve: CurveOnBase,
     if not bundle.fibre_box.contains(y0):
         raise DomainError("initial fibre element lies outside the fibre box")
     span = curve.t1 - curve.t0
-    n = cfg.n_steps(span) if span != 0.0 else 0
-    # the integrator checks only the fibre box (it does not see c(t)), so
-    # the curve image is checked against the base box at the node times
-    for k in range(n):
-        t = curve.t0 + span * (k + 1) / n
-        if not bundle.contains_base(curve.fn(t)):
-            raise ChartExitError("curve left the base box", t)
     return _rk4(_transport_rhs(conn, curve), y0, span, cfg,
                 bundle.fibre_box.contains, "parallel transport", curve.t0,
                 collect)
@@ -268,7 +267,7 @@ def geodesic(conn: ConnectionField, x0: Sequence[float], v0: Sequence[float],
 
     def rhs(t, z):
         v = z[m:]
-        return v + [-float_value(c) for c in conn.gamma(z[:m], v, v)]
+        return v + [-c for c in conn.gamma(z[:m], v, v)]
 
     _, path = _rk4(rhs, z0, float(T), cfg, bundle.contains_total,
                    "geodesic", collect=True)

@@ -274,3 +274,30 @@ def test_sphere_latitude_holonomy_bit_equal_to_reference():
     want, want_disp = holonomy_loop(reference, loop, [1.0, 0.0], cfg)
     assert got.tolist() == want.tolist()
     assert got_disp == want_disp
+
+
+# Transport and geodesic right-hand sides use gamma's outputs as they are,
+# so every catalog evaluator must give Python floats for float input.
+@pytest.mark.parametrize("name,params", [
+    ("flat", {"m": 3, "f": 1}),
+    ("sphere", {}),
+    ("nonlinear-demo", {}),
+    ("tm-custom-christoffel", {"G_1_12": 0.7, "G_2_11": -1.3}),
+    ("tm-custom-christoffel", {"G_1_12_x1": 0.5, "G_2_21_x2": -0.75}),
+    ("tm-custom-christoffel", {"G_1_12": 0.0, "G_2_11_x1": 0.0}),
+    ("tm-custom-christoffel", {"m": 3, "G_1_23": 0.2, "G_3_12_x3": 0.1,
+                               "G_3_31": 1.1, "G_3_31_x1": 0.37}),
+])
+def test_catalog_gamma_returns_floats_for_float_input(name, params):
+    conn = build_connection(name, params)
+    bundle = conn.bundle
+    rng = np.random.default_rng(11)
+    zeros = ([0.0] * bundle.fibre_dim, [-0.0] * bundle.base_dim)
+    for _ in range(20):
+        x = [float(c) for c in bundle.base_box.sample(rng)]
+        y = [float(c) for c in bundle.fibre_box.sample(rng)]
+        v = [float(c) for c in rng.uniform(-2.0, 2.0, size=bundle.base_dim)]
+        for yy, vv in ((y, v), (zeros[0], v), (y, zeros[1])):
+            out = conn.gamma(x, yy, vv)
+            assert len(out) == bundle.fibre_dim
+            assert all(type(c) is float for c in out), (x, yy, vv, out)

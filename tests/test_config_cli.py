@@ -140,6 +140,50 @@ def test_cli_bad_config_value_exits_2(tmp_path, capsys, bundle, key, value,
     assert "Traceback" not in err
 
 
+# Each of these once ended in a traceback; a report path in a missing
+# directory did so only after the whole scenario had run.
+@pytest.mark.parametrize("probe,field", [
+    ("missing-file", "config"),
+    ("directory", "config"),
+    ("not-utf-8", "config"),
+    ("output-path-in-missing-dir", "output_path"),
+    ("output-path-is-dir", "output_path"),
+    ("run-out-in-missing-dir", "out"),
+    ("verify-out-in-missing-dir", "out"),
+])
+def test_cli_file_error_exits_2(tmp_path, capsys, monkeypatch, probe, field):
+    from fibrum import cli
+
+    def must_not_run(cfg):
+        raise AssertionError("the scenario ran before the paths were checked")
+
+    monkeypatch.setattr(cli, "run_scenario", must_not_run)
+    missing = str(tmp_path / "no-such-dir" / "report.json")
+    flat = {"bundle_name": "flat", "scenario": "verify-all"}
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"bundle_name": "fl\xe4t"}')
+    to_missing = tmp_path / "to-missing.json"
+    to_missing.write_text(json.dumps({**flat, "output_path": missing}),
+                          encoding="utf-8")
+    to_dir = tmp_path / "to-dir.json"
+    to_dir.write_text(json.dumps({**flat, "output_path": str(tmp_path)}),
+                      encoding="utf-8")
+    argv = {
+        "missing-file": ["run", str(tmp_path / "absent.json")],
+        "directory": ["run", str(tmp_path)],
+        "not-utf-8": ["run", str(latin1)],
+        "output-path-in-missing-dir": ["run", str(to_missing)],
+        "output-path-is-dir": ["run", str(to_dir)],
+        "run-out-in-missing-dir": ["run", str(_write(tmp_path, flat)),
+                                   "--out", missing],
+        "verify-out-in-missing-dir": ["verify", "flat", "--out", missing],
+    }[probe]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"(field: {field})" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("bundle,scenario,params,field", [
     ("sphere", "transport", {"y0": [1.0]}, "y0"),
     ("flat", "geodesic", {"x0": [0.1, 0.2, 0.3]}, "x0"),

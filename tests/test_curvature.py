@@ -434,6 +434,16 @@ def test_torsion_requires_tangent_configuration(nonlinear_conn, rng):
         torsion(nonlinear_conn, u, u, x)
 
 
+def test_second_covariant_derivative_requires_tangent_configuration(rng):
+    conn = make_flat(m=2, f=3)
+    bundle = conn.bundle
+    s = random_section(bundle, rng)
+    u = random_base_field(bundle, rng)
+    x = random_base_point(bundle, rng)
+    with pytest.raises(TangentBundleRequiredError):
+        second_covariant_derivative(conn, s, u, u, x)
+
+
 def test_linear_gates_reject_nonlinear(nonlinear_conn, rng):
     bundle = nonlinear_conn.bundle
     s = random_section(bundle, rng)

@@ -539,3 +539,70 @@ def test_transport_goes_through_rk4_with_four_calls_per_step(sphere_conn,
     parallel_transport_path(sphere_conn, curve, [0.6, 0.1], cfg)
     n = cfg.n_steps(curve.t1 - curve.t0)
     assert seen == [(4 * n, False), (4 * n, True)]
+
+
+# -- the base box is checked at every RK4 stage time --------------------------
+
+@pytest.mark.parametrize("crossing", [0.43, 0.61, 0.66])
+def test_curve_leaving_base_box_reports_a_stage_time(flat_conn, crossing):
+    # the segment crosses the flat base box's face x1 = 2 at t = crossing,
+    # between two step nodes; the first stage time past it reports the exit
+    cfg = IntegratorConfig(step=0.1)
+    curve = segment_curve(flat_conn.bundle, [0.0, 0.5], [2.0 / crossing, 0.5])
+    with pytest.raises(ChartExitError, match="curve left the base box") as err:
+        parallel_transport_vector(flat_conn, curve, [0.3, -0.2], cfg)
+    h = 1.0 / cfg.n_steps(1.0)
+    assert crossing < err.value.exit_time <= crossing + 0.5 * h + 1e-12
+
+
+def test_fibre_exit_before_base_exit_is_reported(nonlinear_conn):
+    # along this segment dy/dt = 3.9 (y + y^3), so y = 1 reaches the fibre
+    # box's face 1.5 at t ~ 0.042, long before the curve leaves the base
+    # box at t ~ 0.487
+    curve = segment_curve(nonlinear_conn.bundle, [0.9, 0.0], [-3.0, 0.0])
+    with pytest.raises(ChartExitError, match="parallel transport") as err:
+        parallel_transport_vector(nonlinear_conn, curve, [1.0], CFG)
+    assert 0.04 < err.value.exit_time < 0.044
+
+
+def test_transport_evaluates_curve_once_per_stage_time(sphere_conn,
+                                                       monkeypatch):
+    from fibrum import transport
+    n_steps = IntegratorConfig.n_steps
+    budgets, rhs_times, curve_times = [], [], []
+
+    def counted_n_steps(cfg, interval):
+        budgets.append(interval)
+        return n_steps(cfg, interval)
+
+    original = transport._rk4
+
+    def hooked(rhs, *args):
+        def timed_rhs(t, z):
+            rhs_times.append(t)
+            return rhs(t, z)
+
+        return original(timed_rhs, *args)
+
+    monkeypatch.setattr(IntegratorConfig, "n_steps", counted_n_steps)
+    monkeypatch.setattr(transport, "_rk4", hooked)
+    seg = segment_curve(sphere_conn.bundle, [0.8, -1.0], [1.9, 1.2], 0.25,
+                        1.5)
+
+    def fn(t):
+        curve_times.append(t)
+        return seg.fn(t)
+
+    curve = CurveOnBase(seg.bundle, fn, seg.t0, seg.t1, seg.velocity_fn)
+    cfg = IntegratorConfig(step=0.03)
+    span = curve.t1 - curve.t0
+    for run in (parallel_transport_vector, parallel_transport_path):
+        del budgets[:], rhs_times[:], curve_times[:]
+        run(sphere_conn, curve, [0.6, 0.1], cfg)
+        assert budgets == [span]
+        assert len(rhs_times) == 4 * n_steps(cfg, span)
+        stages = [t for k, t in enumerate(rhs_times)
+                  if k == 0 or t != rhs_times[k - 1]]
+        assert len(set(stages)) == len(stages)
+        # the start check, then one evaluation per distinct stage time
+        assert curve_times == [curve.t0] + stages
