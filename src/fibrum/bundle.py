@@ -44,7 +44,7 @@ class Box:
 
     def contains(self, coords: Sequence[float]) -> bool:
         """Whether the real coordinates ``coords`` lie inside the box."""
-        if len(coords) != self.dim:
+        if len(coords) != len(self.lower):
             return False
         for c, lo, hi in zip(coords, self.lower, self.upper):
             if not lo < c < hi:

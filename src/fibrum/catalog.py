@@ -54,13 +54,24 @@ def make_sphere(fibre_half: float = 4.0) -> ConnectionField:
         base_periods=(None, 2.0 * math.pi),
     )
 
+    last_th = last = None  # the last float theta, and its (sin, cos, cot)
+
     def gamma(x, y, v):
         # G^theta_phiphi = -sin cos, G^phi_thetaphi = G^phi_phitheta = cot,
         # summed in index order; the leading 0.0 fixes the sign of zero.
+        # The memo is keyed on the float object: one object has one bit
+        # pattern, where == would take -0.0 for 0.0.  A latitude loop hands
+        # every call the same theta object; a DScalar theta is not stored.
+        nonlocal last_th, last
         th = x[0]
-        s = sin(th)
-        c = cos(th)
-        cot = c / s
+        if th is last_th:
+            s, c, cot = last
+        else:
+            s = sin(th)
+            c = cos(th)
+            cot = c / s
+            if type(th) is float:
+                last_th, last = th, (s, c, cot)
         return [0.0 + -s * c * v[1] * y[1],
                 (0.0 + cot * v[0] * y[1]) + cot * v[1] * y[0]]
 

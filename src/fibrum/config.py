@@ -153,7 +153,7 @@ def load_config(source, seed_override: Optional[int] = None,
         try:
             if str(source) == "-":
                 import sys
-                text = sys.stdin.read()
+                text = sys.stdin.buffer.read().decode("utf-8")
             else:
                 text = Path(source).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:

@@ -17,6 +17,7 @@ declared :class:`~fibrum.catalog.Capabilities`.
 
 from __future__ import annotations
 
+import functools
 import math
 import zlib
 from dataclasses import dataclass, field
@@ -144,6 +145,16 @@ class Subject:
         self.icfg = IntegratorConfig(step=self.cfg.step,
                                      max_steps=self.cfg.max_steps)
         self._check_params()
+
+    @functools.cached_property
+    def latitude_path(self) -> list:
+        """The (t, y) path of the latitude loop's y0 at the configured step,
+        integrated on first use and read by every row that needs it.  An
+        error is not stored: each row that asks again meets its own."""
+        theta0, y0 = _latitude(self)
+        _, path = parallel_transport_path(
+            self.conn, latitude_loop(self.bundle, theta0), y0, self.icfg)
+        return path
 
     def _check_params(self) -> None:
         """What the config schema cannot know without the bundle: vector
@@ -687,14 +698,11 @@ def _latitude(sub: Subject) -> tuple:
             _vector_param(sub, "y0", y0))
 
 
-def _latitude_transport(sub: Subject, step: float) -> tuple:
-    """y0 carried once around the latitude loop at ``step``, and the angle
-    it turned by in the round metric."""
+def _latitude_angle(sub: Subject, y1) -> float:
+    """The angle, in the round metric, that y0 turned by on its way once
+    around the latitude loop to ``y1``."""
     theta0, y0 = _latitude(sub)
-    icfg = IntegratorConfig(step=step, max_steps=sub.cfg.max_steps)
-    y1, _ = holonomy_loop(sub.conn, latitude_loop(sub.bundle, theta0), y0,
-                          icfg)
-    return y1, sphere_angle_between([theta0, 0.0], y0, y1)
+    return sphere_angle_between([theta0, 0.0], y0, y1)
 
 
 @_check("rk4_order", 3)
@@ -836,7 +844,8 @@ def _holonomy_latitude_angle(sub, rng, n):
     theta0, _ = _latitude(sub)
     expected = 2.0 * math.pi * (1.0 - math.cos(theta0))
     folded = abs(math.remainder(expected, 2.0 * math.pi))
-    y1, ang = _latitude_transport(sub, sub.cfg.step)
+    y1 = sub.latitude_path[-1][1]
+    ang = _latitude_angle(sub, y1)
     sub.record = {"transported": y1, "rotation_angle": ang,
                   "closed_form_angle": folded}
     return abs(ang - folded), f"measured {ang:.9f}, closed form {folded:.9f}"
@@ -844,8 +853,12 @@ def _holonomy_latitude_angle(sub, rng, n):
 
 @_check("holonomy_oracle_agreement", 1, _latitude_oracle)
 def _holonomy_oracle_agreement(sub, rng, n):
-    theta0, _ = _latitude(sub)
-    _, fine = _latitude_transport(sub, sub.cfg.step / 16.0)
+    theta0, y0 = _latitude(sub)
+    icfg = IntegratorConfig(step=sub.cfg.step / 16.0,
+                            max_steps=sub.cfg.max_steps)
+    y1, _ = holonomy_loop(sub.conn, latitude_loop(sub.bundle, theta0), y0,
+                          icfg)
+    fine = _latitude_angle(sub, y1)
     gb = sphere_latitude_gb_angle(sub.conn, theta0)
     gb_folded = abs(math.remainder(gb, 2.0 * math.pi))
     return abs(fine - gb_folded), (
@@ -854,9 +867,8 @@ def _holonomy_oracle_agreement(sub, rng, n):
 
 @_check("metric_compatibility", 1, _latitude_oracle)
 def _metric_compatibility(sub, rng, n):
-    theta0, y0 = _latitude(sub)
-    loop = latitude_loop(sub.bundle, theta0)
-    _, path = parallel_transport_path(sub.conn, loop, y0, sub.icfg)
+    loop = latitude_loop(sub.bundle, _latitude(sub)[0])
+    path = sub.latitude_path
     g0 = None
     worst = 0.0
     for t, y in path[:: max(1, len(path) // 200)]:

@@ -106,22 +106,48 @@ def _rk4(rhs, z0: np.ndarray, span: float, cfg: IntegratorConfig,
         return (np.array(z), path) if collect else np.array(z)
     n = cfg.n_steps(span)
     h = span / n
-    hh = 0.5 * h
-    h6 = h / 6.0
-    t = t_base
-    for k in range(n):
-        k1 = rhs(t, z)
-        k2 = rhs(t + hh, [zi + hh * a for zi, a in zip(z, k1)])
-        k3 = rhs(t + hh, [zi + hh * b for zi, b in zip(z, k2)])
-        k4 = rhs(t + h, [zi + h * c for zi, c in zip(z, k3)])
-        z = [zi + h6 * (((a + 2.0 * b) + 2.0 * c) + d)
-             for zi, a, b, c, d in zip(z, k1, k2, k3, k4)]
-        t = t_base + (k + 1) * h
-        if not inside(z):
-            raise ChartExitError(f"{what} left the chart box", t)
-        if collect:
-            path.append((t, np.array(z)))
+    z = _rk4_loop(len(z))(rhs, z, n, h, 0.5 * h, h / 6.0, t_base, inside,
+                          what, path)
     return (np.array(z), path) if collect else np.array(z)
+
+
+@functools.lru_cache(maxsize=None)
+def _rk4_loop(d: int):
+    """The step loop of :func:`_rk4` for states of length ``d``, written out
+    per component as straight-line code and compiled on first use.
+
+    Component i of a stage is ``z_i + hh * k1[i]`` and of a step
+    ``z_i + h6 * (((k1[i] + 2.0 * k2[i]) + 2.0 * k3[i]) + k4[i])``: the
+    float operations of a per-component list comprehension, in its order,
+    without a comprehension frame per stage.
+    """
+    def stage(fmt):
+        return "[" + ", ".join(fmt.format(i) for i in range(d)) + "]"
+
+    lines = ["def loop(rhs, z, n, h, hh, h6, t_base, inside, what, path):"]
+    lines += [f"    z{i} = z[{i}]" for i in range(d)]
+    lines += [
+        "    t = t_base",
+        "    for k in range(n):",
+        "        k1 = rhs(t, z)",
+        "        k2 = rhs(t + hh, " + stage("z{0} + hh * k1[{0}]") + ")",
+        "        k3 = rhs(t + hh, " + stage("z{0} + hh * k2[{0}]") + ")",
+        "        k4 = rhs(t + h, " + stage("z{0} + h * k3[{0}]") + ")",
+    ]
+    lines += [f"        z{i} = z{i} + h6 * (((k1[{i}] + 2.0 * k2[{i}])"
+              f" + 2.0 * k3[{i}]) + k4[{i}])" for i in range(d)]
+    lines += [
+        "        z = " + stage("z{0}"),
+        "        t = t_base + (k + 1) * h",
+        "        if not inside(z):",
+        "            raise ChartExitError(f'{what} left the chart box', t)",
+        "        if path is not None:",
+        "            path.append((t, np.array(z)))",
+        "    return z",
+    ]
+    namespace = {"ChartExitError": ChartExitError, "np": np}
+    exec(compile("\n".join(lines), f"<rk4 loop, d={d}>", "exec"), namespace)
+    return namespace["loop"]
 
 
 def flow(X: TotalVectorField, e0: Point, lam: float,
@@ -166,15 +192,16 @@ def _transport_rhs(conn: ConnectionField, curve: CurveOnBase):
     fn = curve.fn
     velocity = curve.velocity_fn or functools.partial(derivative, fn)
     in_base = conn.bundle.base_box.contains
-    node = [None, None, None]  # t, c(t), c'(t)
+    node_t = node_x = node_v = None  # t, c(t), c'(t)
 
     def rhs(t, y):
-        if t != node[0]:
+        nonlocal node_t, node_x, node_v
+        if t != node_t:
             x = list(fn(t))
             if not in_base(x):
                 raise ChartExitError("curve left the base box", t)
-            node[:] = t, x, list(velocity(t))
-        return [-c for c in gamma(node[1], y, node[2])]
+            node_t, node_x, node_v = t, x, list(velocity(t))
+        return [-c for c in gamma(node_x, y, node_v)]
 
     return rhs
 

@@ -249,6 +249,54 @@ def test_sphere_gamma_bit_equal_to_reference():
     _assert_same_evaluator(make_sphere(), _reference_sphere_gamma)
 
 
+_TH = 1.1
+
+
+@pytest.mark.parametrize("thetas", [
+    [_TH, _TH, _TH, float(repr(_TH))],  # one object, then an equal one
+    [_TH, 0.45, _TH, 0.45, _TH],
+    [_TH, DScalar(_TH, (1.0, 0.0)), _TH],  # a DScalar equal to the memo
+    [0.0, -0.0, 0.0],
+], ids=["repeated", "alternating", "dscalar-after-float", "signed-zero"])
+def test_sphere_trig_memo_bit_equal_to_reference(thetas):
+    conn = make_sphere()
+    y, v = [0.3, -0.7], [1.2, -0.0]
+    for th in thetas:
+        x = [th, 0.25]
+        try:
+            want = _reference_sphere_gamma(x, y, v)
+        except ZeroDivisionError:
+            # sin(+-0.0) is +-0.0: cot divides by zero, nothing is memoised
+            with pytest.raises(ZeroDivisionError):
+                conn.gamma(x, y, v)
+            continue
+        got = conn.gamma(x, y, v)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_bit_equal(g, w)
+
+
+def test_sphere_trig_memo_skips_trig_for_the_same_theta(monkeypatch):
+    from fibrum import catalog
+    calls = []
+
+    def counted_sin(z):
+        calls.append(z)
+        return sin(z)
+
+    monkeypatch.setattr(catalog, "sin", counted_sin)
+    conn = make_sphere()
+    for _ in range(3):
+        conn.gamma([_TH, 0.0], [1.0, 0.5], [0.2, 1.0])
+    assert len(calls) == 1
+    conn.gamma([float(repr(_TH)), 0.0], [1.0, 0.5], [0.2, 1.0])
+    assert len(calls) == 2
+    th = DScalar(_TH, (1.0,))
+    for _ in range(2):
+        conn.gamma([th, 0.0], [1.0, 0.5], [0.2, 1.0])
+    assert len(calls) == 4
+
+
 @pytest.mark.parametrize("coeffs,m", [
     ({"G_1_12": 0.7, "G_2_11": -1.3, "G_1_22": 0.25}, 2),  # constants only
     ({"G_1_12_x1": 0.5, "G_2_21_x2": -0.75, "G_2_11_x1": 0.3}, 2),  # slopes

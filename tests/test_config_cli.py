@@ -1,5 +1,6 @@
 """Config ingestion, canonical report emission, CLI contract."""
 
+import io
 import json
 import math
 import subprocess
@@ -150,6 +151,7 @@ def test_cli_bad_config_value_exits_2(tmp_path, capsys, bundle, key, value,
     ("output-path-is-dir", "output_path"),
     ("run-out-in-missing-dir", "out"),
     ("verify-out-in-missing-dir", "out"),
+    ("stdin-not-utf-8", "config"),
 ])
 def test_cli_file_error_exits_2(tmp_path, capsys, monkeypatch, probe, field):
     from fibrum import cli
@@ -162,6 +164,11 @@ def test_cli_file_error_exits_2(tmp_path, capsys, monkeypatch, probe, field):
     flat = {"bundle_name": "flat", "scenario": "verify-all"}
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes(b'{"bundle_name": "fl\xe4t"}')
+    # stdin as a C or UTF-8 mode locale sets it up: undecodable bytes
+    # become lone surrogates when read as text
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+        io.BytesIO(latin1.read_bytes()), encoding="utf-8",
+        errors="surrogateescape"))
     to_missing = tmp_path / "to-missing.json"
     to_missing.write_text(json.dumps({**flat, "output_path": missing}),
                           encoding="utf-8")
@@ -172,6 +179,7 @@ def test_cli_file_error_exits_2(tmp_path, capsys, monkeypatch, probe, field):
         "missing-file": ["run", str(tmp_path / "absent.json")],
         "directory": ["run", str(tmp_path)],
         "not-utf-8": ["run", str(latin1)],
+        "stdin-not-utf-8": ["run", "-"],
         "output-path-in-missing-dir": ["run", str(to_missing)],
         "output-path-is-dir": ["run", str(to_dir)],
         "run-out-in-missing-dir": ["run", str(_write(tmp_path, flat)),
@@ -388,6 +396,33 @@ def test_verify_all_rows_follow_capabilities(bundle, params, expected):
     sub = Subject(load_config({"bundle_name": bundle, "bundle_params": params,
                                "scenario": "verify-all"}))
     assert [c.name for c in CHECKS.values() if c.applies(sub)] == expected
+
+
+@pytest.mark.parametrize("fibre_half, passed", [(4.0, True), (1.05, False)])
+def test_sphere_latitude_path_integrated_once(monkeypatch, fibre_half,
+                                              passed):
+    # holonomy_latitude_angle and metric_compatibility read one transport of
+    # the latitude loop at the configured step; a chart exit is not kept, so
+    # on a fibre box the loop leaves, each row integrates and fails on its own
+    from fibrum import transport
+    step = 0.01
+    original = transport._rk4
+    spans = []
+
+    def hooked(rhs, z0, span, cfg, *args, **kwargs):
+        spans.append((span, cfg.step))
+        return original(rhs, z0, span, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(transport, "_rk4", hooked)
+    report = run_scenario(load_config({
+        "bundle_name": "sphere", "bundle_params": {"fibre_half": fibre_half},
+        "scenario": "verify-all", "integrator": {"step": step}}))
+    rows = {r.check_name: r for r in report.checks}
+    assert spans.count((2.0 * math.pi, step)) == (1 if passed else 2)
+    assert spans.count((2.0 * math.pi, step / 16.0)) == 1
+    for name in ("holonomy_latitude_angle", "metric_compatibility"):
+        assert rows[name].passed is passed
+        assert ("ChartExitError" in rows[name].note) is not passed
 
 
 def test_transport_scenario_flat():

@@ -541,6 +541,119 @@ def test_transport_goes_through_rk4_with_four_calls_per_step(sphere_conn,
     assert seen == [(4 * n, False), (4 * n, True)]
 
 
+# -- the unrolled step loop against the list-form loop it replaced -----------
+# The reference is the earlier list-form ``_rk4``, kept verbatim: the
+# unrolled loop must give the same bits, stage by stage, signed zeros
+# included, and the same chart exit.
+
+def _reference_rk4(rhs, z0: np.ndarray, span: float, cfg: IntegratorConfig,
+                   inside, what: str, t_base: float = 0.0,
+                   collect: bool = False):
+    """Fixed-step RK4 driver for ``rhs(t, z)``; the state is checked per node.
+
+    The state is a plain list of floats and ``rhs`` returns one; the final
+    state and the collected (t, z) path entries come back as ndarrays.
+    """
+    z = [float(c) for c in z0]
+    path = [(t_base, np.array(z))] if collect else None
+    if span == 0.0:
+        return (np.array(z), path) if collect else np.array(z)
+    n = cfg.n_steps(span)
+    h = span / n
+    hh = 0.5 * h
+    h6 = h / 6.0
+    t = t_base
+    for k in range(n):
+        k1 = rhs(t, z)
+        k2 = rhs(t + hh, [zi + hh * a for zi, a in zip(z, k1)])
+        k3 = rhs(t + hh, [zi + hh * b for zi, b in zip(z, k2)])
+        k4 = rhs(t + h, [zi + h * c for zi, c in zip(z, k3)])
+        z = [zi + h6 * (((a + 2.0 * b) + 2.0 * c) + d)
+             for zi, a, b, c, d in zip(z, k1, k2, k3, k4)]
+        t = t_base + (k + 1) * h
+        if not inside(z):
+            raise ChartExitError(f"{what} left the chart box", t)
+        if collect:
+            path.append((t, np.array(z)))
+    return (np.array(z), path) if collect else np.array(z)
+
+
+def _recording_rhs(d, calls):
+    """A nonlinear right-hand side on states of length d that records its
+    arguments; every third component is an exact signed zero, -0.0 before
+    t = 0.3 and 0.0 after, and component 0 rises at about unit rate."""
+    def rhs(t, z):
+        calls.append((t, list(z)))
+        out = [1.0 + 0.5 * math.cos(1.3 * t) * z[-1] * z[0]]
+        for i in range(1, d):
+            if i % 3 == 2:
+                out.append(-0.0 if t < 0.3 else 0.0)
+            else:
+                out.append(math.sin(t + i) * z[i - 1] - 0.4 * z[i] * z[i])
+        return out
+
+    return rhs
+
+
+def _assert_same_bits(got, want):
+    got, want = list(got), list(want)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g == w
+        assert math.copysign(1.0, g) == math.copysign(1.0, w)
+
+
+def _rk4_both(d, span, t_base, collect, inside=lambda z: True):
+    """(result or exception, rhs calls) of the unrolled and the reference
+    loop, on the same data."""
+    from fibrum import transport
+    z0 = np.array([0.0, -0.0, -0.0, 0.5, -0.0, 0.0][:d])
+    cfg = IntegratorConfig(step=0.01)
+    runs = []
+    for rk4 in (transport._rk4, _reference_rk4):
+        calls = []
+        try:
+            out = rk4(_recording_rhs(d, calls), z0, span, cfg, inside,
+                      "test state", t_base, collect)
+        except ChartExitError as exc:
+            out = exc
+        runs.append((out, calls))
+    return runs
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+@pytest.mark.parametrize("span, t_base", [(0.9, 0.0), (-0.8, 0.25),
+                                          (0.01, -0.0), (0.0, 0.3)])
+@pytest.mark.parametrize("collect", [False, True])
+def test_rk4_bit_equal_to_list_form_reference(d, span, t_base, collect):
+    (got, got_calls), (want, want_calls) = _rk4_both(d, span, t_base,
+                                                     collect)
+    assert len(got_calls) == len(want_calls)
+    for (gt, gz), (wt, wz) in zip(got_calls, want_calls):
+        _assert_same_bits([gt], [wt])
+        _assert_same_bits(gz, wz)
+    if collect:
+        (got, got_path), (want, want_path) = got, want
+        assert len(got_path) == len(want_path)
+        for (gt, gz), (wt, wz) in zip(got_path, want_path):
+            _assert_same_bits([gt], [wt])
+            _assert_same_bits(gz, wz)
+    assert isinstance(got, np.ndarray)
+    _assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_rk4_chart_exit_matches_list_form_reference(d):
+    # component 0 crosses 0.5 about halfway along the span
+    (got, got_calls), (want, want_calls) = _rk4_both(
+        d, 0.9, 0.0, True, inside=lambda z: z[0] < 0.5)
+    assert isinstance(got, ChartExitError) and isinstance(want, ChartExitError)
+    assert 0.3 < want.exit_time < 0.6
+    _assert_same_bits([got.exit_time], [want.exit_time])
+    assert str(got) == str(want)
+    assert len(got_calls) == len(want_calls)
+
+
 # -- the base box is checked at every RK4 stage time --------------------------
 
 @pytest.mark.parametrize("crossing", [0.43, 0.61, 0.66])
