@@ -32,7 +32,8 @@ from .curvature import (VerticalValue, base_covariant_derivative,
                         covariant_derivative_section, cross_bracket_sum,
                         curv_via_covariant, curv_via_covariant_composition,
                         curv_via_lifts, curv_via_vertical_projection,
-                        curvature, leibniz_check, second_covariant_derivative,
+                        curvature, curvature_routes, leibniz_check,
+                        second_covariant_derivative,
                         tensoriality_check_curvature, torsion)
 from .errors import (ChartExitError, ConfigError, DomainError, FibrumError,
                      LinearityRequiredError, NonFiniteOutputError,

@@ -217,13 +217,19 @@ class SectionMap:
                                        [float_value(c) for c in y])
 
 
+def jet_bracket(xe, jx, ye, jy) -> list:
+    """Coordinate Lie bracket DY X - DX Y at one point, from the 1-jets
+    (value, Jacobian) of X and Y there, as ``value_and_jacobian`` gives
+    them."""
+    return [dot(jy[i], xe) - dot(jx[i], ye) for i in range(len(xe))]
+
+
 def _bracket_fn(fx, fy):
     """Coordinate Lie bracket e -> DY(e) X(e) - DX(e) Y(e), nesting-safe."""
 
     def ev(coords):
-        xe, jx = value_and_jacobian(fx, coords)
-        ye, jy = value_and_jacobian(fy, coords)
-        return [dot(jy[i], xe) - dot(jx[i], ye) for i in range(len(xe))]
+        return jet_bracket(*value_and_jacobian(fx, coords),
+                           *value_and_jacobian(fy, coords))
 
     return ev
 

@@ -276,10 +276,11 @@ def random_total_point(bundle: TrivializedBundle,
 
 def _sin_combination(rng: np.random.Generator, n_inputs: int, constant_scale: float,
                      wave_scale: float):
-    c0 = rng.uniform(-constant_scale, constant_scale)
-    amps = rng.uniform(-wave_scale, wave_scale, size=n_inputs)
-    freqs = rng.uniform(0.5, 1.5, size=n_inputs)
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=n_inputs)
+    # Python floats, so float points give float arithmetic and results
+    c0 = float(rng.uniform(-constant_scale, constant_scale))
+    amps = rng.uniform(-wave_scale, wave_scale, size=n_inputs).tolist()
+    freqs = rng.uniform(0.5, 1.5, size=n_inputs).tolist()
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=n_inputs).tolist()
 
     def fn(coords):
         acc = c0
@@ -299,7 +300,7 @@ def random_section(bundle: TrivializedBundle, rng: np.random.Generator,
     lo = np.asarray(bundle.fibre_box.lower)
     hi = np.asarray(bundle.fibre_box.upper)
     half = 0.5 * (hi - lo)
-    centre = 0.5 * (hi + lo)
+    centre = (0.5 * (hi + lo)).tolist()
     comps = []
     for i in range(bundle.fibre_dim):
         comps.append(_sin_combination(rng, bundle.base_dim,

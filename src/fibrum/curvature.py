@@ -44,7 +44,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .bundle import (BaseVectorField, Point, SectionMap, TotalTangent,
-                     TotalVectorField, base_lie_bracket, lie_bracket)
+                     TotalVectorField, base_lie_bracket, jet_bracket,
+                     lie_bracket)
 from .calculus import (Scalar, as_float_array, derivative, jacobian, mat_vec,
                        value_and_jacobian, vec_add, vec_scale, vec_sub)
 from .connection import (ConnectionField, ConnectionKind, constant_base_field,
@@ -133,6 +134,88 @@ def cocurvature(conn: ConnectionField, e: Point, X: TotalTangent,
     return TotalTangent(e, vals[:m], vals[m:])
 
 
+class _RouteJets:
+    """One draw (s, u, v, x) of the bracket routes, read from shared jets.
+
+    Every route brackets two of four fields at e = (x, s(x)): the
+    horizontal lifts H_u, H_v and the extended covariant derivatives N_u,
+    N_v.  Their 1-jets (value and Jacobian) at e fix each bracket, so each
+    jet is taken on first use and kept, and [u, v](x) is evaluated once.
+    The fields are pure, so a kept jet has the bits a second pass would
+    give and every route reads what it would read alone.  [u, v] enters
+    only through its value at x (in H_[u,v](e) and nabla_[u,v] s(x)), so
+    it is carried as the constant field with that value.
+    """
+
+    def __init__(self, conn: ConnectionField, s: SectionMap,
+                 u: BaseVectorField, v: BaseVectorField, x: Point,
+                 offset_shift: Optional[Sequence[float]] = None):
+        self.conn, self.s, self.u, self.v, self.x = conn, s, u, v, x
+        self.e = s.graph(x)
+        self._coords = list(self.e.coords)
+        self._fields = {
+            "hu": horizontal_lift_field(conn, u).fn,
+            "hv": horizontal_lift_field(conn, v).fn,
+            "nu": extend_covariant_derivative(conn, s, u, offset_shift).fn,
+            "nv": extend_covariant_derivative(conn, s, v, offset_shift).fn,
+        }
+        self._jets: dict = {}
+        self._uv: Optional[BaseVectorField] = None
+
+    def _jet(self, key: str):
+        jet = self._jets.get(key)
+        if jet is None:
+            jet = self._jets[key] = value_and_jacobian(self._fields[key],
+                                                       self._coords)
+        return jet
+
+    def _covariant_jets(self):
+        """Jets of N_u and N_v; their coefficients already hold Ds."""
+        try:
+            return self._jet("nu"), self._jet("nv")
+        except (TypeError, AttributeError) as exc:
+            raise SecondOrderUnavailableError(
+                "bracketing the extended covariant derivatives needs "
+                "evaluators closed under nested derivative-carrying "
+                "scalars") from exc
+
+    def _bracket_uv(self) -> BaseVectorField:
+        if self._uv is None:
+            uv = base_lie_bracket(self.u, self.v).fn(list(self.x.coords))
+            self._uv = constant_base_field(self.conn.bundle, uv)
+        return self._uv
+
+    def lifts(self) -> np.ndarray:
+        """Fibre part of H_[u,v](e) - [H_u, H_v](e)."""
+        hw = horizontal_lift_field(self.conn, self._bracket_uv())(self.e)
+        br = jet_bracket(*self._jet("hu"), *self._jet("hv"))
+        m = self.conn.bundle.base_dim
+        return as_float_array(vec_sub(hw, br)[m:])
+
+    def vertical_projection(self) -> np.ndarray:
+        """Fibre part of -P_V [H_u, H_v](e)."""
+        br = jet_bracket(*self._jet("hu"), *self._jet("hv"))
+        xs, ys = self.conn.bundle.split(self._coords)
+        m = self.conn.bundle.base_dim
+        return -as_float_array(_pv_apply(self.conn, xs, ys, br)[m:])
+
+    def covariant(self) -> np.ndarray:
+        """Fibre part of [N_u, N_v](e) minus nabla_[u,v] s(x)."""
+        nu, nv = self._covariant_jets()
+        br = jet_bracket(*nu, *nv)
+        nw = covariant_derivative(self.conn, self.s, self._bracket_uv(),
+                                  self.x)
+        m = self.conn.bundle.base_dim
+        return as_float_array(br[m:]) - nw
+
+    def cross(self) -> np.ndarray:
+        """[H_v, N_u](e) + [N_v, H_u](e), all components."""
+        nu, nv = self._covariant_jets()
+        hu, hv = self._jet("hu"), self._jet("hv")
+        return as_float_array(vec_add(jet_bracket(*hv, *nu),
+                                      jet_bracket(*nv, *hu)))
+
+
 def curv_via_lifts(conn: ConnectionField, s: SectionMap, u: BaseVectorField,
                    v: BaseVectorField, x: Point) -> VerticalValue:
     """CURV_s(u, v) = (H_[u,v] - [H_u, H_v]) evaluated at (x, s(x)).
@@ -140,13 +223,8 @@ def curv_via_lifts(conn: ConnectionField, s: SectionMap, u: BaseVectorField,
     For linear (Christoffel) coefficients this equals the classical
     coordinate curvature contraction R^a_bcd s^b u^c v^d.
     """
-    e = s.graph(x)
-    hu = horizontal_lift_field(conn, u)
-    hv = horizontal_lift_field(conn, v)
-    hw = horizontal_lift_field(conn, base_lie_bracket(u, v))
-    diff = vec_sub(hw(e), lie_bracket(hu, hv)(e))
-    m = conn.bundle.base_dim
-    return VerticalValue(e, as_float_array(diff[m:]))
+    jets = _RouteJets(conn, s, u, v, x)
+    return VerticalValue(jets.e, jets.lifts())
 
 
 def curv_via_vertical_projection(conn: ConnectionField, s: SectionMap,
@@ -157,14 +235,8 @@ def curv_via_vertical_projection(conn: ConnectionField, s: SectionMap,
     Equality with ``curv_via_lifts`` is exactly the statement that the lift
     of the bracket is the horizontal component of the bracket of the lifts.
     """
-    e = s.graph(x)
-    hu = horizontal_lift_field(conn, u)
-    hv = horizontal_lift_field(conn, v)
-    br = lie_bracket(hu, hv)(e)
-    xs, ys = conn.bundle.split(list(e.coords))
-    pv = _pv_apply(conn, xs, ys, br)
-    m = conn.bundle.base_dim
-    return VerticalValue(e, -as_float_array(pv[m:]))
+    jets = _RouteJets(conn, s, u, v, x)
+    return VerticalValue(jets.e, jets.vertical_projection())
 
 
 def curv_via_covariant(conn: ConnectionField, s: SectionMap,
@@ -179,18 +251,8 @@ def curv_via_covariant(conn: ConnectionField, s: SectionMap,
     nested derivative-carrying scalars (second-order mode).  See the module
     docstring: this does not reproduce ``curv_via_lifts`` in general.
     """
-    e = s.graph(x)
-    nu = extend_covariant_derivative(conn, s, u, offset_shift)
-    nv = extend_covariant_derivative(conn, s, v, offset_shift)
-    try:
-        br = lie_bracket(nu, nv)(e)
-    except (TypeError, AttributeError) as exc:
-        raise SecondOrderUnavailableError(
-            "bracketing the extended covariant derivatives needs evaluators "
-            "closed under nested derivative-carrying scalars") from exc
-    m = conn.bundle.base_dim
-    nw = covariant_derivative(conn, s, base_lie_bracket(u, v), x)
-    return VerticalValue(e, as_float_array(br[m:]) - nw)
+    jets = _RouteJets(conn, s, u, v, x, offset_shift)
+    return VerticalValue(jets.e, jets.covariant())
 
 
 def curv_via_covariant_composition(conn: ConnectionField, s: SectionMap,
@@ -241,16 +303,22 @@ def cross_bracket_sum(conn: ConnectionField, s: SectionMap,
 
     By pure bracket bilinearity this equals via_covariant - via_lifts at
     the same point; it is the exact defect between the two curvature
-    routes.
+    routes.  Like ``curv_via_covariant`` it needs second-order mode.
     """
-    e = s.graph(x)
-    hu = horizontal_lift_field(conn, u)
-    hv = horizontal_lift_field(conn, v)
-    nu = extend_covariant_derivative(conn, s, u, offset_shift)
-    nv = extend_covariant_derivative(conn, s, v, offset_shift)
-    term1 = lie_bracket(hv, nu)(e)
-    term2 = lie_bracket(nv, hu)(e)
-    return as_float_array(vec_add(term1, term2))
+    return _RouteJets(conn, s, u, v, x, offset_shift).cross()
+
+
+def curvature_routes(conn: ConnectionField, s: SectionMap,
+                     u: BaseVectorField, v: BaseVectorField, x: Point
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(``curv_via_lifts``, ``curv_via_covariant``) fibre parts and
+    ``cross_bracket_sum`` at one draw, from one set of jets.
+
+    Each value has the bits of its own function; the second minus the
+    first is the fibre part of the third.
+    """
+    jets = _RouteJets(conn, s, u, v, x)
+    return jets.lifts(), jets.covariant(), jets.cross()
 
 
 def tensoriality_check_curvature(conn: ConnectionField, e: Point,

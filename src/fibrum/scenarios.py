@@ -41,10 +41,9 @@ from .connection import (ConnectionField, ConnectionKind, covariant_derivative,
                          horizontal_lift_field, horizontal_projector,
                          lift_rank_check, natural_derivative,
                          vertical_projector)
-from .curvature import (composition_commutator, cocurvature,
-                        cross_bracket_sum, curv_via_covariant,
-                        curv_via_lifts, curv_via_vertical_projection,
-                        curvature, second_covariant_derivative,
+from .curvature import (_RouteJets, composition_commutator, cocurvature,
+                        curv_via_covariant, curv_via_lifts, curvature,
+                        curvature_routes, second_covariant_derivative,
                         tensoriality_check_curvature, torsion, leibniz_check)
 from .errors import ConfigError, FibrumError, TooFewSamplesError
 from .transport import (IntegratorConfig, flow, geodesic,
@@ -265,14 +264,6 @@ def _max_abs(values) -> float:
     return float(np.max(np.abs(values)))
 
 
-def _routes_and_cross(conn, s, u, v, x):
-    """The lift route, the commutator route and the cross-bracket sum at x;
-    the second minus the first is the fibre part of the third."""
-    lifts = curv_via_lifts(conn, s, u, v, x).fibre_part
-    cov = curv_via_covariant(conn, s, u, v, x).fibre_part
-    return lifts, cov, cross_bracket_sum(conn, s, u, v, x)
-
-
 # --------------------------------------------------------------------------
 # connection-module checks
 # --------------------------------------------------------------------------
@@ -460,10 +451,8 @@ def _bracket_projectability(sub, rng):
 
 @_sampled("lift_route_internal_identity", 100)
 def _lift_route_internal_identity(sub, rng):
-    s, u, v, x = _draw_suvx(sub.bundle, rng)
-    a = curv_via_lifts(sub.conn, s, u, v, x).fibre_part
-    b = curv_via_vertical_projection(sub.conn, s, u, v, x).fibre_part
-    return _max_abs(a - b)
+    jets = _RouteJets(sub.conn, *_draw_suvx(sub.bundle, rng))
+    return _max_abs(jets.lifts() - jets.vertical_projection())
 
 
 @_sampled("curvature_verticality", 100)
@@ -553,18 +542,16 @@ def _curvature_tensoriality(sub, rng, n):
 
 @_sampled("curvature_routes_equality", 100, note=ROUTES_NOTE)
 def _curvature_routes_equality(sub, rng):
-    s, u, v, x = _draw_suvx(sub.bundle, rng)
-    lifts = curv_via_lifts(sub.conn, s, u, v, x).fibre_part
-    cov = curv_via_covariant(sub.conn, s, u, v, x).fibre_part
-    return _max_abs(cov - lifts)
+    jets = _RouteJets(sub.conn, *_draw_suvx(sub.bundle, rng))
+    return _max_abs(jets.covariant() - jets.lifts())
 
 
 @_sampled("bracket_expansion_identity", 100,
           note="exact bilinear expansion of [T_u, T_v] = T_[u,v]; "
                "this is what the bracketing machinery must satisfy")
 def _bracket_expansion_identity(sub, rng):
-    lifts, cov, cross = _routes_and_cross(sub.conn,
-                                          *_draw_suvx(sub.bundle, rng))
+    lifts, cov, cross = curvature_routes(sub.conn,
+                                         *_draw_suvx(sub.bundle, rng))
     return max(_max_abs(cov - lifts - cross[sub.m:]),
                _max_abs(cross[:sub.m]))
 
@@ -894,7 +881,7 @@ def _theorem41_rows(conn: ConnectionField, cfg: ScenarioConfig,
     m = bundle.base_dim
     for _ in range(n_samples):
         s, u, v, x = _draw_suvx(bundle, rng)
-        lifts, cov, cross = _routes_and_cross(conn, s, u, v, x)
+        lifts, cov, cross = curvature_routes(conn, s, u, v, x)
         residual = _max_abs(cov - lifts)
         worst_eq = max(worst_eq, residual)
         worst_cross = max(worst_cross, _max_abs(cov - lifts - cross[m:]))

@@ -349,3 +349,61 @@ def test_catalog_gamma_returns_floats_for_float_input(name, params):
             out = conn.gamma(x, yy, vv)
             assert len(out) == bundle.fibre_dim
             assert all(type(c) is float for c in out), (x, yy, vv, out)
+
+
+# The random samplers keep their coefficients as Python floats.  The copy
+# below keeps them as numpy scalars and arrays, as the samplers once did;
+# both draw the same numbers from the same stream, and IEEE arithmetic
+# rounds a numpy scalar operation as it rounds the float one.
+def _numpy_sin_combination(rng, n_inputs, constant_scale, wave_scale):
+    c0 = rng.uniform(-constant_scale, constant_scale)
+    amps = rng.uniform(-wave_scale, wave_scale, size=n_inputs)
+    freqs = rng.uniform(0.5, 1.5, size=n_inputs)
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=n_inputs)
+
+    def fn(coords):
+        acc = c0
+        for j in range(n_inputs):
+            acc = acc + amps[j] * sin(freqs[j] * coords[j] + phases[j])
+        return acc
+
+    return fn
+
+
+@pytest.mark.parametrize("n_inputs,constant_scale,wave_scale", [
+    (1, 1.0, 0.6), (2, 0.8, 0.5), (3, 0.45, 0.15), (4, 1.0, 0.6)])
+def test_sin_combination_floats_bit_equal_to_numpy_reference(
+        n_inputs, constant_scale, wave_scale):
+    from fibrum.calculus import value_and_jacobian
+    from fibrum.catalog import _sin_combination
+    for seed in range(5):
+        got = _sin_combination(np.random.default_rng(seed), n_inputs,
+                               constant_scale, wave_scale)
+        want = _numpy_sin_combination(np.random.default_rng(seed), n_inputs,
+                                      constant_scale, wave_scale)
+        points = np.random.default_rng(100 + seed).uniform(
+            -2.0, 2.0, size=(10, n_inputs)).tolist()
+        for p in points + [[0.0] * n_inputs, [-0.0] * n_inputs]:
+            value = got(p)
+            assert type(value) is float
+            assert value == want(p)
+            g_val, g_jac = value_and_jacobian(lambda c: [got(c)], p)
+            w_val, w_jac = value_and_jacobian(lambda c: [want(c)], p)
+            assert g_val == w_val
+            assert g_jac.tolist() == w_jac.tolist()
+
+
+@pytest.mark.parametrize("name", ["flat", "sphere", "nonlinear-demo"])
+def test_random_samplers_return_floats_for_float_input(name):
+    from fibrum.catalog import random_total_scalar_field
+    bundle = build_connection(name).bundle
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        s = random_section(bundle, rng)
+        u = random_base_field(bundle, rng)
+        f = random_total_scalar_field(bundle, rng)
+        x = list(random_base_point(bundle, rng).coords)
+        e = list(random_total_point(bundle, rng).coords)
+        assert all(type(c) is float for c in s.fn(x))
+        assert all(type(c) is float for c in u.fn(x))
+        assert type(f(e)) is float

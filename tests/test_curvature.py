@@ -28,16 +28,19 @@ import numpy as np
 import pytest
 
 from fibrum import (BaseVectorField, SectionMap, TotalTangent,
-                    base_covariant_derivative, cocurvature,
+                    as_float_array, base_covariant_derivative,
+                    base_lie_bracket, build_connection, cocurvature,
                     composition_commutator, covariant_derivative,
                     cross_bracket_sum,
                     curv_via_covariant, curv_via_covariant_composition,
-                    curv_via_lifts, curv_via_vertical_projection, curvature, horizontal_lift,
-                    leibniz_check, lift_rank_check, make_custom_christoffel,
+                    curv_via_lifts, curv_via_vertical_projection, curvature,
+                    curvature_routes, extend_covariant_derivative,
+                    horizontal_lift, horizontal_lift_field, leibniz_check,
+                    lie_bracket, lift_rank_check, make_custom_christoffel,
                     make_flat, make_sphere, random_base_field,
                     random_base_point, random_section, random_tangent,
                     random_total_point, second_covariant_derivative, sin,
-                    tensoriality_check_curvature, torsion)
+                    tensoriality_check_curvature, torsion, vec_add, vec_sub)
 from fibrum.errors import (LinearityRequiredError, TangentBundleRequiredError)
 
 
@@ -347,6 +350,106 @@ def test_extension_offset_shift_does_not_move_commutator_route(any_conn, rng):
         assert np.max(np.abs(base - pert.fibre_part)) < 1e-12
 
 
+# -- one set of jets per draw ------------------------------------------------
+
+def _routes_from_public_pieces(conn, s, u, v, x, offset_shift=None):
+    """Each route as its own bracket of freshly built fields, sharing
+    nothing: (lifts, vertical projection, commutator route, cross sum)."""
+    e = s.graph(x)
+    m = conn.bundle.base_dim
+    hu = horizontal_lift_field(conn, u)
+    hv = horizontal_lift_field(conn, v)
+    nu = extend_covariant_derivative(conn, s, u, offset_shift)
+    nv = extend_covariant_derivative(conn, s, v, offset_shift)
+    w = base_lie_bracket(u, v)
+    br = lie_bracket(hu, hv)(e)
+    lifts = as_float_array(vec_sub(horizontal_lift_field(conn, w)(e), br)[m:])
+    xs, ys = conn.bundle.split(list(e.coords))
+    vert = -as_float_array(vec_add(br[m:], conn.gamma(xs, ys, br[:m])))
+    cov = (as_float_array(lie_bracket(nu, nv)(e)[m:])
+           - covariant_derivative(conn, s, w, x))
+    cross = as_float_array(vec_add(lie_bracket(hv, nu)(e),
+                                   lie_bracket(nv, hu)(e)))
+    return lifts, vert, cov, cross
+
+
+def _bits(a):
+    return [(float(c), math.copysign(1.0, c)) for c in a]
+
+
+@pytest.mark.parametrize("name,params", [
+    ("flat", {}),
+    ("flat", {"m": 3, "f": 1}),
+    ("sphere", {}),
+    ("nonlinear-demo", {}),
+    ("tm-custom-christoffel", {"G_1_11": 0.2, "G_1_12": -0.15,
+                               "G_1_12_x2": 0.08, "G_2_11_x1": -0.06,
+                               "G_2_21": 0.11, "G_2_21_x1": 0.04,
+                               "G_2_22_x2": -0.09, "G_1_22": 0.05}),
+])
+def test_shared_jets_bit_equal_to_separate_brackets(name, params):
+    conn = build_connection(name, params)
+    bundle = conn.bundle
+    rng = np.random.default_rng(20261017)
+    for _ in range(6):
+        s = random_section(bundle, rng)
+        u = random_base_field(bundle, rng)
+        v = random_base_field(bundle, rng)
+        x = random_base_point(bundle, rng)
+        lifts, vert, cov, cross = _routes_from_public_pieces(conn, s, u, v, x)
+        got = curvature_routes(conn, s, u, v, x)
+        for a, b in zip(got, (lifts, cov, cross)):
+            assert _bits(a) == _bits(b)
+        assert _bits(curv_via_lifts(conn, s, u, v, x).fibre_part) \
+            == _bits(lifts)
+        assert _bits(curv_via_vertical_projection(conn, s, u, v, x)
+                     .fibre_part) == _bits(vert)
+        assert _bits(curv_via_covariant(conn, s, u, v, x).fibre_part) \
+            == _bits(cov)
+        assert _bits(cross_bracket_sum(conn, s, u, v, x)) == _bits(cross)
+        shift = rng.uniform(-0.2, 0.2, bundle.fibre_dim)
+        _, _, cov_s, cross_s = _routes_from_public_pieces(conn, s, u, v, x,
+                                                          shift)
+        assert _bits(curv_via_covariant(conn, s, u, v, x, shift)
+                     .fibre_part) == _bits(cov_s)
+        assert _bits(cross_bracket_sum(conn, s, u, v, x, shift)) \
+            == _bits(cross_s)
+
+
+def test_curvature_routes_take_each_jet_once(nonlinear_conn, monkeypatch):
+    # one draw brackets H_u, H_v, N_u and N_v at e: one jet each, one
+    # evaluation of [u, v](x) (a jet of u and one of v at x), and the
+    # section's jet for nabla_[u,v] s; nothing else at float points
+    import importlib
+    from fibrum.calculus import DScalar, value_and_jacobian
+    conn = nonlinear_conn
+    bundle = conn.bundle
+    rng = np.random.default_rng(5)
+    s = random_section(bundle, rng)
+    u = random_base_field(bundle, rng)
+    v = random_base_field(bundle, rng)
+    x = random_base_point(bundle, rng)
+    calls = []
+
+    def counting(fn, coords):
+        coords = list(coords)
+        if not any(isinstance(c, DScalar) for c in coords):
+            calls.append((fn, tuple(coords)))
+        return value_and_jacobian(fn, coords)
+
+    for name in ("bundle", "calculus", "connection", "curvature"):
+        monkeypatch.setattr(importlib.import_module(f"fibrum.{name}"),
+                            "value_and_jacobian", counting)
+    curvature_routes(conn, s, u, v, x)
+    e = tuple(s.graph(x).coords)
+    at_e = [fn for fn, c in calls if c == e]
+    at_x = [fn for fn, c in calls if c == x.coords]
+    assert len(at_e) == 4 and len(set(at_e)) == 4
+    assert at_x.count(u.fn) == 1 and at_x.count(v.fn) == 1
+    assert at_x.count(s.fn) == 1
+    assert len(calls) == 7
+
+
 def test_second_order_required_error(flat_conn):
     # an evaluator that breaks under derivative-carrying input surfaces as
     # the dedicated second-order error when a covariant-derivative route
@@ -358,7 +461,8 @@ def test_second_order_required_error(flat_conn):
     u = BaseVectorField(bundle, lambda x: [1.0, 0.0])
     v = BaseVectorField(bundle, lambda x: [0.0, 1.0])
     x = bundle.base_point([0.1, 0.2])
-    for route in (curv_via_covariant, curv_via_covariant_composition):
+    for route in (curv_via_covariant, curv_via_covariant_composition,
+                  cross_bracket_sum, curvature_routes):
         with pytest.raises(SecondOrderUnavailableError):
             route(flat_conn, bad, u, v, x)
 
