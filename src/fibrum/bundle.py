@@ -10,6 +10,7 @@ subspace at any point is spanned by the last ``f`` coordinate directions.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -51,11 +52,17 @@ class Box:
                 return False
         return True
 
-    def sample(self, rng: np.random.Generator, margin: float = 0.1) -> np.ndarray:
-        """Uniform draw from the box shrunk by a relative margin per side."""
+    @functools.cached_property
+    def _arrays(self) -> tuple:
+        """``lower``, ``upper`` and ``upper - lower`` as arrays, for sample."""
         lo = np.asarray(self.lower)
         hi = np.asarray(self.upper)
-        pad = margin * (hi - lo)
+        return lo, hi, hi - lo
+
+    def sample(self, rng: np.random.Generator, margin: float = 0.1) -> np.ndarray:
+        """Uniform draw from the box shrunk by a relative margin per side."""
+        lo, hi, width = self._arrays
+        pad = margin * width
         return rng.uniform(lo + pad, hi - pad)
 
 

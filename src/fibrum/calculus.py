@@ -20,6 +20,7 @@ smooth functions exported here (``sin``, ``cos``, ...).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Callable, Sequence, Union
@@ -59,67 +60,71 @@ class DScalar:
         self.tag = tag
 
     # -- arithmetic ------------------------------------------------------
+    # Each operation builds its result with one ``_ds`` call.  ``type(o) is
+    # DScalar`` is the operand test: the class has no subclasses.
 
     def __add__(self, other):
-        if isinstance(other, DScalar):
-            if other.tag == self.tag:
-                return DScalar(self.value + other.value,
-                               tuple(a + b for a, b in zip(self.grad, other.grad)),
-                               tag=self.tag)
-            if other.tag > self.tag:  # self is constant for other's pass
-                return DScalar(self + other.value, other.grad, tag=other.tag)
-            return DScalar(self.value + other, self.grad, tag=self.tag)
-        return DScalar(self.value + float(other), self.grad, tag=self.tag)
+        tag = self.tag
+        if type(other) is DScalar:
+            if other.tag == tag:
+                return _ds(self.value + other.value,
+                           tuple([a + b for a, b in zip(self.grad,
+                                                        other.grad)]), tag)
+            if other.tag > tag:  # self is constant for other's pass
+                return _ds(self + other.value, other.grad, other.tag)
+            return _ds(self.value + other, self.grad, tag)
+        return _ds(self.value + float(other), self.grad, tag)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, DScalar):
-            if other.tag == self.tag:
-                return DScalar(self.value - other.value,
-                               tuple(a - b for a, b in zip(self.grad, other.grad)),
-                               tag=self.tag)
-            if other.tag > self.tag:
-                return DScalar(self - other.value,
-                               tuple(-g for g in other.grad), tag=other.tag)
-            return DScalar(self.value - other, self.grad, tag=self.tag)
-        return DScalar(self.value - float(other), self.grad, tag=self.tag)
+        tag = self.tag
+        if type(other) is DScalar:
+            if other.tag == tag:
+                return _ds(self.value - other.value,
+                           tuple([a - b for a, b in zip(self.grad,
+                                                        other.grad)]), tag)
+            if other.tag > tag:
+                return _ds(self - other.value,
+                           tuple([-g for g in other.grad]), other.tag)
+            return _ds(self.value - other, self.grad, tag)
+        return _ds(self.value - float(other), self.grad, tag)
 
     def __rsub__(self, other):
-        return DScalar(float(other) - self.value,
-                       tuple(-g for g in self.grad), tag=self.tag)
+        return _ds(float(other) - self.value,
+                   tuple([-g for g in self.grad]), self.tag)
 
     def __mul__(self, other):
-        if isinstance(other, DScalar):
-            if other.tag == self.tag:
-                return DScalar(self.value * other.value,
-                               tuple(self.value * gb + ga * other.value
-                                     for ga, gb in zip(self.grad, other.grad)),
-                               tag=self.tag)
-            if other.tag > self.tag:
-                return DScalar(self * other.value,
-                               tuple(self * g for g in other.grad),
-                               tag=other.tag)
-            return DScalar(self.value * other,
-                           tuple(g * other for g in self.grad), tag=self.tag)
+        tag = self.tag
+        if type(other) is DScalar:
+            if other.tag == tag:
+                a, b = self.value, other.value
+                return _ds(a * b,
+                           tuple([a * gb + ga * b
+                                  for ga, gb in zip(self.grad, other.grad)]),
+                           tag)
+            if other.tag > tag:
+                return _ds(self * other.value,
+                           tuple([self * g for g in other.grad]), other.tag)
+            return _ds(self.value * other,
+                       tuple([g * other for g in self.grad]), tag)
         f = float(other)
-        return DScalar(self.value * f, tuple(g * f for g in self.grad),
-                       tag=self.tag)
+        return _ds(self.value * f, tuple([g * f for g in self.grad]), tag)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, DScalar):
+        if type(other) is DScalar:
             return self * other ** -1
         f = float(other)
-        return DScalar(self.value / f, tuple(g / f for g in self.grad),
-                       tag=self.tag)
+        return _ds(self.value / f, tuple([g / f for g in self.grad]),
+                   self.tag)
 
     def __rtruediv__(self, other):
         return float(other) * self ** -1
 
     def __neg__(self):
-        return DScalar(-self.value, tuple(-g for g in self.grad), tag=self.tag)
+        return _ds(-self.value, tuple([-g for g in self.grad]), self.tag)
 
     def __pos__(self):
         return self
@@ -128,11 +133,23 @@ class DScalar:
         if not isinstance(p, (int, float)):
             raise TypeError("DScalar exponent must be a plain number")
         coeff = p * self.value ** (p - 1)
-        return DScalar(self.value ** p, tuple(coeff * g for g in self.grad),
-                       tag=self.tag)
+        return _ds(self.value ** p, tuple([coeff * g for g in self.grad]),
+                   self.tag)
 
     def __repr__(self):
         return f"DScalar({self.value!r}, grad={self.grad!r}, tag={self.tag})"
+
+
+_new = object.__new__
+
+
+def _ds(value, grad: tuple, tag: int) -> DScalar:
+    """A DScalar that takes ``grad`` as given: the caller built the tuple."""
+    z = _new(DScalar)
+    z.value = value
+    z.grad = grad
+    z.tag = tag
+    return z
 
 
 def float_value(z) -> float:
@@ -145,16 +162,16 @@ def float_value(z) -> float:
 # -- smooth functions, dispatching on float vs DScalar ---------------------
 
 def sin(z: Scalar) -> Scalar:
-    if isinstance(z, DScalar):
+    if type(z) is DScalar:
         c = cos(z.value)
-        return DScalar(sin(z.value), tuple(c * g for g in z.grad), tag=z.tag)
+        return _ds(sin(z.value), tuple([c * g for g in z.grad]), z.tag)
     return math.sin(z)
 
 
 def cos(z: Scalar) -> Scalar:
-    if isinstance(z, DScalar):
+    if type(z) is DScalar:
         s = sin(z.value)
-        return DScalar(cos(z.value), tuple(-s * g for g in z.grad), tag=z.tag)
+        return _ds(cos(z.value), tuple([-s * g for g in z.grad]), z.tag)
     return math.cos(z)
 
 
@@ -163,23 +180,23 @@ def tan(z: Scalar) -> Scalar:
 
 
 def exp(z: Scalar) -> Scalar:
-    if isinstance(z, DScalar):
+    if type(z) is DScalar:
         e = exp(z.value)
-        return DScalar(e, tuple(e * g for g in z.grad), tag=z.tag)
+        return _ds(e, tuple([e * g for g in z.grad]), z.tag)
     return math.exp(z)
 
 
 def log(z: Scalar) -> Scalar:
-    if isinstance(z, DScalar):
-        return DScalar(log(z.value), tuple(g / z.value for g in z.grad),
-                       tag=z.tag)
+    if type(z) is DScalar:
+        v = z.value
+        return _ds(log(v), tuple([g / v for g in z.grad]), z.tag)
     return math.log(z)
 
 
 def sqrt(z: Scalar) -> Scalar:
-    if isinstance(z, DScalar):
+    if type(z) is DScalar:
         r = sqrt(z.value)
-        return DScalar(r, tuple(g / (2.0 * r) for g in z.grad), tag=z.tag)
+        return _ds(r, tuple([g / (2.0 * r) for g in z.grad]), z.tag)
     return math.sqrt(z)
 
 
@@ -223,10 +240,15 @@ def seed_scalars(coords: Sequence[Scalar], tag: int | None = None
     """
     if tag is None:
         tag = _fresh_tag()
-    n = len(coords)
-    return [DScalar(coords[j], tuple(1.0 if k == j else 0.0 for k in range(n)),
-                    tag=tag)
-            for j in range(n)]
+    return [_ds(c, e, tag) for c, e in zip(coords, _unit_basis(len(coords)))]
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_basis(n: int) -> tuple:
+    """The rows of the n x n identity as float tuples, shared by every pass
+    of n seeds."""
+    return tuple(tuple(1.0 if k == j else 0.0 for k in range(n))
+                 for j in range(n))
 
 
 def value_and_jacobian(fn: VectorFn, coords: Sequence[Scalar]):
@@ -242,7 +264,7 @@ def value_and_jacobian(fn: VectorFn, coords: Sequence[Scalar]):
     """
     coords = list(coords)
     n = len(coords)
-    nested = any(isinstance(c, DScalar) for c in coords)
+    nested = any(type(c) is DScalar for c in coords)
     tag = _fresh_tag()
     try:
         out = fn(seed_scalars(coords, tag))
@@ -251,7 +273,7 @@ def value_and_jacobian(fn: VectorFn, coords: Sequence[Scalar]):
             f"evaluator is singular at this point: {exc}") from exc
     values, rows = [], []
     for comp in out:
-        if isinstance(comp, DScalar) and comp.tag == tag:
+        if type(comp) is DScalar and comp.tag == tag:
             values.append(comp.value)
             rows.append(list(comp.grad))
         else:
@@ -259,8 +281,8 @@ def value_and_jacobian(fn: VectorFn, coords: Sequence[Scalar]):
             rows.append([0.0] * n)  # constant w.r.t. this pass
     if nested:
         return values, rows
-    mat = np.array([[float_value(entry) for entry in row] for row in rows])
-    if not np.all(np.isfinite(mat)):
+    mat = np.array(rows, dtype=float)
+    if not np.isfinite(mat).all():
         raise NonFiniteOutputError(
             "jacobian produced non-finite entries; evaluator is singular here")
     return values, mat

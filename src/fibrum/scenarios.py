@@ -741,7 +741,12 @@ def _flow_group_law(sub, rng):
 @_sampled("transport_roundtrip", 3)
 def _transport_roundtrip(sub, rng):
     curve, y0 = _transport_data(sub, rng)
-    y1 = parallel_transport_vector(sub.conn, curve, y0, sub.icfg)
+    if sub.transport is not None and _latitude_oracle(sub):
+        # on a latitude bundle the fixed input is the transport scenario's
+        # latitude loop and y0: the forward leg is the shared path
+        y1 = sub.latitude_path[-1][1]
+    else:
+        y1 = parallel_transport_vector(sub.conn, curve, y0, sub.icfg)
     y2 = parallel_transport_vector(sub.conn, reversed_curve(curve), y1,
                                    sub.icfg)
     residual = _max_abs(y2 - np.asarray(y0, dtype=float))

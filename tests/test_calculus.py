@@ -1,6 +1,7 @@
 """Derivative-carrying scalar arithmetic and exact Jacobians."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -145,8 +146,10 @@ def test_second_order_scalar_symmetry():
 
 def _bits(z):
     """Every float a scalar carries, nested layers included, as hex."""
-    if isinstance(z, DScalar):
+    if isinstance(z, (DScalar, _RefDScalar)):
         return (_bits(z.value), tuple(_bits(g) for g in z.grad))
+    if isinstance(z, complex):  # a negative base to a fractional power
+        return (z.real.hex(), z.imag.hex())
     return float(z).hex()
 
 
@@ -235,3 +238,194 @@ def test_division_and_powers():
     assert abs(float_value(p.grad[1]) - (-2.0 / 4.0 ** 3)) < 1e-15
     with pytest.raises(TypeError):
         x ** y
+
+
+# -- the one-allocation arithmetic against the arithmetic it replaced --------
+# The reference is the earlier DScalar arithmetic, kept verbatim under
+# another name: every operation of the fast class must give the same bits,
+# the same tags and the same plain-number types, layer by layer, or raise
+# the same exception.
+
+class _RefDScalar:
+    __slots__ = ("value", "grad", "tag")
+
+    __array_ufunc__ = None
+
+    def __init__(self, value, grad, tag=0):
+        self.value = value
+        self.grad = tuple(grad)
+        self.tag = tag
+
+    def __add__(self, other):
+        if isinstance(other, _RefDScalar):
+            if other.tag == self.tag:
+                return _RefDScalar(self.value + other.value,
+                                   tuple(a + b for a, b in zip(self.grad, other.grad)),
+                                   tag=self.tag)
+            if other.tag > self.tag:  # self is constant for other's pass
+                return _RefDScalar(self + other.value, other.grad, tag=other.tag)
+            return _RefDScalar(self.value + other, self.grad, tag=self.tag)
+        return _RefDScalar(self.value + float(other), self.grad, tag=self.tag)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, _RefDScalar):
+            if other.tag == self.tag:
+                return _RefDScalar(self.value - other.value,
+                                   tuple(a - b for a, b in zip(self.grad, other.grad)),
+                                   tag=self.tag)
+            if other.tag > self.tag:
+                return _RefDScalar(self - other.value,
+                                   tuple(-g for g in other.grad), tag=other.tag)
+            return _RefDScalar(self.value - other, self.grad, tag=self.tag)
+        return _RefDScalar(self.value - float(other), self.grad, tag=self.tag)
+
+    def __rsub__(self, other):
+        return _RefDScalar(float(other) - self.value,
+                           tuple(-g for g in self.grad), tag=self.tag)
+
+    def __mul__(self, other):
+        if isinstance(other, _RefDScalar):
+            if other.tag == self.tag:
+                return _RefDScalar(self.value * other.value,
+                                   tuple(self.value * gb + ga * other.value
+                                         for ga, gb in zip(self.grad, other.grad)),
+                                   tag=self.tag)
+            if other.tag > self.tag:
+                return _RefDScalar(self * other.value,
+                                   tuple(self * g for g in other.grad),
+                                   tag=other.tag)
+            return _RefDScalar(self.value * other,
+                               tuple(g * other for g in self.grad), tag=self.tag)
+        f = float(other)
+        return _RefDScalar(self.value * f, tuple(g * f for g in self.grad),
+                           tag=self.tag)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, _RefDScalar):
+            return self * other ** -1
+        f = float(other)
+        return _RefDScalar(self.value / f, tuple(g / f for g in self.grad),
+                           tag=self.tag)
+
+    def __rtruediv__(self, other):
+        return float(other) * self ** -1
+
+    def __neg__(self):
+        return _RefDScalar(-self.value, tuple(-g for g in self.grad), tag=self.tag)
+
+    def __pos__(self):
+        return self
+
+    def __pow__(self, p):
+        if not isinstance(p, (int, float)):
+            raise TypeError("DScalar exponent must be a plain number")
+        coeff = p * self.value ** (p - 1)
+        return _RefDScalar(self.value ** p, tuple(coeff * g for g in self.grad),
+                           tag=self.tag)
+
+
+def _ref_sin(z):
+    if isinstance(z, _RefDScalar):
+        c = _ref_cos(z.value)
+        return _RefDScalar(_ref_sin(z.value), tuple(c * g for g in z.grad), tag=z.tag)
+    return math.sin(z)
+
+
+def _ref_cos(z):
+    if isinstance(z, _RefDScalar):
+        s = _ref_sin(z.value)
+        return _RefDScalar(_ref_cos(z.value), tuple(-s * g for g in z.grad), tag=z.tag)
+    return math.cos(z)
+
+
+def _ref_tan(z):
+    return _ref_sin(z) / _ref_cos(z)
+
+
+def _ref_exp(z):
+    if isinstance(z, _RefDScalar):
+        e = _ref_exp(z.value)
+        return _RefDScalar(e, tuple(e * g for g in z.grad), tag=z.tag)
+    return math.exp(z)
+
+
+def _ref_log(z):
+    if isinstance(z, _RefDScalar):
+        return _RefDScalar(_ref_log(z.value), tuple(g / z.value for g in z.grad),
+                           tag=z.tag)
+    return math.log(z)
+
+
+def _ref_sqrt(z):
+    if isinstance(z, _RefDScalar):
+        r = _ref_sqrt(z.value)
+        return _RefDScalar(r, tuple(g / (2.0 * r) for g in z.grad), tag=z.tag)
+    return math.sqrt(z)
+
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv, "**": operator.pow}
+_UNARY = {"neg": (operator.neg, operator.neg), "sin": (sin, _ref_sin),
+          "cos": (cos, _ref_cos), "tan": (tan, _ref_tan),
+          "exp": (exp, _ref_exp), "log": (log, _ref_log),
+          "sqrt": (sqrt, _ref_sqrt)}
+
+# A scalar spec is a plain number (float, int or np.float64) or
+# ("d", tag, value, grad_0, grad_1) with specs inside, so values and
+# gradient entries nest; tags 0..3 give same-, older- and younger-tag
+# operands at every layer.
+_numbers = st.one_of(finite, st.integers(-3, 3), finite.map(np.float64))
+_tags = st.integers(0, 3)
+
+
+def _dscalar_specs(depth):
+    """A DScalar spec whose value and gradient entries nest up to ``depth``
+    more layers."""
+    inner = (_numbers if depth == 0
+             else st.one_of(_numbers, _dscalar_specs(depth - 1)))
+    return st.tuples(st.just("d"), _tags, inner, inner, inner)
+
+
+def _build(spec, cls):
+    if isinstance(spec, tuple):
+        _, tag, value, *grad = spec
+        return cls(_build(value, cls), [_build(g, cls) for g in grad], tag)
+    return spec
+
+
+def _kinds(z):
+    """Tag, gradient container type and plain-number type of every layer;
+    the reference's gradients are always tuples, so equal kinds say the
+    fast class's are too."""
+    if isinstance(z, (DScalar, _RefDScalar)):
+        return (z.tag, type(z.grad), _kinds(z.value),
+                tuple(_kinds(g) for g in z.grad))
+    return type(z)
+
+
+@given(op=st.sampled_from(sorted(_BINARY) + sorted(_UNARY)),
+       a=_dscalar_specs(1), b=st.one_of(_numbers, _dscalar_specs(1)),
+       swap=st.booleans())
+@settings(max_examples=500, deadline=None)
+def test_arithmetic_bit_equal_to_reference(op, a, b, swap):
+    def run(cls, unary):
+        x, y = _build(a, cls), _build(b, cls)
+        try:
+            with np.errstate(all="ignore"):
+                if op in _BINARY:
+                    return _BINARY[op](*((y, x) if swap else (x, y)))
+                return unary(x)
+        except (ArithmeticError, ValueError, TypeError) as exc:
+            return type(exc)
+
+    fast_fn, ref_fn = _UNARY.get(op, (None, None))
+    got, want = run(DScalar, fast_fn), run(_RefDScalar, ref_fn)
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert _bits(got) == _bits(want)
+    assert _kinds(got) == _kinds(want)
