@@ -291,12 +291,9 @@ def _sin_combination(rng: np.random.Generator, n_inputs: int, constant_scale: fl
     return fn
 
 
-def random_section(bundle: TrivializedBundle, rng: np.random.Generator,
-                   flatness: float = 1.0) -> SectionMap:
-    """Random smooth section whose graph stays well inside the fibre box.
-
-    ``flatness`` scales the wavy part down towards a constant section.
-    """
+def random_section(bundle: TrivializedBundle,
+                   rng: np.random.Generator) -> SectionMap:
+    """Random smooth section whose graph stays well inside the fibre box."""
     lo = np.asarray(bundle.fibre_box.lower)
     hi = np.asarray(bundle.fibre_box.upper)
     half = 0.5 * (hi - lo)
@@ -305,7 +302,7 @@ def random_section(bundle: TrivializedBundle, rng: np.random.Generator,
     for i in range(bundle.fibre_dim):
         comps.append(_sin_combination(rng, bundle.base_dim,
                                       constant_scale=0.45 * half[i],
-                                      wave_scale=0.15 * half[i] * flatness))
+                                      wave_scale=0.15 * half[i]))
 
     def fn(x):
         return [centre[i] + comps[i](x) for i in range(len(comps))]
@@ -429,8 +426,7 @@ def sphere_angle_between(x: Sequence[float], a: Sequence[float],
     return math.acos(max(-1.0, min(1.0, c)))
 
 
-def sphere_latitude_gb_angle(conn: ConnectionField, theta0: float,
-                             nodes: int = 801) -> float:
+def sphere_latitude_gb_angle(conn: ConnectionField, theta0: float) -> float:
     """Holonomy angle of a latitude loop via the boundary form of the
     area theorem: 2*pi minus the total geodesic-curvature turning.
 
@@ -457,8 +453,7 @@ def sphere_latitude_gb_angle(conn: ConnectionField, theta0: float,
         n_hat = np.array([-1.0, 0.0])
         return float(nab @ g @ n_hat) / speed
 
-    if nodes % 2 == 0:
-        nodes += 1
+    nodes = 801  # Simpson's rule needs an odd node count
     ts = np.linspace(loop.t0, loop.t1, nodes)
     vals = np.array([integrand(t) for t in ts])
     h = (loop.t1 - loop.t0) / (nodes - 1)

@@ -48,7 +48,6 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "curvature_tensoriality": 1e-9,
     "curvature_routes_equality": 1e-8,
     "bracket_expansion_identity": 1e-8,
-    "extension_independence": 1e-9,
     "flatness_via_lifts": 1e-12,
     "flatness_via_covariant": 1e-12,
     "leibniz_rule": 1e-10,

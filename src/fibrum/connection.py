@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .bundle import (BaseVectorField, Point, SectionMap, SpaceTag,
                      TotalTangent, TotalVectorField, TrivializedBundle)
 from .calculus import (Scalar, as_float_array, float_value, jacobian,
-                       mat_vec, value_and_jacobian, vec_add, vec_sub)
+                       mat_vec, value_and_jacobian, vec_add)
 from .errors import DomainError
 
 GammaFn = Callable[[Sequence[Scalar], Sequence[Scalar], Sequence[Scalar]],
@@ -139,45 +139,21 @@ def natural_derivative(s: SectionMap, v: BaseVectorField, x: Point) -> TotalTang
     return TotalTangent(anchor, vx, ds @ vx)
 
 
-def _leaf_derivative(s: SectionMap, coords_x, coords_y, vx,
-                     offset_shift: Optional[Sequence[float]]):
-    """Fibre velocity of the foliation leaf through (x, y) along vx.
+def extend_natural_derivative(s: SectionMap,
+                              v: BaseVectorField) -> TotalVectorField:
+    """Extension of the natural derivative to a field on the total space:
+    (v(x), Ds(x) v(x)) at every (x, y).
 
-    The leaf through e = (x, y) is the section x' -> s(x') + (y - s(x));
-    translating the graph fibre-wise keeps the graph itself as the zero
-    leaf.  ``offset_shift`` moves the anchor to (x, y + shift) on a
-    neighbouring leaf.  Neither changes the result, since the Jacobian of
-    s + const is that of s: the velocity is Ds(x) vx for every y and shift,
-    so ``extension_independence`` and the shifted half of
-    ``extension_translation_invariance`` pass by construction.
-    """
-    offset = vec_sub(coords_y, s.fn(coords_x))
-    if offset_shift is not None:
-        offset = vec_add(offset, [float(c) for c in offset_shift])
-
-    def leaf(xp):
-        return vec_add(s.fn(xp), offset)
-
-    jl = jacobian(leaf, coords_x)
-    return mat_vec(jl, vx)
-
-
-def extend_natural_derivative(s: SectionMap, v: BaseVectorField,
-                              offset_shift: Optional[Sequence[float]] = None
-                              ) -> TotalVectorField:
-    """Extension of the natural derivative to a field on the total space.
-
-    Each point e lies on exactly one translation leaf; the extension
-    differentiates that leaf, so it restricts to the natural derivative on
-    the graph and is p-related to v everywhere.
+    The leaf through (x, y) is s + (y - s(x)), whose derivative is Ds(x)
+    for every y; so the field restricts to the natural derivative on the
+    graph and is p-related to v everywhere.
     """
     bundle = s.bundle
 
     def ev(coords):
-        x, y = bundle.split(coords)
+        x, _ = bundle.split(coords)
         vx = v.fn(x)
-        fib = _leaf_derivative(s, x, y, vx, offset_shift)
-        return list(vx) + fib
+        return list(vx) + mat_vec(jacobian(s.fn, x), vx)
 
     return TotalVectorField(bundle, ev)
 
@@ -195,14 +171,12 @@ def covariant_derivative(conn: ConnectionField, s: SectionMap,
 
 
 def extend_covariant_derivative(conn: ConnectionField, s: SectionMap,
-                                v: BaseVectorField,
-                                offset_shift: Optional[Sequence[float]] = None
-                                ) -> TotalVectorField:
+                                v: BaseVectorField) -> TotalVectorField:
     """Vertical field (0, Ds(x) v(x) + gamma(x, y) v(x)).
 
-    This is the vertical projection of the foliation-extended natural
-    derivative; gamma is evaluated at the roaming fibre point y, not at
-    s(x).  Restricted to the graph it equals ``covariant_derivative``.
+    This is the vertical projection of the extended natural derivative;
+    gamma is evaluated at the roaming fibre point y, not at s(x).
+    Restricted to the graph it equals ``covariant_derivative``.
     """
     bundle = conn.bundle
     m = bundle.base_dim
@@ -210,7 +184,7 @@ def extend_covariant_derivative(conn: ConnectionField, s: SectionMap,
     def ev(coords):
         x, y = bundle.split(coords)
         vx = v.fn(x)
-        fib = _leaf_derivative(s, x, y, vx, offset_shift)
+        fib = mat_vec(jacobian(s.fn, x), vx)
         g = conn.gamma(x, y, vx)
         return [0.0] * m + vec_add(fib, g)
 

@@ -22,8 +22,8 @@ formula.  For a linear connection nabla_u is linear in the section and the
 formula is the classical one (``composition_commutator``).
 
 Route two (``curv_via_covariant``) is the bare commutator: it brackets the
-foliation-extended covariant-derivative fields and subtracts the covariant
-derivative along the bracket.  It does NOT agree with the curvature in
+extended covariant-derivative fields and subtracts the covariant derivative
+along the bracket.  It does NOT agree with the curvature in
 general: expanding [T_u, T_v] = T_[u,v] with T = nabla + H gives the exact
 identity
 
@@ -148,16 +148,15 @@ class _RouteJets:
     """
 
     def __init__(self, conn: ConnectionField, s: SectionMap,
-                 u: BaseVectorField, v: BaseVectorField, x: Point,
-                 offset_shift: Optional[Sequence[float]] = None):
+                 u: BaseVectorField, v: BaseVectorField, x: Point):
         self.conn, self.s, self.u, self.v, self.x = conn, s, u, v, x
         self.e = s.graph(x)
         self._coords = list(self.e.coords)
         self._fields = {
             "hu": horizontal_lift_field(conn, u).fn,
             "hv": horizontal_lift_field(conn, v).fn,
-            "nu": extend_covariant_derivative(conn, s, u, offset_shift).fn,
-            "nv": extend_covariant_derivative(conn, s, v, offset_shift).fn,
+            "nu": extend_covariant_derivative(conn, s, u).fn,
+            "nv": extend_covariant_derivative(conn, s, v).fn,
         }
         self._jets: dict = {}
         self._uv: Optional[BaseVectorField] = None
@@ -240,8 +239,7 @@ def curv_via_vertical_projection(conn: ConnectionField, s: SectionMap,
 
 
 def curv_via_covariant(conn: ConnectionField, s: SectionMap,
-                       u: BaseVectorField, v: BaseVectorField, x: Point,
-                       offset_shift: Optional[Sequence[float]] = None
+                       u: BaseVectorField, v: BaseVectorField, x: Point
                        ) -> VerticalValue:
     """Bracket of the extended covariant-derivative fields minus the
     covariant derivative along [u, v], evaluated at (x, s(x)).
@@ -251,7 +249,7 @@ def curv_via_covariant(conn: ConnectionField, s: SectionMap,
     nested derivative-carrying scalars (second-order mode).  See the module
     docstring: this does not reproduce ``curv_via_lifts`` in general.
     """
-    jets = _RouteJets(conn, s, u, v, x, offset_shift)
+    jets = _RouteJets(conn, s, u, v, x)
     return VerticalValue(jets.e, jets.covariant())
 
 
@@ -296,8 +294,7 @@ def curv_via_covariant_composition(conn: ConnectionField, s: SectionMap,
 
 
 def cross_bracket_sum(conn: ConnectionField, s: SectionMap,
-                      u: BaseVectorField, v: BaseVectorField, x: Point,
-                      offset_shift: Optional[Sequence[float]] = None
+                      u: BaseVectorField, v: BaseVectorField, x: Point
                       ) -> np.ndarray:
     """([H_v, nabla_u] + [nabla_v, H_u]) evaluated at (x, s(x)).
 
@@ -305,7 +302,7 @@ def cross_bracket_sum(conn: ConnectionField, s: SectionMap,
     the same point; it is the exact defect between the two curvature
     routes.  Like ``curv_via_covariant`` it needs second-order mode.
     """
-    return _RouteJets(conn, s, u, v, x, offset_shift).cross()
+    return _RouteJets(conn, s, u, v, x).cross()
 
 
 def curvature_routes(conn: ConnectionField, s: SectionMap,

@@ -55,6 +55,11 @@ def test_unknown_scenario_and_keys_rejected(tmp_path):
     with pytest.raises(ConfigError):
         load_config(_write(tmp_path, {"bundle_name": "flat",
                                       "scenario": "verify-all",
+                                      "tolerances": {"extension_independence":
+                                                     1e-9}}))
+    with pytest.raises(ConfigError):
+        load_config(_write(tmp_path, {"bundle_name": "flat",
+                                      "scenario": "verify-all",
                                       "integrator": {"step": -1.0}}))
 
 
@@ -100,8 +105,9 @@ def test_cli_bad_scenario_param_exits_2(tmp_path, capsys, scenario, params,
 
 # Each of these once ended in a numpy or overflow traceback, a DomainError
 # (exit 1), a silently truncated m (2.5 ran as 2), a max_steps of True (a
-# budget of 1) or a tolerance that turned its row red.  Python's json
-# reads NaN and Infinity, so raw config text can carry them.
+# budget of 1) or a tolerance that turned its row red; a tolerance naming a
+# row that no longer exists is rejected too.  Python's json reads NaN and
+# Infinity, so raw config text can carry them.
 @pytest.mark.parametrize("bundle,key,value,field", [
     ("flat", "bundle_params", '{"m": 0}', "bundle_params.m"),
     ("flat", "bundle_params", '{"m": -1}', "bundle_params.m"),
@@ -127,6 +133,7 @@ def test_cli_bad_scenario_param_exits_2(tmp_path, capsys, scenario, params,
     pytest.param("flat", "tolerances", '{"catalog_integrity": 1%s}'
                  % ("0" * 400), "tolerances.catalog_integrity",
                  id="tolerance-10**400"),
+    ("flat", "tolerances", '{"extension_independence": 1e-9}', "tolerances"),
 ])
 def test_cli_bad_config_value_exits_2(tmp_path, capsys, bundle, key, value,
                                       field):
@@ -139,6 +146,14 @@ def test_cli_bad_config_value_exits_2(tmp_path, capsys, bundle, key, value,
     err = capsys.readouterr().err
     assert f"(field: {field})" in err
     assert "Traceback" not in err
+
+
+def test_tolerance_table_names_every_check_in_order():
+    # config.py and scenarios.py each list the verify-all rows; a row
+    # added to or removed from one table must be mirrored in the other
+    from fibrum.config import DEFAULT_TOLERANCES
+    from fibrum.scenarios import CHECKS
+    assert list(DEFAULT_TOLERANCES) == list(CHECKS)
 
 
 # Each of these once ended in a traceback; a report path in a missing
@@ -362,8 +377,7 @@ _MIDDLE = ["lift_right_inverse", "split_law",
            "bracket_projectability", "lift_route_internal_identity",
            "curvature_verticality", "curvature_horizontality",
            "curvature_antisymmetry", "cocurvature", "curvature_tensoriality",
-           "curvature_routes_equality", "bracket_expansion_identity",
-           "extension_independence"]
+           "curvature_routes_equality", "bracket_expansion_identity"]
 _FLATNESS = ["flatness_via_lifts", "flatness_via_covariant"]
 _LINEAR_CURVATURE = ["leibniz_rule", "composition_commutator_curvature"]
 _TRANSPORT = ["rk4_order", "flow_group_law", "transport_roundtrip",

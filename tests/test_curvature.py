@@ -337,30 +337,17 @@ def test_theorem41_table_rows():
         assert np.max(np.abs(cov - lifts - cross[m:])) < 1e-12
 
 
-def test_extension_offset_shift_does_not_move_commutator_route(any_conn, rng):
-    f = any_conn.bundle.fibre_dim
-    for _ in range(10):
-        s = random_section(any_conn.bundle, rng)
-        u = random_base_field(any_conn.bundle, rng)
-        v = random_base_field(any_conn.bundle, rng)
-        x = random_base_point(any_conn.bundle, rng)
-        base = curv_via_covariant(any_conn, s, u, v, x).fibre_part
-        pert = curv_via_covariant(any_conn, s, u, v, x,
-                                  offset_shift=rng.uniform(-0.2, 0.2, f))
-        assert np.max(np.abs(base - pert.fibre_part)) < 1e-12
-
-
 # -- one set of jets per draw ------------------------------------------------
 
-def _routes_from_public_pieces(conn, s, u, v, x, offset_shift=None):
+def _routes_from_public_pieces(conn, s, u, v, x):
     """Each route as its own bracket of freshly built fields, sharing
     nothing: (lifts, vertical projection, commutator route, cross sum)."""
     e = s.graph(x)
     m = conn.bundle.base_dim
     hu = horizontal_lift_field(conn, u)
     hv = horizontal_lift_field(conn, v)
-    nu = extend_covariant_derivative(conn, s, u, offset_shift)
-    nv = extend_covariant_derivative(conn, s, v, offset_shift)
+    nu = extend_covariant_derivative(conn, s, u)
+    nv = extend_covariant_derivative(conn, s, v)
     w = base_lie_bracket(u, v)
     br = lie_bracket(hu, hv)(e)
     lifts = as_float_array(vec_sub(horizontal_lift_field(conn, w)(e), br)[m:])
@@ -407,13 +394,6 @@ def test_shared_jets_bit_equal_to_separate_brackets(name, params):
         assert _bits(curv_via_covariant(conn, s, u, v, x).fibre_part) \
             == _bits(cov)
         assert _bits(cross_bracket_sum(conn, s, u, v, x)) == _bits(cross)
-        shift = rng.uniform(-0.2, 0.2, bundle.fibre_dim)
-        _, _, cov_s, cross_s = _routes_from_public_pieces(conn, s, u, v, x,
-                                                          shift)
-        assert _bits(curv_via_covariant(conn, s, u, v, x, shift)
-                     .fibre_part) == _bits(cov_s)
-        assert _bits(cross_bracket_sum(conn, s, u, v, x, shift)) \
-            == _bits(cross_s)
 
 
 def test_curvature_routes_take_each_jet_once(nonlinear_conn, monkeypatch):
