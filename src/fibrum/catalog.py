@@ -416,14 +416,21 @@ def sphere_metric(x: Sequence[float]) -> np.ndarray:
 
 def sphere_angle_between(x: Sequence[float], a: Sequence[float],
                          b: Sequence[float]) -> float:
-    """Unsigned angle between tangent vectors w.r.t. the round metric."""
+    """Unsigned angle between tangent vectors w.r.t. the round metric.
+
+    atan2 of the metric's cross and dot products keeps full relative
+    precision at every angle, where acos of the cosine loses half the digits
+    near 0 and pi (the default latitude's holonomy is pi)."""
     g = sphere_metric(x)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    na = math.sqrt(a @ g @ a)
-    nb = math.sqrt(b @ g @ b)
-    c = (a @ g @ b) / (na * nb)
-    return math.acos(max(-1.0, min(1.0, c)))
+    cross = math.sqrt(g[0, 0] * g[1, 1]) * (a[0] * b[1] - a[1] * b[0])
+    return abs(math.atan2(cross, a @ g @ b))
+
+
+# Simpson nodes of the latitude's boundary integral; Simpson's rule needs
+# an odd count.
+GB_NODES = 801
 
 
 def sphere_latitude_gb_angle(conn: ConnectionField, theta0: float) -> float:
@@ -453,10 +460,9 @@ def sphere_latitude_gb_angle(conn: ConnectionField, theta0: float) -> float:
         n_hat = np.array([-1.0, 0.0])
         return float(nab @ g @ n_hat) / speed
 
-    nodes = 801  # Simpson's rule needs an odd node count
-    ts = np.linspace(loop.t0, loop.t1, nodes)
+    ts = np.linspace(loop.t0, loop.t1, GB_NODES)
     vals = np.array([integrand(t) for t in ts])
-    h = (loop.t1 - loop.t0) / (nodes - 1)
+    h = (loop.t1 - loop.t0) / (GB_NODES - 1)
     simpson = (h / 3.0) * (vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum()
                            + 2.0 * vals[2:-1:2].sum())
     return 2.0 * math.pi - simpson

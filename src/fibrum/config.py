@@ -25,8 +25,10 @@ SCENARIOS = ("verify-all", "theorem41", "transport", "geodesic", "holonomy",
              "curvature-table")
 
 # Default tolerance per named check.  Order-style checks encode
-# "residual = required_order - observed_order", hence tolerance 0.
-DEFAULT_TOLERANCES: dict[str, float] = {
+# "residual = required_order - observed_order", hence tolerance 0.  None
+# marks a row whose default bound is derived from the run's step and inputs
+# (see ``scenarios``); a ``tolerances`` entry still overrides it.
+DEFAULT_TOLERANCES: dict[str, Optional[float]] = {
     "catalog_integrity": 1e-10,
     "projector_algebra": 1e-12,
     "gamma_linearity": 1e-12,
@@ -35,7 +37,6 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "split_law": 1e-12,
     "natural_derivative_relatedness": 1e-12,
     "lift_field_relatedness": 1e-12,
-    "extension_translation_invariance": 1e-12,
     "lift_rank": 1e-9,
     "lift_tensoriality_in_section": 0.0,
     "covariant_tensoriality_in_v": 1e-10,
@@ -62,8 +63,8 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "geodesic_spray_agreement": 1e-8,
     "geodesic_covariant_residual": 1e-8,
     "holonomy_flat_loop": 1e-10,
-    "holonomy_latitude_angle": 1e-4,
-    "holonomy_oracle_agreement": 1e-6,
+    "holonomy_latitude_angle": None,
+    "holonomy_oracle_agreement": None,
     "metric_compatibility": 1e-8,
 }
 
@@ -116,9 +117,14 @@ class ScenarioConfig:
     output_path: Optional[str] = None
     seed: int = DEFAULT_SEED
 
-    def tolerance(self, check_name: str) -> float:
+    def tolerance(self, check_name: str,
+                  derived: Optional[float] = None) -> float:
+        """The ``tolerances`` entry of ``check_name``, else the bound
+        ``derived`` from the run's inputs, else the table's default."""
         if check_name in self.tolerances:
             return float(self.tolerances[check_name])
+        if derived is not None:
+            return derived
         return DEFAULT_TOLERANCES[check_name]
 
     def echo(self) -> dict:

@@ -24,6 +24,12 @@ from .errors import (ChartExitError, DomainError, StepBudgetError,
                      TangentBundleRequiredError)
 
 
+def step_count(interval: float, step: float) -> int:
+    """The number of equal RK4 steps, each at most ``step`` long, that
+    cover ``interval``."""
+    return max(1, int(math.ceil(abs(interval) / step - 1e-12)))
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Fixed-step RK4 configuration."""
@@ -38,7 +44,7 @@ class IntegratorConfig:
             raise DomainError("max_steps must be at least 1")
 
     def n_steps(self, interval: float) -> int:
-        n = max(1, int(math.ceil(abs(interval) / self.step - 1e-12)))
+        n = step_count(interval, self.step)
         if n > self.max_steps:
             raise StepBudgetError(
                 f"interval {interval!r} needs {n} steps of {self.step}, "

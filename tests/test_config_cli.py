@@ -52,11 +52,12 @@ def test_unknown_scenario_and_keys_rejected(tmp_path):
         load_config(_write(tmp_path, {"bundle_name": "flat",
                                       "scenario": "verify-all",
                                       "tolerances": {"no_such_check": 1.0}}))
-    with pytest.raises(ConfigError):
-        load_config(_write(tmp_path, {"bundle_name": "flat",
-                                      "scenario": "verify-all",
-                                      "tolerances": {"extension_independence":
-                                                     1e-9}}))
+    for deleted_row in ("extension_independence",
+                        "extension_translation_invariance"):
+        with pytest.raises(ConfigError):
+            load_config(_write(tmp_path, {"bundle_name": "flat",
+                                          "scenario": "verify-all",
+                                          "tolerances": {deleted_row: 1e-9}}))
     with pytest.raises(ConfigError):
         load_config(_write(tmp_path, {"bundle_name": "flat",
                                       "scenario": "verify-all",
@@ -134,6 +135,8 @@ def test_cli_bad_scenario_param_exits_2(tmp_path, capsys, scenario, params,
                  % ("0" * 400), "tolerances.catalog_integrity",
                  id="tolerance-10**400"),
     ("flat", "tolerances", '{"extension_independence": 1e-9}', "tolerances"),
+    ("flat", "tolerances", '{"extension_translation_invariance": 1e-9}',
+     "tolerances"),
 ])
 def test_cli_bad_config_value_exits_2(tmp_path, capsys, bundle, key, value,
                                       field):
@@ -372,7 +375,7 @@ def test_holonomy_scenario_sphere():
 _HEAD = ["catalog_integrity", "projector_algebra", "gamma_linearity"]
 _MIDDLE = ["lift_right_inverse", "split_law",
            "natural_derivative_relatedness", "lift_field_relatedness",
-           "extension_translation_invariance", "lift_rank",
+           "lift_rank",
            "lift_tensoriality_in_section", "covariant_tensoriality_in_v",
            "bracket_projectability", "lift_route_internal_identity",
            "curvature_verticality", "curvature_horizontality",
@@ -415,9 +418,10 @@ def test_verify_all_rows_follow_capabilities(bundle, params, expected):
 @pytest.mark.parametrize("fibre_half, passed", [(4.0, True), (1.05, False)])
 def test_sphere_latitude_path_integrated_once(monkeypatch, fibre_half,
                                               passed):
-    # holonomy_latitude_angle and metric_compatibility read one transport of
-    # the latitude loop at the configured step; a chart exit is not kept, so
-    # on a fibre box the loop leaves, each row integrates and fails on its own
+    # the three latitude rows read one transport of the latitude loop at
+    # the configured step, and none integrates it at a finer one; a chart
+    # exit is not kept, so on a fibre box the loop leaves, each row
+    # integrates and fails on its own
     from fibrum import transport
     step = 0.01
     original = transport._rk4
@@ -432,11 +436,93 @@ def test_sphere_latitude_path_integrated_once(monkeypatch, fibre_half,
         "bundle_name": "sphere", "bundle_params": {"fibre_half": fibre_half},
         "scenario": "verify-all", "integrator": {"step": step}}))
     rows = {r.check_name: r for r in report.checks}
-    assert spans.count((2.0 * math.pi, step)) == (1 if passed else 2)
-    assert spans.count((2.0 * math.pi, step / 16.0)) == 1
-    for name in ("holonomy_latitude_angle", "metric_compatibility"):
+    loop_steps = [h for span, h in spans if span == 2.0 * math.pi]
+    assert loop_steps == [step] * (1 if passed else 3)
+    assert all(h != step / 16.0 for _, h in spans)
+    for name in _LATITUDE:
         assert rows[name].passed is passed
         assert ("ChartExitError" in rows[name].note) is not passed
+
+
+def _latitude_rows(theta0: float, step: float, **extra) -> dict:
+    """The two angle rows of the sphere holonomy scenario."""
+    report = run_scenario(load_config({
+        "bundle_name": "sphere", "scenario": "holonomy",
+        "scenario_params": {"latitude": theta0},
+        "integrator": {"step": step}, **extra}))
+    return {r.check_name: r for r in report.checks[1:]}
+
+
+def _rk4_phase_error(theta0: float, step: float) -> float:
+    """RK4's phase error around the latitude loop, N (h omega)^5 / 120:
+    transport is a rotation at rate omega = cos(theta0) over N steps of h."""
+    n = math.ceil(2.0 * math.pi / step)
+    h = 2.0 * math.pi / n
+    return n * (h * abs(math.cos(theta0))) ** 5 / 120.0
+
+
+@pytest.mark.parametrize("theta0", [0.3, 0.4, 1.0, math.pi / 3, 2.5, 2.8])
+def test_latitude_bound_is_derived_and_tight(theta0):
+    # both angle rows pass under their derived bound at every step; where
+    # RK4's phase error is above round-off they read it to 5%, and where
+    # they read more than round-off they use >= 30% of the bound.  At pi/3
+    # the holonomy is pi, where acos of the cosine read the 1.3e-9 error at
+    # step 0.03 as 8.9e-16
+    for step in (1e-3, 3e-3, 1e-2, 0.03, 0.1, 0.3):
+        n = math.ceil(2.0 * math.pi / step)
+        predicted = _rk4_phase_error(theta0, step)
+        bound = 2.0 * predicted + (n + 801) * sys.float_info.epsilon
+        for row in _latitude_rows(theta0, step).values():
+            assert row.tolerance == bound
+            assert row.passed, (theta0, step, row)
+            if predicted > 1e-12:
+                assert abs(row.max_residual / predicted - 1.0) < 0.05, row
+            if row.max_residual > 1e-12:
+                assert row.max_residual >= 0.3 * bound, (theta0, step, row)
+
+
+def test_latitude_tolerance_entry_overrides_derived_bound():
+    rows = _latitude_rows(0.4, 0.1, tolerances={
+        "holonomy_oracle_agreement": 1e-9})
+    assert rows["holonomy_oracle_agreement"].tolerance == 1e-9
+    assert not rows["holonomy_oracle_agreement"].passed  # error 3.4e-6
+    assert rows["holonomy_latitude_angle"].passed
+
+
+def _scale_sphere_christoffels(monkeypatch, theta_row: float,
+                               phi_row: float) -> None:
+    """Build the catalog sphere with -sin cos scaled by ``theta_row`` and
+    cot by ``phi_row``: each is the only factor of its row of gamma."""
+    from fibrum.catalog import CATALOG, make_sphere
+    from fibrum.connection import ConnectionField, ConnectionKind
+
+    def build(**params):
+        conn = make_sphere(**params)
+
+        def gamma(x, y, v):
+            g = conn.gamma(x, y, v)
+            return [theta_row * g[0], phi_row * g[1]]
+        return ConnectionField(conn.bundle, gamma, ConnectionKind.LINEAR)
+
+    monkeypatch.setitem(CATALOG["sphere"], "builder", build)
+
+
+@pytest.mark.parametrize("theta_row, phi_row, red", [
+    (1.0, 1.0 + 1e-9, _LATITUDE[:2]),
+    (1.0, 1.001, _LATITUDE),
+    (-1.0, 1.0, _LATITUDE),
+])
+def test_latitude_rows_catch_sphere_christoffel_mutants(monkeypatch,
+                                                        theta_row, phi_row,
+                                                        red):
+    # at the default step and latitude; the unscaled sphere passes all three
+    # (test_sphere_latitude_path_integrated_once)
+    _scale_sphere_christoffels(monkeypatch, theta_row, phi_row)
+    report = run_scenario(load_config({"bundle_name": "sphere",
+                                       "scenario": "transport"}))
+    rows = {r.check_name: r for r in report.checks}
+    for name in red:
+        assert not rows[name].passed, rows[name]
 
 
 def test_transport_scenario_flat():
