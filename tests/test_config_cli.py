@@ -515,8 +515,8 @@ def _scale_sphere_christoffels(monkeypatch, theta_row: float,
 def test_latitude_rows_catch_sphere_christoffel_mutants(monkeypatch,
                                                         theta_row, phi_row,
                                                         red):
-    # at the default step and latitude; the unscaled sphere passes all three
-    # (test_sphere_latitude_path_integrated_once)
+    # at the default step and latitude, where the unscaled sphere passes
+    # all three (the pinned `run sphere transport` report)
     _scale_sphere_christoffels(monkeypatch, theta_row, phi_row)
     report = run_scenario(load_config({"bundle_name": "sphere",
                                        "scenario": "transport"}))
