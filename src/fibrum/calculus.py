@@ -203,9 +203,11 @@ def sqrt(z: Scalar) -> Scalar:
 # -- generic small linear algebra (entries float or DScalar) ---------------
 
 def dot(a: Sequence[Scalar], b: Sequence[Scalar]) -> Scalar:
+    """sum_k a[k] b[k] added left to right, the one summation order of every
+    contraction in a report; indexed, not sliced, to stay cheap on ndarrays."""
     acc = a[0] * b[0]
-    for x, y in zip(a[1:], b[1:]):
-        acc = acc + x * y
+    for k in range(1, len(a)):
+        acc = acc + a[k] * b[k]
     return acc
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .bundle import (BaseVectorField, Box, Point, SectionMap,
                      TotalTangent, TrivializedBundle)
-from .calculus import cos, float_value, sin
+from .calculus import cos, dot, float_value, mat_vec, sin
 from .connection import ConnectionField, ConnectionKind
 from .errors import ConfigError, DomainError
 
@@ -422,10 +422,8 @@ def sphere_angle_between(x: Sequence[float], a: Sequence[float],
     precision at every angle, where acos of the cosine loses half the digits
     near 0 and pi (the default latitude's holonomy is pi)."""
     g = sphere_metric(x)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
     cross = math.sqrt(g[0, 0] * g[1, 1]) * (a[0] * b[1] - a[1] * b[0])
-    return abs(math.atan2(cross, a @ g @ b))
+    return abs(math.atan2(cross, dot(mat_vec(g, a), b)))
 
 
 # Simpson nodes of the latitude's boundary integral; Simpson's rule needs
@@ -454,11 +452,11 @@ def sphere_latitude_gb_angle(conn: ConnectionField, theta0: float) -> float:
         tvec = loop.velocity(t)
         nab = covariant_derivative_along_curve(conn, loop, velocity, t)
         g = sphere_metric(x)
-        speed = math.sqrt(tvec @ g @ tvec)
+        speed = math.sqrt(dot(mat_vec(g, tvec), tvec))
         # inward unit normal for a latitude traversed with increasing phi:
         # minus the theta direction (unit length in the round metric)
-        n_hat = np.array([-1.0, 0.0])
-        return float(nab @ g @ n_hat) / speed
+        n_hat = [-1.0, 0.0]
+        return float(dot(mat_vec(g, nab), n_hat)) / speed
 
     ts = np.linspace(loop.t0, loop.t1, GB_NODES)
     vals = np.array([integrand(t) for t in ts])

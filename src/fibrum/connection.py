@@ -97,13 +97,13 @@ def horizontal_projector(conn: ConnectionField, e: Point) -> HorizontalProjector
 
 def horizontal_lift(conn: ConnectionField, e: Point,
                     v_x: Sequence[float]) -> TotalTangent:
-    """The unique horizontal tangent at e projecting onto ``v_x``."""
-    x, y = _require_total(conn, e)
-    v = [float(c) for c in v_x]
-    if len(v) != conn.bundle.base_dim:
-        raise DomainError("lifted vector has wrong base dimension")
-    fibre = as_float_array(conn.gamma(x, y, v))
-    return TotalTangent(e, np.asarray(v), -fibre)
+    """The unique horizontal tangent at e projecting onto ``v_x``: the
+    horizontal-lift field of the constant field ``v_x``, at e."""
+    _require_total(conn, e)
+    lift = horizontal_lift_field(conn, constant_base_field(conn.bundle, v_x))
+    vals = as_float_array(lift(e))
+    m = conn.bundle.base_dim
+    return TotalTangent(e, vals[:m], vals[m:])
 
 
 def horizontal_lift_field(conn: ConnectionField,
@@ -131,12 +131,11 @@ def constant_base_field(bundle: TrivializedBundle,
 
 def natural_derivative(s: SectionMap, v: BaseVectorField, x: Point) -> TotalTangent:
     """Tangent of the section along v at x: (v(x), Ds(x) v(x)), anchored at
-    the graph point (x, s(x))."""
-    coords = list(x.coords)
+    the graph point (x, s(x)); ``extend_natural_derivative`` there."""
     anchor = s.graph(x)
-    vx = as_float_array(v.fn(coords))
-    ds = jacobian(s.fn, coords)
-    return TotalTangent(anchor, vx, ds @ vx)
+    vals = as_float_array(extend_natural_derivative(s, v)(anchor))
+    m = s.bundle.base_dim
+    return TotalTangent(anchor, vals[:m], vals[m:])
 
 
 def extend_natural_derivative(s: SectionMap,
@@ -158,16 +157,24 @@ def extend_natural_derivative(s: SectionMap,
     return TotalVectorField(bundle, ev)
 
 
+def _cov_value(conn: ConnectionField, s_fn, v_fn, x, y=None) -> list:
+    """Ds(x) v(x) + gamma(x, y) v(x), y = s(x) unless given: the one
+    evaluator of the covariant derivative, generic in DScalar inputs.  It
+    does not validate the chart: where covariant derivatives of a linear
+    connection leave the fibre window, the fibre is a linear space and gamma
+    extends canonically, so evaluating outside the box is sound."""
+    vx = v_fn(x)
+    sx, ds = value_and_jacobian(s_fn, x)
+    g = conn.gamma(x, sx if y is None else y, vx)
+    return vec_add(mat_vec(ds, vx), g)
+
+
 def covariant_derivative(conn: ConnectionField, s: SectionMap,
                          v: BaseVectorField, x: Point) -> np.ndarray:
     """Vertical component of the natural derivative:
     Ds(x) v(x) + gamma(x, s(x)) v(x)."""
-    coords = list(x.coords)
     s.graph(x)  # validates that the graph point is inside the chart
-    vx = v.fn(coords)
-    sx, ds = value_and_jacobian(s.fn, coords)
-    g = conn.gamma(coords, sx, vx)
-    return ds @ as_float_array(vx) + as_float_array(g)
+    return as_float_array(_cov_value(conn, s.fn, v.fn, list(x.coords)))
 
 
 def extend_covariant_derivative(conn: ConnectionField, s: SectionMap,
@@ -183,10 +190,7 @@ def extend_covariant_derivative(conn: ConnectionField, s: SectionMap,
 
     def ev(coords):
         x, y = bundle.split(coords)
-        vx = v.fn(x)
-        fib = mat_vec(jacobian(s.fn, x), vx)
-        g = conn.gamma(x, y, vx)
-        return [0.0] * m + vec_add(fib, g)
+        return [0.0] * m + _cov_value(conn, s.fn, v.fn, x, y)
 
     return TotalVectorField(bundle, ev)
 

@@ -46,10 +46,12 @@ import numpy as np
 from .bundle import (BaseVectorField, Point, SectionMap, TotalTangent,
                      TotalVectorField, base_lie_bracket, jet_bracket,
                      lie_bracket)
-from .calculus import (Scalar, as_float_array, derivative, jacobian, mat_vec,
-                       value_and_jacobian, vec_add, vec_scale, vec_sub)
-from .connection import (ConnectionField, ConnectionKind, constant_base_field,
-                         covariant_derivative, extend_covariant_derivative,
+from .calculus import (Scalar, as_float_array, derivative, dot, jacobian,
+                       mat_vec, value_and_jacobian, vec_add, vec_scale,
+                       vec_sub)
+from .connection import (ConnectionField, ConnectionKind, _cov_value,
+                         constant_base_field, covariant_derivative,
+                         extend_covariant_derivative, horizontal_lift,
                          horizontal_lift_field)
 from .errors import (DomainError, LinearityRequiredError,
                      SecondOrderUnavailableError, TangentBundleRequiredError)
@@ -69,19 +71,12 @@ class VerticalValue:
             raise DomainError("fibre_part has wrong dimension")
 
 
-def _pv_apply(conn: ConnectionField, x, y, vec):
-    """Apply the vertical projector at (x, y) to a split total vector."""
+def _pv_apply(conn: ConnectionField, e: Point, vec) -> list:
+    """Fibre part of the vertical projector at e applied to a total vector:
+    w + gamma(x, y) v for vec = (v, w)."""
+    x, y = conn.bundle.split(list(e.coords))
     m = conn.bundle.base_dim
-    base, fib = list(vec[:m]), list(vec[m:])
-    g = conn.gamma(x, y, base)
-    return [0.0] * m + vec_add(fib, g)
-
-
-def _ph_apply(conn: ConnectionField, x, y, vec):
-    m = conn.bundle.base_dim
-    base = list(vec[:m])
-    g = conn.gamma(x, y, base)
-    return base + [-c for c in g]
+    return vec_add(list(vec[m:]), conn.gamma(x, y, list(vec[:m])))
 
 
 def _const_lift_field(conn: ConnectionField, vec) -> TotalVectorField:
@@ -105,10 +100,7 @@ def curvature(conn: ConnectionField, e: Point, X: TotalTangent,
     hx = _const_lift_field(conn, X.base_part)
     hy = _const_lift_field(conn, Y.base_part)
     br = lie_bracket(hx, hy)(e)
-    x, y = conn.bundle.split(list(e.coords))
-    pv = _pv_apply(conn, x, y, br)
-    m = conn.bundle.base_dim
-    return VerticalValue(e, -as_float_array(pv[m:]))
+    return VerticalValue(e, -as_float_array(_pv_apply(conn, e, br)))
 
 
 def cocurvature(conn: ConnectionField, e: Point, X: TotalTangent,
@@ -120,18 +112,15 @@ def cocurvature(conn: ConnectionField, e: Point, X: TotalTangent,
     so this vanishes identically; the operation exists to make that
     checkable rather than assumed.
     """
-    x, y = conn.bundle.split(list(e.coords))
     m = conn.bundle.base_dim
-    wx = _pv_apply(conn, x, y, X.as_vector())[m:]
-    wy = _pv_apply(conn, x, y, Y.as_vector())[m:]
+    wx = _pv_apply(conn, e, X.as_vector())
+    wy = _pv_apply(conn, e, Y.as_vector())
     vx_field = TotalVectorField(conn.bundle,
                                 lambda coords: [0.0] * m + list(wx))
     vy_field = TotalVectorField(conn.bundle,
                                 lambda coords: [0.0] * m + list(wy))
-    br = lie_bracket(vx_field, vy_field)(e)
-    ph = _ph_apply(conn, x, y, br)
-    vals = -as_float_array(ph)
-    return TotalTangent(e, vals[:m], vals[m:])
+    lift = horizontal_lift(conn, e, lie_bracket(vx_field, vy_field)(e)[:m])
+    return TotalTangent(e, -lift.base_part, -lift.fibre_part)
 
 
 class _RouteJets:
@@ -194,9 +183,7 @@ class _RouteJets:
     def vertical_projection(self) -> np.ndarray:
         """Fibre part of -P_V [H_u, H_v](e)."""
         br = jet_bracket(*self._jet("hu"), *self._jet("hv"))
-        xs, ys = self.conn.bundle.split(self._coords)
-        m = self.conn.bundle.base_dim
-        return -as_float_array(_pv_apply(self.conn, xs, ys, br)[m:])
+        return -as_float_array(_pv_apply(self.conn, self.e, br))
 
     def covariant(self) -> np.ndarray:
         """Fibre part of [N_u, N_v](e) minus nabla_[u,v] s(x)."""
@@ -334,32 +321,16 @@ def tensoriality_check_curvature(conn: ConnectionField, e: Point,
             return vec_scale(f, field.fn(coords))
         return TotalVectorField(conn.bundle, ev)
 
-    xs, ys = conn.bundle.split(list(e.coords))
-    m = conn.bundle.base_dim
     fe = float(scalar_field([float(c) for c in e.coords]))
-    base_val = -as_float_array(_pv_apply(conn, xs, ys,
-                                         lie_bracket(hx, hy)(e))[m:])
+    base_val = -as_float_array(_pv_apply(conn, e, lie_bracket(hx, hy)(e)))
     worst = 0.0
     for bracket in (lie_bracket(scaled(hx), hy), lie_bracket(hx, scaled(hy))):
-        val = -as_float_array(_pv_apply(conn, xs, ys, bracket(e))[m:])
+        val = -as_float_array(_pv_apply(conn, e, bracket(e)))
         worst = max(worst, float(np.max(np.abs(val - fe * base_val))))
     return worst
 
 
 # -- linear-connection specialization ----------------------------------------
-
-def _cov_value(conn: ConnectionField, s_fn, v_fn, coords):
-    """Ds v + gamma(x, s(x), v(x)) without chart validation (generic).
-
-    Used where intermediate covariant derivatives may leave the fibre
-    window: for linear coefficients the fibre is a genuine linear space and
-    gamma extends canonically, so evaluating outside the box is sound.
-    """
-    vx = v_fn(coords)
-    sx, ds = value_and_jacobian(s_fn, coords)
-    g = conn.gamma(coords, sx, vx)
-    return vec_add(mat_vec(ds, vx), g)
-
 
 def _require_linear(conn: ConnectionField, what: str):
     if conn.kind is not ConnectionKind.LINEAR:
@@ -451,8 +422,7 @@ def leibniz_check(conn: ConnectionField, s: SectionMap,
 
     lhs = as_float_array(_cov_value(conn, fs, v.fn, coords))
     df = jacobian(lambda xp: [scalar_field_on_base(xp)], coords)[0]
-    vx = as_float_array(v.fn(coords))
     fx = float(scalar_field_on_base(coords))
-    rhs = float(df @ vx) * as_float_array(s.fn(coords)) \
+    rhs = float(dot(df, v.fn(coords))) * as_float_array(s.fn(coords)) \
         + fx * as_float_array(_cov_value(conn, s.fn, v.fn, coords))
     return float(np.max(np.abs(lhs - rhs)))

@@ -29,7 +29,7 @@ import numpy as np
 from .bundle import (BaseVectorField, SectionMap, TotalTangent,
                      TotalVectorField, base_lie_bracket, check_p_related,
                      lie_bracket)
-from .calculus import as_float_array, float_value, sin
+from .calculus import as_float_array, dot, float_value, mat_vec, sin
 from .catalog import (CATALOG, GB_NODES, Capabilities, build_connection,
                       circle_loop, latitude_loop, random_base_field,
                       random_base_point, random_section, random_tangent,
@@ -57,6 +57,9 @@ SIGN_CONVENTION = (
     "for Christoffel coefficients this equals the classical contraction "
     "R^a_bcd y^b u^c v^d with "
     "R^a_bcd = d_c G^a_db - d_d G^a_cb + G^a_ce G^e_db - G^a_de G^e_cb")
+
+EXPANSION_NOTE = ("exact bilinear expansion of [T_u, T_v] = T_[u,v]; "
+                  "this is what the bracketing machinery must satisfy")
 
 ROUTES_NOTE = (
     "bracketing the foliation-extended covariant-derivative fields does not "
@@ -336,7 +339,7 @@ def _lift_right_inverse(sub, rng):
     tangent = horizontal_lift(sub.conn, e, v)
     pv = vertical_projector(sub.conn, e).matrix
     return max(_max_abs(tangent.base_part - v),
-               _max_abs(pv @ tangent.as_vector()))
+               _max_abs(mat_vec(pv, tangent.as_vector())))
 
 
 @_sampled("split_law", 100)
@@ -531,14 +534,16 @@ def _curvature_routes_equality(sub, rng):
     return _max_abs(jets.covariant() - jets.lifts())
 
 
-@_sampled("bracket_expansion_identity", 100,
-          note="exact bilinear expansion of [T_u, T_v] = T_[u,v]; "
-               "this is what the bracketing machinery must satisfy")
+def _expansion_residual(m: int, lifts, cov, cross) -> float:
+    """Residual of via_covariant - via_lifts = cross-bracket sum, whose
+    base part must vanish, at one draw of ``curvature_routes``."""
+    return max(_max_abs(cov - lifts - cross[m:]), _max_abs(cross[:m]))
+
+
+@_sampled("bracket_expansion_identity", 100, note=EXPANSION_NOTE)
 def _bracket_expansion_identity(sub, rng):
-    lifts, cov, cross = curvature_routes(sub.conn,
-                                         *_draw_suvx(sub.bundle, rng))
-    return max(_max_abs(cov - lifts - cross[sub.m:]),
-               _max_abs(cross[:sub.m]))
+    return _expansion_residual(sub.m, *curvature_routes(
+        sub.conn, *_draw_suvx(sub.bundle, rng)))
 
 
 @_sampled("flatness_via_lifts", 100, lambda sub: sub.caps.zero_curvature)
@@ -805,17 +810,35 @@ def _latitude_oracle(sub: Subject) -> bool:
     return sub.caps.latitude_holonomy is not None
 
 
+def _latitude_steps(sub: Subject) -> tuple:
+    """(N, h omega): the RK4 steps around the latitude loop, and the angle
+    one of them turns through at rate omega = |cos(theta0)|."""
+    n = step_count(2.0 * math.pi, sub.cfg.step)
+    return n, 2.0 * math.pi / n * abs(math.cos(_latitude(sub)[0]))
+
+
 def _latitude_bound(sub: Subject) -> float:
     """Default tolerance of the two latitude angle rows.  Along the loop
     transport is a rotation at rate omega = cos(theta0), and RK4 misses
     (h omega)^5 / 120 of its phase per step; the bound is twice that over
     the N steps taken, plus one eps of round-off per step and per node of
     the boundary integral (README, "Parallel transport")."""
-    theta0, _ = _latitude(sub)
-    n = step_count(2.0 * math.pi, sub.cfg.step)
-    h = 2.0 * math.pi / n
-    return (2.0 * n * (h * abs(math.cos(theta0))) ** 5 / 120.0
+    n, hw = _latitude_steps(sub)
+    return (2.0 * n * hw ** 5 / 120.0
             + (n + GB_NODES) * sys.float_info.epsilon)
+
+
+def _metric_bound(sub: Subject) -> float:
+    """Default tolerance of ``metric_compatibility``.  One RK4 step of the
+    rotation scales the squared norm by 1 - (h omega)^6/72 + (h omega)^8/576,
+    so over N steps |y0|_g^2 loses at most 2 N (h omega)^6 / 144 of itself:
+    RK4's modulus error, doubled by the square.  Round-off adds one eps per
+    step to the modulus, doubled too (README, "Parallel transport")."""
+    theta0, y0 = _latitude(sub)
+    n, hw = _latitude_steps(sub)
+    norm0 = float(dot(mat_vec(sphere_metric([theta0, 0.0]), y0), y0))
+    return norm0 * 2.0 * (n * hw ** 6 / 144.0
+                          + (n + 1) * sys.float_info.epsilon)
 
 
 @_check("holonomy_latitude_angle", 1, _latitude_oracle, _latitude_bound)
@@ -839,7 +862,7 @@ def _holonomy_oracle_agreement(sub, rng, n):
         f"transport {ang:.10f}, boundary-integral {gb_folded:.10f}")
 
 
-@_check("metric_compatibility", 1, _latitude_oracle)
+@_check("metric_compatibility", 1, _latitude_oracle, _metric_bound)
 def _metric_compatibility(sub, rng, n):
     loop = latitude_loop(sub.bundle, _latitude(sub)[0])
     path = sub.latitude_path
@@ -847,7 +870,7 @@ def _metric_compatibility(sub, rng, n):
     worst = 0.0
     for t, y in path[:: max(1, len(path) // 200)]:
         g = sphere_metric(loop.fn(t))
-        norm = float(y @ g @ y)
+        norm = float(dot(mat_vec(g, y), y))
         if g0 is None:
             g0 = norm
         worst = max(worst, abs(norm - g0))
@@ -871,7 +894,8 @@ def _theorem41_rows(conn: ConnectionField, cfg: ScenarioConfig,
         lifts, cov, cross = curvature_routes(conn, s, u, v, x)
         residual = _max_abs(cov - lifts)
         worst_eq = max(worst_eq, residual)
-        worst_cross = max(worst_cross, _max_abs(cov - lifts - cross[m:]))
+        worst_cross = max(worst_cross,
+                          _expansion_residual(m, lifts, cov, cross))
         table.append({
             "point": _vec(x.coords),
             "via_lifts": _vec(lifts),
@@ -883,7 +907,7 @@ def _theorem41_rows(conn: ConnectionField, cfg: ScenarioConfig,
         _row(cfg, "curvature_routes_equality", n_samples, worst_eq,
              ROUTES_NOTE),
         _row(cfg, "bracket_expansion_identity", n_samples, worst_cross,
-             "exact bilinear expansion; validates the bracketing machinery"),
+             EXPANSION_NOTE),
     ]
     return checks, table
 
@@ -988,8 +1012,7 @@ def _holonomy_scenario(sub: Subject, report: VerificationReport) -> None:
         y1 = record["transported"]
         report.results = {
             **head, "y0": _vec(y0), "transported": _vec(y1),
-            "displacement": float(np.linalg.norm(
-                y1 - np.asarray(y0, dtype=float))),
+            "displacement": math.hypot(*(y1 - np.asarray(y0, dtype=float))),
             **{key: record[key] for key in ("rotation_angle",
                                             "closed_form_angle")
                if key in record}}

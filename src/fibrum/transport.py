@@ -361,4 +361,4 @@ def holonomy_loop(conn: ConnectionField, loop: CurveOnBase,
         raise DomainError("holonomy_loop needs a closed curve "
                           "(up to declared base periods)")
     y1 = parallel_transport_vector(conn, loop, y0, cfg)
-    return y1, float(np.linalg.norm(y1 - np.asarray(y0, dtype=float)))
+    return y1, math.hypot(*(y1 - np.asarray(y0, dtype=float)))

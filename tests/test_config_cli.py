@@ -445,12 +445,13 @@ def test_sphere_latitude_path_integrated_once(monkeypatch, fibre_half,
 
 
 def _latitude_rows(theta0: float, step: float, **extra) -> dict:
-    """The two angle rows of the sphere holonomy scenario."""
+    """The three latitude rows of the sphere transport scenario."""
     report = run_scenario(load_config({
-        "bundle_name": "sphere", "scenario": "holonomy",
+        "bundle_name": "sphere", "scenario": "transport",
         "scenario_params": {"latitude": theta0},
         "integrator": {"step": step}, **extra}))
-    return {r.check_name: r for r in report.checks[1:]}
+    return {r.check_name: r for r in report.checks
+            if r.check_name in _LATITUDE}
 
 
 def _rk4_phase_error(theta0: float, step: float) -> float:
@@ -461,19 +462,36 @@ def _rk4_phase_error(theta0: float, step: float) -> float:
     return n * (h * abs(math.cos(theta0))) ** 5 / 120.0
 
 
+def _rk4_norm_loss(theta0: float, step: float) -> float:
+    """RK4's loss of squared norm around the latitude loop, 2 N (h omega)^6
+    / 144: each step takes at most (h omega)^6 / 72 off the squared norm."""
+    n = math.ceil(2.0 * math.pi / step)
+    h = 2.0 * math.pi / n
+    return 2.0 * n * (h * abs(math.cos(theta0))) ** 6 / 144.0
+
+
 @pytest.mark.parametrize("theta0", [0.3, 0.4, 1.0, math.pi / 3, 2.5, 2.8])
 def test_latitude_bound_is_derived_and_tight(theta0):
-    # both angle rows pass under their derived bound at every step; where
-    # RK4's phase error is above round-off they read it to 5%, and where
-    # they read more than round-off they use >= 30% of the bound.  At pi/3
-    # the holonomy is pi, where acos of the cosine read the 1.3e-9 error at
-    # step 0.03 as 8.9e-16
+    # all three latitude rows pass under their derived bound at every step;
+    # where RK4's error (phase for the angle rows, squared modulus for
+    # metric_compatibility, whose y0 = (1, 0) has unit norm) is above
+    # round-off they read it to 5%, and where they read more than round-off
+    # they use >= 30% of the bound.  At pi/3 the holonomy is pi, where acos
+    # of the cosine read the 1.3e-9 error at step 0.03 as 8.9e-16
     for step in (1e-3, 3e-3, 1e-2, 0.03, 0.1, 0.3):
         n = math.ceil(2.0 * math.pi / step)
-        predicted = _rk4_phase_error(theta0, step)
-        bound = 2.0 * predicted + (n + 801) * sys.float_info.epsilon
-        for row in _latitude_rows(theta0, step).values():
-            assert row.tolerance == bound
+        phase = _rk4_phase_error(theta0, step)
+        norm = _rk4_norm_loss(theta0, step)
+        eps = sys.float_info.epsilon
+        rows = _latitude_rows(theta0, step)
+        for name, predicted, bound in (
+                ("holonomy_latitude_angle", phase,
+                 2.0 * phase + (n + 801) * eps),
+                ("holonomy_oracle_agreement", phase,
+                 2.0 * phase + (n + 801) * eps),
+                ("metric_compatibility", norm, norm + 2.0 * (n + 1) * eps)):
+            row = rows[name]
+            assert row.tolerance == bound, row
             assert row.passed, (theta0, step, row)
             if predicted > 1e-12:
                 assert abs(row.max_residual / predicted - 1.0) < 0.05, row
@@ -508,7 +526,7 @@ def _scale_sphere_christoffels(monkeypatch, theta_row: float,
 
 
 @pytest.mark.parametrize("theta_row, phi_row, red", [
-    (1.0, 1.0 + 1e-9, _LATITUDE[:2]),
+    (1.0, 1.0 + 1e-9, _LATITUDE),
     (1.0, 1.001, _LATITUDE),
     (-1.0, 1.0, _LATITUDE),
 ])

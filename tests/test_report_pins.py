@@ -5,6 +5,13 @@ byte-identical.  These pins guard that in the suite: ``fibrum verify`` on
 every catalog bundle, the sphere ``transport`` scenario and a 20-sample
 ``theorem41`` table on ``nonlinear-demo``, all at the default seed.
 
+The bytes do not depend on the CPU either.  numpy stores, samples and does
+elementwise arithmetic; every contraction that reaches a report goes through
+``fibrum.calculus`` (``dot``, ``mat_vec``), which sums in a fixed order.  A
+numpy ``@`` would go to OpenBLAS, whose kernel, picked from the CPU at run
+time, may fuse multiply-adds and round differently, so the pins are also
+recomputed under OpenBLAS's SSE3 kernel.
+
 A change that alters report bytes on purpose rewrites ``report_pins.json``
 in the same change and says so in CHANGES.md.  From the root of a checkout:
 
@@ -14,6 +21,9 @@ in the same change and says so in CHANGES.md.  From the root of a checkout:
 import hashlib
 import json
 import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -55,6 +65,25 @@ def report_sha256(name: str, work: Path) -> str:
 def test_report_matches_pin(name, tmp_path, monkeypatch):
     monkeypatch.delenv("FIBRUM_SEED", raising=False)
     assert report_sha256(name, tmp_path) == json.loads(PINS.read_text())[name]
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OpenBLAS kernel names are x86-64 ones")
+def test_pins_hold_under_sse3_blas_kernel(tmp_path):
+    # Prescott (SSE3, no fused multiply-add) runs on every x86-64 CPU; a
+    # kernel the CPU may lack is never forced
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott")
+    env.pop("FIBRUM_SEED", None)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src, str(PINS.parent)] + env.get("PYTHONPATH", "").split(os.pathsep))
+    code = ("import json, pathlib, sys\n"
+            "from test_report_pins import RUNS, report_sha256\n"
+            "print(json.dumps({name: report_sha256(name, "
+            "pathlib.Path(sys.argv[1])) for name in RUNS}))")
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                         capture_output=True, text=True, env=env, check=True)
+    assert json.loads(out.stdout) == json.loads(PINS.read_text())
 
 
 if __name__ == "__main__":

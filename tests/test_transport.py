@@ -492,7 +492,7 @@ def test_vector_and_holonomy_match_path_end_bitwise(sphere_conn):
     y_hol, disp = holonomy_loop(sphere_conn, loop, y0, cfg)
     assert np.array_equal(y_vec, y_path)
     assert np.array_equal(y_hol, y_path)
-    assert disp == float(np.linalg.norm(y_path - np.array(y0)))
+    assert disp == math.hypot(*(y_path - np.array(y0)))
 
 
 def test_rk4_makes_four_rhs_calls_per_step_and_collect_is_eighth():
