@@ -24,8 +24,8 @@ print(f"base box: {bundle.base_box.lower} .. {bundle.base_box.upper}")
 
 # --- projectors at a point ---------------------------------------------------
 e = bundle.total_point([math.pi / 4, 0.0, 1.0, 0.0])
-pv = vertical_projector(conn, e).matrix
-ph = horizontal_projector(conn, e).matrix
+pv = vertical_projector(conn, e)
+ph = horizontal_projector(conn, e)
 print("\nvertical projector at (pi/4, 0, 1, 0):")
 print(np.array_str(pv, precision=6, suppress_small=True))
 print("idempotency |P_V^2 - P_V| =", np.max(np.abs(pv @ pv - pv)))
@@ -63,6 +63,6 @@ e2 = nl.bundle.total_point([0.3, -0.2, 0.5])
 print(f"\nnonlinear-demo bundle: gamma((0.3,-0.2), 0.5) applied to (1, 0) =",
       np.array(nl.gamma([0.3, -0.2], [0.5], [1.0, 0.0]), dtype=float),
       "(scales like y + y^3, not linearly)")
-pv2 = vertical_projector(nl, e2).matrix
+pv2 = vertical_projector(nl, e2)
 print("projector algebra still exact: |P_V^2 - P_V| =",
       np.max(np.abs(pv2 @ pv2 - pv2)))

@@ -33,7 +33,7 @@ print(f"  after t = 1: theta = {x[0]:.12f} (stays pi/2 = {math.pi/2:.12f}),"
 x0, v0 = [1.0, 0.3], [0.3, 0.4]
 samples = geodesic(conn, x0, v0, 1.0, cfg)
 spray = spray_from_connection(conn)
-end = flow(spray.as_total_field(), bundle.total_point(x0 + v0), 1.0, cfg)
+end = flow(spray, bundle.total_point(x0 + v0), 1.0, cfg)
 t, xf, vf = samples[-1]
 print("\ntilted geodesic from (1.0, 0.3) with velocity (0.3, 0.4):")
 print(f"  geodesic integrator end: x = {np.round(xf, 10)}, "

@@ -18,10 +18,8 @@ from .catalog import (CATALOG, build_connection, circle_loop, latitude_loop,
                       random_section, random_tangent, random_total_point,
                       reversed_curve, segment_curve, sphere_angle_between,
                       sphere_latitude_gb_angle, sphere_metric)
-from .config import (DEFAULT_TOLERANCES, ScenarioConfig, canonical_text,
-                     emit_report, load_config)
-from .connection import (ConnectionField, ConnectionKind, HorizontalProjector,
-                         VerticalProjector, constant_base_field,
+from .config import ScenarioConfig, canonical_text, emit_report, load_config
+from .connection import (ConnectionField, ConnectionKind, constant_base_field,
                          covariant_derivative, extend_covariant_derivative,
                          extend_natural_derivative, horizontal_lift,
                          horizontal_lift_field, horizontal_projector,
@@ -40,7 +38,7 @@ from .errors import (ChartExitError, ConfigError, DomainError, FibrumError,
                      SecondOrderUnavailableError, StepBudgetError,
                      TangentBundleRequiredError, TooFewSamplesError)
 from .scenarios import CheckRow, VerificationReport, run_scenario
-from .transport import (CurveOnBase, IntegratorConfig, SprayField, flow,
+from .transport import (CurveOnBase, IntegratorConfig, flow,
                         flow_base, geodesic, holonomy_loop,
                         lie_derivative_covariant, parallel_transport_path,
                         parallel_transport_vector, spray_from_connection,

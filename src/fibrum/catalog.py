@@ -387,21 +387,25 @@ def latitude_loop(bundle: TrivializedBundle, theta0: float,
 
 def circle_loop(bundle: TrivializedBundle, center: Sequence[float],
                 radius: float, t0: float = 0.0, t1: float = 1.0):
-    """Closed planar circle in the first two base coordinates."""
+    """Closed circle around ``center`` (one entry per base coordinate) in
+    the plane of the first two base coordinates; the others stay at the
+    centre's."""
     from .transport import CurveOnBase
-    if bundle.base_dim != 2:
-        raise DomainError("circle_loop expects a two-dimensional base")
-    cx, cy = float(center[0]), float(center[1])
+    if bundle.base_dim < 2 or len(center) != bundle.base_dim:
+        raise DomainError("circle_loop needs a base of dimension >= 2 and a "
+                          "centre with one entry per base coordinate")
+    cx, cy, *rest = [float(c) for c in center]
+    still = [0.0] * len(rest)
     r = float(radius)
 
     def fn(t):
         ang = 2.0 * math.pi * (t - t0) / (t1 - t0)
-        return [cx + r * cos(ang), cy + r * sin(ang)]
+        return [cx + r * cos(ang), cy + r * sin(ang)] + rest
 
     def velocity(t):
         ang = 2.0 * math.pi * (t - t0) / (t1 - t0)
         rate = 2.0 * math.pi / float(t1 - t0)
-        return [-math.sin(ang) * rate * r, math.cos(ang) * rate * r]
+        return [-math.sin(ang) * rate * r, math.cos(ang) * rate * r] + still
 
     return CurveOnBase(bundle, fn, t0, t1, velocity)
 

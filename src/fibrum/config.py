@@ -16,54 +16,11 @@ from typing import Optional
 
 from .catalog import CATALOG
 from .errors import ConfigError
+from .scenarios import CHECKS
 
 DEFAULT_STEP = 1e-3
 DEFAULT_MAX_STEPS = 10_000_000
 DEFAULT_SEED = 42
-
-# Default tolerance per named check.  Order-style checks encode
-# "residual = required_order - observed_order", hence tolerance 0.  None
-# marks a row whose default bound is derived from the run's step and inputs
-# (see ``scenarios``); a ``tolerances`` entry still overrides it.
-DEFAULT_TOLERANCES: dict[str, Optional[float]] = {
-    "catalog_integrity": 1e-10,
-    "projector_algebra": 1e-12,
-    "gamma_linearity": 1e-12,
-    "gamma_fibre_linearity": 1e-10,
-    "lift_right_inverse": 1e-12,
-    "split_law": 1e-12,
-    "natural_derivative_relatedness": 1e-12,
-    "lift_field_relatedness": 1e-12,
-    "lift_rank": 1e-9,
-    "lift_tensoriality_in_section": 0.0,
-    "covariant_tensoriality_in_v": 1e-10,
-    "bracket_projectability": 1e-9,
-    "lift_route_internal_identity": 1e-9,
-    "curvature_verticality": 1e-10,
-    "curvature_horizontality": 1e-10,
-    "curvature_antisymmetry": 1e-10,
-    "cocurvature": 1e-10,
-    "curvature_tensoriality": 1e-9,
-    "curvature_routes_equality": 1e-8,
-    "bracket_expansion_identity": 1e-8,
-    "flatness_via_lifts": 1e-12,
-    "flatness_via_covariant": 1e-12,
-    "leibniz_rule": 1e-10,
-    "composition_commutator_curvature": 1e-8,
-    "second_derivative_torsion_form": 1e-8,
-    "torsion_symmetric": 1e-12,
-    "rk4_order": 0.0,
-    "flow_group_law": 1e-9,
-    "transport_roundtrip": 1e-8,
-    "transport_covariantly_constant": 1e-8,
-    "flow_algebra_bridge_order": 0.0,
-    "geodesic_spray_agreement": 1e-8,
-    "geodesic_covariant_residual": 1e-8,
-    "holonomy_flat_loop": 1e-10,
-    "holonomy_latitude_angle": None,
-    "holonomy_oracle_agreement": None,
-    "metric_compatibility": None,
-}
 
 
 def _integer(value) -> bool:
@@ -114,16 +71,6 @@ class ScenarioConfig:
     tolerances: dict = field(default_factory=dict)
     output_path: Optional[str] = None
     seed: int = DEFAULT_SEED
-
-    def tolerance(self, check_name: str,
-                  derived: Optional[float] = None) -> float:
-        """The ``tolerances`` entry of ``check_name``, else the bound
-        ``derived`` from the run's inputs, else the table's default."""
-        if check_name in self.tolerances:
-            return float(self.tolerances[check_name])
-        if derived is not None:
-            return derived
-        return DEFAULT_TOLERANCES[check_name]
 
     def echo(self) -> dict:
         return {
@@ -230,7 +177,7 @@ def load_config(source, seed_override: Optional[int] = None,
     if not isinstance(tolerances, dict):
         raise ConfigError("tolerances must be an object", field="tolerances")
     for name, val in tolerances.items():
-        if name not in DEFAULT_TOLERANCES:
+        if name not in CHECKS:
             raise ConfigError(f"unknown tolerance name '{name}'",
                               field="tolerances")
         if not _real(val):

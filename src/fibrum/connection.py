@@ -60,39 +60,27 @@ class ConnectionField:
         return [[cols[j][a] for j in range(m)] for a in range(self.bundle.fibre_dim)]
 
 
-@dataclass(frozen=True, eq=False)
-class VerticalProjector:
-    anchor: Point
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class HorizontalProjector:
-    anchor: Point
-    matrix: np.ndarray
-
-
 def _require_total(conn: ConnectionField, e: Point) -> tuple[list, list]:
     if e.space is not SpaceTag.TOTAL or e.bundle is not conn.bundle:
         raise DomainError("expected a total-space point of the connection's bundle")
     return conn.bundle.split(list(e.coords))
 
 
-def vertical_projector(conn: ConnectionField, e: Point) -> VerticalProjector:
-    """Pointwise projector onto the vertical subspace at e."""
+def vertical_projector(conn: ConnectionField, e: Point) -> np.ndarray:
+    """Matrix of the pointwise projector onto the vertical subspace at e."""
     x, y = _require_total(conn, e)
     m, f = conn.bundle.base_dim, conn.bundle.fibre_dim
     g = np.array([[float_value(v) for v in row] for row in conn.gamma_matrix(x, y)])
     mat = np.zeros((m + f, m + f))
     mat[m:, :m] = g
     mat[m:, m:] = np.eye(f)
-    return VerticalProjector(e, mat)
+    return mat
 
 
-def horizontal_projector(conn: ConnectionField, e: Point) -> HorizontalProjector:
-    """Complementary projector, kernel equal to the vertical subspace."""
-    pv = vertical_projector(conn, e)
-    return HorizontalProjector(e, np.eye(conn.bundle.total_dim) - pv.matrix)
+def horizontal_projector(conn: ConnectionField, e: Point) -> np.ndarray:
+    """Matrix of the complementary projector, whose kernel is the vertical
+    subspace."""
+    return np.eye(conn.bundle.total_dim) - vertical_projector(conn, e)
 
 
 def horizontal_lift(conn: ConnectionField, e: Point,

@@ -80,24 +80,6 @@ class CurveOnBase:
         return as_float_array(derivative(self.fn, float(t)))
 
 
-@dataclass(frozen=True)
-class SprayField:
-    """Second-order field on the tangent-bundle configuration:
-    (x, v) -> (v, a(x, v)).  The spray law - base part equal to the fibre
-    point - holds by construction and stays re-checkable."""
-
-    bundle: TrivializedBundle
-    fn: Callable[[Sequence[Scalar]], Sequence[Scalar]]
-
-    def __call__(self, coords) -> list:
-        if isinstance(coords, Point):
-            coords = list(coords.coords)
-        return list(self.fn(coords))
-
-    def as_total_field(self) -> TotalVectorField:
-        return TotalVectorField(self.bundle, self.fn)
-
-
 def _rk4(rhs, z0: np.ndarray, span: float, cfg: IntegratorConfig,
          inside, what: str, t_base: float = 0.0,
          collect: bool = False):
@@ -263,9 +245,12 @@ def covariant_derivative_along_curve(conn: ConnectionField, curve: CurveOnBase,
     return ydot + g
 
 
-def spray_from_connection(conn: ConnectionField) -> SprayField:
-    """Spray S(x, v) = (v, -gamma(x, v) v) of a tangent-bundle connection;
-    compatible with the connection's horizontal lift by construction."""
+def spray_from_connection(conn: ConnectionField) -> TotalVectorField:
+    """Spray S(x, v) = (v, -gamma(x, v) v) of a tangent-bundle connection:
+    a second-order field on the total space, compatible with the
+    connection's horizontal lift by construction.  The spray law - base part
+    equal to the fibre point - holds by construction and stays
+    re-checkable."""
     bundle = conn.bundle
     if bundle.fibre_dim != bundle.base_dim:
         raise TangentBundleRequiredError(
@@ -277,7 +262,7 @@ def spray_from_connection(conn: ConnectionField) -> SprayField:
         a = conn.gamma(list(x), list(v), list(v))
         return list(v) + [-c for c in a]
 
-    return SprayField(bundle, ev)
+    return TotalVectorField(bundle, ev)
 
 
 def geodesic(conn: ConnectionField, x0: Sequence[float], v0: Sequence[float],

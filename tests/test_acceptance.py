@@ -151,8 +151,8 @@ def test_c05_projector_algebra():
         eye = np.eye(d)
         for _ in range(200):
             e = random_total_point(conn.bundle, rng)
-            pv = vertical_projector(conn, e).matrix
-            ph = horizontal_projector(conn, e).matrix
+            pv = vertical_projector(conn, e)
+            ph = horizontal_projector(conn, e)
             worst = max(worst,
                         float(np.max(np.abs(pv @ pv - pv))),
                         float(np.max(np.abs(ph @ ph - ph))),
@@ -244,7 +244,7 @@ def test_c09_sprays_and_geodesics():
     samples = geodesic(conn, x0, v0, 1.0, CFG)
     spray = spray_from_connection(conn)
     e0 = conn.bundle.total_point(x0 + v0)
-    end = flow(spray.as_total_field(), e0, 1.0, CFG)
+    end = flow(spray, e0, 1.0, CFG)
     t, xf, vf = samples[-1]
     agree = float(np.max(np.abs(np.array(end.coords)
                                 - np.concatenate([xf, vf]))))
@@ -265,11 +265,10 @@ def test_c09_sprays_and_geodesics():
         return worst
 
     def spray_residual():
-        field = spray.as_total_field()
         worst = 0.0
         delta = 1e-3
         for t_star in (0.25, 0.5, 0.75):
-            states = [np.array(flow(field, e0, t_star + j * delta, CFG).coords)
+            states = [np.array(flow(spray, e0, t_star + j * delta, CFG).coords)
                       for j in (-2, -1, 0, 1, 2)]
             vdot = (-states[4][2:] + 8 * states[3][2:] - 8 * states[1][2:]
                     + states[0][2:]) / (12 * delta)

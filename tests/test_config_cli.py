@@ -26,7 +26,8 @@ def test_minimal_config_gets_defaults(tmp_path):
     assert cfg.step == 1e-3
     assert cfg.seed == 42
     assert cfg.output_path is None
-    assert cfg.tolerance("projector_algebra") == 1e-12
+    from fibrum.scenarios import CHECKS
+    assert CHECKS["projector_algebra"].tolerance == 1e-12
 
 
 def test_unknown_bundle_rejected(tmp_path):
@@ -149,14 +150,6 @@ def test_cli_bad_config_value_exits_2(tmp_path, capsys, bundle, key, value,
     err = capsys.readouterr().err
     assert f"(field: {field})" in err
     assert "Traceback" not in err
-
-
-def test_tolerance_table_names_every_check_in_order():
-    # config.py and scenarios.py each list the verify-all rows; a row
-    # added to or removed from one table must be mirrored in the other
-    from fibrum.config import DEFAULT_TOLERANCES
-    from fibrum.scenarios import CHECKS
-    assert list(DEFAULT_TOLERANCES) == list(CHECKS)
 
 
 # Each of these once ended in a traceback; a report path in a missing
@@ -397,7 +390,7 @@ _DEGREE_ONE = {"G_1_12": 0.1, "G_2_11_x1": -0.05, "G_1_22": 0.07}
     ("flat", {}, _HEAD + _LINEAR + _MIDDLE + _FLATNESS + _LINEAR_CURVATURE
      + _TORSION_FORM + _TRANSPORT + _GEODESIC + ["holonomy_flat_loop"]),
     ("flat", {"m": 3, "f": 1}, _HEAD + _LINEAR + _MIDDLE + _FLATNESS
-     + _LINEAR_CURVATURE + _TRANSPORT),
+     + _LINEAR_CURVATURE + _TRANSPORT + ["holonomy_flat_loop"]),
     ("sphere", {}, _HEAD + _LINEAR + _MIDDLE + _LINEAR_CURVATURE
      + _TORSION_FORM + ["torsion_symmetric"] + _TRANSPORT + _GEODESIC
      + _LATITUDE),
@@ -505,6 +498,29 @@ def test_latitude_tolerance_entry_overrides_derived_bound():
     assert rows["holonomy_oracle_agreement"].tolerance == 1e-9
     assert not rows["holonomy_oracle_agreement"].passed  # error 3.4e-6
     assert rows["holonomy_latitude_angle"].passed
+
+
+def test_metric_compatibility_reads_the_end_node():
+    # RK4 loses modulus at every step of the loop, so the end node holds
+    # the largest loss, which the derived bound is sized for; at step 0.01
+    # the strided nodes stop two short of it
+    from fibrum import (IntegratorConfig, build_connection, dot,
+                        latitude_loop, mat_vec, parallel_transport_path,
+                        sphere_metric)
+    from fibrum.catalog import CATALOG
+    theta0, y0 = CATALOG["sphere"]["capabilities"].latitude_holonomy
+    conn = build_connection("sphere")
+    loop = latitude_loop(conn.bundle, theta0)
+    _, path = parallel_transport_path(conn, loop, y0,
+                                      IntegratorConfig(step=0.01))
+
+    def norm(t, y):
+        return float(dot(mat_vec(sphere_metric(loop.fn(t)), y), y))
+
+    end_loss = abs(norm(*path[-1]) - norm(*path[0]))
+    row = _latitude_rows(theta0, 0.01)["metric_compatibility"]
+    assert row.passed
+    assert row.max_residual >= end_loss > 0.0, row
 
 
 def _scale_sphere_christoffels(monkeypatch, theta_row: float,
@@ -616,6 +632,21 @@ def test_cli_holonomy_nonlinear_default_stays_in_chart(tmp_path):
     assert out.returncode == 0, out.stdout
     tree = json.loads((tmp_path / "rep.json").read_text())
     assert tree["results"]["displacement"] > 0.01
+
+
+@pytest.mark.parametrize("bundle, m, code", [
+    ("flat", 3, 0), ("tm-custom-christoffel", 3, 0), ("flat", 1, 2)])
+def test_cli_holonomy_on_any_base_dimension(tmp_path, capsys, bundle, m,
+                                            code):
+    # the circle loop turns in the first two base coordinates, so every
+    # base with m >= 2 has one; on m = 1 the scenario is a config error
+    from fibrum.cli import main
+    cfg = _write(tmp_path, {"bundle_name": bundle, "bundle_params": {"m": m},
+                            "scenario": "holonomy"})
+    assert main(["run", str(cfg), "--quiet"]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert ("(field: scenario)" in err) is (code == 2)
 
 
 def test_cli_transport_rejects_radius(tmp_path):

@@ -16,7 +16,7 @@ from fibrum.calculus import as_float_array
 
 def test_flat_vertical_projector_block(flat_conn):
     e = flat_conn.bundle.total_point([0.1, 0.2, 0.3, 0.4])
-    pv = vertical_projector(flat_conn, e).matrix
+    pv = vertical_projector(flat_conn, e)
     expect = np.zeros((4, 4))
     expect[2:, 2:] = np.eye(2)
     assert np.array_equal(pv, expect)
@@ -25,7 +25,7 @@ def test_flat_vertical_projector_block(flat_conn):
 def test_projector_fixes_vertical_vectors(any_conn, rng):
     for _ in range(10):
         e = random_total_point(any_conn.bundle, rng)
-        pv = vertical_projector(any_conn, e).matrix
+        pv = vertical_projector(any_conn, e)
         m = any_conn.bundle.base_dim
         w = np.concatenate([np.zeros(m),
                             rng.uniform(-1, 1, any_conn.bundle.fibre_dim)])
@@ -35,7 +35,7 @@ def test_projector_fixes_vertical_vectors(any_conn, rng):
 def test_sphere_projector_at_equator(sphere_conn):
     # all Christoffels vanish at theta = pi/2, so P_V is the flat block form
     e = sphere_conn.bundle.total_point([math.pi / 2, 0.0, 1.0, 0.0])
-    pv = vertical_projector(sphere_conn, e).matrix
+    pv = vertical_projector(sphere_conn, e)
     expect = np.zeros((4, 4))
     expect[2:, 2:] = np.eye(2)
     assert np.max(np.abs(pv - expect)) < 1e-16
@@ -46,8 +46,8 @@ def test_projector_algebra(any_conn, rng):
     eye = np.eye(m + f)
     for _ in range(50):
         e = random_total_point(any_conn.bundle, rng)
-        pv = vertical_projector(any_conn, e).matrix
-        ph = horizontal_projector(any_conn, e).matrix
+        pv = vertical_projector(any_conn, e)
+        ph = horizontal_projector(any_conn, e)
         assert np.max(np.abs(pv @ pv - pv)) < 1e-12
         assert np.max(np.abs(ph @ ph - ph)) < 1e-12
         assert np.max(np.abs(pv @ ph)) < 1e-12

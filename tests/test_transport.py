@@ -313,7 +313,7 @@ def test_spray_flow_matches_geodesic(sphere_conn):
     x0, v0 = [1.0, 0.3], [0.3, 0.4]
     spray = spray_from_connection(sphere_conn)
     e0 = sphere_conn.bundle.total_point(x0 + v0)
-    end = flow(spray.as_total_field(), e0, 1.0, CFG)
+    end = flow(spray, e0, 1.0, CFG)
     t, x, v = geodesic(sphere_conn, x0, v0, 1.0, CFG)[-1]
     assert np.max(np.abs(np.array(end.coords)
                          - np.concatenate([x, v]))) < 1e-8
@@ -357,6 +357,24 @@ def test_holonomy_flat_loop_zero(flat_conn):
     loop = circle_loop(flat_conn.bundle, [0.0, 0.0], 0.8)
     y1, disp = holonomy_loop(flat_conn, loop, [0.5, 0.5], CFG)
     assert disp <= 1e-10
+
+
+def test_circle_loop_turns_in_the_first_plane(flat_conn):
+    # on m = 3 the first two coordinates are the m = 2 circle, bit for bit,
+    # and the third stays at the centre's; m = 1 has no plane
+    flat3 = make_flat(m=3)
+    plane = circle_loop(flat_conn.bundle, [0.1, -0.2], 0.8)
+    loop = circle_loop(flat3.bundle, [0.1, -0.2, 0.3], 0.8)
+    for t in np.linspace(0.0, 1.0, 17):
+        assert loop.fn(t) == plane.fn(t) + [0.3]
+        assert loop.velocity_fn(t) == plane.velocity_fn(t) + [0.0]
+    y1, disp = holonomy_loop(flat3, loop,
+                             np.full(flat3.bundle.fibre_dim, 0.5), CFG)
+    assert disp <= 1e-10
+    with pytest.raises(DomainError):
+        circle_loop(make_flat(m=1).bundle, [0.0], 0.8)
+    with pytest.raises(DomainError):
+        circle_loop(flat3.bundle, [0.0, 0.0], 0.8)
 
 
 def test_holonomy_degenerate_loop(sphere_conn):
@@ -451,6 +469,7 @@ def _standard_curves(sphere_conn, flat_conn):
         latitude_loop(sb, math.pi / 3, 0.3, 7.0),
         circle_loop(fb, [0.1, -0.2], 0.8),
         circle_loop(fb, [0.0, 0.0], 0.7, -0.4, 3.3),
+        circle_loop(make_flat(m=3).bundle, [0.1, -0.2, 0.3], 0.8),
     ]
 
 
