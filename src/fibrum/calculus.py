@@ -11,7 +11,18 @@ Each differentiation pass seeds its scalars with a fresh tag.  When
 scalars from different passes meet (an evaluator capturing a value from an
 enclosing differentiation is the typical case), the younger tag is the
 active one and the older operand is threaded through as a constant; this
-is what keeps nested derivatives from contaminating each other.
+is what keeps nested derivatives from contaminating each other.  Every
+scalar of one pass has the pass's gradient length, the number of seeds;
+same-tag operands of different lengths raise ``ValueError``.  A pass whose
+``coords`` or values carry an enclosing pass's scalars (an evaluator may
+capture them) is nested, and :func:`value_and_jacobian` returns it as
+lists.
+
+Gradients are built by straight-line kernels, one per operation and
+gradient length, generated and compiled on first use of that length and
+cached without a cap.  Each does the float operations of the textbook rule
+in its order, so results are bit-stable.  ``sin`` and ``cos`` of a nested
+scalar share the sine and cosine of every inner layer.
 
 Evaluators used with this module must be pure and *closed under DScalar
 inputs*: they may only combine their arguments with ``+ - * / **`` and the
@@ -60,16 +71,15 @@ class DScalar:
         self.tag = tag
 
     # -- arithmetic ------------------------------------------------------
-    # Each operation builds its result with one ``_ds`` call.  ``type(o) is
-    # DScalar`` is the operand test: the class has no subclasses.
+    # Gradients are built by the straight-line kernels below, one per
+    # operation and gradient length.  ``type(o) is DScalar`` is the operand
+    # test: the class has no subclasses.
 
     def __add__(self, other):
         tag = self.tag
         if type(other) is DScalar:
             if other.tag == tag:
-                return _ds(self.value + other.value,
-                           tuple([a + b for a, b in zip(self.grad,
-                                                        other.grad)]), tag)
+                return _ADD[len(self.grad)](self, other)
             if other.tag > tag:  # self is constant for other's pass
                 return _ds(self + other.value, other.grad, other.tag)
             return _ds(self.value + other, self.grad, tag)
@@ -81,35 +91,30 @@ class DScalar:
         tag = self.tag
         if type(other) is DScalar:
             if other.tag == tag:
-                return _ds(self.value - other.value,
-                           tuple([a - b for a, b in zip(self.grad,
-                                                        other.grad)]), tag)
+                return _SUB[len(self.grad)](self, other)
             if other.tag > tag:
-                return _ds(self - other.value,
-                           tuple([-g for g in other.grad]), other.tag)
+                g = other.grad
+                return _NEG[len(g)](self - other.value, g, other.tag)
             return _ds(self.value - other, self.grad, tag)
         return _ds(self.value - float(other), self.grad, tag)
 
     def __rsub__(self, other):
-        return _ds(float(other) - self.value,
-                   tuple([-g for g in self.grad]), self.tag)
+        g = self.grad
+        return _NEG[len(g)](float(other) - self.value, g, self.tag)
 
     def __mul__(self, other):
         tag = self.tag
         if type(other) is DScalar:
             if other.tag == tag:
-                a, b = self.value, other.value
-                return _ds(a * b,
-                           tuple([a * gb + ga * b
-                                  for ga, gb in zip(self.grad, other.grad)]),
-                           tag)
+                return _MUL[len(self.grad)](self, other)
             if other.tag > tag:
-                return _ds(self * other.value,
-                           tuple([self * g for g in other.grad]), other.tag)
-            return _ds(self.value * other,
-                       tuple([g * other for g in self.grad]), tag)
+                g = other.grad
+                return _SCALE[len(g)](self * other.value, self, g, other.tag)
+            g = self.grad
+            return _TIMES[len(g)](self.value * other, g, other, tag)
         f = float(other)
-        return _ds(self.value * f, tuple([g * f for g in self.grad]), tag)
+        g = self.grad
+        return _TIMES[len(g)](self.value * f, g, f, tag)
 
     __rmul__ = __mul__
 
@@ -117,14 +122,15 @@ class DScalar:
         if type(other) is DScalar:
             return self * other ** -1
         f = float(other)
-        return _ds(self.value / f, tuple([g / f for g in self.grad]),
-                   self.tag)
+        g = self.grad
+        return _OVER[len(g)](self.value / f, g, f, self.tag)
 
     def __rtruediv__(self, other):
         return float(other) * self ** -1
 
     def __neg__(self):
-        return _ds(-self.value, tuple([-g for g in self.grad]), self.tag)
+        g = self.grad
+        return _NEG[len(g)](-self.value, g, self.tag)
 
     def __pos__(self):
         return self
@@ -132,9 +138,10 @@ class DScalar:
     def __pow__(self, p):
         if not isinstance(p, (int, float)):
             raise TypeError("DScalar exponent must be a plain number")
-        coeff = p * self.value ** (p - 1)
-        return _ds(self.value ** p, tuple([coeff * g for g in self.grad]),
-                   self.tag)
+        v = self.value
+        coeff = p * v ** (p - 1)
+        g = self.grad
+        return _SCALE[len(g)](v ** p, coeff, g, self.tag)
 
     def __repr__(self):
         return f"DScalar({self.value!r}, grad={self.grad!r}, tag={self.tag})"
@@ -152,6 +159,83 @@ def _ds(value, grad: tuple, tag: int) -> DScalar:
     return z
 
 
+# -- per-length gradient kernels -------------------------------------------
+# Each operation's gradient is written out per component as straight-line
+# code, one function per gradient length, compiled on first use.  An entry
+# is the textbook rule's float operations in its order; the result's value
+# is computed before its gradient entries, and those in index order.
+# Binary kernels take two scalars of one pass: ``a``, ``b`` are their
+# values and ``a{i}``, ``b{i}`` their gradients, which must have one length.
+# The others take the result's value, its tag and one gradient ``g{i}``
+# with a factor ``c`` (left) or ``f`` (right).
+
+_OPS = {
+    "add": ("x, y", "a + b", "a{i} + b{i}"),
+    "sub": ("x, y", "a - b", "a{i} - b{i}"),
+    "mul": ("x, y", "a * b", "a * b{i} + a{i} * b"),
+    "scale": ("value, c, g, tag", "value", "c * g{i}"),
+    "times": ("value, g, f, tag", "value", "g{i} * f"),
+    "over": ("value, g, f, tag", "value", "g{i} / f"),
+    "neg": ("value, g, tag", "value", "-g{i}"),
+}
+
+
+def _unequal(x: DScalar, y: DScalar) -> ValueError:
+    return ValueError(
+        f"gradients of one pass (tag {x.tag}) differ in length: "
+        f"{len(x.grad)} and {len(y.grad)}")
+
+
+def _compile(op: str, n: int):
+    """The kernel of ``op`` for gradients of length ``n``."""
+    params, value, entry = _OPS[op]
+
+    def names(prefix):
+        return "[" + ", ".join(f"{prefix}{i}" for i in range(n)) + "]"
+
+    lines = [f"def {op}({params}):"]
+    if params == "x, y":
+        lines += [f"    {names('a')} = x.grad",
+                  "    try:",
+                  f"        {names('b')} = y.grad",
+                  "    except ValueError:",
+                  "        raise unequal(x, y) from None",
+                  "    a = x.value",
+                  "    b = y.value",
+                  "    tag = x.tag"]
+    else:
+        lines.append(f"    {names('g')} = g")
+    grad = ", ".join(entry.format(i=i) for i in range(n))
+    lines += ["    z = new(DScalar)",
+              f"    z.value = {value}",
+              f"    z.grad = ({grad}{',' if n == 1 else ''})",
+              "    z.tag = tag",
+              "    return z"]
+    namespace = {"new": _new, "DScalar": DScalar, "unequal": _unequal}
+    exec(compile("\n".join(lines), f"<DScalar {op}, n={n}>", "exec"),
+         namespace)
+    return namespace[op]
+
+
+class _Kernels(dict):
+    """The kernels of one operation by gradient length, compiled on first
+    use of each length; any length is accepted."""
+
+    __slots__ = ("op",)
+
+    def __init__(self, op: str):
+        super().__init__()
+        self.op = op
+
+    def __missing__(self, n: int):
+        kernel = self[n] = _compile(self.op, n)
+        return kernel
+
+
+_ADD, _SUB, _MUL, _SCALE, _TIMES, _OVER, _NEG = (
+    _Kernels(op) for op in _OPS)
+
+
 def float_value(z) -> float:
     """Strip all derivative layers and return the underlying float."""
     while isinstance(z, DScalar):
@@ -161,17 +245,30 @@ def float_value(z) -> float:
 
 # -- smooth functions, dispatching on float vs DScalar ---------------------
 
+def _sincos(z: Scalar) -> tuple:
+    """``(sin z, cos z)``; each inner layer's sine and cosine is taken once
+    and shared by both."""
+    if type(z) is DScalar:
+        s, c = _sincos(z.value)
+        g, tag = z.grad, z.tag
+        scale = _SCALE[len(g)]
+        return scale(s, c, g, tag), scale(c, -s, g, tag)
+    return math.sin(z), math.cos(z)
+
+
 def sin(z: Scalar) -> Scalar:
     if type(z) is DScalar:
-        c = cos(z.value)
-        return _ds(sin(z.value), tuple([c * g for g in z.grad]), z.tag)
+        s, c = _sincos(z.value)
+        g = z.grad
+        return _SCALE[len(g)](s, c, g, z.tag)
     return math.sin(z)
 
 
 def cos(z: Scalar) -> Scalar:
     if type(z) is DScalar:
-        s = sin(z.value)
-        return _ds(cos(z.value), tuple([-s * g for g in z.grad]), z.tag)
+        s, c = _sincos(z.value)
+        g = z.grad
+        return _SCALE[len(g)](c, -s, g, z.tag)
     return math.cos(z)
 
 
@@ -182,21 +279,24 @@ def tan(z: Scalar) -> Scalar:
 def exp(z: Scalar) -> Scalar:
     if type(z) is DScalar:
         e = exp(z.value)
-        return _ds(e, tuple([e * g for g in z.grad]), z.tag)
+        g = z.grad
+        return _SCALE[len(g)](e, e, g, z.tag)
     return math.exp(z)
 
 
 def log(z: Scalar) -> Scalar:
     if type(z) is DScalar:
         v = z.value
-        return _ds(log(v), tuple([g / v for g in z.grad]), z.tag)
+        g = z.grad
+        return _OVER[len(g)](log(v), g, v, z.tag)
     return math.log(z)
 
 
 def sqrt(z: Scalar) -> Scalar:
     if type(z) is DScalar:
         r = sqrt(z.value)
-        return _ds(r, tuple([g / (2.0 * r) for g in z.grad]), z.tag)
+        g = z.grad
+        return _OVER[len(g)](r, g, 2.0 * r, z.tag)
     return math.sqrt(z)
 
 
@@ -259,14 +359,15 @@ def value_and_jacobian(fn: VectorFn, coords: Sequence[Scalar]):
     One evaluation gives both.  The values are the pass's outputs with its
     own layer stripped: ``fn(coords)``, except that a division by a varying
     ``b`` rounds as a product with ``b ** -1``.  Column ``j`` of the
-    Jacobian is the directional derivative along ``e_j``.  For plain float
-    input it is a float ``(k, n)`` ndarray, checked for NaN/inf; when
-    ``coords`` carries DScalars from an enclosing differentiation, values
-    and entries (nested lists) belong to that enclosing pass.
+    Jacobian is the directional derivative along ``e_j``.  The pass is
+    nested when ``coords`` or the values carry DScalars of an enclosing
+    differentiation, as when ``fn`` captures them from that pass: values
+    and entries (nested lists) then belong to the enclosing pass.
+    Otherwise the Jacobian is a float ``(k, n)`` ndarray, checked for
+    NaN/inf.
     """
     coords = list(coords)
     n = len(coords)
-    nested = any(type(c) is DScalar for c in coords)
     tag = _fresh_tag()
     try:
         out = fn(seed_scalars(coords, tag))
@@ -281,7 +382,8 @@ def value_and_jacobian(fn: VectorFn, coords: Sequence[Scalar]):
         else:
             values.append(comp)
             rows.append([0.0] * n)  # constant w.r.t. this pass
-    if nested:
+    if (any(type(c) is DScalar for c in coords)
+            or any(type(v) is DScalar for v in values)):
         return values, rows
     mat = np.array(rows, dtype=float)
     if not np.isfinite(mat).all():
