@@ -39,7 +39,7 @@ analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -50,8 +50,7 @@ from .calculus import (Scalar, as_float_array, derivative, dot, jacobian,
                        mat_vec, value_and_jacobian, vec_add, vec_scale,
                        vec_sub)
 from .connection import (ConnectionField, ConnectionKind, _cov_value,
-                         constant_base_field, covariant_derivative,
-                         extend_covariant_derivative, horizontal_lift,
+                         constant_base_field, horizontal_lift,
                          horizontal_lift_field)
 from .errors import (DomainError, LinearityRequiredError,
                      SecondOrderUnavailableError, TangentBundleRequiredError)
@@ -123,83 +122,91 @@ def cocurvature(conn: ConnectionField, e: Point, X: TotalTangent,
     return TotalTangent(e, -lift.base_part, -lift.fibre_part)
 
 
+def _nested_section_jet(s_fn, xs) -> tuple:
+    """Value and Jacobian of the section at base coordinates that carry an
+    enclosing pass: the one piece of route work that needs evaluators
+    closed under nested derivative-carrying scalars."""
+    try:
+        return value_and_jacobian(s_fn, xs)
+    except (TypeError, AttributeError) as exc:
+        raise SecondOrderUnavailableError(
+            "differentiating covariant derivatives needs evaluators closed "
+            "under nested derivative-carrying scalars") from exc
+
+
 class _RouteJets:
-    """One draw (s, u, v, x) of the bracket routes, read from shared jets.
+    """One draw (s, u, v, x) of the bracket routes, read from one pass.
 
     Every route brackets two of four fields at e = (x, s(x)): the
     horizontal lifts H_u, H_v and the extended covariant derivatives N_u,
-    N_v.  Their 1-jets (value and Jacobian) at e fix each bracket, so each
-    jet is taken on first use and kept, and [u, v](x) is evaluated once.
-    The fields are pure, so a kept jet has the bits a second pass would
-    give and every route reads what it would read alone.  [u, v] enters
-    only through its value at x (in H_[u,v](e) and nabla_[u,v] s(x)), so
-    it is carried as the constant field with that value.
+    N_v.  Their 1-jets (value and Jacobian) at e fix each bracket, and one
+    ``value_and_jacobian`` pass over the stacked fields gives them all.
+    Inside it u(x), v(x), gamma(x, y, u(x)), gamma(x, y, v(x)) and the
+    nested pass Ds(x) are each evaluated once; H_u = (u, -g_u) and
+    N_u = (0, Ds u + g_u) are built from the same scalars.  With
+    ``covariant=False`` the pass covers H_u and H_v only and does no
+    nested work.
+
+    The stacked jets have the bits of separate passes: the fields are pure,
+    and a forward-mode gradient entry uses only that entry of its operands,
+    whatever the gradient length.  So the base rows and first m columns of
+    the jets of H_u and H_v are the jets of u and v at x, and they give
+    [u, v](x).  [u, v] enters only through its value at x (in H_[u,v](e)
+    and nabla_[u,v] s(x)), so it is carried as the constant field with
+    that value.
     """
 
     def __init__(self, conn: ConnectionField, s: SectionMap,
-                 u: BaseVectorField, v: BaseVectorField, x: Point):
-        self.conn, self.s, self.u, self.v, self.x = conn, s, u, v, x
+                 u: BaseVectorField, v: BaseVectorField, x: Point,
+                 covariant: bool = True):
+        self.conn, self.s, self.x = conn, s, x
         self.e = s.graph(x)
-        self._coords = list(self.e.coords)
-        self._fields = {
-            "hu": horizontal_lift_field(conn, u).fn,
-            "hv": horizontal_lift_field(conn, v).fn,
-            "nu": extend_covariant_derivative(conn, s, u).fn,
-            "nv": extend_covariant_derivative(conn, s, v).fn,
-        }
-        self._jets: dict = {}
-        self._uv: Optional[BaseVectorField] = None
+        bundle = conn.bundle
+        m, n = bundle.base_dim, bundle.total_dim
 
-    def _jet(self, key: str):
-        jet = self._jets.get(key)
-        if jet is None:
-            jet = self._jets[key] = value_and_jacobian(self._fields[key],
-                                                       self._coords)
-        return jet
+        def fields(coords):
+            xs, y = bundle.split(coords)
+            ux, vx = u.fn(xs), v.fn(xs)
+            gu, gv = conn.gamma(xs, y, ux), conn.gamma(xs, y, vx)
+            out = list(ux) + [-c for c in gu] + list(vx) + [-c for c in gv]
+            if covariant:
+                ds = _nested_section_jet(s.fn, xs)[1]
+                out += [0.0] * m + vec_add(mat_vec(ds, ux), gu)
+                out += [0.0] * m + vec_add(mat_vec(ds, vx), gv)
+            return out
 
-    def _covariant_jets(self):
-        """Jets of N_u and N_v; their coefficients already hold Ds."""
-        try:
-            return self._jet("nu"), self._jet("nv")
-        except (TypeError, AttributeError) as exc:
-            raise SecondOrderUnavailableError(
-                "bracketing the extended covariant derivatives needs "
-                "evaluators closed under nested derivative-carrying "
-                "scalars") from exc
-
-    def _bracket_uv(self) -> BaseVectorField:
-        if self._uv is None:
-            uv = base_lie_bracket(self.u, self.v).fn(list(self.x.coords))
-            self._uv = constant_base_field(self.conn.bundle, uv)
-        return self._uv
+        values, jac = value_and_jacobian(fields, list(self.e.coords))
+        jets = [(values[k:k + n], jac[k:k + n])
+                for k in range(0, len(values), n)]
+        self.hu, self.hv = jets[:2]
+        self.nu, self.nv = jets[2:] or (None, None)
+        (ue, ju), (ve, jv) = self.hu, self.hv
+        uv = jet_bracket(ue[:m], ju[:m, :m], ve[:m], jv[:m, :m])
+        self.uv = constant_base_field(bundle, uv)
 
     def lifts(self) -> np.ndarray:
         """Fibre part of H_[u,v](e) - [H_u, H_v](e)."""
-        hw = horizontal_lift_field(self.conn, self._bracket_uv())(self.e)
-        br = jet_bracket(*self._jet("hu"), *self._jet("hv"))
+        hw = horizontal_lift_field(self.conn, self.uv)(self.e)
+        br = jet_bracket(*self.hu, *self.hv)
         m = self.conn.bundle.base_dim
         return as_float_array(vec_sub(hw, br)[m:])
 
     def vertical_projection(self) -> np.ndarray:
         """Fibre part of -P_V [H_u, H_v](e)."""
-        br = jet_bracket(*self._jet("hu"), *self._jet("hv"))
+        br = jet_bracket(*self.hu, *self.hv)
         return -as_float_array(_pv_apply(self.conn, self.e, br))
 
     def covariant(self) -> np.ndarray:
         """Fibre part of [N_u, N_v](e) minus nabla_[u,v] s(x)."""
-        nu, nv = self._covariant_jets()
-        br = jet_bracket(*nu, *nv)
-        nw = covariant_derivative(self.conn, self.s, self._bracket_uv(),
-                                  self.x)
+        br = jet_bracket(*self.nu, *self.nv)
+        nw = _cov_value(self.conn, self.s.fn, self.uv.fn, list(self.x.coords))
         m = self.conn.bundle.base_dim
-        return as_float_array(br[m:]) - nw
+        return as_float_array(br[m:]) - as_float_array(nw)
 
     def cross(self) -> np.ndarray:
         """[H_v, N_u](e) + [N_v, H_u](e), all components."""
-        nu, nv = self._covariant_jets()
-        hu, hv = self._jet("hu"), self._jet("hv")
-        return as_float_array(vec_add(jet_bracket(*hv, *nu),
-                                      jet_bracket(*nv, *hu)))
+        return as_float_array(vec_add(jet_bracket(*self.hv, *self.nu),
+                                      jet_bracket(*self.nv, *self.hu)))
 
 
 def curv_via_lifts(conn: ConnectionField, s: SectionMap, u: BaseVectorField,
@@ -209,7 +216,7 @@ def curv_via_lifts(conn: ConnectionField, s: SectionMap, u: BaseVectorField,
     For linear (Christoffel) coefficients this equals the classical
     coordinate curvature contraction R^a_bcd s^b u^c v^d.
     """
-    jets = _RouteJets(conn, s, u, v, x)
+    jets = _RouteJets(conn, s, u, v, x, covariant=False)
     return VerticalValue(jets.e, jets.lifts())
 
 
@@ -221,7 +228,7 @@ def curv_via_vertical_projection(conn: ConnectionField, s: SectionMap,
     Equality with ``curv_via_lifts`` is exactly the statement that the lift
     of the bracket is the horizontal component of the bracket of the lifts.
     """
-    jets = _RouteJets(conn, s, u, v, x)
+    jets = _RouteJets(conn, s, u, v, x, covariant=False)
     return VerticalValue(jets.e, jets.vertical_projection())
 
 
@@ -252,31 +259,42 @@ def curv_via_covariant_composition(conn: ConnectionField, s: SectionMap,
     DW u + d_y gamma(x, s(x))[W] u; for linear coefficients that is
     nabla_u W itself and this is ``composition_commutator``.  Evaluators
     must be closed under nested derivative-carrying scalars.
+
+    One ``value_and_jacobian`` pass at x over the stacked fields
+    (u, v, nabla_v s, nabla_u s) gives every jet, with u, v and the nested
+    pass Ds evaluated once in it; [u, v](x) comes from its u and v rows, as
+    in ``_RouteJets``.  Where u, v and s enter undifferentiated they are
+    plain float values: a pass rounds a division by a varying quantity
+    differently.
     """
     e = s.graph(x)
     coords = list(x.coords)
+    m, f = conn.bundle.base_dim, conn.bundle.fibre_dim
 
-    def nabla(w: BaseVectorField):
-        return lambda c: _cov_value(conn, s.fn, w.fn, c)
+    def fields(xs):
+        ux, vx = u.fn(xs), v.fn(xs)
+        sx, ds = _nested_section_jet(s.fn, xs)
+        return (list(ux) + list(vx)
+                + vec_add(mat_vec(ds, vx), conn.gamma(xs, sx, vx))
+                + vec_add(mat_vec(ds, ux), conn.gamma(xs, sx, ux)))
 
-    def nabla_along_s(w_fn, along: BaseVectorField):
+    values, jac = value_and_jacobian(fields, coords)
+    sx = list(e.fibre_coords)
+
+    def nabla_along_s(k: int, along: BaseVectorField):
+        """nabla_along W for the W in rows k to k + f of the pass."""
         ax = along.fn(coords)
-        sx = s.fn(coords)
-        wx, jw = value_and_jacobian(w_fn, coords)
-        dw = mat_vec(jw, ax)
+        wx = values[k:k + f]
+        dw = mat_vec(jac[k:k + f], ax)
         dg = derivative(
             lambda t: conn.gamma(coords, vec_add(sx, vec_scale(t, wx)), ax),
             0.0)
         return as_float_array(vec_add(dw, dg))
 
-    try:
-        uv = nabla_along_s(nabla(v), u)
-        vu = nabla_along_s(nabla(u), v)
-    except (TypeError, AttributeError) as exc:
-        raise SecondOrderUnavailableError(
-            "differentiating covariant derivatives needs evaluators closed "
-            "under nested derivative-carrying scalars") from exc
-    w = as_float_array(nabla(base_lie_bracket(u, v))(coords))
+    uv = nabla_along_s(2 * m, u)
+    vu = nabla_along_s(2 * m + f, v)
+    bracket = jet_bracket(values[:m], jac[:m], values[m:2 * m], jac[m:2 * m])
+    w = as_float_array(_cov_value(conn, s.fn, lambda c: bracket, coords))
     return VerticalValue(e, uv - vu - w)
 
 

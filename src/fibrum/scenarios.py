@@ -456,7 +456,8 @@ def _bracket_projectability(sub, rng):
 
 @_sampled("lift_route_internal_identity", 100, 1e-9)
 def _lift_route_internal_identity(sub, rng):
-    jets = _RouteJets(sub.conn, *_draw_suvx(sub.bundle, rng))
+    jets = _RouteJets(sub.conn, *_draw_suvx(sub.bundle, rng),
+                      covariant=False)
     return _max_abs(jets.lifts() - jets.vertical_projection())
 
 

@@ -41,7 +41,13 @@ from fibrum import (BaseVectorField, SectionMap, TotalTangent,
                     random_base_point, random_section, random_tangent,
                     random_total_point, second_covariant_derivative, sin,
                     tensoriality_check_curvature, torsion, vec_add, vec_sub)
-from fibrum.errors import (LinearityRequiredError, TangentBundleRequiredError)
+from fibrum.calculus import (derivative, mat_vec, value_and_jacobian,
+                             vec_scale)
+from fibrum.connection import _cov_value
+from fibrum.curvature import VerticalValue
+from fibrum.errors import (LinearityRequiredError,
+                           SecondOrderUnavailableError,
+                           TangentBundleRequiredError)
 
 
 # -- independent oracle: classical tensor on the round sphere ---------------
@@ -364,7 +370,7 @@ def _bits(a):
     return [(float(c), math.copysign(1.0, c)) for c in a]
 
 
-@pytest.mark.parametrize("name,params", [
+_CONNECTIONS = [
     ("flat", {}),
     ("flat", {"m": 3, "f": 1}),
     ("sphere", {}),
@@ -373,7 +379,10 @@ def _bits(a):
                                "G_1_12_x2": 0.08, "G_2_11_x1": -0.06,
                                "G_2_21": 0.11, "G_2_21_x1": 0.04,
                                "G_2_22_x2": -0.09, "G_1_22": 0.05}),
-])
+]
+
+
+@pytest.mark.parametrize("name,params", _CONNECTIONS)
 def test_shared_jets_bit_equal_to_separate_brackets(name, params):
     conn = build_connection(name, params)
     bundle = conn.bundle
@@ -396,19 +405,89 @@ def test_shared_jets_bit_equal_to_separate_brackets(name, params):
         assert _bits(cross_bracket_sum(conn, s, u, v, x)) == _bits(cross)
 
 
-def test_curvature_routes_take_each_jet_once(nonlinear_conn, monkeypatch):
-    # one draw brackets H_u, H_v, N_u and N_v at e: one jet each, one
-    # evaluation of [u, v](x) (a jet of u and one of v at x), and the
-    # section's jet for nabla_[u,v] s; nothing else at float points
-    import importlib
-    from fibrum.calculus import DScalar, value_and_jacobian
-    conn = nonlinear_conn
+def _composition_one_pass_per_jet(conn, s, u, v, x):
+    """``curv_via_covariant_composition`` as it was before its jets were
+    stacked: one pass per jet at x, the body copied verbatim."""
+    e = s.graph(x)
+    coords = list(x.coords)
+
+    def nabla(w: BaseVectorField):
+        return lambda c: _cov_value(conn, s.fn, w.fn, c)
+
+    def nabla_along_s(w_fn, along: BaseVectorField):
+        ax = along.fn(coords)
+        sx = s.fn(coords)
+        wx, jw = value_and_jacobian(w_fn, coords)
+        dw = mat_vec(jw, ax)
+        dg = derivative(
+            lambda t: conn.gamma(coords, vec_add(sx, vec_scale(t, wx)), ax),
+            0.0)
+        return as_float_array(vec_add(dw, dg))
+
+    try:
+        uv = nabla_along_s(nabla(v), u)
+        vu = nabla_along_s(nabla(u), v)
+    except (TypeError, AttributeError) as exc:
+        raise SecondOrderUnavailableError(
+            "differentiating covariant derivatives needs evaluators closed "
+            "under nested derivative-carrying scalars") from exc
+    w = as_float_array(nabla(base_lie_bracket(u, v))(coords))
+    return VerticalValue(e, uv - vu - w)
+
+
+@pytest.mark.parametrize("name,params", _CONNECTIONS)
+def test_composition_bit_equal_to_one_pass_per_jet(name, params):
+    conn = build_connection(name, params)
     bundle = conn.bundle
-    rng = np.random.default_rng(5)
-    s = random_section(bundle, rng)
-    u = random_base_field(bundle, rng)
-    v = random_base_field(bundle, rng)
+    m = bundle.base_dim
+    rng = np.random.default_rng(20261019)
+    draws = [(random_section(bundle, rng), random_base_field(bundle, rng),
+              random_base_field(bundle, rng), random_base_point(bundle, rng))
+             for _ in range(6)]
+    # divisions by varying quantities, which a pass rounds as products
+    # with reciprocals: u, v and s must still enter undifferentiated as
+    # their plain float values
     x = random_base_point(bundle, rng)
+    centre = [0.5 * (lo + hi) for lo, hi in zip(bundle.fibre_box.lower,
+                                                bundle.fibre_box.upper)]
+    draws.append((
+        SectionMap(bundle, lambda c: [y + 0.1 / (3.0 + c[0]) for y in centre]),
+        BaseVectorField(bundle, lambda c: [1.0 / (5.0 + c[-1])] * m),
+        BaseVectorField(bundle, lambda c: [c[0] / (4.0 - c[0])] * m), x))
+    for s, u, v, x in draws:
+        got = curv_via_covariant_composition(conn, s, u, v, x).fibre_part
+        ref = _composition_one_pass_per_jet(conn, s, u, v, x).fibre_part
+        assert _bits(got) == _bits(ref)
+
+
+def test_curvature_routes_take_each_jet_once(nonlinear_conn, monkeypatch):
+    # one draw makes one pass at e over the stacked H_u, H_v, N_u and N_v,
+    # in which u(x), v(x), gamma(x, y, u(x)), gamma(x, y, v(x)) and the
+    # nested Ds(x) are each evaluated once, and reads [u, v](x) from it; the
+    # only other pass at a float point is the section's at x, for
+    # nabla_[u,v] s.  The lift routes make one pass at e and none at x
+    import collections
+    import importlib
+    from fibrum import ConnectionField
+    from fibrum.calculus import DScalar
+    bundle = nonlinear_conn.bundle
+    rng = np.random.default_rng(5)
+    evals = collections.Counter()
+
+    def counted(name, fn):
+        def ev(*args):
+            evals[name] += 1
+            return fn(*args)
+        return ev
+
+    conn = ConnectionField(bundle, counted("gamma", nonlinear_conn.gamma),
+                           nonlinear_conn.kind)
+    s = SectionMap(bundle, counted("s", random_section(bundle, rng).fn))
+    u, v = (BaseVectorField(bundle, counted(name,
+                                            random_base_field(bundle, rng).fn))
+            for name in "uv")
+    x = random_base_point(bundle, rng)
+    e = tuple(s.graph(x).coords)
     calls = []
 
     def counting(fn, coords):
@@ -420,22 +499,27 @@ def test_curvature_routes_take_each_jet_once(nonlinear_conn, monkeypatch):
     for name in ("bundle", "calculus", "connection", "curvature"):
         monkeypatch.setattr(importlib.import_module(f"fibrum.{name}"),
                             "value_and_jacobian", counting)
+    evals.clear()
     curvature_routes(conn, s, u, v, x)
-    e = tuple(s.graph(x).coords)
-    at_e = [fn for fn, c in calls if c == e]
-    at_x = [fn for fn, c in calls if c == x.coords]
-    assert len(at_e) == 4 and len(set(at_e)) == 4
-    assert at_x.count(u.fn) == 1 and at_x.count(v.fn) == 1
-    assert at_x.count(s.fn) == 1
-    assert len(calls) == 7
+    assert [c for _, c in calls] == [e, x.coords]
+    assert calls[1][0] is s.fn
+    # s: the graph point, the nested Ds and the float pass at x; gamma:
+    # two in the pass, H_[u,v](e) and nabla_[u,v] s(x)
+    assert evals == {"u": 1, "v": 1, "s": 3, "gamma": 4}
+    for route in (curv_via_lifts, curv_via_vertical_projection):
+        calls.clear()
+        evals.clear()
+        route(conn, s, u, v, x)
+        assert [c for _, c in calls] == [e]
+        assert evals["u"] == 1 and evals["v"] == 1 and evals["s"] == 1
 
 
 def test_second_order_required_error(flat_conn):
     # an evaluator that breaks under derivative-carrying input surfaces as
     # the dedicated second-order error when a covariant-derivative route
-    # needs it
+    # needs it, and only then: the lift routes never differentiate the
+    # section's derivative
     import math as pymath
-    from fibrum.errors import SecondOrderUnavailableError
     bundle = flat_conn.bundle
     bad = SectionMap(bundle, lambda x: [pymath.sin(x[0]), 0.0])  # not closed
     u = BaseVectorField(bundle, lambda x: [1.0, 0.0])
@@ -445,6 +529,15 @@ def test_second_order_required_error(flat_conn):
                   cross_bracket_sum, curvature_routes):
         with pytest.raises(SecondOrderUnavailableError):
             route(flat_conn, bad, u, v, x)
+    for route in (curv_via_lifts, curv_via_vertical_projection):
+        assert np.all(route(flat_conn, bad, u, v, x).fibre_part == 0.0)
+    # a base field that breaks under a first-order pass is no second-order
+    # failure: the error it raises passes through unchanged
+    bad_u = BaseVectorField(bundle, lambda x: [pymath.sin(x[0]), 0.0])
+    s = SectionMap(bundle, lambda x: [x[0], x[1]])
+    for route in (curv_via_lifts, curvature_routes):
+        with pytest.raises(TypeError):
+            route(flat_conn, s, bad_u, v, x)
 
 
 # -- linear specialization (compositions, torsion, Leibniz) -------------------

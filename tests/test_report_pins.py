@@ -2,8 +2,11 @@
 
 Reports are byte-reproducible, and a refactor keeps every one of them
 byte-identical.  These pins guard that in the suite: ``fibrum verify`` on
-every catalog bundle, the sphere ``transport`` scenario and a 20-sample
-``theorem41`` table on ``nonlinear-demo``, all at the default seed.
+every catalog bundle, the sphere ``transport`` scenario, 20-sample
+``theorem41`` tables on ``nonlinear-demo`` and ``sphere`` (whose gamma
+divides by sin theta), and ``verify-all`` on a ``tm-custom-christoffel``
+with degree-one coefficients (the default one is the zero connection), all
+at the default seed.
 
 The bytes do not depend on the CPU either.  numpy stores, samples and does
 elementwise arithmetic; every contraction that reaches a report goes through
@@ -43,6 +46,15 @@ RUNS = {
     "run nonlinear-demo theorem41 samples=20": {
         "bundle_name": "nonlinear-demo", "scenario": "theorem41",
         "scenario_params": {"samples": 20}},
+    "run sphere theorem41 samples=20": {
+        "bundle_name": "sphere", "scenario": "theorem41",
+        "scenario_params": {"samples": 20}},
+    "run tm-custom-christoffel verify-all degree-one": {
+        "bundle_name": "tm-custom-christoffel", "scenario": "verify-all",
+        "bundle_params": {"G_1_11": 0.2, "G_1_12": -0.15, "G_1_12_x2": 0.08,
+                          "G_2_11_x1": -0.06, "G_2_21": 0.11,
+                          "G_2_21_x1": 0.04, "G_2_22_x2": -0.09,
+                          "G_1_22": 0.05}},
 }
 
 
