@@ -40,6 +40,7 @@ def _real(value) -> bool:
 _SEED = (lambda v: _integer(v) and v >= 0, "a non-negative integer")
 _SAMPLES = (lambda v: _integer(v) and v >= 1, "an integer >= 1")
 _REAL = (_real, "a finite real")
+_POSITIVE = (lambda v: _real(v) and v > 0, "a positive finite real")
 _VECTOR = (lambda v: isinstance(v, (list, tuple)) and all(map(_real, v)),
            "a list of finite reals")
 
@@ -52,7 +53,7 @@ _SCENARIO_PARAMS: dict[str, dict[str, tuple]] = {
     "theorem41": {"seed": _SEED, "samples": _SAMPLES},
     "transport": {"seed": _SEED, "latitude": _REAL, "y0": _VECTOR},
     "geodesic": {"seed": _SEED, "x0": _VECTOR, "v0": _VECTOR, "T": _REAL},
-    "holonomy": {"seed": _SEED, "latitude": _REAL, "radius": _REAL,
+    "holonomy": {"seed": _SEED, "latitude": _REAL, "radius": _POSITIVE,
                  "y0": _VECTOR},
     "curvature-table": {"seed": _SEED, "samples": _SAMPLES},
 }

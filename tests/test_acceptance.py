@@ -422,11 +422,11 @@ def test_c13c_bad_tolerance_fails_named_row(tmp_path):
     cfg.write_text(json.dumps({
         "bundle_name": "flat", "scenario": "curvature-table",
         "scenario_params": {"samples": 1},
-        "tolerances": {"catalog_integrity": -1.0},
+        "tolerances": {"gamma_linearity": -1.0},
         "output_path": str(rep)}), encoding="utf-8")
     out = _cli("run", str(cfg), "--quiet")
     tree = json.loads(rep.read_text())
     bad = [r["check_name"] for r in tree["checks"] if not r["pass"]]
     _report(13, "injected bad tolerance exits 1 with the failing row named",
-            out.returncode == 1 and bad == ["catalog_integrity"],
+            out.returncode == 1 and bad == ["gamma_linearity"],
             f"exit {out.returncode}, failing rows {bad}")

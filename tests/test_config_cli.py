@@ -54,7 +54,13 @@ def test_unknown_scenario_and_keys_rejected(tmp_path):
                                       "scenario": "verify-all",
                                       "tolerances": {"no_such_check": 1.0}}))
     for deleted_row in ("extension_independence",
-                        "extension_translation_invariance"):
+                        "extension_translation_invariance",
+                        "catalog_integrity",
+                        "natural_derivative_relatedness",
+                        "lift_field_relatedness",
+                        "lift_tensoriality_in_section",
+                        "curvature_horizontality", "cocurvature",
+                        "geodesic_spray_agreement"):
         with pytest.raises(ConfigError):
             load_config(_write(tmp_path, {"bundle_name": "flat",
                                           "scenario": "verify-all",
@@ -128,16 +134,25 @@ def test_cli_bad_scenario_param_exits_2(tmp_path, capsys, scenario, params,
     ("tm-custom-christoffel", "bundle_params", '{"G_1_12": Infinity}',
      "bundle_params.G_1_12"),
     ("flat", "integrator", '{"max_steps": true}', "integrator.max_steps"),
-    ("flat", "tolerances", '{"catalog_integrity": NaN}',
-     "tolerances.catalog_integrity"),
-    ("flat", "tolerances", '{"catalog_integrity": Infinity}',
-     "tolerances.catalog_integrity"),
-    pytest.param("flat", "tolerances", '{"catalog_integrity": 1%s}'
-                 % ("0" * 400), "tolerances.catalog_integrity",
+    ("flat", "tolerances", '{"gamma_linearity": NaN}',
+     "tolerances.gamma_linearity"),
+    ("flat", "tolerances", '{"gamma_linearity": Infinity}',
+     "tolerances.gamma_linearity"),
+    pytest.param("flat", "tolerances", '{"gamma_linearity": 1%s}'
+                 % ("0" * 400), "tolerances.gamma_linearity",
                  id="tolerance-10**400"),
     ("flat", "tolerances", '{"extension_independence": 1e-9}', "tolerances"),
     ("flat", "tolerances", '{"extension_translation_invariance": 1e-9}',
      "tolerances"),
+    ("flat", "tolerances", '{"catalog_integrity": 1e-9}', "tolerances"),
+    ("flat", "tolerances", '{"natural_derivative_relatedness": 1e-9}',
+     "tolerances"),
+    ("flat", "tolerances", '{"lift_field_relatedness": 1e-9}', "tolerances"),
+    ("flat", "tolerances", '{"lift_tensoriality_in_section": 1e-9}',
+     "tolerances"),
+    ("flat", "tolerances", '{"curvature_horizontality": 1e-9}', "tolerances"),
+    ("flat", "tolerances", '{"cocurvature": 1e-9}', "tolerances"),
+    ("flat", "tolerances", '{"geodesic_spray_agreement": 1e-9}', "tolerances"),
 ])
 def test_cli_bad_config_value_exits_2(tmp_path, capsys, bundle, key, value,
                                       field):
@@ -213,6 +228,8 @@ def test_cli_file_error_exits_2(tmp_path, capsys, monkeypatch, probe, field):
     ("flat", "holonomy", {"radius": float("nan")}, "radius"),
     ("flat", "verify-all", {"seed": -1}, "seed"),
     ("flat", "theorem41", {"samples": 2.0}, "samples"),
+    ("flat", "holonomy", {"radius": 0}, "radius"),
+    ("flat", "holonomy", {"radius": -0.5}, "radius"),
 ])
 def test_scenario_params_checked_before_running(bundle, scenario, params,
                                                 field):
@@ -365,20 +382,18 @@ def test_holonomy_scenario_sphere():
     assert abs(report.results["rotation_angle"] - math.pi) < 1e-4
 
 
-_HEAD = ["catalog_integrity", "projector_algebra", "gamma_linearity"]
-_MIDDLE = ["lift_right_inverse", "split_law",
-           "natural_derivative_relatedness", "lift_field_relatedness",
-           "lift_rank",
-           "lift_tensoriality_in_section", "covariant_tensoriality_in_v",
+_HEAD = ["projector_algebra", "gamma_linearity"]
+_MIDDLE = ["lift_right_inverse", "split_law", "lift_rank",
+           "covariant_tensoriality_in_v",
            "bracket_projectability", "lift_route_internal_identity",
-           "curvature_verticality", "curvature_horizontality",
-           "curvature_antisymmetry", "cocurvature", "curvature_tensoriality",
+           "curvature_verticality", "curvature_antisymmetry",
+           "curvature_tensoriality",
            "curvature_routes_equality", "bracket_expansion_identity"]
 _FLATNESS = ["flatness_via_lifts", "flatness_via_covariant"]
 _LINEAR_CURVATURE = ["leibniz_rule", "composition_commutator_curvature"]
 _TRANSPORT = ["rk4_order", "flow_group_law", "transport_roundtrip",
               "transport_covariantly_constant", "flow_algebra_bridge_order"]
-_GEODESIC = ["geodesic_spray_agreement", "geodesic_covariant_residual"]
+_GEODESIC = ["geodesic_covariant_residual"]
 _LATITUDE = ["holonomy_latitude_angle", "holonomy_oracle_agreement",
              "metric_compatibility"]
 _LINEAR = ["gamma_fibre_linearity"]
@@ -676,10 +691,10 @@ def test_cli_bad_tolerance_fails_named_check(tmp_path):
     cfg.write_text(json.dumps({
         "bundle_name": "flat", "scenario": "curvature-table",
         "scenario_params": {"samples": 1},
-        "tolerances": {"catalog_integrity": -1.0},
+        "tolerances": {"gamma_linearity": -1.0},
         "output_path": str(tmp_path / "rep.json")}), encoding="utf-8")
     out = _cli("run", str(cfg))
     assert out.returncode == 1
     tree = json.loads((tmp_path / "rep.json").read_text())
     bad = [r for r in tree["checks"] if not r["pass"]]
-    assert [r["check_name"] for r in bad] == ["catalog_integrity"]
+    assert [r["check_name"] for r in bad] == ["gamma_linearity"]
