@@ -4,9 +4,12 @@ Reports are byte-reproducible, and a refactor keeps every one of them
 byte-identical.  These pins guard that in the suite: ``fibrum verify`` on
 every catalog bundle, the sphere ``transport`` scenario, 20-sample
 ``theorem41`` tables on ``nonlinear-demo`` and ``sphere`` (whose gamma
-divides by sin theta), and ``verify-all`` on a ``tm-custom-christoffel``
-with degree-one coefficients (the default one is the zero connection), all
-at the default seed.
+divides by sin theta), ``verify-all`` on a ``tm-custom-christoffel`` with
+degree-one coefficients (the default one is the zero connection), the
+``transport`` scenario on ``nonlinear-demo`` and the ``geodesic`` scenario
+on ``flat`` (whose segment, start element and geodesic start are drawn
+from the seed), all at the default seed, and ``verify-all`` on ``sphere``
+at seed 7.
 
 The bytes do not depend on the CPU either.  numpy stores, samples and does
 elementwise arithmetic; every contraction that reaches a report goes through
@@ -55,11 +58,18 @@ RUNS = {
                           "G_2_11_x1": -0.06, "G_2_21": 0.11,
                           "G_2_21_x1": 0.04, "G_2_22_x2": -0.09,
                           "G_1_22": 0.05}},
+    "run nonlinear-demo transport": {"bundle_name": "nonlinear-demo",
+                                     "scenario": "transport"},
+    "run flat geodesic": {"bundle_name": "flat", "scenario": "geodesic"},
+    "run sphere verify-all seed=7": {"bundle_name": "sphere",
+                                     "scenario": "verify-all",
+                                     "scenario_params": {"seed": 7}},
 }
 
 
 def report_sha256(name: str, work: Path) -> str:
-    """Make the report of pin ``name`` in ``work`` at the default seed."""
+    """Make the report of pin ``name`` in ``work``, at the default seed
+    unless its config names one."""
     out = work / "report.json"
     spec = RUNS[name]
     if isinstance(spec, str):
