@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -53,17 +54,60 @@ class Box:
         return True
 
     @functools.cached_property
-    def _arrays(self) -> tuple:
-        """``lower``, ``upper`` and ``upper - lower`` as arrays, for sample."""
-        lo = np.asarray(self.lower)
-        hi = np.asarray(self.upper)
-        return lo, hi, hi - lo
+    def _shrunk(self) -> dict:
+        """margin -> bounds, filled by ``bounds``."""
+        return {}
+
+    def bounds(self, margin: float = 0.1) -> tuple[tuple, tuple]:
+        """(lows, highs) of the box shrunk by ``margin`` of its width on
+        each side, as floats, computed once per margin."""
+        out = self._shrunk.get(margin)
+        if out is None:
+            pads = [margin * (hi - lo)
+                    for lo, hi in zip(self.lower, self.upper)]
+            out = self._shrunk[margin] = (
+                tuple(lo + pad for lo, pad in zip(self.lower, pads)),
+                tuple(hi - pad for hi, pad in zip(self.upper, pads)))
+        return out
 
     def sample(self, rng: np.random.Generator, margin: float = 0.1) -> np.ndarray:
         """Uniform draw from the box shrunk by a relative margin per side."""
-        lo, hi, width = self._arrays
-        pad = margin * width
-        return rng.uniform(lo + pad, hi - pad)
+        return np.array(uniform(rng, *self.bounds(margin)))
+
+
+def uniform(rng: np.random.Generator, lows: Sequence[float],
+            highs: Sequence[float]) -> list:
+    """numpy's ``Generator.uniform(lows, highs)`` for equal-length bounds,
+    as a list, from one ``rng.random`` call.
+
+    numpy draws entry i as ``lows[i] + (highs[i] - lows[i]) * u``, with u
+    the generator's next double, so the same float arithmetic gives the
+    same bits and leaves the generator in the same state.  numpy's guards
+    stay, checked before anything is drawn: a non-finite range raises
+    ``OverflowError`` and a negative one (``-0.0`` included) ``ValueError``.
+    """
+    spans = [hi - lo for lo, hi in zip(lows, highs, strict=True)]
+    if not all(map(math.isfinite, spans)):
+        raise OverflowError("Range exceeds valid bounds")
+    if any(math.copysign(1.0, span) < 0.0 for span in spans):
+        raise ValueError("high - low < 0")
+    return [lo + span * u for lo, span, u
+            in zip(lows, spans, rng.random(len(spans)).tolist())]
+
+
+def uniform_parts(rng: np.random.Generator, *parts) -> list:
+    """Consecutive ``uniform`` draws by one generator call: each part is a
+    (lows, highs) pair and gets the list of its values, in order."""
+    lows, highs = [], []
+    for lo, hi in parts:
+        lows += lo
+        highs += hi
+    values = uniform(rng, lows, highs)
+    out, k = [], 0
+    for lo, _ in parts:
+        out.append(values[k:k + len(lo)])
+        k += len(lo)
+    return out
 
 
 @dataclass(frozen=True)

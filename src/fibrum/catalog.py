@@ -15,6 +15,7 @@ Catalog contents:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -23,7 +24,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bundle import (BaseVectorField, Box, Point, SectionMap,
-                     TotalTangent, TrivializedBundle)
+                     TotalTangent, TrivializedBundle, uniform,
+                     uniform_parts)
 from .calculus import cos, dot, float_value, mat_vec, sin
 from .connection import ConnectionField, ConnectionKind
 from .errors import ConfigError, DomainError
@@ -261,26 +263,52 @@ def build_connection(name: str, params: dict | None = None) -> ConnectionField:
 
 
 # -- seeded random test data -------------------------------------------------
+# Each draw takes all its numbers from one generator call, in the order in
+# which it once drew them part by part; the count and order of a draw's
+# doubles fix every later draw on its stream.
+
+def _cube(n: int, half: float) -> tuple[tuple, tuple]:
+    """Bounds of ``n`` draws from (-half, half)."""
+    return (-half,) * n, (half,) * n
+
+
+def _total_bounds(bundle: TrivializedBundle) -> tuple[tuple, tuple]:
+    """Bounds of ``random_total_point``: the base box, then the fibre box,
+    each shrunk by the default margin."""
+    (blo, bhi), (flo, fhi) = (bundle.base_box.bounds(),
+                              bundle.fibre_box.bounds())
+    return blo + flo, bhi + fhi
+
 
 def random_base_point(bundle: TrivializedBundle,
                       rng: np.random.Generator) -> Point:
-    return bundle.base_point(bundle.base_box.sample(rng))
+    return bundle.base_point(uniform(rng, *bundle.base_box.bounds()))
 
 
 def random_total_point(bundle: TrivializedBundle,
                        rng: np.random.Generator) -> Point:
-    x = bundle.base_box.sample(rng)
-    y = bundle.fibre_box.sample(rng)
-    return bundle.total_point(np.concatenate([x, y]))
+    return bundle.total_point(uniform(rng, *_total_bounds(bundle)))
 
 
-def _sin_combination(rng: np.random.Generator, n_inputs: int, constant_scale: float,
-                     wave_scale: float):
-    # Python floats, so float points give float arithmetic and results
-    c0 = float(rng.uniform(-constant_scale, constant_scale))
-    amps = rng.uniform(-wave_scale, wave_scale, size=n_inputs).tolist()
-    freqs = rng.uniform(0.5, 1.5, size=n_inputs).tolist()
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=n_inputs).tolist()
+@functools.cache
+def _sin_bounds(n_inputs: int, constant_scale: float,
+                wave_scale: float) -> tuple[tuple, tuple]:
+    """Bounds of a ``_sin_fn``'s coefficients: the constant, then the
+    amplitudes, frequencies and phases."""
+    n = n_inputs
+    return ((-constant_scale,) + (-wave_scale,) * n + (0.5,) * n + (0.0,) * n,
+            (constant_scale,) + (wave_scale,) * n + (1.5,) * n
+            + (2.0 * math.pi,) * n)
+
+
+def _sin_fn(coeffs: list, n_inputs: int):
+    """c0 + sum_j amps[j] sin(freqs[j] x_j + phases[j]) from its drawn
+    coefficients, in Python floats so that float points give float
+    arithmetic and results."""
+    c0 = coeffs[0]
+    amps = coeffs[1:n_inputs + 1]
+    freqs = coeffs[n_inputs + 1:2 * n_inputs + 1]
+    phases = coeffs[2 * n_inputs + 1:]
 
     def fn(coords):
         acc = c0
@@ -291,18 +319,34 @@ def _sin_combination(rng: np.random.Generator, n_inputs: int, constant_scale: fl
     return fn
 
 
+def _sin_fns(rng: np.random.Generator, n_inputs: int, scales) -> list:
+    """One ``_sin_fn`` per (constant_scale, wave_scale) of ``scales``, all
+    drawn by one call."""
+    parts = [_sin_bounds(n_inputs, c, w) for c, w in scales]
+    return [_sin_fn(coeffs, n_inputs)
+            for coeffs in uniform_parts(rng, *parts)]
+
+
+def _sin_combination(rng: np.random.Generator, n_inputs: int,
+                     constant_scale: float, wave_scale: float):
+    return _sin_fns(rng, n_inputs, [(constant_scale, wave_scale)])[0]
+
+
+@functools.cache
+def _section_shape(fibre_box: Box) -> tuple[tuple, tuple]:
+    """(centre, scales) of ``random_section`` on a fibre box: its centre,
+    and per component the constant and wave scales of its combination."""
+    lower, upper = fibre_box.lower, fibre_box.upper
+    half = [0.5 * (hi - lo) for lo, hi in zip(lower, upper)]
+    return (tuple(0.5 * (hi + lo) for lo, hi in zip(lower, upper)),
+            tuple((0.45 * h, 0.15 * h) for h in half))
+
+
 def random_section(bundle: TrivializedBundle,
                    rng: np.random.Generator) -> SectionMap:
     """Random smooth section whose graph stays well inside the fibre box."""
-    lo = np.asarray(bundle.fibre_box.lower)
-    hi = np.asarray(bundle.fibre_box.upper)
-    half = 0.5 * (hi - lo)
-    centre = (0.5 * (hi + lo)).tolist()
-    comps = []
-    for i in range(bundle.fibre_dim):
-        comps.append(_sin_combination(rng, bundle.base_dim,
-                                      constant_scale=0.45 * half[i],
-                                      wave_scale=0.15 * half[i]))
+    centre, scales = _section_shape(bundle.fibre_box)
+    comps = _sin_fns(rng, bundle.base_dim, scales)
 
     def fn(x):
         return [centre[i] + comps[i](x) for i in range(len(comps))]
@@ -312,8 +356,7 @@ def random_section(bundle: TrivializedBundle,
 
 def random_base_field(bundle: TrivializedBundle,
                       rng: np.random.Generator) -> BaseVectorField:
-    comps = [_sin_combination(rng, bundle.base_dim, 0.8, 0.5)
-             for _ in range(bundle.base_dim)]
+    comps = _sin_fns(rng, bundle.base_dim, [(0.8, 0.5)] * bundle.base_dim)
     return BaseVectorField(bundle, lambda x: [c(x) for c in comps])
 
 
@@ -323,11 +366,15 @@ def random_total_scalar_field(bundle: TrivializedBundle,
     return _sin_combination(rng, bundle.total_dim, 1.0, 0.6)
 
 
+def _tangent(e: Point, coords: Sequence[float]) -> TotalTangent:
+    """The tangent at ``e`` with total-space components ``coords``."""
+    m = e.bundle.base_dim
+    return TotalTangent(e, coords[:m], coords[m:])
+
+
 def random_tangent(conn: ConnectionField, e: Point,
                    rng: np.random.Generator) -> TotalTangent:
-    m, f = conn.bundle.base_dim, conn.bundle.fibre_dim
-    return TotalTangent(e, rng.uniform(-1.0, 1.0, size=m),
-                        rng.uniform(-1.0, 1.0, size=f))
+    return _tangent(e, uniform(rng, *_cube(conn.bundle.total_dim, 1.0)))
 
 
 # -- standard curves ----------------------------------------------------------

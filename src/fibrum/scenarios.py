@@ -31,13 +31,14 @@ from typing import TYPE_CHECKING, Callable, Optional, Union
 import numpy as np
 
 from .bundle import (BaseVectorField, TotalTangent, TotalVectorField,
-                     base_lie_bracket, lie_bracket)
+                     base_lie_bracket, lie_bracket, uniform_parts)
 from .calculus import as_float_array, dot, float_value, mat_vec
-from .catalog import (CATALOG, GB_NODES, Capabilities, build_connection,
-                      circle_loop, latitude_loop, random_base_field,
-                      random_base_point, random_section, random_tangent,
-                      random_total_point, random_total_scalar_field,
-                      reversed_curve, segment_curve, sphere_angle_between,
+from .catalog import (CATALOG, GB_NODES, Capabilities, _cube, _tangent,
+                      _total_bounds, build_connection, circle_loop,
+                      latitude_loop, random_base_field, random_base_point,
+                      random_section, random_tangent, random_total_point,
+                      random_total_scalar_field, reversed_curve,
+                      segment_curve, sphere_angle_between,
                       sphere_latitude_gb_angle, sphere_metric)
 from .connection import (ConnectionKind, covariant_derivative,
                          horizontal_lift, horizontal_lift_field,
@@ -165,8 +166,9 @@ class Subject:
 
     def _check_params(self) -> None:
         """What the config schema cannot know without the bundle: vector
-        lengths, a latitude inside the polar-angle range of the chart, and a
-        base with a plane for the holonomy scenario's circle loop."""
+        lengths, a latitude inside the polar-angle range of the chart, a
+        base with a plane for the holonomy scenario's circle loop, and a
+        radius only where that circle loop runs."""
         params = self.cfg.scenario_params
         if self.cfg.scenario == "holonomy" and self.m < 2:
             raise ConfigError(
@@ -192,6 +194,11 @@ class Subject:
                     f"scenario_params.latitude must lie in ({lo:.6g}, "
                     f"{hi:.6g}), got {params['latitude']!r}",
                     field="scenario_params.latitude")
+        if "radius" in params and self.caps.latitude_holonomy is not None:
+            raise ConfigError(
+                f"scenario_params.radius sets the circle loop of a bundle "
+                f"without a latitude loop; '{self.bundle.name}' runs its "
+                f"latitude loop", field="scenario_params.radius")
 
 
 Tolerance = Union[float, Callable[[Subject], float]]
@@ -308,25 +315,23 @@ def _projector_algebra(sub, rng):
 @_sampled("gamma_linearity", 100, 1e-12)
 def _gamma_linearity(sub, rng):
     conn = sub.conn
-    e = random_total_point(sub.bundle, rng)
-    x, y = sub.bundle.split(list(e.coords))
-    a, b = rng.uniform(-2, 2, size=2)
-    u = rng.uniform(-1, 1, size=sub.m)
-    v = rng.uniform(-1, 1, size=sub.m)
-    lhs = as_float_array(conn.gamma(x, y, list(a * u + b * v)))
-    rhs = a * as_float_array(conn.gamma(x, y, list(u))) \
-        + b * as_float_array(conn.gamma(x, y, list(v)))
+    ec, (a, b), u, v = uniform_parts(
+        rng, _total_bounds(sub.bundle), _cube(2, 2.0), _cube(sub.m, 1.0),
+        _cube(sub.m, 1.0))
+    x, y = sub.bundle.split(ec)
+    lhs = as_float_array(conn.gamma(x, y, [a * ui + b * vi
+                                           for ui, vi in zip(u, v)]))
+    rhs = a * as_float_array(conn.gamma(x, y, u)) \
+        + b * as_float_array(conn.gamma(x, y, v))
     return _max_abs(lhs - rhs)
 
 
 @_sampled("gamma_fibre_linearity", 100, 1e-10, lambda sub: sub.linear)
 def _gamma_fibre_linearity(sub, rng):
     conn, bundle = sub.conn, sub.bundle
-    x = list(bundle.base_box.sample(rng))
-    y1 = list(bundle.fibre_box.sample(rng, margin=0.3))
-    y2 = list(bundle.fibre_box.sample(rng, margin=0.3))
-    a, b = rng.uniform(-0.7, 0.7, size=2)
-    v = list(rng.uniform(-1, 1, size=sub.m))
+    x, y1, y2, (a, b), v = uniform_parts(
+        rng, bundle.base_box.bounds(), bundle.fibre_box.bounds(0.3),
+        bundle.fibre_box.bounds(0.3), _cube(2, 0.7), _cube(sub.m, 1.0))
     mix = [a * c1 + b * c2 for c1, c2 in zip(y1, y2)]
     lhs = as_float_array(conn.gamma(x, mix, v))
     rhs = a * as_float_array(conn.gamma(x, y1, v)) \
@@ -336,8 +341,8 @@ def _gamma_fibre_linearity(sub, rng):
 
 @_sampled("lift_right_inverse", 100, 1e-12)
 def _lift_right_inverse(sub, rng):
-    e = random_total_point(sub.bundle, rng)
-    v = rng.uniform(-1, 1, size=sub.m)
+    ec, v = uniform_parts(rng, _total_bounds(sub.bundle), _cube(sub.m, 1.0))
+    e = sub.bundle.total_point(ec)
     tangent = horizontal_lift(sub.conn, e, v)
     pv = vertical_projector(sub.conn, e)
     return max(_max_abs(tangent.base_part - v),
@@ -417,12 +422,12 @@ def _curvature_verticality(sub, rng):
 
 @_sampled("curvature_antisymmetry", 100, 1e-10)
 def _curvature_antisymmetry(sub, rng):
-    conn = sub.conn
-    e = random_total_point(sub.bundle, rng)
-    X = random_tangent(conn, e, rng)
-    Y = random_tangent(conn, e, rng)
-    Z = random_tangent(conn, e, rng)
-    a, b = rng.uniform(-2, 2, size=2)
+    conn, n = sub.conn, sub.m + sub.f
+    ec, xc, yc, zc, (a, b) = uniform_parts(
+        rng, _total_bounds(sub.bundle), _cube(n, 1.0), _cube(n, 1.0),
+        _cube(n, 1.0), _cube(2, 2.0))
+    e = sub.bundle.total_point(ec)
+    X, Y, Z = _tangent(e, xc), _tangent(e, yc), _tangent(e, zc)
     rxy = curvature(conn, e, X, Y).fibre_part
     ryx = curvature(conn, e, Y, X).fibre_part
     mix = TotalTangent(e, a * X.base_part + b * Z.base_part,
@@ -562,14 +567,13 @@ def _transport_data(sub: Subject, rng: np.random.Generator) -> tuple:
     if sub.transport is not None:
         return sub.transport
     bundle = sub.bundle
-    p = bundle.base_box.sample(rng, margin=0.25)
-    q = bundle.base_box.sample(rng, margin=0.25)
+    p, q, w = uniform_parts(rng, bundle.base_box.bounds(0.25),
+                            bundle.base_box.bounds(0.25),
+                            _cube(bundle.fibre_dim, 1.0))
     curve = segment_curve(bundle, p, q)
     lo = np.asarray(bundle.fibre_box.lower)
     hi = np.asarray(bundle.fibre_box.upper)
-    y0 = 0.5 * (lo + hi) + 0.2 * (hi - lo) * rng.uniform(-1, 1,
-                                                         size=bundle.fibre_dim)
-    return curve, y0
+    return curve, 0.5 * (lo + hi) + 0.2 * (hi - lo) * np.asarray(w)
 
 
 def _geodesic_start(sub: Subject, rng: np.random.Generator) -> tuple:
@@ -577,8 +581,9 @@ def _geodesic_start(sub: Subject, rng: np.random.Generator) -> tuple:
     ``rng``."""
     if sub.caps.geodesic_start is not None:
         return tuple(list(c) for c in sub.caps.geodesic_start)
-    return (list(sub.bundle.base_box.sample(rng, margin=0.3)),
-            list(0.3 * rng.uniform(-1, 1, size=sub.m)))
+    x0, w = uniform_parts(rng, sub.bundle.base_box.bounds(0.3),
+                          _cube(sub.m, 1.0))
+    return x0, [0.3 * c for c in w]
 
 
 def _vector_param(sub: Subject, key: str, default) -> list:
@@ -607,7 +612,11 @@ def _rk4_order(sub, rng, n):
     # samples are the step sizes lam/10, lam/20, lam/40
     bundle = sub.bundle
     d = bundle.total_dim
-    raw = rng.uniform(-1.0, 1.0, size=(d, d))
+    # the (d, d) draw fills ``raw`` in row-major order
+    raw, x0, y0 = uniform_parts(rng, _cube(d * d, 1.0),
+                                bundle.base_box.bounds(0.45),
+                                bundle.fibre_box.bounds(0.45))
+    raw = np.reshape(raw, (d, d))
     mat = raw - raw.T
     lo = np.concatenate([bundle.base_box.lower, bundle.fibre_box.lower])
     hi = np.concatenate([bundle.base_box.upper, bundle.fibre_box.upper])
@@ -618,8 +627,6 @@ def _rk4_order(sub, rng, n):
         return [sum(mat[i, j] * rel[j] for j in range(d)) for i in range(d)]
 
     field = TotalVectorField(bundle, linear_fn)
-    x0 = bundle.base_box.sample(rng, margin=0.45)
-    y0 = bundle.fibre_box.sample(rng, margin=0.45)
     e0 = bundle.graph_point(x0, y0)
     lam = 0.5
     vals = []

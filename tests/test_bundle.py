@@ -1,12 +1,17 @@
 """Chart boxes, points, fields and Lie brackets."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibrum import (BaseVectorField, Box, DomainError, SectionMap,
                     SpaceTag, TotalTangent, TotalVectorField,
                     base_lie_bracket, check_p_related,
                     lie_bracket, make_flat, random_total_point, sin)
+from fibrum.bundle import uniform, uniform_parts
 from fibrum.calculus import as_float_array
 
 
@@ -20,6 +25,120 @@ def test_box_is_open():
     assert box.contains([0.5])
     assert not box.contains([0.0])
     assert not box.contains([1.0])
+
+
+# -- the stream contract -----------------------------------------------------
+# A draw takes its doubles from one ``rng.random`` call and maps them in
+# Python floats.  Each test runs it and numpy's per-call ``rng.uniform``,
+# which the samplers once called, from equal generator states: the values
+# must be bit-equal and the end states equal, or both must raise the same
+# error before drawing anything.
+
+def _outcome(draw, seed):
+    """(values or exception type, end state) of ``draw(rng)``."""
+    rng = np.random.default_rng(seed)
+    try:
+        with np.errstate(all="ignore"):
+            got = [float(c) for c in draw(rng)]
+    except (OverflowError, ValueError) as exc:
+        got = type(exc)
+    return got, rng.bit_generator.state
+
+
+def _numpy_box_sample(box, rng, margin=0.1):
+    lo = np.asarray(box.lower)
+    hi = np.asarray(box.upper)
+    pad = margin * (hi - lo)
+    return rng.uniform(lo + pad, hi - pad)
+
+
+_bound = st.floats(min_value=-1e6, max_value=1e6)
+_any_float = st.one_of(_bound, st.floats())
+_seed = st.integers(0, 2 ** 32 - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bounds=st.lists(st.tuples(_bound, st.floats(0.0, 1e6)), max_size=9),
+       seed=_seed)
+def test_uniform_bit_equal_to_numpy(bounds, seed):
+    lows = [lo for lo, _ in bounds]
+    highs = [lo + width for lo, width in bounds]
+    got = _outcome(lambda rng: uniform(rng, lows, highs), seed)
+    assert got == _outcome(lambda rng: rng.uniform(lows, highs), seed)
+    assert not isinstance(got[0], type)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bounds=st.lists(st.tuples(_any_float, _any_float), max_size=5),
+       seed=_seed)
+def test_uniform_raises_where_numpy_raises(bounds, seed):
+    # unordered, huge, infinite and nan bounds, and -0.0 ranges
+    lows = [lo for lo, _ in bounds]
+    highs = [hi for _, hi in bounds]
+    assert _outcome(lambda rng: uniform(rng, lows, highs), seed) \
+        == _outcome(lambda rng: rng.uniform(lows, highs), seed)
+
+
+@pytest.mark.parametrize("lows,highs,error", [
+    ([0.0, -1.0], [1.0, math.inf], OverflowError),
+    ([-1e308], [1e308], OverflowError),
+    ([math.nan], [1.0], OverflowError),
+    ([0.0, 1.0], [1.0, 0.5], ValueError),
+    ([0.0], [-0.0], ValueError),
+])
+def test_uniform_guards_draw_nothing(lows, highs, error):
+    rng = np.random.default_rng(1)
+    start = rng.bit_generator.state
+    with pytest.raises(error):
+        uniform(rng, lows, highs)
+    assert rng.bit_generator.state == start
+    with pytest.raises(ValueError):
+        uniform(rng, [0.0, 1.0], [1.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(parts=st.lists(st.lists(st.tuples(_bound, st.floats(0.0, 1e6)),
+                               max_size=4), max_size=4),
+       seed=_seed)
+def test_uniform_parts_split_one_draw(parts, seed):
+    bounds = [([lo for lo, _ in part], [lo + w for lo, w in part])
+              for part in parts]
+    got = uniform_parts(np.random.default_rng(seed), *bounds)
+    whole = uniform(np.random.default_rng(seed),
+                    [lo for lo, _ in bounds for lo in lo],
+                    [hi for _, hi in bounds for hi in hi])
+    assert [len(g) for g in got] == [len(lo) for lo, _ in bounds]
+    assert [c for g in got for c in g] == whole
+
+
+@pytest.mark.parametrize("margin", [0.1, 0.25, 0.3, 0.45])
+@settings(max_examples=100, deadline=None)
+@given(box=st.lists(st.tuples(_bound, st.floats(1e-3, 1e6)), min_size=1,
+                    max_size=5),
+       seed=_seed)
+def test_box_sample_bit_equal_to_numpy(margin, box, seed):
+    box = Box(tuple(lo for lo, _ in box), tuple(lo + w for lo, w in box))
+    for _ in range(2):  # the second call reads the cached bounds
+        got = _outcome(lambda rng: box.sample(rng, margin), seed)
+        assert got == _outcome(
+            lambda rng: _numpy_box_sample(box, rng, margin), seed)
+        assert not isinstance(got[0], type)
+    assert isinstance(box.sample(np.random.default_rng(seed), margin),
+                      np.ndarray)
+
+
+@pytest.mark.parametrize("box,margin,error", [
+    (Box((-1e308,), (1e308,)), 0.1, OverflowError),
+    (Box((0.0, 0.0), (1.0, 2.0)), 0.55, ValueError),
+])
+def test_box_sample_still_raises(box, margin, error):
+    for sample in (box.sample, lambda rng, margin: _numpy_box_sample(
+            box, rng, margin)):
+        rng = np.random.default_rng(3)
+        start = rng.bit_generator.state
+        with pytest.raises(error), np.errstate(all="ignore"):
+            sample(rng, margin)
+        assert rng.bit_generator.state == start
 
 
 def test_point_validation():

@@ -393,6 +393,108 @@ def test_sin_combination_floats_bit_equal_to_numpy_reference(
             assert g_jac.tolist() == w_jac.tolist()
 
 
+# The samplers as they were before each draw took its doubles from one
+# generator call: one numpy ``rng.uniform`` call per coefficient group.
+def _numpy_box_sample(box, rng, margin=0.1):
+    lo = np.asarray(box.lower)
+    hi = np.asarray(box.upper)
+    pad = margin * (hi - lo)
+    return rng.uniform(lo + pad, hi - pad)
+
+
+def _numpy_random_base_point(bundle, rng):
+    return bundle.base_point(_numpy_box_sample(bundle.base_box, rng))
+
+
+def _numpy_random_total_point(bundle, rng):
+    x = _numpy_box_sample(bundle.base_box, rng)
+    y = _numpy_box_sample(bundle.fibre_box, rng)
+    return bundle.total_point(np.concatenate([x, y]))
+
+
+def _numpy_random_section(bundle, rng):
+    lo = np.asarray(bundle.fibre_box.lower)
+    hi = np.asarray(bundle.fibre_box.upper)
+    half = 0.5 * (hi - lo)
+    centre = (0.5 * (hi + lo)).tolist()
+    comps = [_numpy_sin_combination(rng, bundle.base_dim, 0.45 * half[i],
+                                    0.15 * half[i])
+             for i in range(bundle.fibre_dim)]
+    return lambda x: [centre[i] + comps[i](x) for i in range(len(comps))]
+
+
+def _numpy_random_base_field(bundle, rng):
+    comps = [_numpy_sin_combination(rng, bundle.base_dim, 0.8, 0.5)
+             for _ in range(bundle.base_dim)]
+    return lambda x: [c(x) for c in comps]
+
+
+def _numpy_random_total_scalar_field(bundle, rng):
+    return _numpy_sin_combination(rng, bundle.total_dim, 1.0, 0.6)
+
+
+def _numpy_random_tangent(conn, e, rng):
+    m, f = conn.bundle.base_dim, conn.bundle.fibre_dim
+    return (rng.uniform(-1.0, 1.0, size=m).tolist()
+            + rng.uniform(-1.0, 1.0, size=f).tolist())
+
+
+def _draw_functions(conn):
+    """name -> (draw, its per-call numpy reference); each maps ``rng`` to a
+    list of floats that fixes what it drew."""
+    from fibrum.catalog import random_tangent, random_total_scalar_field
+    bundle = conn.bundle
+    e = bundle.total_point(
+        [0.5 * (lo + hi) for lo, hi in zip(
+            bundle.base_box.lower + bundle.fibre_box.lower,
+            bundle.base_box.upper + bundle.fibre_box.upper)])
+    probe = np.random.default_rng(99)
+    xs = [list(random_base_point(bundle, probe).coords) for _ in range(3)]
+    es = [list(random_total_point(bundle, probe).coords) for _ in range(3)]
+
+    def at(points):
+        return lambda fn: [c for p in points for c in np.ravel(fn(p))]
+
+    on_x, on_e = at(xs), at(es)
+    return {
+        "random_base_point": (
+            lambda rng: random_base_point(bundle, rng).coords,
+            lambda rng: _numpy_random_base_point(bundle, rng).coords),
+        "random_total_point": (
+            lambda rng: random_total_point(bundle, rng).coords,
+            lambda rng: _numpy_random_total_point(bundle, rng).coords),
+        "random_section": (
+            lambda rng: on_x(random_section(bundle, rng).fn),
+            lambda rng: on_x(_numpy_random_section(bundle, rng))),
+        "random_base_field": (
+            lambda rng: on_x(random_base_field(bundle, rng).fn),
+            lambda rng: on_x(_numpy_random_base_field(bundle, rng))),
+        "random_total_scalar_field": (
+            lambda rng: on_e(random_total_scalar_field(bundle, rng)),
+            lambda rng: on_e(_numpy_random_total_scalar_field(bundle, rng))),
+        "random_tangent": (
+            lambda rng: random_tangent(conn, e, rng).as_vector(),
+            lambda rng: _numpy_random_tangent(conn, e, rng)),
+    }
+
+
+@pytest.mark.parametrize("name,params", [
+    ("flat", {}), ("flat", {"m": 3, "f": 1, "base_half": 0.7}),
+    ("sphere", {}), ("nonlinear-demo", {}),
+    ("tm-custom-christoffel", {"m": 3, "fibre_half": 2.5})])
+def test_draws_bit_equal_to_numpy_per_call_reference(name, params):
+    # equal values from equal generator states, and equal end states, so
+    # every later draw on the stream is unchanged as well
+    conn = build_connection(name, params)
+    for draw, reference in _draw_functions(conn).values():
+        for seed in range(4):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(3):
+                assert list(map(float, draw(rng))) \
+                    == list(map(float, reference(ref)))
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+
 @pytest.mark.parametrize("name", ["flat", "sphere", "nonlinear-demo"])
 def test_random_samplers_return_floats_for_float_input(name):
     from fibrum.catalog import random_total_scalar_field

@@ -230,6 +230,7 @@ def test_cli_file_error_exits_2(tmp_path, capsys, monkeypatch, probe, field):
     ("flat", "theorem41", {"samples": 2.0}, "samples"),
     ("flat", "holonomy", {"radius": 0}, "radius"),
     ("flat", "holonomy", {"radius": -0.5}, "radius"),
+    ("sphere", "holonomy", {"radius": 0.6}, "radius"),
 ])
 def test_scenario_params_checked_before_running(bundle, scenario, params,
                                                 field):
@@ -238,6 +239,16 @@ def test_scenario_params_checked_before_running(bundle, scenario, params,
                                   "scenario": scenario,
                                   "scenario_params": params}))
     assert err.value.field == f"scenario_params.{field}"
+
+
+def test_sphere_holonomy_radius_exits_2(tmp_path, capsys):
+    # the sphere runs its latitude loop, so a radius would only be echoed
+    # in the report as though it had set the loop
+    from fibrum.cli import main
+    cfg = _write(tmp_path, {"bundle_name": "sphere", "scenario": "holonomy",
+                            "scenario_params": {"radius": 0.6}})
+    assert main(["run", str(cfg), "--quiet"]) == 2
+    assert "(field: scenario_params.radius)" in capsys.readouterr().err
 
 
 def test_negative_seed_override_exits_2(capsys):
