@@ -263,9 +263,9 @@ def build_connection(name: str, params: dict | None = None) -> ConnectionField:
 
 
 # -- seeded random test data -------------------------------------------------
-# Each draw takes all its numbers from one generator call, in the order in
-# which it once drew them part by part; the count and order of a draw's
-# doubles fix every later draw on its stream.
+# Each draw takes all its numbers from one generator call.  The count and
+# order of a draw's doubles fix every later draw on its stream, so every
+# report, and they are those of numpy's per-part ``uniform`` calls.
 
 def _cube(n: int, half: float) -> tuple[tuple, tuple]:
     """Bounds of ``n`` draws from (-half, half)."""
