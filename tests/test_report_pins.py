@@ -8,8 +8,11 @@ divides by sin theta), ``verify-all`` on a ``tm-custom-christoffel`` with
 degree-one coefficients (the default one is the zero connection), the
 ``transport`` scenario on ``nonlinear-demo`` and the ``geodesic`` scenario
 on ``flat`` (whose segment, start element and geodesic start are drawn
-from the seed), all at the default seed, and ``verify-all`` on ``sphere``
-at seed 7.
+from the seed), all at the default seed, ``verify-all`` on ``sphere``
+at seed 7, and ``verify-all`` on ``nonlinear-demo`` at seeds 1 and 11,
+where transport leaves the fibre box: the report's
+``transport_roundtrip`` row (seed 1) and ``transport_covariantly_constant``
+row (seed 11) carry the ``ChartExitError`` note with its exit time.
 
 The bytes do not depend on the CPU either.  numpy stores, samples and does
 elementwise arithmetic; every contraction that reaches a report goes through
@@ -64,6 +67,12 @@ RUNS = {
     "run sphere verify-all seed=7": {"bundle_name": "sphere",
                                      "scenario": "verify-all",
                                      "scenario_params": {"seed": 7}},
+    "run nonlinear-demo verify-all seed=1": {
+        "bundle_name": "nonlinear-demo", "scenario": "verify-all",
+        "scenario_params": {"seed": 1}},
+    "run nonlinear-demo verify-all seed=11": {
+        "bundle_name": "nonlinear-demo", "scenario": "verify-all",
+        "scenario_params": {"seed": 11}},
 }
 
 
