@@ -148,20 +148,51 @@ def make_custom_christoffel(coeffs: dict[str, float], m: int = 2,
         base_box=Box((-base_half,) * m, (base_half,) * m),
         fibre_box=Box((-fibre_half,) * m, (fibre_half,) * m),
     )
+    return ConnectionField(bundle, _christoffel_evaluator(terms),
+                           ConnectionKind.LINEAR)
 
-    def gamma(x, y, v):
-        out = []
-        for row in terms:
-            acc = 0.0
-            for b, c, g, slopes in row:
-                for k, sl in slopes:
-                    g = g + sl * x[k]
-                if not (isinstance(g, float) and g == 0.0):
-                    acc = acc + g * v[b] * y[c]
-            out.append(acc)
-        return out
 
-    return ConnectionField(bundle, gamma, ConnectionKind.LINEAR)
+def _christoffel_evaluator(terms: list):
+    """gamma(x, y, v) summing ``terms`` as straight-line code, compiled
+    once per connection.
+
+    Output a is ``acc = 0.0`` plus, in order, ``g * v[b] * y[c]`` for each
+    term of row a, where g is the constant, plus ``slope * x[k]`` for each
+    of its slopes in order.  A sloped term is skipped where g is a float
+    equal to zero, so a float x that cancels it adds nothing, where a
+    DScalar x still adds its derivative.  The coefficients reach the code
+    as closure variables, not as text, so every bit of them is kept.
+    """
+    coeffs, body, outs = [], [], []
+
+    def name(value):
+        coeffs.append(value)
+        return f"c{len(coeffs) - 1}"
+
+    for a, row in enumerate(terms):
+        acc = "0.0"
+        for b, c, g0, slopes in row:
+            if not slopes:
+                acc = f"({acc} + {name(g0)} * v[{b}] * y[{c}])"
+                continue
+            g = name(g0)
+            for k, sl in slopes:
+                g = f"({g} + {name(sl)} * x[{k}])"
+            if acc != f"a{a}":
+                body.append(f"        a{a} = {acc}")
+            body += [f"        g = {g}",
+                     "        if not (isinstance(g, float) and g == 0.0):",
+                     f"            a{a} = a{a} + g * v[{b}] * y[{c}]"]
+            acc = f"a{a}"
+        outs.append(acc)
+    lines = [f"def make({', '.join(f'c{i}' for i in range(len(coeffs)))}):",
+             "    def gamma(x, y, v):", *body,
+             f"        return [{', '.join(outs)}]",
+             "    return gamma"]
+    namespace = {}
+    exec(compile("\n".join(lines), "<custom christoffel gamma>", "exec"),
+         namespace)
+    return namespace["make"](*coeffs)
 
 
 @dataclass(frozen=True)
@@ -382,7 +413,9 @@ def random_tangent(conn: ConnectionField, e: Point,
 # of the DScalar pass through ``fn``, so it is bit-equal to
 # ``derivative(fn, t)``.  Reversal negates exactly, since IEEE rounding is
 # sign-symmetric; only a coordinate constant in t (the latitude's theta)
-# comes out -0.0 where the DScalar pass gives 0.0.
+# comes out -0.0 where the DScalar pass gives 0.0.  What does not depend on
+# t is computed once, when the curve is built, and ``fn`` stays closed under
+# DScalar t.
 
 def segment_curve(bundle: TrivializedBundle, p: Sequence[float],
                   q: Sequence[float], t0: float = 0.0,
@@ -390,15 +423,17 @@ def segment_curve(bundle: TrivializedBundle, p: Sequence[float],
     """Straight coordinate segment from p to q."""
     from .transport import CurveOnBase
     p = [float(c) for c in p]
-    q = [float(c) for c in q]
+    steps = [float(qi) - pi for pi, qi in zip(p, q)]
+    span = t1 - t0
+    rate = 1.0 / float(span)
+    vel = [rate * d for d in steps]
 
     def fn(t):
-        lam = (t - t0) / (t1 - t0)
-        return [pi + lam * (qi - pi) for pi, qi in zip(p, q)]
+        lam = (t - t0) / span
+        return [pi + lam * d for pi, d in zip(p, steps)]
 
     def velocity(t):
-        rate = 1.0 / float(t1 - t0)
-        return [rate * (qi - pi) for pi, qi in zip(p, q)]
+        return list(vel)
 
     return CurveOnBase(bundle, fn, t0, t1, velocity)
 
@@ -407,11 +442,11 @@ def reversed_curve(curve):
     """The same image traversed backwards."""
     from .transport import CurveOnBase
     t0, t1 = curve.t0, curve.t1
-    inner = curve.velocity_fn
+    ends, fn, inner = t0 + t1, curve.fn, curve.velocity_fn
     velocity = None if inner is None else (
-        lambda t: [-c for c in inner(t0 + t1 - t)])
-    return CurveOnBase(curve.bundle,
-                       lambda t: curve.fn(t0 + t1 - t), t0, t1, velocity)
+        lambda t: [-c for c in inner(ends - t)])
+    return CurveOnBase(curve.bundle, lambda t: fn(ends - t), t0, t1,
+                       velocity)
 
 
 def latitude_loop(bundle: TrivializedBundle, theta0: float,
@@ -421,13 +456,16 @@ def latitude_loop(bundle: TrivializedBundle, theta0: float,
     declared polar-angle period."""
     from .transport import CurveOnBase
     theta0 = float(theta0)
+    span = t1 - t0
+    two_pi = 2.0 * math.pi
+    rate = (1.0 / float(span)) * two_pi
 
     def fn(t):
-        lam = (t - t0) / (t1 - t0)
-        return [theta0, -math.pi + 2.0 * math.pi * lam]
+        lam = (t - t0) / span
+        return [theta0, -math.pi + two_pi * lam]
 
     def velocity(t):
-        return [0.0, (1.0 / float(t1 - t0)) * (2.0 * math.pi)]
+        return [0.0, rate]
 
     return CurveOnBase(bundle, fn, t0, t1, velocity)
 
@@ -444,14 +482,16 @@ def circle_loop(bundle: TrivializedBundle, center: Sequence[float],
     cx, cy, *rest = [float(c) for c in center]
     still = [0.0] * len(rest)
     r = float(radius)
+    span = t1 - t0
+    two_pi = 2.0 * math.pi
+    rate = two_pi / float(span)
 
     def fn(t):
-        ang = 2.0 * math.pi * (t - t0) / (t1 - t0)
+        ang = two_pi * (t - t0) / span
         return [cx + r * cos(ang), cy + r * sin(ang)] + rest
 
     def velocity(t):
-        ang = 2.0 * math.pi * (t - t0) / (t1 - t0)
-        rate = 2.0 * math.pi / float(t1 - t0)
+        ang = two_pi * (t - t0) / span
         return [-math.sin(ang) * rate * r, math.cos(ang) * rate * r] + still
 
     return CurveOnBase(bundle, fn, t0, t1, velocity)

@@ -82,8 +82,9 @@ class CurveOnBase:
 
 def _rk4(rhs, z0: np.ndarray, span: float, cfg: IntegratorConfig,
          inside, what: str, t_base: float = 0.0,
-         collect: bool = False):
-    """Fixed-step RK4 driver for ``rhs(t, z)``; the state is checked per node.
+         collect: bool = False, negate: bool = False):
+    """Fixed-step RK4 driver for ``rhs(t, z)``, or for ``-rhs(t, z)`` when
+    ``negate`` is set; the state is checked per node.
 
     The state is a plain list of floats and ``rhs`` returns one; the final
     state and the collected (t, z) path entries come back as ndarrays.
@@ -94,13 +95,13 @@ def _rk4(rhs, z0: np.ndarray, span: float, cfg: IntegratorConfig,
         return (np.array(z), path) if collect else np.array(z)
     n = cfg.n_steps(span)
     h = span / n
-    z = _rk4_loop(len(z))(rhs, z, n, h, 0.5 * h, h / 6.0, t_base, inside,
-                          what, path)
+    z = _rk4_loop(len(z), negate)(rhs, z, n, h, 0.5 * h, h / 6.0, t_base,
+                                  inside, what, path)
     return (np.array(z), path) if collect else np.array(z)
 
 
 @functools.lru_cache(maxsize=None)
-def _rk4_loop(d: int):
+def _rk4_loop(d: int, negate: bool):
     """The step loop of :func:`_rk4` for states of length ``d``, written out
     per component as straight-line code and compiled on first use.
 
@@ -108,22 +109,31 @@ def _rk4_loop(d: int):
     ``z_i + h6 * (((k1[i] + 2.0 * k2[i]) + 2.0 * k3[i]) + k4[i])``: the
     float operations of a per-component list comprehension, in its order,
     without a comprehension frame per stage.
+
+    The negated loop integrates ``-rhs`` with the bits of integrating the
+    list ``[-c for c in rhs(t, z)]``, without building that list.  IEEE
+    negation is exact and rounding is sign-symmetric, and ``a - b`` is
+    ``a + -b``, so a stage is ``z_i - hh * k1[i]`` and a step sums
+    ``((-k1[i] - 2.0 * k2[i]) - 2.0 * k3[i]) - k4[i]``.  Subtracting the
+    positive sum from ``z_i`` instead could flip the sign of a zero: a sum
+    that cancels to zero is +0.0 whichever sign its terms carry.
     """
     def stage(fmt):
         return "[" + ", ".join(fmt.format(i) for i in range(d)) + "]"
 
+    op, lead = ("-", "-") if negate else ("+", "")
     lines = ["def loop(rhs, z, n, h, hh, h6, t_base, inside, what, path):"]
     lines += [f"    z{i} = z[{i}]" for i in range(d)]
     lines += [
         "    t = t_base",
         "    for k in range(n):",
         "        k1 = rhs(t, z)",
-        "        k2 = rhs(t + hh, " + stage("z{0} + hh * k1[{0}]") + ")",
-        "        k3 = rhs(t + hh, " + stage("z{0} + hh * k2[{0}]") + ")",
-        "        k4 = rhs(t + h, " + stage("z{0} + h * k3[{0}]") + ")",
+        "        k2 = rhs(t + hh, " + stage("z{0} %s hh * k1[{0}]" % op) + ")",
+        "        k3 = rhs(t + hh, " + stage("z{0} %s hh * k2[{0}]" % op) + ")",
+        "        k4 = rhs(t + h, " + stage("z{0} %s h * k3[{0}]" % op) + ")",
     ]
-    lines += [f"        z{i} = z{i} + h6 * (((k1[{i}] + 2.0 * k2[{i}])"
-              f" + 2.0 * k3[{i}]) + k4[{i}])" for i in range(d)]
+    lines += [f"        z{i} = z{i} + h6 * ((({lead}k1[{i}] {op} 2.0 * k2[{i}])"
+              f" {op} 2.0 * k3[{i}]) {op} k4[{i}])" for i in range(d)]
     lines += [
         "        z = " + stage("z{0}"),
         "        t = t_base + (k + 1) * h",
@@ -134,7 +144,8 @@ def _rk4_loop(d: int):
         "    return z",
     ]
     namespace = {"ChartExitError": ChartExitError, "np": np}
-    exec(compile("\n".join(lines), f"<rk4 loop, d={d}>", "exec"), namespace)
+    name = f"<rk4 loop, d={d}{', negated' if negate else ''}>"
+    exec(compile("\n".join(lines), name, "exec"), namespace)
     return namespace["loop"]
 
 
@@ -169,7 +180,8 @@ def flow_base(v: BaseVectorField, x0: Point, lam: float,
 
 
 def _transport_rhs(conn: ConnectionField, curve: CurveOnBase):
-    """Right-hand side -gamma(c(t), y) c'(t) of the transport equation.
+    """gamma(c(t), y) c'(t), the transport equation's right-hand side
+    without its sign; :func:`_rk4`'s negated loop supplies the sign.
 
     A one-entry cache keyed on t computes the curve point and velocity once
     per distinct stage time; RK4 stages k2 and k3 share the midpoint.  The
@@ -189,7 +201,7 @@ def _transport_rhs(conn: ConnectionField, curve: CurveOnBase):
             if not in_base(x):
                 raise ChartExitError("curve left the base box", t)
             node_t, node_x, node_v = t, x, list(velocity(t))
-        return [-c for c in gamma(node_x, y, node_v)]
+        return gamma(node_x, y, node_v)
 
     return rhs
 
@@ -207,7 +219,7 @@ def _transport(conn: ConnectionField, curve: CurveOnBase,
     span = curve.t1 - curve.t0
     return _rk4(_transport_rhs(conn, curve), y0, span, cfg,
                 bundle.fibre_box.contains, "parallel transport", curve.t0,
-                collect)
+                collect, True)
 
 
 def parallel_transport_vector(conn: ConnectionField, curve: CurveOnBase,

@@ -542,24 +542,32 @@ def test_rk4_makes_four_rhs_calls_per_step_and_collect_is_eighth():
     assert len(calls) == 4 * cfg.n_steps(1.0)
 
 
-def test_transport_goes_through_rk4_with_four_calls_per_step(sphere_conn,
-                                                             monkeypatch):
+def _count_rk4_entries(monkeypatch):
+    """Hook ``transport._rk4`` as external step counters do; each entry
+    appends (rhs calls, collect) to the returned list."""
     from fibrum import transport
     original = transport._rk4
     seen = []
 
-    def hooked(rhs, *args):
+    def hooked(rhs, *args, **kwargs):
         counted = []
 
         def rhs_counted(t, z):
             counted.append(t)
             return rhs(t, z)
 
-        out = original(rhs_counted, *args)
-        seen.append((len(counted), args[6] if len(args) > 6 else False))
+        out = original(rhs_counted, *args, **kwargs)
+        collect = kwargs.get("collect", args[6] if len(args) > 6 else False)
+        seen.append((len(counted), collect))
         return out
 
     monkeypatch.setattr(transport, "_rk4", hooked)
+    return seen
+
+
+def test_transport_goes_through_rk4_with_four_calls_per_step(sphere_conn,
+                                                             monkeypatch):
+    seen = _count_rk4_entries(monkeypatch)
     cfg = IntegratorConfig(step=1e-2)
     curve = segment_curve(sphere_conn.bundle, [0.8, -1.0], [1.9, 1.2])
     parallel_transport_vector(sphere_conn, curve, [0.6, 0.1], cfg)
@@ -568,10 +576,36 @@ def test_transport_goes_through_rk4_with_four_calls_per_step(sphere_conn,
     assert seen == [(4 * n, False), (4 * n, True)]
 
 
+def test_every_integrator_goes_through_rk4_with_four_calls_per_step(
+        sphere_conn, rng, monkeypatch):
+    # the step counters see every integration, so none may bypass ``_rk4``
+    seen = _count_rk4_entries(monkeypatch)
+    cfg = IntegratorConfig(step=1e-2)
+    bundle = sphere_conn.bundle
+    loop = latitude_loop(bundle, 1.1)
+    holonomy_loop(sphere_conn, loop, [0.8, 0.35], cfg)
+    n = cfg.n_steps(loop.t1 - loop.t0)
+    assert seen == [(4 * n, False)]
+
+    del seen[:]
+    geodesic(sphere_conn, [1.0, 0.3], [0.3, 0.4], 0.75, cfg)
+    assert seen == [(4 * cfg.n_steps(0.75), True)]
+
+    del seen[:]
+    v = random_base_field(bundle, rng)
+    hv = horizontal_lift_field(sphere_conn, v)
+    e = bundle.total_point([1.2, 0.1, 0.3, -0.2])
+    flow(hv, e, 0.3, cfg)
+    flow_base(v, random_base_point(bundle, rng), -0.2, cfg)
+    assert seen == [(4 * cfg.n_steps(0.3), False),
+                    (4 * cfg.n_steps(-0.2), False)]
+
+
 # -- the unrolled step loop against the list-form loop it replaced -----------
 # The reference is the earlier list-form ``_rk4``, kept verbatim: the
 # unrolled loop must give the same bits, stage by stage, signed zeros
-# included, and the same chart exit.
+# included, and the same chart exit.  The negated loop must give the bits of
+# the reference fed the negated list ``[-c for c in rhs(t, z)]``.
 
 def _reference_rk4(rhs, z0: np.ndarray, span: float, cfg: IntegratorConfig,
                    inside, what: str, t_base: float = 0.0,
@@ -630,31 +664,34 @@ def _assert_same_bits(got, want):
         assert math.copysign(1.0, g) == math.copysign(1.0, w)
 
 
-def _rk4_both(d, span, t_base, collect, inside=lambda z: True):
+def _rk4_both(d, span, t_base, collect, negate=False,
+              inside=lambda z: True, z0=(0.0, -0.0, -0.0, 0.5, -0.0, 0.0),
+              make_rhs=_recording_rhs):
     """(result or exception, rhs calls) of the unrolled and the reference
     loop, on the same data."""
     from fibrum import transport
-    z0 = np.array([0.0, -0.0, -0.0, 0.5, -0.0, 0.0][:d])
-    cfg = IntegratorConfig(step=0.01)
+    args = (np.array(z0[:d]), span, IntegratorConfig(step=0.01), inside,
+            "test state", t_base, collect)
     runs = []
-    for rk4 in (transport._rk4, _reference_rk4):
+    for unrolled in (True, False):
         calls = []
+        rhs = make_rhs(d, calls)
         try:
-            out = rk4(_recording_rhs(d, calls), z0, span, cfg, inside,
-                      "test state", t_base, collect)
+            if unrolled:
+                out = transport._rk4(rhs, *args, negate)
+            elif negate:
+                out = _reference_rk4(lambda t, z: [-c for c in rhs(t, z)],
+                                     *args)
+            else:
+                out = _reference_rk4(rhs, *args)
         except ChartExitError as exc:
             out = exc
         runs.append((out, calls))
     return runs
 
 
-@pytest.mark.parametrize("d", range(1, 7))
-@pytest.mark.parametrize("span, t_base", [(0.9, 0.0), (-0.8, 0.25),
-                                          (0.01, -0.0), (0.0, 0.3)])
-@pytest.mark.parametrize("collect", [False, True])
-def test_rk4_bit_equal_to_list_form_reference(d, span, t_base, collect):
-    (got, got_calls), (want, want_calls) = _rk4_both(d, span, t_base,
-                                                     collect)
+def _assert_same_run(got_run, want_run, collect):
+    (got, got_calls), (want, want_calls) = got_run, want_run
     assert len(got_calls) == len(want_calls)
     for (gt, gz), (wt, wz) in zip(got_calls, want_calls):
         _assert_same_bits([gt], [wt])
@@ -669,16 +706,55 @@ def test_rk4_bit_equal_to_list_form_reference(d, span, t_base, collect):
     _assert_same_bits(got, want)
 
 
+@pytest.mark.parametrize("negate", [False, True])
 @pytest.mark.parametrize("d", range(1, 7))
-def test_rk4_chart_exit_matches_list_form_reference(d):
-    # component 0 crosses 0.5 about halfway along the span
+@pytest.mark.parametrize("span, t_base", [(0.9, 0.0), (-0.8, 0.25),
+                                          (0.01, -0.0), (0.0, 0.3)])
+@pytest.mark.parametrize("collect", [False, True])
+def test_rk4_bit_equal_to_list_form_reference(d, span, t_base, collect,
+                                              negate):
+    _assert_same_run(*_rk4_both(d, span, t_base, collect, negate), collect)
+
+
+@pytest.mark.parametrize("negate", [False, True])
+@pytest.mark.parametrize("d", range(1, 7))
+def test_rk4_chart_exit_matches_list_form_reference(d, negate):
+    # component 0 crosses 0.5 (-0.5 in the negated run) about halfway
+    # along the span
+    sign = -1.0 if negate else 1.0
     (got, got_calls), (want, want_calls) = _rk4_both(
-        d, 0.9, 0.0, True, inside=lambda z: z[0] < 0.5)
+        d, 0.9, 0.0, True, negate, inside=lambda z: sign * z[0] < 0.5)
     assert isinstance(got, ChartExitError) and isinstance(want, ChartExitError)
     assert 0.3 < want.exit_time < 0.6
     _assert_same_bits([got.exit_time], [want.exit_time])
     assert str(got) == str(want)
     assert len(got_calls) == len(want_calls)
+
+
+def _zero_sum_rhs(d, calls):
+    """A right-hand side whose step sums are exactly zero: per step,
+    component 0 is -0.0 at the first stage and 0.0 at the others, and
+    component 1 is 2.0, -1.0, -1.0, 2.0 over the four stages."""
+    def rhs(t, z):
+        calls.append((t, list(z)))
+        stage = (len(calls) - 1) % 4
+        return [-0.0 if stage == 0 else 0.0,
+                2.0 if stage in (0, 3) else -1.0][:d]
+
+    return rhs
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("z0", [(-0.0, -0.0), (0.0, 0.0)])
+@pytest.mark.parametrize("span", [0.05, -0.05])
+def test_negated_rk4_keeps_the_sign_of_a_cancelled_zero(d, z0, span):
+    # a step sum that cancels is +0.0 whatever the signs of its terms, so
+    # the negated loop has to sum the negated stage values; subtracting the
+    # plain sum from a -0.0 state would leave -0.0 where the list form
+    # gives 0.0
+    runs = _rk4_both(d, span, 0.0, True, True, z0=z0,
+                     make_rhs=_zero_sum_rhs)
+    _assert_same_run(*runs, True)
 
 
 # -- the base box is checked at every RK4 stage time --------------------------
