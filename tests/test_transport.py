@@ -706,19 +706,26 @@ def _assert_same_run(got_run, want_run, collect):
     _assert_same_bits(got, want)
 
 
-@pytest.mark.parametrize("negate", [False, True])
-@pytest.mark.parametrize("d", range(1, 7))
-@pytest.mark.parametrize("span, t_base", [(0.9, 0.0), (-0.8, 0.25),
-                                          (0.01, -0.0), (0.0, 0.3)])
-@pytest.mark.parametrize("collect", [False, True])
-def test_rk4_bit_equal_to_list_form_reference(d, span, t_base, collect,
-                                              negate):
-    _assert_same_run(*_rk4_both(d, span, t_base, collect, negate), collect)
+def _list_form_grid(test):
+    """Parametrize ``test`` over the (d, span, t_base, collect) grid."""
+    test = pytest.mark.parametrize("collect", [False, True])(test)
+    test = pytest.mark.parametrize("span, t_base", [
+        (0.9, 0.0), (-0.8, 0.25), (0.01, -0.0), (0.0, 0.3)])(test)
+    return pytest.mark.parametrize("d", range(1, 7))(test)
 
 
-@pytest.mark.parametrize("negate", [False, True])
-@pytest.mark.parametrize("d", range(1, 7))
-def test_rk4_chart_exit_matches_list_form_reference(d, negate):
+@_list_form_grid
+def test_rk4_bit_equal_to_list_form_reference(d, span, t_base, collect):
+    _assert_same_run(*_rk4_both(d, span, t_base, collect), collect)
+
+
+@_list_form_grid
+def test_negated_rk4_bit_equal_to_list_form_reference(d, span, t_base,
+                                                      collect):
+    _assert_same_run(*_rk4_both(d, span, t_base, collect, True), collect)
+
+
+def _assert_same_chart_exit(d, negate):
     # component 0 crosses 0.5 (-0.5 in the negated run) about halfway
     # along the span
     sign = -1.0 if negate else 1.0
@@ -729,6 +736,16 @@ def test_rk4_chart_exit_matches_list_form_reference(d, negate):
     _assert_same_bits([got.exit_time], [want.exit_time])
     assert str(got) == str(want)
     assert len(got_calls) == len(want_calls)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_rk4_chart_exit_matches_list_form_reference(d):
+    _assert_same_chart_exit(d, False)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_negated_rk4_chart_exit_matches_list_form_reference(d):
+    _assert_same_chart_exit(d, True)
 
 
 def _zero_sum_rhs(d, calls):
