@@ -17,8 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .calculus import (Scalar, as_float_array, dot, float_value,
-                       value_and_jacobian)
+from .calculus import Scalar, _field_jets, as_float_array, dot, float_value
 from .errors import DomainError
 
 
@@ -276,11 +275,12 @@ def jet_bracket(xe, jx, ye, jy) -> list:
 
 
 def _bracket_fn(fx, fy):
-    """Coordinate Lie bracket e -> DY(e) X(e) - DX(e) Y(e), nesting-safe."""
+    """Coordinate Lie bracket e -> DY(e) X(e) - DX(e) Y(e), nesting-safe;
+    the jets of X and Y come from one pass over both."""
 
     def ev(coords):
-        return jet_bracket(*value_and_jacobian(fx, coords),
-                           *value_and_jacobian(fy, coords))
+        (xe, jx), (ye, jy) = _field_jets(lambda c: (fx(c), fy(c)), coords)
+        return jet_bracket(xe, jx, ye, jy)
 
     return ev
 

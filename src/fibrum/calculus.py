@@ -385,11 +385,51 @@ def value_and_jacobian(fn: VectorFn, coords: Sequence[Scalar]):
     if (any(type(c) is DScalar for c in coords)
             or any(type(v) is DScalar for v in values)):
         return values, rows
+    return values, _float_jacobian(rows)
+
+
+def _float_jacobian(rows) -> np.ndarray:
+    """The rows of a pass that is not nested, as a float ndarray checked
+    for NaN/inf."""
     mat = np.array(rows, dtype=float)
     if not np.isfinite(mat).all():
         raise NonFiniteOutputError(
             "jacobian produced non-finite entries; evaluator is singular here")
-    return values, mat
+    return mat
+
+
+def _field_jets(fields: Callable, coords: Sequence[Scalar]) -> list:
+    """(values, Jacobian) of each field, from one :func:`value_and_jacobian`
+    pass over them stacked: ``fields(coords)`` returns their values, one
+    sequence per field.
+
+    Each jet is the one a pass of its own would give, bit for bit: the
+    fields are pure, and a forward-mode gradient entry uses only that entry
+    of its operands, whatever the gradient length.  That holds for the
+    Jacobian's type and check too: where only other fields carry an
+    enclosing pass's scalars, a field's rows are turned into a checked
+    float ndarray here, as its own pass would turn them.
+    """
+    coords = list(coords)
+    sizes = []
+
+    def stacked(c):
+        out = []
+        for vals in fields(c):
+            sizes.append(len(vals))
+            out += vals
+        return out
+
+    values, jac = value_and_jacobian(stacked, coords)
+    mixed = type(jac) is list and not any(type(c) is DScalar for c in coords)
+    jets, k = [], 0
+    for n in sizes:
+        vals, rows = values[k:k + n], jac[k:k + n]
+        if mixed and not any(type(v) is DScalar for v in vals):
+            rows = _float_jacobian(rows)
+        jets.append((vals, rows))
+        k += n
+    return jets
 
 
 def jacobian(fn: VectorFn, coords: Sequence[Scalar]):

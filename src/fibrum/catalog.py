@@ -26,7 +26,7 @@ import numpy as np
 from .bundle import (BaseVectorField, Box, Point, SectionMap,
                      TotalTangent, TrivializedBundle, uniform,
                      uniform_parts)
-from .calculus import cos, dot, float_value, mat_vec, sin
+from .calculus import DScalar, cos, dot, float_value, mat_vec, sin
 from .connection import ConnectionField, ConnectionKind
 from .errors import ConfigError, DomainError
 
@@ -335,19 +335,92 @@ def _sin_bounds(n_inputs: int, constant_scale: float,
 def _sin_fn(coeffs: list, n_inputs: int):
     """c0 + sum_j amps[j] sin(freqs[j] x_j + phases[j]) from its drawn
     coefficients, in Python floats so that float points give float
-    arithmetic and results."""
+    arithmetic and results.
+
+    Inputs that are all scalars of one pass with float values go through
+    the fused kernel ``_SIN_KERNELS[n_inputs, gradient length]``; floats,
+    nested and mixed inputs take the loop.
+    """
     c0 = coeffs[0]
     amps = coeffs[1:n_inputs + 1]
     freqs = coeffs[n_inputs + 1:2 * n_inputs + 1]
     phases = coeffs[2 * n_inputs + 1:]
 
     def fn(coords):
+        x0 = coords[0]
+        if type(x0) is DScalar and type(x0.value) is float:
+            out = _SIN_KERNELS[n_inputs, len(x0.grad)](coeffs, coords)
+            if out is not None:
+                return out
         acc = c0
         for j in range(n_inputs):
             acc = acc + amps[j] * sin(freqs[j] * coords[j] + phases[j])
         return acc
 
     return fn
+
+
+def _sin_kernel(n_inputs: int, n: int):
+    """``_sin_fn``'s loop for inputs of one pass with float values and
+    gradients of length ``n``, as straight-line code.
+
+    Term j is ``w = x*f + p`` and has value ``s*a`` and gradient entries
+    ``(c*(g*f))*a``, with s, c the sine and cosine of w: the float
+    operations of the loop's ``DScalar`` arithmetic, in its order.  The
+    first term is added to c0, the others to the running sum.  The kernel
+    returns None, leaving the call to the loop, where an input is of
+    another pass, has a non-float value or a gradient of another length.
+    """
+    js, ks = range(n_inputs), range(n)
+    params = ([f"a{j}" for j in js] + [f"f{j}" for j in js]
+              + [f"p{j}" for j in js])
+    lines = ["def kernel(coeffs, coords):",
+             f"    c0, {', '.join(params)}, = coeffs",
+             "    x0 = coords[0]",
+             "    tag = x0.tag"]
+    for j in js[1:]:
+        lines += [f"    x{j} = coords[{j}]",
+                  f"    if not (type(x{j}) is DScalar and x{j}.tag == tag",
+                  f"            and type(x{j}.value) is float):",
+                  "        return None"]
+    lines.append("    try:")
+    lines += [f"        [{', '.join(f'g{j}_{k}' for k in ks)}] = x{j}.grad"
+              for j in js]
+    lines += ["    except ValueError:",
+              "        return None"]
+    for j in js:
+        lines += [f"    w = x{j}.value * f{j} + p{j}",
+                  "    s = sin(w)",
+                  "    c = cos(w)"]
+        if j == 0:
+            lines.append("    v = s * a0 + c0")
+            lines += [f"    d{k} = (c * (g0_{k} * f0)) * a0" for k in ks]
+        else:
+            lines.append(f"    v = v + s * a{j}")
+            lines += [f"    d{k} = d{k} + (c * (g{j}_{k} * f{j})) * a{j}"
+                      for k in ks]
+    grad = ", ".join(f"d{k}" for k in ks)
+    lines += ["    z = new(DScalar)",
+              "    z.value = v",
+              f"    z.grad = ({grad}{',' if n == 1 else ''})",
+              "    z.tag = tag",
+              "    return z"]
+    namespace = {"DScalar": DScalar, "new": object.__new__,
+                 "sin": math.sin, "cos": math.cos}
+    exec(compile("\n".join(lines), f"<sin field, {n_inputs} inputs, n={n}>",
+                 "exec"), namespace)
+    return namespace["kernel"]
+
+
+class _SinKernels(dict):
+    """``_sin_kernel`` by (inputs, gradient length), compiled on first use."""
+
+    def __missing__(self, key):
+        kernel = self[key] = _sin_kernel(*key)
+        return kernel
+
+
+_SIN_KERNELS = _SinKernels()
 
 
 def _sin_fns(rng: np.random.Generator, n_inputs: int, scales) -> list:

@@ -46,9 +46,9 @@ import numpy as np
 from .bundle import (BaseVectorField, Point, SectionMap, TotalTangent,
                      TotalVectorField, base_lie_bracket, jet_bracket,
                      lie_bracket)
-from .calculus import (Scalar, as_float_array, derivative, dot, jacobian,
-                       mat_vec, value_and_jacobian, vec_add, vec_scale,
-                       vec_sub)
+from .calculus import (Scalar, _field_jets, as_float_array, derivative, dot,
+                       jacobian, mat_vec, value_and_jacobian, vec_add,
+                       vec_scale, vec_sub)
 from .connection import (ConnectionField, ConnectionKind, _cov_value,
                          constant_base_field, horizontal_lift,
                          horizontal_lift_field)
@@ -96,10 +96,21 @@ def curvature(conn: ConnectionField, e: Point, X: TotalTangent,
     if X.anchor is not e or Y.anchor is not e:
         if X.anchor.coords != e.coords or Y.anchor.coords != e.coords:
             raise DomainError("curvature arguments must be anchored at e")
-    hx = _const_lift_field(conn, X.base_part)
-    hy = _const_lift_field(conn, Y.base_part)
-    br = lie_bracket(hx, hy)(e)
-    return VerticalValue(e, -as_float_array(_pv_apply(conn, e, br)))
+    (r,) = _curvature_pairs(conn, e, [X.base_part, Y.base_part], [(0, 1)])
+    return VerticalValue(e, r)
+
+
+def _curvature_pairs(conn: ConnectionField, e: Point, vectors,
+                     pairs) -> list:
+    """Fibre parts of R(X_i, X_j) at e for each (i, j) of ``pairs``, where
+    X_i has base part ``vectors[i]``, from one pass over the lifts H_i of
+    the constant fields: each is -P_V [H_i, H_j](e), with the bits of
+    ``curvature``'s value."""
+    lifts = [_const_lift_field(conn, vec).fn for vec in vectors]
+    jets = _field_jets(lambda c: [h(c) for h in lifts], list(e.coords))
+    return [-as_float_array(_pv_apply(conn, e,
+                                      jet_bracket(*jets[i], *jets[j])))
+            for i, j in pairs]
 
 
 def cocurvature(conn: ConnectionField, e: Point, X: TotalTangent,
@@ -147,13 +158,11 @@ class _RouteJets:
     ``covariant=False`` the pass covers H_u and H_v only and does no
     nested work.
 
-    The stacked jets have the bits of separate passes: the fields are pure,
-    and a forward-mode gradient entry uses only that entry of its operands,
-    whatever the gradient length.  So the base rows and first m columns of
-    the jets of H_u and H_v are the jets of u and v at x, and they give
-    [u, v](x).  [u, v] enters only through its value at x (in H_[u,v](e)
-    and nabla_[u,v] s(x)), so it is carried as the constant field with
-    that value.
+    The stacked jets have the bits of separate passes (``_field_jets``).
+    So the base rows and first m columns of the jets of H_u and H_v are the
+    jets of u and v at x, and they give [u, v](x).  [u, v] enters only
+    through its value at x (in H_[u,v](e) and nabla_[u,v] s(x)), so it is
+    carried as the constant field with that value.
     """
 
     def __init__(self, conn: ConnectionField, s: SectionMap,
@@ -162,22 +171,21 @@ class _RouteJets:
         self.conn, self.s, self.x = conn, s, x
         self.e = s.graph(x)
         bundle = conn.bundle
-        m, n = bundle.base_dim, bundle.total_dim
+        m = bundle.base_dim
 
         def fields(coords):
             xs, y = bundle.split(coords)
             ux, vx = u.fn(xs), v.fn(xs)
             gu, gv = conn.gamma(xs, y, ux), conn.gamma(xs, y, vx)
-            out = list(ux) + [-c for c in gu] + list(vx) + [-c for c in gv]
-            if covariant:
-                ds = _nested_section_jet(s.fn, xs)[1]
-                out += [0.0] * m + vec_add(mat_vec(ds, ux), gu)
-                out += [0.0] * m + vec_add(mat_vec(ds, vx), gv)
-            return out
+            hu = list(ux) + [-c for c in gu]
+            hv = list(vx) + [-c for c in gv]
+            if not covariant:
+                return hu, hv
+            ds = _nested_section_jet(s.fn, xs)[1]
+            return (hu, hv, [0.0] * m + vec_add(mat_vec(ds, ux), gu),
+                    [0.0] * m + vec_add(mat_vec(ds, vx), gv))
 
-        values, jac = value_and_jacobian(fields, list(self.e.coords))
-        jets = [(values[k:k + n], jac[k:k + n])
-                for k in range(0, len(values), n)]
+        jets = _field_jets(fields, list(self.e.coords))
         self.hu, self.hv = jets[:2]
         self.nu, self.nv = jets[2:] or (None, None)
         (ue, ju), (ve, jv) = self.hu, self.hv
@@ -329,21 +337,25 @@ def tensoriality_check_curvature(conn: ConnectionField, e: Point,
                                  ) -> float:
     """Residual of R(f X, Y) - f(e) R(X, Y) and R(X, f Y) - f(e) R(X, Y),
     with the scaled argument extended explicitly as a field (no tensorial
-    shortcut)."""
-    hx = _const_lift_field(conn, X.base_part)
-    hy = _const_lift_field(conn, Y.base_part)
+    shortcut).
 
-    def scaled(field):
-        def ev(coords):
-            f = scalar_field(coords)
-            return vec_scale(f, field.fn(coords))
-        return TotalVectorField(conn.bundle, ev)
+    One pass at e over H_X, H_Y, f H_X and f H_Y gives every bracket, with
+    H_X, H_Y and f each evaluated once in it.
+    """
+    hx = _const_lift_field(conn, X.base_part).fn
+    hy = _const_lift_field(conn, Y.base_part).fn
 
+    def fields(coords):
+        xv, yv = hx(coords), hy(coords)
+        f = scalar_field(coords)
+        return xv, yv, vec_scale(f, xv), vec_scale(f, yv)
+
+    jx, jy, jfx, jfy = _field_jets(fields, list(e.coords))
     fe = float(scalar_field([float(c) for c in e.coords]))
-    base_val = -as_float_array(_pv_apply(conn, e, lie_bracket(hx, hy)(e)))
+    base_val = -as_float_array(_pv_apply(conn, e, jet_bracket(*jx, *jy)))
     worst = 0.0
-    for bracket in (lie_bracket(scaled(hx), hy), lie_bracket(hx, scaled(hy))):
-        val = -as_float_array(_pv_apply(conn, e, bracket(e)))
+    for br in (jet_bracket(*jfx, *jy), jet_bracket(*jx, *jfy)):
+        val = -as_float_array(_pv_apply(conn, e, br))
         worst = max(worst, float(np.max(np.abs(val - fe * base_val))))
     return worst
 

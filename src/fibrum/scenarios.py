@@ -30,8 +30,8 @@ from typing import TYPE_CHECKING, Callable, Optional, Union
 
 import numpy as np
 
-from .bundle import (BaseVectorField, TotalTangent, TotalVectorField,
-                     base_lie_bracket, lie_bracket, uniform_parts)
+from .bundle import (BaseVectorField, TotalVectorField, base_lie_bracket,
+                     lie_bracket, uniform_parts)
 from .calculus import as_float_array, dot, float_value, mat_vec
 from .catalog import (CATALOG, GB_NODES, Capabilities, _cube, _tangent,
                       _total_bounds, build_connection, circle_loop,
@@ -44,9 +44,9 @@ from .connection import (ConnectionKind, covariant_derivative,
                          horizontal_lift, horizontal_lift_field,
                          horizontal_projector, lift_rank_check,
                          natural_derivative, vertical_projector)
-from .curvature import (_RouteJets, composition_commutator,
-                        curv_via_covariant, curv_via_lifts, curvature,
-                        curvature_routes, second_covariant_derivative,
+from .curvature import (_RouteJets, _curvature_pairs, composition_commutator,
+                        curv_via_covariant, curv_via_lifts, curvature_routes,
+                        second_covariant_derivative,
                         tensoriality_check_curvature, torsion, leibniz_check)
 from .errors import ConfigError, FibrumError, TooFewSamplesError
 from .transport import (IntegratorConfig, flow, geodesic,
@@ -428,12 +428,11 @@ def _curvature_antisymmetry(sub, rng):
         _cube(n, 1.0), _cube(2, 2.0))
     e = sub.bundle.total_point(ec)
     X, Y, Z = _tangent(e, xc), _tangent(e, yc), _tangent(e, zc)
-    rxy = curvature(conn, e, X, Y).fibre_part
-    ryx = curvature(conn, e, Y, X).fibre_part
-    mix = TotalTangent(e, a * X.base_part + b * Z.base_part,
-                       a * X.fibre_part + b * Z.fibre_part)
-    rmix = curvature(conn, e, mix, Y).fibre_part
-    rxz = curvature(conn, e, Z, Y).fibre_part
+    mix = a * X.base_part + b * Z.base_part
+    # R(X, Y), R(Y, X), R(a X + b Z, Y) and R(Z, Y) from one pass
+    rxy, ryx, rmix, rxz = _curvature_pairs(
+        conn, e, [X.base_part, Y.base_part, Z.base_part, mix],
+        [(0, 1), (1, 0), (3, 1), (2, 1)])
     return max(_max_abs(rxy + ryx), _max_abs(rmix - a * rxy - b * rxz))
 
 

@@ -82,9 +82,10 @@ class CurveOnBase:
 
 def _rk4(rhs, z0: np.ndarray, span: float, cfg: IntegratorConfig,
          inside, what: str, t_base: float = 0.0,
-         collect: bool = False, negate: bool = False):
-    """Fixed-step RK4 driver for ``rhs(t, z)``, or for ``-rhs(t, z)`` when
-    ``negate`` is set; the state is checked per node.
+         collect: bool = False, negate_from: Optional[int] = None):
+    """Fixed-step RK4 driver for ``rhs(t, z)`` with its components from
+    index ``negate_from`` on negated (none when it is None); the state is
+    checked per node.
 
     The state is a plain list of floats and ``rhs`` returns one; the final
     state and the collected (t, z) path entries come back as ndarrays.
@@ -95,45 +96,51 @@ def _rk4(rhs, z0: np.ndarray, span: float, cfg: IntegratorConfig,
         return (np.array(z), path) if collect else np.array(z)
     n = cfg.n_steps(span)
     h = span / n
-    z = _rk4_loop(len(z), negate)(rhs, z, n, h, 0.5 * h, h / 6.0, t_base,
-                                  inside, what, path)
+    d = len(z)
+    loop = _rk4_loop(d, d if negate_from is None else negate_from)
+    z = loop(rhs, z, n, h, 0.5 * h, h / 6.0, t_base, inside, what, path)
     return (np.array(z), path) if collect else np.array(z)
 
 
 @functools.lru_cache(maxsize=None)
-def _rk4_loop(d: int, negate: bool):
-    """The step loop of :func:`_rk4` for states of length ``d``, written out
-    per component as straight-line code and compiled on first use.
+def _rk4_loop(d: int, negate_from: int):
+    """The step loop of :func:`_rk4` for states of length ``d`` whose
+    right-hand side is negated from component ``negate_from`` on, written
+    out per component as straight-line code and compiled on first use.
 
     Component i of a stage is ``z_i + hh * k1[i]`` and of a step
     ``z_i + h6 * (((k1[i] + 2.0 * k2[i]) + 2.0 * k3[i]) + k4[i])``: the
     float operations of a per-component list comprehension, in its order,
     without a comprehension frame per stage.
 
-    The negated loop integrates ``-rhs`` with the bits of integrating the
-    list ``[-c for c in rhs(t, z)]``, without building that list.  IEEE
-    negation is exact and rounding is sign-symmetric, and ``a - b`` is
-    ``a + -b``, so a stage is ``z_i - hh * k1[i]`` and a step sums
-    ``((-k1[i] - 2.0 * k2[i]) - 2.0 * k3[i]) - k4[i]``.  Subtracting the
-    positive sum from ``z_i`` instead could flip the sign of a zero: a sum
-    that cancels to zero is +0.0 whichever sign its terms carry.
+    A negated component integrates ``-rhs`` with the bits of integrating
+    ``-c`` for each entry c of ``rhs(t, z)`` as a list, without building
+    that list.  IEEE negation is exact and rounding is sign-symmetric, and
+    ``a - b`` is ``a + -b``, so a stage is ``z_i - hh * k1[i]`` and a step
+    sums ``((-k1[i] - 2.0 * k2[i]) - 2.0 * k3[i]) - k4[i]``.  Subtracting
+    the positive sum from ``z_i`` instead could flip the sign of a zero: a
+    sum that cancels to zero is +0.0 whichever sign its terms carry.
     """
-    def stage(fmt):
-        return "[" + ", ".join(fmt.format(i) for i in range(d)) + "]"
+    # per component, the sign of its stage terms and of its leading k1
+    signs = [("-", "-") if i >= negate_from else ("+", "") for i in range(d)]
 
-    op, lead = ("-", "-") if negate else ("+", "")
+    def stage(fmt):
+        return "[" + ", ".join(fmt.format(i, signs[i][0])
+                               for i in range(d)) + "]"
+
     lines = ["def loop(rhs, z, n, h, hh, h6, t_base, inside, what, path):"]
     lines += [f"    z{i} = z[{i}]" for i in range(d)]
     lines += [
         "    t = t_base",
         "    for k in range(n):",
         "        k1 = rhs(t, z)",
-        "        k2 = rhs(t + hh, " + stage("z{0} %s hh * k1[{0}]" % op) + ")",
-        "        k3 = rhs(t + hh, " + stage("z{0} %s hh * k2[{0}]" % op) + ")",
-        "        k4 = rhs(t + h, " + stage("z{0} %s h * k3[{0}]" % op) + ")",
+        "        k2 = rhs(t + hh, " + stage("z{0} {1} hh * k1[{0}]") + ")",
+        "        k3 = rhs(t + hh, " + stage("z{0} {1} hh * k2[{0}]") + ")",
+        "        k4 = rhs(t + h, " + stage("z{0} {1} h * k3[{0}]") + ")",
     ]
     lines += [f"        z{i} = z{i} + h6 * ((({lead}k1[{i}] {op} 2.0 * k2[{i}])"
-              f" {op} 2.0 * k3[{i}]) {op} k4[{i}])" for i in range(d)]
+              f" {op} 2.0 * k3[{i}]) {op} k4[{i}])"
+              for i, (op, lead) in enumerate(signs)]
     lines += [
         "        z = " + stage("z{0}"),
         "        t = t_base + (k + 1) * h",
@@ -144,7 +151,7 @@ def _rk4_loop(d: int, negate: bool):
         "    return z",
     ]
     namespace = {"ChartExitError": ChartExitError, "np": np}
-    name = f"<rk4 loop, d={d}{', negated' if negate else ''}>"
+    name = f"<rk4 loop, d={d}, negated from {negate_from}>"
     exec(compile("\n".join(lines), name, "exec"), namespace)
     return namespace["loop"]
 
@@ -181,7 +188,8 @@ def flow_base(v: BaseVectorField, x0: Point, lam: float,
 
 def _transport_rhs(conn: ConnectionField, curve: CurveOnBase):
     """gamma(c(t), y) c'(t), the transport equation's right-hand side
-    without its sign; :func:`_rk4`'s negated loop supplies the sign.
+    without its sign; :func:`_rk4`, negating from component 0, supplies
+    the sign.
 
     A one-entry cache keyed on t computes the curve point and velocity once
     per distinct stage time; RK4 stages k2 and k3 share the midpoint.  The
@@ -219,7 +227,7 @@ def _transport(conn: ConnectionField, curve: CurveOnBase,
     span = curve.t1 - curve.t0
     return _rk4(_transport_rhs(conn, curve), y0, span, cfg,
                 bundle.fibre_box.contains, "parallel transport", curve.t0,
-                collect, True)
+                collect, 0)
 
 
 def parallel_transport_vector(conn: ConnectionField, curve: CurveOnBase,
@@ -295,12 +303,12 @@ def geodesic(conn: ConnectionField, x0: Sequence[float], v0: Sequence[float],
     if not bundle.contains_total(z0):
         raise DomainError("geodesic initial data outside the chart box")
 
-    def rhs(t, z):
+    def rhs(t, z):  # (v, gamma(x, v) v); _rk4 negates from component m
         v = z[m:]
-        return v + [-c for c in conn.gamma(z[:m], v, v)]
+        return [*v, *conn.gamma(z[:m], v, v)]
 
     _, path = _rk4(rhs, z0, float(T), cfg, bundle.contains_total,
-                   "geodesic", collect=True)
+                   "geodesic", collect=True, negate_from=m)
     return [(t, z[:m].copy(), z[m:].copy()) for t, z in path]
 
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibrum import (ConnectionField, ConnectionKind, IntegratorConfig,
                     build_connection, holonomy_loop, latitude_loop,
@@ -394,6 +396,94 @@ def test_sin_combination_floats_bit_equal_to_numpy_reference(
             w_val, w_jac = value_and_jacobian(lambda c: [want(c)], p)
             assert g_val == w_val
             assert g_jac.tolist() == w_jac.tolist()
+
+
+# -- the fused sin-field kernel against the loop ------------------------------
+# ``_sin_fn`` sends inputs that are all scalars of one pass with float values
+# through a generated kernel; every other input takes its loop.  Both must
+# give the same bits, signed zeros included, and raise the same error.
+
+def _sin_loop(coeffs, n_inputs):
+    """``_sin_fn`` without its kernel: the loop, copied verbatim."""
+    c0 = coeffs[0]
+    amps = coeffs[1:n_inputs + 1]
+    freqs = coeffs[n_inputs + 1:2 * n_inputs + 1]
+    phases = coeffs[2 * n_inputs + 1:]
+
+    def fn(coords):
+        acc = c0
+        for j in range(n_inputs):
+            acc = acc + amps[j] * sin(freqs[j] * coords[j] + phases[j])
+        return acc
+
+    return fn
+
+
+def _layers(z):
+    """Value and gradient bits of z, layer by layer."""
+    if isinstance(z, DScalar):
+        return z.tag, _layers(z.value), tuple(_layers(g) for g in z.grad)
+    assert type(z) is float
+    return z.hex()
+
+
+def _sin_outcome(fn, coords):
+    try:
+        return _layers(fn(coords))
+    except ValueError:
+        return ValueError
+
+
+_KINDS = ("floats", "one pass", "nested", "mixed tags", "mixed floats",
+          "unequal lengths")
+_entry = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                   st.floats(-3.0, 3.0))
+
+
+@st.composite
+def _sin_inputs(draw):
+    """(kind, coefficients, inputs, gradient length) of one call."""
+    kind = draw(st.sampled_from(_KINDS))
+    n_inputs = draw(st.integers(2 if kind in _KINDS[3:] else 1, 4))
+    coeffs = draw(st.lists(st.floats(-7.0, 7.0), min_size=3 * n_inputs + 1,
+                           max_size=3 * n_inputs + 1))
+    n = draw(st.integers(1, 5))
+    values = draw(st.lists(st.floats(-4.0, 4.0), min_size=n_inputs,
+                           max_size=n_inputs))
+    grads = [draw(st.lists(_entry, min_size=n, max_size=n))
+             for _ in range(n_inputs)]
+    if kind == "floats":
+        return kind, coeffs, values, n
+    if kind == "unequal lengths":
+        j = draw(st.integers(0, n_inputs - 1))
+        grads[j] = grads[j] + [draw(_entry)]
+    if kind == "nested":  # values carry an enclosing pass, tag 3
+        values = [DScalar(v, g, 3) for v, g in zip(values, grads)]
+    tags = [7] * n_inputs
+    if kind == "mixed tags":
+        tags = draw(st.lists(st.sampled_from([7, 8]), min_size=n_inputs,
+                             max_size=n_inputs).filter(
+                                 lambda t: len(set(t)) == 2))
+    inputs = [DScalar(v, g, t) for v, g, t in zip(values, grads, tags)]
+    if kind == "mixed floats":
+        keep = draw(st.lists(st.booleans(), min_size=n_inputs,
+                             max_size=n_inputs).filter(
+                                 lambda k: any(k) and not all(k)))
+        inputs = [x if k else x.value for x, k in zip(inputs, keep)]
+    return kind, coeffs, inputs, n
+
+
+@given(case=_sin_inputs())
+@settings(max_examples=400, deadline=None)
+def test_sin_kernel_bit_equal_to_loop(case):
+    from fibrum.catalog import _SIN_KERNELS, _sin_fn
+    kind, coeffs, inputs, n = case
+    n_inputs = len(inputs)
+    got = _sin_outcome(_sin_fn(coeffs, n_inputs), inputs)
+    assert got == _sin_outcome(_sin_loop(coeffs, n_inputs), inputs)
+    assert (got is ValueError) == (kind == "unequal lengths")
+    if kind == "one pass":
+        assert (n_inputs, n) in _SIN_KERNELS
 
 
 # The samplers as they were before each draw took its doubles from one

@@ -41,11 +41,14 @@ from fibrum import (BaseVectorField, SectionMap, TotalTangent,
                     random_base_point, random_section, random_tangent,
                     random_total_point, second_covariant_derivative, sin,
                     tensoriality_check_curvature, torsion, vec_add, vec_sub)
-from fibrum.calculus import (derivative, mat_vec, value_and_jacobian,
-                             vec_scale)
+from fibrum.bundle import TotalVectorField, jet_bracket
+from fibrum.catalog import random_total_scalar_field
+from fibrum.calculus import (DScalar, derivative, mat_vec,
+                             value_and_jacobian, vec_scale)
 from fibrum.connection import _cov_value
-from fibrum.curvature import VerticalValue
-from fibrum.errors import (LinearityRequiredError,
+from fibrum.curvature import (VerticalValue, _const_lift_field,
+                              _curvature_pairs, _pv_apply)
+from fibrum.errors import (DomainError, LinearityRequiredError,
                            SecondOrderUnavailableError,
                            TangentBundleRequiredError)
 
@@ -345,24 +348,39 @@ def test_theorem41_table_rows():
 
 # -- one set of jets per draw ------------------------------------------------
 
+def _two_pass_fn(fx, fy):
+    """The coordinate bracket as it was before its jets were stacked: one
+    ``value_and_jacobian`` pass per field, the body copied verbatim."""
+    def ev(coords):
+        return jet_bracket(*value_and_jacobian(fx, coords),
+                           *value_and_jacobian(fy, coords))
+    return ev
+
+
+def _two_pass_bracket(X, Y):
+    """[X, Y] of two total or two base fields, one pass per field."""
+    return type(X)(X.bundle, _two_pass_fn(X.fn, Y.fn))
+
+
 def _routes_from_public_pieces(conn, s, u, v, x):
     """Each route as its own bracket of freshly built fields, sharing
-    nothing: (lifts, vertical projection, commutator route, cross sum)."""
+    nothing: (lifts, vertical projection, commutator route, cross sum).
+    Every bracket takes one pass per field."""
     e = s.graph(x)
     m = conn.bundle.base_dim
     hu = horizontal_lift_field(conn, u)
     hv = horizontal_lift_field(conn, v)
     nu = extend_covariant_derivative(conn, s, u)
     nv = extend_covariant_derivative(conn, s, v)
-    w = base_lie_bracket(u, v)
-    br = lie_bracket(hu, hv)(e)
+    w = _two_pass_bracket(u, v)
+    br = _two_pass_bracket(hu, hv)(e)
     lifts = as_float_array(vec_sub(horizontal_lift_field(conn, w)(e), br)[m:])
     xs, ys = conn.bundle.split(list(e.coords))
     vert = -as_float_array(vec_add(br[m:], conn.gamma(xs, ys, br[:m])))
-    cov = (as_float_array(lie_bracket(nu, nv)(e)[m:])
+    cov = (as_float_array(_two_pass_bracket(nu, nv)(e)[m:])
            - covariant_derivative(conn, s, w, x))
-    cross = as_float_array(vec_add(lie_bracket(hv, nu)(e),
-                                   lie_bracket(nv, hu)(e)))
+    cross = as_float_array(vec_add(_two_pass_bracket(hv, nu)(e),
+                                   _two_pass_bracket(nv, hu)(e)))
     return lifts, vert, cov, cross
 
 
@@ -460,18 +478,10 @@ def test_composition_bit_equal_to_one_pass_per_jet(name, params):
         assert _bits(got) == _bits(ref)
 
 
-def test_curvature_routes_take_each_jet_once(nonlinear_conn, monkeypatch):
-    # one draw makes one pass at e over the stacked H_u, H_v, N_u and N_v,
-    # in which u(x), v(x), gamma(x, y, u(x)), gamma(x, y, v(x)) and the
-    # nested Ds(x) are each evaluated once, and reads [u, v](x) from it; the
-    # only other pass at a float point is the section's at x, for
-    # nabla_[u,v] s.  The lift routes make one pass at e and none at x
+def _evaluation_counter():
+    """(counter, counted): ``counted(name, fn)`` wraps fn so that each call
+    adds one to ``counter[name]``."""
     import collections
-    import importlib
-    from fibrum import ConnectionField
-    from fibrum.calculus import DScalar
-    bundle = nonlinear_conn.bundle
-    rng = np.random.default_rng(5)
     evals = collections.Counter()
 
     def counted(name, fn):
@@ -480,14 +490,20 @@ def test_curvature_routes_take_each_jet_once(nonlinear_conn, monkeypatch):
             return fn(*args)
         return ev
 
-    conn = ConnectionField(bundle, counted("gamma", nonlinear_conn.gamma),
-                           nonlinear_conn.kind)
-    s = SectionMap(bundle, counted("s", random_section(bundle, rng).fn))
-    u, v = (BaseVectorField(bundle, counted(name,
-                                            random_base_field(bundle, rng).fn))
-            for name in "uv")
-    x = random_base_point(bundle, rng)
-    e = tuple(s.graph(x).coords)
+    return evals, counted
+
+
+def _counted_connection(conn, counted):
+    from fibrum import ConnectionField
+    return ConnectionField(conn.bundle, counted("gamma", conn.gamma),
+                           conn.kind)
+
+
+def _float_passes(monkeypatch) -> list:
+    """Route ``value_and_jacobian`` through a recorder in every module that
+    binds it; each pass at a point of plain floats appends (fn, coords)."""
+    import importlib
+    from fibrum.calculus import DScalar
     calls = []
 
     def counting(fn, coords):
@@ -496,9 +512,31 @@ def test_curvature_routes_take_each_jet_once(nonlinear_conn, monkeypatch):
             calls.append((fn, tuple(coords)))
         return value_and_jacobian(fn, coords)
 
-    for name in ("bundle", "calculus", "connection", "curvature"):
-        monkeypatch.setattr(importlib.import_module(f"fibrum.{name}"),
-                            "value_and_jacobian", counting)
+    for name in ("bundle", "calculus", "connection", "curvature",
+                 "transport", "catalog", "scenarios"):
+        module = importlib.import_module(f"fibrum.{name}")
+        if hasattr(module, "value_and_jacobian"):
+            monkeypatch.setattr(module, "value_and_jacobian", counting)
+    return calls
+
+
+def test_curvature_routes_take_each_jet_once(nonlinear_conn, monkeypatch):
+    # one draw makes one pass at e over the stacked H_u, H_v, N_u and N_v,
+    # in which u(x), v(x), gamma(x, y, u(x)), gamma(x, y, v(x)) and the
+    # nested Ds(x) are each evaluated once, and reads [u, v](x) from it; the
+    # only other pass at a float point is the section's at x, for
+    # nabla_[u,v] s.  The lift routes make one pass at e and none at x
+    bundle = nonlinear_conn.bundle
+    rng = np.random.default_rng(5)
+    evals, counted = _evaluation_counter()
+    conn = _counted_connection(nonlinear_conn, counted)
+    s = SectionMap(bundle, counted("s", random_section(bundle, rng).fn))
+    u, v = (BaseVectorField(bundle, counted(name,
+                                            random_base_field(bundle, rng).fn))
+            for name in "uv")
+    x = random_base_point(bundle, rng)
+    e = tuple(s.graph(x).coords)
+    calls = _float_passes(monkeypatch)
     evals.clear()
     curvature_routes(conn, s, u, v, x)
     assert [c for _, c in calls] == [e, x.coords]
@@ -512,6 +550,272 @@ def test_curvature_routes_take_each_jet_once(nonlinear_conn, monkeypatch):
         route(conn, s, u, v, x)
         assert [c for _, c in calls] == [e]
         assert evals["u"] == 1 and evals["v"] == 1 and evals["s"] == 1
+
+
+# -- one pass per bracket draw ------------------------------------------------
+# ``lie_bracket``, ``base_lie_bracket``, ``curvature`` and
+# ``tensoriality_check_curvature`` read every jet of a draw from one stacked
+# pass; each must keep the bits, the types and the errors of one pass per
+# field.
+
+def _curvature_two_passes(conn, e, X, Y):
+    """``curvature`` before its jets were stacked, the body copied verbatim
+    with ``lie_bracket`` replaced by the two-pass bracket."""
+    if X.anchor is not e or Y.anchor is not e:
+        if X.anchor.coords != e.coords or Y.anchor.coords != e.coords:
+            raise DomainError("curvature arguments must be anchored at e")
+    hx = _const_lift_field(conn, X.base_part)
+    hy = _const_lift_field(conn, Y.base_part)
+    br = _two_pass_bracket(hx, hy)(e)
+    return VerticalValue(e, -as_float_array(_pv_apply(conn, e, br)))
+
+
+def _tensoriality_two_passes(conn, e, X, Y, scalar_field):
+    """``tensoriality_check_curvature`` before its jets were stacked, the
+    body copied verbatim with ``lie_bracket`` replaced by the two-pass
+    bracket."""
+    hx = _const_lift_field(conn, X.base_part)
+    hy = _const_lift_field(conn, Y.base_part)
+
+    def scaled(field):
+        def ev(coords):
+            f = scalar_field(coords)
+            return vec_scale(f, field.fn(coords))
+        return TotalVectorField(conn.bundle, ev)
+
+    fe = float(scalar_field([float(c) for c in e.coords]))
+    base_val = -as_float_array(_pv_apply(conn, e,
+                                         _two_pass_bracket(hx, hy)(e)))
+    worst = 0.0
+    for bracket in (_two_pass_bracket(scaled(hx), hy),
+                    _two_pass_bracket(hx, scaled(hy))):
+        val = -as_float_array(_pv_apply(conn, e, bracket(e)))
+        worst = max(worst, float(np.max(np.abs(val - fe * base_val))))
+    return worst
+
+
+def _same_entries(got, want):
+    """Equal lists entry by entry: the same type and the same bits, signed
+    zeros included; DScalar entries compared layer by layer (their tags
+    number the passes of one run, so they are not compared)."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g) is type(w)
+        if isinstance(g, DScalar):
+            _same_entries([g.value], [w.value])
+            _same_entries(g.grad, w.grad)
+        else:
+            assert float(g).hex() == float(w).hex()
+
+
+def _same_jet(got, want):
+    (gv, gj), (wv, wj) = got, want
+    _same_entries(gv, wv)
+    assert type(gj) is type(wj)
+    for grow, wrow in zip(gj, wj):
+        _same_entries(list(grow), list(wrow))
+
+
+def _reciprocal_fields(bundle):
+    """A total and a base field that divide by varying quantities, which a
+    pass rounds as products with reciprocals."""
+    m, n = bundle.base_dim, bundle.total_dim
+    X = TotalVectorField(bundle, lambda c: [c[(i + 1) % n] / (3.0 + c[i])
+                                            for i in range(n)])
+    u = BaseVectorField(bundle, lambda c: [1.0 / (4.0 - c[i] * c[0])
+                                           for i in range(m)])
+    return X, u
+
+
+@pytest.mark.parametrize("name,params", _CONNECTIONS)
+def test_brackets_bit_equal_to_two_passes(name, params):
+    conn = build_connection(name, params)
+    bundle = conn.bundle
+    rng = np.random.default_rng(20261021)
+    for _ in range(4):
+        s = random_section(bundle, rng)
+        u = random_base_field(bundle, rng)
+        v = random_base_field(bundle, rng)
+        x = random_base_point(bundle, rng)
+        e = random_total_point(bundle, rng)
+        hu = horizontal_lift_field(conn, u)
+        hv = horizontal_lift_field(conn, v)
+        nu = extend_covariant_derivative(conn, s, u)
+        nv = extend_covariant_derivative(conn, s, v)
+        X, w = _reciprocal_fields(bundle)
+        for A, B in ((hu, hv), (hv, nu), (nu, nv), (X, hu), (nv, X)):
+            _same_entries(lie_bracket(A, B)(e), _two_pass_bracket(A, B)(e))
+        for a, b in ((u, v), (w, u), (v, w)):
+            _same_entries(base_lie_bracket(a, b)(x),
+                          _two_pass_bracket(a, b)(x))
+        # a bracket of a bracket: the outer pass's scalars reach the inner
+        # pass as coordinates
+        _same_entries(
+            lie_bracket(lie_bracket(hu, hv), nu)(e),
+            _two_pass_bracket(_two_pass_bracket(hu, hv), nu)(e))
+        _same_entries(
+            base_lie_bracket(u, base_lie_bracket(v, w))(x),
+            _two_pass_bracket(u, _two_pass_bracket(v, w))(x))
+
+
+def test_bracket_over_captured_scalars_bit_equal_to_two_passes():
+    # inside an enclosing pass, X captures its scalars and Y does not: the
+    # stacked pass at q is nested through X's values only
+    bundle = make_flat().bundle
+    q = [0.3, -0.4, 0.2, 0.5]
+    inner = {}
+
+    def outer(bracket):
+        def fn(c):
+            X = TotalVectorField(bundle, lambda e: [
+                c[0] * sin(e[1]), e[0] / (2.0 + c[1] * e[2]), 0.5, e[3] * e[0]])
+            Y = TotalVectorField(bundle, lambda e: [
+                e[2], sin(e[0]) * e[3], e[1] / (3.0 + e[0]), -e[0]])
+            inner[bracket] = (bracket(X, Y)(q), bracket(Y, X)(c))
+            return bracket(X, Y)(q) + bracket(Y, X)(c) + bracket(X, X)(c)
+        return fn
+
+    p = [0.7, -0.2, 0.4, 0.1]
+    got = value_and_jacobian(outer(lie_bracket), p)
+    want = value_and_jacobian(outer(_two_pass_bracket), p)
+    _same_jet(got, want)
+    for g, w in zip(inner[lie_bracket], inner[_two_pass_bracket]):
+        _same_entries(g, w)
+
+
+def test_bracket_non_finite_jacobian_still_raises():
+    from fibrum.errors import NonFiniteOutputError
+    bundle = make_flat().bundle
+    e = [1e-3, 0.2, 0.1, 0.3]
+    # finite value 1e306, derivative 1e308 * 10 = inf
+    big = TotalVectorField(bundle, lambda q: [q[0] * 1e308 * 10.0, q[1],
+                                              0.0, 1.0])
+    tame = TotalVectorField(bundle, lambda q: [q[1], q[0], 1.0, 0.0])
+    for X, Y in ((big, tame), (tame, big)):
+        for bracket in (lie_bracket, _two_pass_bracket):
+            with pytest.raises(NonFiniteOutputError):
+                bracket(X, Y)(e)
+    u = BaseVectorField(bundle, lambda x: [x[0] * 1e308 * 10.0, 1.0])
+    v = BaseVectorField(bundle, lambda x: [x[1], x[0]])
+    for bracket in (base_lie_bracket, _two_pass_bracket):
+        with pytest.raises(NonFiniteOutputError):
+            bracket(u, v)(e[:2])
+    # a field that captures a user scalar makes the stacked pass nested;
+    # the other field's Jacobian is still checked as its own pass checks it
+    c = DScalar(0.5, (1.0,))
+    captures = TotalVectorField(bundle, lambda q: [c * q[1], q[0], 0.0, 1.0])
+    for bracket in (lie_bracket, _two_pass_bracket):
+        with pytest.raises(NonFiniteOutputError):
+            bracket(captures, big)(e)
+
+
+def _tangents(conn, e, rng, k):
+    return [random_tangent(conn, e, rng) for _ in range(k)]
+
+
+@pytest.mark.parametrize("name,params", _CONNECTIONS)
+def test_curvature_bit_equal_to_two_passes(name, params):
+    conn = build_connection(name, params)
+    rng = np.random.default_rng(20261022)
+    for _ in range(6):
+        e = random_total_point(conn.bundle, rng)
+        X, Y, Z = _tangents(conn, e, rng, 3)
+        a, b = rng.uniform(-2.0, 2.0, 2)
+        assert _bits(curvature(conn, e, X, Y).fibre_part) \
+            == _bits(_curvature_two_passes(conn, e, X, Y).fibre_part)
+        # the antisymmetry row's four values from one pass, against four
+        # separate calls as the row once made them
+        mix = TotalTangent(e, a * X.base_part + b * Z.base_part,
+                           a * X.fibre_part + b * Z.fibre_part)
+        got = _curvature_pairs(
+            conn, e, [X.base_part, Y.base_part, Z.base_part, mix.base_part],
+            [(0, 1), (1, 0), (3, 1), (2, 1)])
+        want = [_curvature_two_passes(conn, e, P, Q).fibre_part
+                for P, Q in ((X, Y), (Y, X), (mix, Y), (Z, Y))]
+        for g, w in zip(got, want):
+            assert _bits(g) == _bits(w)
+
+
+@pytest.mark.parametrize("name,params", _CONNECTIONS)
+def test_tensoriality_bit_equal_to_two_passes(name, params):
+    conn = build_connection(name, params)
+    bundle = conn.bundle
+    m = bundle.base_dim
+    rng = np.random.default_rng(20261023)
+    scalars = [random_total_scalar_field(bundle, rng) for _ in range(2)]
+    scalars += [lambda c: c[0] + c[m] * c[m],
+                lambda c: 1.0 / (3.0 + c[0] * c[m]),
+                lambda c: 1.0]
+    for scalar in scalars:
+        for _ in range(3):
+            e = random_total_point(bundle, rng)
+            X, Y = _tangents(conn, e, rng, 2)
+            got = tensoriality_check_curvature(conn, e, X, Y, scalar)
+            want = _tensoriality_two_passes(conn, e, X, Y, scalar)
+            assert _bits([got]) == _bits([want])
+
+
+def test_lie_bracket_takes_one_pass(nonlinear_conn, rng, monkeypatch):
+    bundle = nonlinear_conn.bundle
+    s = random_section(bundle, rng)
+    u = random_base_field(bundle, rng)
+    v = random_base_field(bundle, rng)
+    x = random_base_point(bundle, rng)
+    e = random_total_point(bundle, rng)
+    hu = horizontal_lift_field(nonlinear_conn, u)
+    nv = extend_covariant_derivative(nonlinear_conn, s, v)
+    calls = _float_passes(monkeypatch)
+    lie_bracket(hu, nv)(e)
+    assert [c for _, c in calls] == [e.coords]
+    calls.clear()
+    # the inner bracket's pass runs at the outer pass's scalars
+    lie_bracket(lie_bracket(hu, nv), hu)(e)
+    assert [c for _, c in calls] == [e.coords]
+    calls.clear()
+    base_lie_bracket(u, v)(x)
+    assert [c for _, c in calls] == [x.coords]
+
+
+def test_curvature_takes_one_pass(nonlinear_conn, rng, monkeypatch):
+    evals, counted = _evaluation_counter()
+    conn = _counted_connection(nonlinear_conn, counted)
+    e = random_total_point(conn.bundle, rng)
+    X, Y = _tangents(conn, e, rng, 2)
+    calls = _float_passes(monkeypatch)
+    curvature(conn, e, X, Y)
+    assert [c for _, c in calls] == [e.coords]
+    # gamma: H_X and H_Y in the pass, then P_V at e
+    assert evals == {"gamma": 3}
+
+
+def test_curvature_antisymmetry_draw_takes_one_pass(nonlinear_conn,
+                                                    monkeypatch):
+    from fibrum.config import load_config
+    from fibrum.scenarios import CHECKS, Subject
+    evals, counted = _evaluation_counter()
+    sub = Subject(load_config({"bundle_name": "nonlinear-demo",
+                               "scenario": "verify-all"}))
+    sub.conn = _counted_connection(sub.conn, counted)
+    calls = _float_passes(monkeypatch)
+    CHECKS["curvature_antisymmetry"].run(sub, np.random.default_rng(3), 1)
+    # R(X, Y), R(Y, X), R(mix, Y) and R(Z, Y) from one pass over the four
+    # lifts at the drawn total point, then P_V at it once per value
+    assert len(calls) == 1 and len(calls[0][1]) == sub.bundle.total_dim
+    assert evals == {"gamma": 8}
+
+
+def test_tensoriality_takes_one_pass(nonlinear_conn, rng, monkeypatch):
+    evals, counted = _evaluation_counter()
+    conn = _counted_connection(nonlinear_conn, counted)
+    e = random_total_point(conn.bundle, rng)
+    X, Y = _tangents(conn, e, rng, 2)
+    scalar = counted("f", random_total_scalar_field(conn.bundle, rng))
+    calls = _float_passes(monkeypatch)
+    tensoriality_check_curvature(conn, e, X, Y, scalar)
+    assert [c for _, c in calls] == [e.coords]
+    # f: once in the pass, once for f(e); gamma: H_X and H_Y in the pass,
+    # then P_V at e for each of the three brackets
+    assert evals == {"f": 2, "gamma": 5}
 
 
 def test_second_order_required_error(flat_conn):

@@ -604,8 +604,9 @@ def test_every_integrator_goes_through_rk4_with_four_calls_per_step(
 # -- the unrolled step loop against the list-form loop it replaced -----------
 # The reference is the earlier list-form ``_rk4``, kept verbatim: the
 # unrolled loop must give the same bits, stage by stage, signed zeros
-# included, and the same chart exit.  The negated loop must give the bits of
-# the reference fed the negated list ``[-c for c in rhs(t, z)]``.
+# included, and the same chart exit.  A loop negated from component k on
+# must give the bits of the reference fed the list ``rhs(t, z)`` with its
+# entries from index k on negated, as ``[-c for c in rhs(t, z)]`` for k = 0.
 
 def _reference_rk4(rhs, z0: np.ndarray, span: float, cfg: IntegratorConfig,
                    inside, what: str, t_base: float = 0.0,
@@ -664,11 +665,16 @@ def _assert_same_bits(got, want):
         assert math.copysign(1.0, g) == math.copysign(1.0, w)
 
 
-def _rk4_both(d, span, t_base, collect, negate=False,
+def _negated_from(rhs, k):
+    """``rhs`` with the entries of its list from index k on negated."""
+    return lambda t, z: [c if i < k else -c for i, c in enumerate(rhs(t, z))]
+
+
+def _rk4_both(d, span, t_base, collect, negate_from=None,
               inside=lambda z: True, z0=(0.0, -0.0, -0.0, 0.5, -0.0, 0.0),
               make_rhs=_recording_rhs):
-    """(result or exception, rhs calls) of the unrolled and the reference
-    loop, on the same data."""
+    """(result or exception, rhs calls) of the unrolled loop negated from
+    component ``negate_from`` on and of the reference, on the same data."""
     from fibrum import transport
     args = (np.array(z0[:d]), span, IntegratorConfig(step=0.01), inside,
             "test state", t_base, collect)
@@ -678,10 +684,9 @@ def _rk4_both(d, span, t_base, collect, negate=False,
         rhs = make_rhs(d, calls)
         try:
             if unrolled:
-                out = transport._rk4(rhs, *args, negate)
-            elif negate:
-                out = _reference_rk4(lambda t, z: [-c for c in rhs(t, z)],
-                                     *args)
+                out = transport._rk4(rhs, *args, negate_from)
+            elif negate_from is not None:
+                out = _reference_rk4(_negated_from(rhs, negate_from), *args)
             else:
                 out = _reference_rk4(rhs, *args)
         except ChartExitError as exc:
@@ -722,15 +727,25 @@ def test_rk4_bit_equal_to_list_form_reference(d, span, t_base, collect):
 @_list_form_grid
 def test_negated_rk4_bit_equal_to_list_form_reference(d, span, t_base,
                                                       collect):
-    _assert_same_run(*_rk4_both(d, span, t_base, collect, True), collect)
+    _assert_same_run(*_rk4_both(d, span, t_base, collect, 0), collect)
 
 
-def _assert_same_chart_exit(d, negate):
-    # component 0 crosses 0.5 (-0.5 in the negated run) about halfway
+@pytest.mark.parametrize("collect", [False, True])
+@pytest.mark.parametrize("span, t_base", [(0.9, 0.0), (-0.8, 0.25)])
+@pytest.mark.parametrize("d, negate_from", [
+    (d, k) for d in range(2, 7) for k in range(1, d)])
+def test_partly_negated_rk4_bit_equal_to_list_form_reference(
+        d, negate_from, span, t_base, collect):
+    _assert_same_run(*_rk4_both(d, span, t_base, collect, negate_from),
+                     collect)
+
+
+def _assert_same_chart_exit(d, negate_from=None):
+    # component 0 crosses 0.5 (-0.5 where it is negated) about halfway
     # along the span
-    sign = -1.0 if negate else 1.0
+    sign = -1.0 if negate_from == 0 else 1.0
     (got, got_calls), (want, want_calls) = _rk4_both(
-        d, 0.9, 0.0, True, negate, inside=lambda z: sign * z[0] < 0.5)
+        d, 0.9, 0.0, True, negate_from, inside=lambda z: sign * z[0] < 0.5)
     assert isinstance(got, ChartExitError) and isinstance(want, ChartExitError)
     assert 0.3 < want.exit_time < 0.6
     _assert_same_bits([got.exit_time], [want.exit_time])
@@ -740,12 +755,17 @@ def _assert_same_chart_exit(d, negate):
 
 @pytest.mark.parametrize("d", range(1, 7))
 def test_rk4_chart_exit_matches_list_form_reference(d):
-    _assert_same_chart_exit(d, False)
+    _assert_same_chart_exit(d)
 
 
 @pytest.mark.parametrize("d", range(1, 7))
 def test_negated_rk4_chart_exit_matches_list_form_reference(d):
-    _assert_same_chart_exit(d, True)
+    _assert_same_chart_exit(d, 0)
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_partly_negated_rk4_chart_exit_matches_list_form_reference(d):
+    _assert_same_chart_exit(d, d // 2)
 
 
 def _zero_sum_rhs(d, calls):
@@ -769,9 +789,59 @@ def test_negated_rk4_keeps_the_sign_of_a_cancelled_zero(d, z0, span):
     # the negated loop has to sum the negated stage values; subtracting the
     # plain sum from a -0.0 state would leave -0.0 where the list form
     # gives 0.0
-    runs = _rk4_both(d, span, 0.0, True, True, z0=z0,
-                     make_rhs=_zero_sum_rhs)
+    runs = _rk4_both(d, span, 0.0, True, 0, z0=z0, make_rhs=_zero_sum_rhs)
     _assert_same_run(*runs, True)
+
+
+def _list_form_geodesic(conn, x0, v0, T, cfg):
+    """``geodesic`` as it was before its sign was folded into the loop: the
+    reference loop fed ``v + [-c for c in gamma(x, v, v)]``."""
+    bundle = conn.bundle
+    m = bundle.base_dim
+    z0 = np.concatenate([np.asarray(x0, dtype=float),
+                         np.asarray(v0, dtype=float)])
+
+    def rhs(t, z):
+        v = z[m:]
+        return v + [-c for c in conn.gamma(z[:m], v, v)]
+
+    _, path = _reference_rk4(rhs, z0, float(T), cfg, bundle.contains_total,
+                             "geodesic", collect=True)
+    return [(t, z[:m].copy(), z[m:].copy()) for t, z in path]
+
+
+@pytest.mark.parametrize("name, params, x0, v0, T", [
+    ("flat", {}, [-0.5, 0.25], [0.6, -0.0], 1.0),
+    ("flat", {"m": 3, "f": 3}, [0.1, -0.0, 0.3], [-0.0, 0.4, -0.2], 0.7),
+    ("sphere", {}, [1.0, 0.3], [0.3, 0.4], 1.0),
+    ("sphere", {}, [math.pi / 2, 0.0], [-0.0, 1.0], -0.8),
+    ("tm-custom-christoffel", {"G_1_12": 0.1, "G_2_11_x1": -0.05,
+                               "G_1_22": 0.07}, [0.4, -0.3], [0.5, -0.6], 1.3),
+])
+def test_geodesic_bit_equal_to_list_form_reference(name, params, x0, v0, T):
+    conn = build_connection(name, params)
+    cfg = IntegratorConfig(step=1e-2)
+    got = geodesic(conn, x0, v0, T, cfg)
+    want = _list_form_geodesic(conn, x0, v0, T, cfg)
+    assert len(got) == len(want)
+    for (gt, gx, gv), (wt, wx, wv) in zip(got, want):
+        _assert_same_bits([gt], [wt])
+        _assert_same_bits(gx, wx)
+        _assert_same_bits(gv, wv)
+
+
+def test_geodesic_chart_exit_matches_list_form_reference(flat_conn):
+    # the straight line leaves the base box x1 < 2 at t = 1.5
+    cfg = IntegratorConfig(step=1e-2)
+    runs = []
+    for run in (geodesic, _list_form_geodesic):
+        with pytest.raises(ChartExitError) as info:
+            run(flat_conn, [0.5, 0.0], [1.0, -0.25], 3.0, cfg)
+        runs.append(info.value)
+    got, want = runs
+    assert 1.4 < want.exit_time < 1.6
+    _assert_same_bits([got.exit_time], [want.exit_time])
+    assert str(got) == str(want)
 
 
 # -- the base box is checked at every RK4 stage time --------------------------
