@@ -23,7 +23,7 @@ from .connection import (ConnectionField, ConnectionKind, constant_base_field,
                          covariant_derivative, extend_covariant_derivative,
                          extend_natural_derivative, horizontal_lift,
                          horizontal_lift_field, horizontal_projector,
-                         lift_rank_check, natural_derivative,
+                         lift_rank_check, natural_derivative, section_jet,
                          vertical_projector)
 from .curvature import (VerticalValue, base_covariant_derivative,
                         cocurvature, composition_commutator,

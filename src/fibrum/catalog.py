@@ -338,7 +338,7 @@ def _sin_fn(coeffs: list, n_inputs: int):
     arithmetic and results.
 
     Inputs that are all scalars of one pass with float values go through
-    the fused kernel ``_SIN_KERNELS[n_inputs, gradient length]``; floats,
+    the fused kernel ``_sin_kernel(n_inputs, gradient length)``; floats,
     nested and mixed inputs take the loop.
     """
     c0 = coeffs[0]
@@ -349,7 +349,7 @@ def _sin_fn(coeffs: list, n_inputs: int):
     def fn(coords):
         x0 = coords[0]
         if type(x0) is DScalar and type(x0.value) is float:
-            out = _SIN_KERNELS[n_inputs, len(x0.grad)](coeffs, coords)
+            out = _sin_kernel(n_inputs, len(x0.grad))(coeffs, coords)
             if out is not None:
                 return out
         acc = c0
@@ -360,9 +360,10 @@ def _sin_fn(coeffs: list, n_inputs: int):
     return fn
 
 
+@functools.lru_cache(maxsize=None)
 def _sin_kernel(n_inputs: int, n: int):
     """``_sin_fn``'s loop for inputs of one pass with float values and
-    gradients of length ``n``, as straight-line code.
+    gradients of length ``n``, as straight-line code compiled on first use.
 
     Term j is ``w = x*f + p`` and has value ``s*a`` and gradient entries
     ``(c*(g*f))*a``, with s, c the sine and cosine of w: the float
@@ -411,16 +412,6 @@ def _sin_kernel(n_inputs: int, n: int):
                  "exec"), namespace)
     return namespace["kernel"]
 
-
-class _SinKernels(dict):
-    """``_sin_kernel`` by (inputs, gradient length), compiled on first use."""
-
-    def __missing__(self, key):
-        kernel = self[key] = _sin_kernel(*key)
-        return kernel
-
-
-_SIN_KERNELS = _SinKernels()
 
 
 def _sin_fns(rng: np.random.Generator, n_inputs: int, scales) -> list:

@@ -117,13 +117,31 @@ def constant_base_field(bundle: TrivializedBundle,
     return BaseVectorField(bundle, lambda x: list(vals))
 
 
-def natural_derivative(s: SectionMap, v: BaseVectorField, x: Point) -> TotalTangent:
+def section_jet(s: SectionMap, x: Point) -> tuple:
+    """The 1-jet (s(x), Ds(x)) of a section at a base point, from one
+    ``value_and_jacobian`` pass; ``natural_derivative`` and
+    ``covariant_derivative`` take it as ``jet`` to share one pass."""
+    return value_and_jacobian(s.fn, list(x.coords))
+
+
+def natural_derivative(s: SectionMap, v: BaseVectorField, x: Point,
+                       jet=None) -> TotalTangent:
     """Tangent of the section along v at x: (v(x), Ds(x) v(x)), anchored at
-    the graph point (x, s(x)); ``extend_natural_derivative`` there."""
+    the graph point (x, s(x)); ``extend_natural_derivative`` there.  Pass
+    ``jet = section_jet(s, x)`` to reuse a pass already made."""
     anchor = s.graph(x)
-    vals = as_float_array(extend_natural_derivative(s, v)(anchor))
     m = s.bundle.base_dim
+    vals = as_float_array(_nat_value(s.fn, v.fn, list(anchor.coords[:m]),
+                                     jet))
     return TotalTangent(anchor, vals[:m], vals[m:])
+
+
+def _nat_value(s_fn, v_fn, x, jet=None) -> list:
+    """(v(x), Ds(x) v(x)): the one evaluator of the natural derivative.
+    ``jet`` is (s(x), Ds(x)) when already taken."""
+    vx = v_fn(x)
+    ds = jacobian(s_fn, x) if jet is None else jet[1]
+    return list(vx) + mat_vec(ds, vx)
 
 
 def extend_natural_derivative(s: SectionMap,
@@ -138,31 +156,34 @@ def extend_natural_derivative(s: SectionMap,
     bundle = s.bundle
 
     def ev(coords):
-        x, _ = bundle.split(coords)
-        vx = v.fn(x)
-        return list(vx) + mat_vec(jacobian(s.fn, x), vx)
+        return _nat_value(s.fn, v.fn, bundle.split(coords)[0])
 
     return TotalVectorField(bundle, ev)
 
 
-def _cov_value(conn: ConnectionField, s_fn, v_fn, x, y=None) -> list:
+def _cov_value(conn: ConnectionField, s_fn, v_fn, x, y=None,
+               jet=None) -> list:
     """Ds(x) v(x) + gamma(x, y) v(x), y = s(x) unless given: the one
     evaluator of the covariant derivative, generic in DScalar inputs.  It
     does not validate the chart: where covariant derivatives of a linear
     connection leave the fibre window, the fibre is a linear space and gamma
-    extends canonically, so evaluating outside the box is sound."""
+    extends canonically, so evaluating outside the box is sound.  ``jet``
+    is (s(x), Ds(x)) when already taken."""
     vx = v_fn(x)
-    sx, ds = value_and_jacobian(s_fn, x)
+    sx, ds = value_and_jacobian(s_fn, x) if jet is None else jet
     g = conn.gamma(x, sx if y is None else y, vx)
     return vec_add(mat_vec(ds, vx), g)
 
 
 def covariant_derivative(conn: ConnectionField, s: SectionMap,
-                         v: BaseVectorField, x: Point) -> np.ndarray:
+                         v: BaseVectorField, x: Point,
+                         jet=None) -> np.ndarray:
     """Vertical component of the natural derivative:
-    Ds(x) v(x) + gamma(x, s(x)) v(x)."""
+    Ds(x) v(x) + gamma(x, s(x)) v(x).  Pass ``jet = section_jet(s, x)`` to
+    reuse a pass already made."""
     s.graph(x)  # validates that the graph point is inside the chart
-    return as_float_array(_cov_value(conn, s.fn, v.fn, list(x.coords)))
+    return as_float_array(_cov_value(conn, s.fn, v.fn, list(x.coords),
+                                     jet=jet))
 
 
 def extend_covariant_derivative(conn: ConnectionField, s: SectionMap,

@@ -43,7 +43,8 @@ from .catalog import (CATALOG, GB_NODES, Capabilities, _cube, _tangent,
 from .connection import (ConnectionKind, covariant_derivative,
                          horizontal_lift, horizontal_lift_field,
                          horizontal_projector, lift_rank_check,
-                         natural_derivative, vertical_projector)
+                         natural_derivative, section_jet,
+                         vertical_projector)
 from .curvature import (_RouteJets, _curvature_pairs, composition_commutator,
                         curv_via_covariant, curv_via_lifts, curvature_routes,
                         second_covariant_derivative,
@@ -354,8 +355,9 @@ def _split_law(sub, rng):
     s = random_section(sub.bundle, rng)
     v = random_base_field(sub.bundle, rng)
     x = random_base_point(sub.bundle, rng)
-    nat = natural_derivative(s, v, x)
-    cov = covariant_derivative(sub.conn, s, v, x)
+    jet = section_jet(s, x)
+    nat = natural_derivative(s, v, x, jet)
+    cov = covariant_derivative(sub.conn, s, v, x, jet)
     lift = horizontal_lift(sub.conn, s.graph(x), as_float_array(v(x)))
     return max(_max_abs(nat.base_part - lift.base_part),
                _max_abs(nat.fibre_part - (cov + lift.fibre_part)))
@@ -380,9 +382,11 @@ def _covariant_tensoriality_in_v(sub, rng):
         c = scale_fn(list(coords) + [0.0] * f)
         return [c * comp for comp in v.fn(coords)]
 
-    lhs = covariant_derivative(sub.conn, s, BaseVectorField(bundle, scaled), x)
+    jet = section_jet(s, x)
+    lhs = covariant_derivative(sub.conn, s, BaseVectorField(bundle, scaled),
+                               x, jet)
     fx = float_value(scale_fn(list(x.coords) + [0.0] * f))
-    return _max_abs(lhs - fx * covariant_derivative(sub.conn, s, v, x))
+    return _max_abs(lhs - fx * covariant_derivative(sub.conn, s, v, x, jet))
 
 
 # --------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from fibrum import (BaseVectorField, SectionMap, check_p_related,
                     covariant_derivative, extend_covariant_derivative,
@@ -10,7 +11,7 @@ from fibrum import (BaseVectorField, SectionMap, check_p_related,
                     horizontal_lift_field, horizontal_projector,
                     lift_rank_check, natural_derivative, random_base_field,
                     random_base_point, random_section, random_total_point,
-                    vertical_projector)
+                    section_jet, vertical_projector)
 from fibrum.calculus import as_float_array
 
 
@@ -128,6 +129,49 @@ def test_split_law(any_conn, rng):
                                as_float_array(v(x)))
         assert np.max(np.abs(nat.base_part - lift.base_part)) < 1e-14
         assert np.max(np.abs(nat.fibre_part - cov - lift.fibre_part)) < 1e-12
+
+
+def test_derivatives_from_a_shared_jet_bit_equal(any_conn, rng):
+    # one section_jet serves both derivatives with the bits each takes from
+    # a pass of its own, signed zeros included
+    bundle = any_conn.bundle
+    m = bundle.base_dim
+    zero = BaseVectorField(bundle, lambda x: [-0.0] * m)
+    for k in range(20):
+        s = random_section(bundle, rng)
+        v = zero if k == 0 else random_base_field(bundle, rng)
+        x = random_base_point(bundle, rng)
+        jet = section_jet(s, x)
+        nat, shared = natural_derivative(s, v, x), natural_derivative(s, v, x,
+                                                                      jet)
+        assert shared.anchor == nat.anchor
+        assert shared.base_part.tobytes() == nat.base_part.tobytes()
+        assert shared.fibre_part.tobytes() == nat.fibre_part.tobytes()
+        assert (covariant_derivative(any_conn, s, v, x, jet).tobytes()
+                == covariant_derivative(any_conn, s, v, x).tobytes())
+
+
+@pytest.mark.parametrize("row", ["split_law", "covariant_tensoriality_in_v"])
+def test_section_rows_take_one_pass_per_sample(row, monkeypatch):
+    # both derivatives of a draw read Ds(x) from one pass
+    import importlib
+    from fibrum.calculus import value_and_jacobian
+    from fibrum.config import load_config
+    from fibrum.scenarios import CHECKS, Subject
+    sub = Subject(load_config({"bundle_name": "nonlinear-demo",
+                               "scenario": "verify-all"}))
+    calls = []
+
+    def counting(fn, coords):
+        calls.append(fn)
+        return value_and_jacobian(fn, coords)
+
+    for name in ("calculus", "connection", "scenarios"):
+        module = importlib.import_module(f"fibrum.{name}")
+        if hasattr(module, "value_and_jacobian"):
+            monkeypatch.setattr(module, "value_and_jacobian", counting)
+    CHECKS[row].run(sub, np.random.default_rng(3), 4)
+    assert len(calls) == 4
 
 
 def test_sphere_covariant_derivative_hand_value(sphere_conn):
