@@ -353,7 +353,8 @@ def _unit_basis(n: int) -> tuple:
                  for j in range(n))
 
 
-def value_and_jacobian(fn: VectorFn, coords: Sequence[Scalar]):
+def value_and_jacobian(fn: VectorFn, coords: Sequence[Scalar], *,
+                       lists: bool = False):
     """Values and exact forward-mode Jacobian of ``fn`` at ``coords``.
 
     One evaluation gives both.  The values are the pass's outputs with its
@@ -363,8 +364,10 @@ def value_and_jacobian(fn: VectorFn, coords: Sequence[Scalar]):
     nested when ``coords`` or the values carry DScalars of an enclosing
     differentiation, as when ``fn`` captures them from that pass: values
     and entries (nested lists) then belong to the enclosing pass.
-    Otherwise the Jacobian is a float ``(k, n)`` ndarray, checked for
-    NaN/inf.
+    Otherwise the Jacobian is checked for NaN/inf and is a float ``(k, n)``
+    ndarray, or with ``lists=True`` a list of rows of Python floats, the
+    form the package's own passes hand to ``dot`` and ``mat_vec``: their
+    scalar loops multiply floats faster than numpy scalars.
     """
     coords = list(coords)
     n = len(coords)
@@ -385,30 +388,31 @@ def value_and_jacobian(fn: VectorFn, coords: Sequence[Scalar]):
     if (any(type(c) is DScalar for c in coords)
             or any(type(v) is DScalar for v in values)):
         return values, rows
-    return values, _float_jacobian(rows)
+    _check_finite(rows)
+    return values, rows if lists else np.array(rows, dtype=float)
 
 
-def _float_jacobian(rows) -> np.ndarray:
-    """The rows of a pass that is not nested, as a float ndarray checked
-    for NaN/inf."""
-    mat = np.array(rows, dtype=float)
-    if not np.isfinite(mat).all():
+def _check_finite(rows) -> None:
+    """Raise unless every entry of the float ``rows`` of a pass is finite.
+    A finite sum of all of them settles it; only a sum that is not (an
+    entry is NaN or inf, or the sum overflowed) looks at each entry."""
+    if not math.isfinite(sum(map(sum, rows))) and not all(
+            math.isfinite(v) for row in rows for v in row):
         raise NonFiniteOutputError(
             "jacobian produced non-finite entries; evaluator is singular here")
-    return mat
 
 
 def _field_jets(fields: Callable, coords: Sequence[Scalar]) -> list:
     """(values, Jacobian) of each field, from one :func:`value_and_jacobian`
     pass over them stacked: ``fields(coords)`` returns their values, one
-    sequence per field.
+    sequence per field.  A float Jacobian is a list of float rows.
 
     Each jet is the one a pass of its own would give, bit for bit: the
     fields are pure, and a forward-mode gradient entry uses only that entry
     of its operands, whatever the gradient length.  That holds for the
-    Jacobian's type and check too: where only other fields carry an
-    enclosing pass's scalars, a field's rows are turned into a checked
-    float ndarray here, as its own pass would turn them.
+    Jacobian's check too: where only other fields carry an enclosing pass's
+    scalars, a field's rows are checked for NaN/inf here, as its own pass
+    would check them.
     """
     coords = list(coords)
     sizes = []
@@ -420,13 +424,14 @@ def _field_jets(fields: Callable, coords: Sequence[Scalar]) -> list:
             out += vals
         return out
 
-    values, jac = value_and_jacobian(stacked, coords)
-    mixed = type(jac) is list and not any(type(c) is DScalar for c in coords)
+    values, jac = value_and_jacobian(stacked, coords, lists=True)
+    mixed = (any(type(v) is DScalar for v in values)
+             and not any(type(c) is DScalar for c in coords))
     jets, k = [], 0
     for n in sizes:
         vals, rows = values[k:k + n], jac[k:k + n]
         if mixed and not any(type(v) is DScalar for v in vals):
-            rows = _float_jacobian(rows)
+            _check_finite(rows)
         jets.append((vals, rows))
         k += n
     return jets

@@ -23,10 +23,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bundle import (BaseVectorField, Box, Point, SectionMap,
-                     TotalTangent, TrivializedBundle, uniform,
-                     uniform_parts)
-from .calculus import DScalar, cos, dot, float_value, mat_vec, sin
+from .bundle import (BaseVectorField, Bounds, Box, Point, SectionMap,
+                     TotalTangent, TrivializedBundle, uniform_parts)
+from .calculus import DScalar, _ds, cos, dot, float_value, mat_vec, sin
 from .connection import ConnectionField, ConnectionKind
 from .errors import ConfigError, DomainError
 
@@ -298,38 +297,34 @@ def build_connection(name: str, params: dict | None = None) -> ConnectionField:
 # order of a draw's doubles fix every later draw on its stream, so every
 # report, and they are those of numpy's per-part ``uniform`` calls.
 
-def _cube(n: int, half: float) -> tuple[tuple, tuple]:
-    """Bounds of ``n`` draws from (-half, half)."""
-    return (-half,) * n, (half,) * n
-
-
-def _total_bounds(bundle: TrivializedBundle) -> tuple[tuple, tuple]:
-    """Bounds of ``random_total_point``: the base box, then the fibre box,
-    each shrunk by the default margin."""
-    (blo, bhi), (flo, fhi) = (bundle.base_box.bounds(),
-                              bundle.fibre_box.bounds())
-    return blo + flo, bhi + fhi
+@functools.cache
+def _cube(n: int, half: float) -> Bounds:
+    """Bounds of ``n`` draws from (-half, half), built once per (n, half):
+    ``half`` is a positive constant at every call, so keying on it is
+    safe."""
+    return Bounds((-half,) * n, (half,) * n)
 
 
 def random_base_point(bundle: TrivializedBundle,
                       rng: np.random.Generator) -> Point:
-    return bundle.base_point(uniform(rng, *bundle.base_box.bounds()))
+    return bundle.base_point(bundle.base_box.bounds().draw(rng))
 
 
 def random_total_point(bundle: TrivializedBundle,
                        rng: np.random.Generator) -> Point:
-    return bundle.total_point(uniform(rng, *_total_bounds(bundle)))
+    return bundle.total_point(bundle.total_bounds.draw(rng))
 
 
 @functools.cache
 def _sin_bounds(n_inputs: int, constant_scale: float,
-                wave_scale: float) -> tuple[tuple, tuple]:
+                wave_scale: float) -> Bounds:
     """Bounds of a ``_sin_fn``'s coefficients: the constant, then the
     amplitudes, frequencies and phases."""
     n = n_inputs
-    return ((-constant_scale,) + (-wave_scale,) * n + (0.5,) * n + (0.0,) * n,
-            (constant_scale,) + (wave_scale,) * n + (1.5,) * n
-            + (2.0 * math.pi,) * n)
+    return Bounds(
+        (-constant_scale,) + (-wave_scale,) * n + (0.5,) * n + (0.0,) * n,
+        (constant_scale,) + (wave_scale,) * n + (1.5,) * n
+        + (2.0 * math.pi,) * n)
 
 
 def _sin_fn(coeffs: list, n_inputs: int):
@@ -338,8 +333,10 @@ def _sin_fn(coeffs: list, n_inputs: int):
     arithmetic and results.
 
     Inputs that are all scalars of one pass with float values go through
-    the fused kernel ``_sin_kernel(n_inputs, gradient length)``; floats,
-    nested and mixed inputs take the loop.
+    the fused kernel ``_sin_kernel(n_inputs, gradient length)``; scalars of
+    one pass whose values are all scalars of one enclosing pass with float
+    values, as a nested pass sees, through ``_nested_sin_kernel``.
+    Floats, deeper nesting and mixed inputs take the loop.
     """
     c0 = coeffs[0]
     amps = coeffs[1:n_inputs + 1]
@@ -348,8 +345,14 @@ def _sin_fn(coeffs: list, n_inputs: int):
 
     def fn(coords):
         x0 = coords[0]
-        if type(x0) is DScalar and type(x0.value) is float:
-            out = _sin_kernel(n_inputs, len(x0.grad))(coeffs, coords)
+        if type(x0) is DScalar:
+            y0 = x0.value
+            out = None
+            if type(y0) is float:
+                out = _sin_kernel(n_inputs, len(x0.grad))(coeffs, coords)
+            elif type(y0) is DScalar and type(y0.value) is float:
+                out = _nested_sin_kernel(n_inputs, len(x0.grad),
+                                         len(y0.grad))(coeffs, coords)
             if out is not None:
                 return out
         acc = c0
@@ -373,12 +376,7 @@ def _sin_kernel(n_inputs: int, n: int):
     another pass, has a non-float value or a gradient of another length.
     """
     js, ks = range(n_inputs), range(n)
-    params = ([f"a{j}" for j in js] + [f"f{j}" for j in js]
-              + [f"p{j}" for j in js])
-    lines = ["def kernel(coeffs, coords):",
-             f"    c0, {', '.join(params)}, = coeffs",
-             "    x0 = coords[0]",
-             "    tag = x0.tag"]
+    lines = _kernel_head(n_inputs)
     for j in js[1:]:
         lines += [f"    x{j} = coords[{j}]",
                   f"    if not (type(x{j}) is DScalar and x{j}.tag == tag",
@@ -400,18 +398,102 @@ def _sin_kernel(n_inputs: int, n: int):
             lines.append(f"    v = v + s * a{j}")
             lines += [f"    d{k} = d{k} + (c * (g{j}_{k} * f{j})) * a{j}"
                       for k in ks]
-    grad = ", ".join(f"d{k}" for k in ks)
-    lines += ["    z = new(DScalar)",
-              "    z.value = v",
-              f"    z.grad = ({grad}{',' if n == 1 else ''})",
-              "    z.tag = tag",
-              "    return z"]
-    namespace = {"DScalar": DScalar, "new": object.__new__,
-                 "sin": math.sin, "cos": math.cos}
-    exec(compile("\n".join(lines), f"<sin field, {n_inputs} inputs, n={n}>",
-                 "exec"), namespace)
-    return namespace["kernel"]
+    lines.append(f"    return ds(v, {_tuple([f'd{k}' for k in ks])}, tag)")
+    return _compile_kernel(lines, f"<sin field, {n_inputs} inputs, n={n}>")
 
+
+@functools.lru_cache(maxsize=None)
+def _nested_sin_kernel(n_inputs: int, n: int, n_outer: int):
+    """``_sin_fn``'s loop for inputs of one pass (gradients of length
+    ``n``) whose values are scalars of one enclosing pass with float values
+    (gradients of length ``n_outer``), as straight-line code compiled on
+    first use; every gradient entry must be a float.
+
+    Input j is x = (y, g) with y = (v, h).  Term j has w = x*f + p, that
+    is value (v*f + p, h*f) and gradient g*f; with s, c the sine and cosine
+    of v*f + p, H = h*f and G = g*f, the loop's ``DScalar`` arithmetic
+    gives it the value (s*a, (c*H)*a) and gradient entries
+    ((c*G)*a, (((-s)*H)*G)*a), and adds the terms as the one-pass kernel
+    does: the first to c0 (its value's value only), the others to the
+    running sum.  The kernel returns None, leaving the call to the loop,
+    for inputs of other passes, other nesting, gradients of other lengths
+    or non-float gradient entries.
+    """
+    js, ks, hs = range(n_inputs), range(n), range(n_outer)
+    lines = _kernel_head(n_inputs) + ["    y0 = x0.value",
+                                      "    utag = y0.tag"]
+    for j in js[1:]:
+        lines += [f"    x{j} = coords[{j}]",
+                  f"    if not (type(x{j}) is DScalar and x{j}.tag == tag):",
+                  "        return None",
+                  f"    y{j} = x{j}.value",
+                  f"    if not (type(y{j}) is DScalar and y{j}.tag == utag",
+                  f"            and type(y{j}.value) is float):",
+                  "        return None"]
+    lines.append("    try:")
+    for j in js:
+        inner = ", ".join(f"g{j}_{k}" for k in ks)
+        outer = ", ".join(f"h{j}_{o}" for o in hs)
+        lines += [f"        [{inner}] = x{j}.grad",
+                  f"        [{outer}] = y{j}.grad"]
+    lines += ["    except ValueError:",
+              "        return None"]
+    entries = ([f"g{j}_{k}" for j in js for k in ks]
+               + [f"h{j}_{o}" for j in js for o in hs])
+    lines += ["    if not (" + " and ".join(
+                  f"type({e}) is float" for e in entries) + "):",
+              "        return None"]
+    for j in js:
+        lines += [f"    w = y{j}.value * f{j} + p{j}",
+                  "    s = sin(w)",
+                  "    c = cos(w)",
+                  "    ms = -s"]
+        lines += [f"    H{o} = h{j}_{o} * f{j}" for o in hs]
+        lines += [f"    G{k} = g{j}_{k} * f{j}" for k in ks]
+        terms = ([("v", f"s * a{j}")]
+                 + [(f"v{o}", f"(c * H{o}) * a{j}") for o in hs]
+                 + [(f"d{k}", f"(c * G{k}) * a{j}") for k in ks]
+                 + [(f"d{k}_{o}", f"((ms * H{o}) * G{k}) * a{j}")
+                    for k in ks for o in hs])
+        for name, term in terms:
+            if j > 0:
+                lines.append(f"    {name} = {name} + {term}")
+            elif name == "v":
+                lines.append(f"    v = {term} + c0")
+            else:
+                lines.append(f"    {name} = {term}")
+    grad = [f"ds(d{k}, {_tuple([f'd{k}_{o}' for o in hs])}, utag)"
+            for k in ks]
+    lines.append(f"    return ds(ds(v, {_tuple([f'v{o}' for o in hs])}, "
+                 f"utag), {_tuple(grad)}, tag)")
+    return _compile_kernel(
+        lines, f"<nested sin field, {n_inputs} inputs, n={n}, "
+               f"n_outer={n_outer}>")
+
+
+def _kernel_head(n_inputs: int) -> list:
+    """The first lines of a sin-field kernel: it unpacks the coefficients
+    and takes its pass's tag from the first input."""
+    js = range(n_inputs)
+    params = ([f"a{j}" for j in js] + [f"f{j}" for j in js]
+              + [f"p{j}" for j in js])
+    return ["def kernel(coeffs, coords):",
+            f"    c0, {', '.join(params)}, = coeffs",
+            "    x0 = coords[0]",
+            "    tag = x0.tag"]
+
+
+def _tuple(names: list) -> str:
+    """Source text of the tuple of ``names``."""
+    return f"({', '.join(names)}{',' if len(names) == 1 else ''})"
+
+
+def _compile_kernel(lines: list, name: str):
+    """Compile a kernel's ``lines``; ``name`` shows in tracebacks."""
+    namespace = {"DScalar": DScalar, "ds": _ds,
+                 "sin": math.sin, "cos": math.cos}
+    exec(compile("\n".join(lines), name, "exec"), namespace)
+    return namespace["kernel"]
 
 
 def _sin_fns(rng: np.random.Generator, n_inputs: int, scales) -> list:
@@ -462,14 +544,16 @@ def random_total_scalar_field(bundle: TrivializedBundle,
 
 
 def _tangent(e: Point, coords: Sequence[float]) -> TotalTangent:
-    """The tangent at ``e`` with total-space components ``coords``."""
+    """The tangent at ``e`` with total-space components ``coords``; its
+    parts are views of one float array."""
+    vals = np.array(coords, dtype=float)
     m = e.bundle.base_dim
-    return TotalTangent(e, coords[:m], coords[m:])
+    return TotalTangent(e, vals[:m], vals[m:])
 
 
 def random_tangent(conn: ConnectionField, e: Point,
                    rng: np.random.Generator) -> TotalTangent:
-    return _tangent(e, uniform(rng, *_cube(conn.bundle.total_dim, 1.0)))
+    return _tangent(e, _cube(conn.bundle.total_dim, 1.0).draw(rng))
 
 
 # -- standard curves ----------------------------------------------------------

@@ -189,7 +189,8 @@ class _RouteJets:
         self.hu, self.hv = jets[:2]
         self.nu, self.nv = jets[2:] or (None, None)
         (ue, ju), (ve, jv) = self.hu, self.hv
-        uv = jet_bracket(ue[:m], ju[:m, :m], ve[:m], jv[:m, :m])
+        uv = jet_bracket(ue[:m], [row[:m] for row in ju[:m]],
+                         ve[:m], [row[:m] for row in jv[:m]])
         self.uv = constant_base_field(bundle, uv)
 
     def lifts(self) -> np.ndarray:
@@ -286,7 +287,7 @@ def curv_via_covariant_composition(conn: ConnectionField, s: SectionMap,
                 + vec_add(mat_vec(ds, vx), conn.gamma(xs, sx, vx))
                 + vec_add(mat_vec(ds, ux), conn.gamma(xs, sx, ux)))
 
-    values, jac = value_and_jacobian(fields, coords)
+    values, jac = value_and_jacobian(fields, coords, lists=True)
     sx = list(e.fibre_coords)
 
     def nabla_along_s(k: int, along: BaseVectorField):

@@ -486,6 +486,71 @@ def test_sin_kernel_bit_equal_to_loop(case):
         assert _sin_kernel(n_inputs, n)(coeffs, inputs) is not None
 
 
+# ``_sin_fn`` sends scalars of one pass whose values are all scalars of one
+# enclosing pass with float values, with float gradient entries, through a
+# second generated kernel; every other nesting takes the loop.
+
+_NESTED_KINDS = ("nested", "mixed inner tags", "mixed outer tags",
+                 "non-float inner gradient", "three levels",
+                 "unequal inner lengths", "unequal outer lengths")
+_signed = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-7.0, 7.0))
+
+
+@st.composite
+def _nested_sin_inputs(draw):
+    """(kind, coefficients, inputs, inner length, outer length) of one
+    call on scalars of an inner pass (tags 7, 8) whose values carry an
+    enclosing pass (tags 3, 4)."""
+    kind = draw(st.sampled_from(_NESTED_KINDS))
+    n_inputs = draw(st.integers(1 if kind in _NESTED_KINDS[:5] else 2, 4))
+    if kind.startswith("mixed"):
+        n_inputs = max(n_inputs, 2)
+    coeffs = draw(st.lists(_signed, min_size=3 * n_inputs + 1,
+                           max_size=3 * n_inputs + 1))
+    n, n_outer = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    values = draw(st.lists(st.floats(-4.0, 4.0), min_size=n_inputs,
+                           max_size=n_inputs))
+    outer = [draw(st.lists(_entry, min_size=n_outer, max_size=n_outer))
+             for _ in range(n_inputs)]
+    inner = [draw(st.lists(_entry, min_size=n, max_size=n))
+             for _ in range(n_inputs)]
+    j = draw(st.integers(0, n_inputs - 1))  # the odd input, if any
+    if kind == "unequal inner lengths":
+        inner[j] = inner[j] + [draw(_entry)]
+    if kind == "unequal outer lengths":
+        outer[j] = outer[j] + [draw(_entry)]
+    if kind == "non-float inner gradient":
+        k = draw(st.integers(0, n - 1))
+        inner[j][k] = draw(st.sampled_from([1, DScalar(0.5, [1.0], 2)]))
+    if kind == "three levels":
+        values[j] = DScalar(values[j], [draw(_entry)], 1)
+
+    def tags(pair):
+        if not kind.startswith(f"mixed {pair[2]}"):
+            return [pair[0]] * n_inputs
+        return draw(st.lists(st.sampled_from(pair[:2]), min_size=n_inputs,
+                             max_size=n_inputs).filter(
+                                 lambda t: len(set(t)) == 2))
+
+    inputs = [DScalar(DScalar(v, h, u), g, t) for v, h, g, u, t in zip(
+        values, outer, inner, tags((3, 4, "outer")), tags((7, 8, "inner")))]
+    return kind, coeffs, inputs, n, n_outer
+
+
+@given(case=_nested_sin_inputs())
+@settings(max_examples=400, deadline=None)
+def test_nested_sin_kernel_bit_equal_to_loop(case):
+    from fibrum.catalog import _nested_sin_kernel, _sin_fn
+    kind, coeffs, inputs, n, n_outer = case
+    n_inputs = len(inputs)
+    got = _sin_outcome(_sin_fn(coeffs, n_inputs), inputs)
+    assert got == _sin_outcome(_sin_loop(coeffs, n_inputs), inputs)
+    assert (got is ValueError) == kind.startswith("unequal")
+    if type(inputs[0].value.value) is float:  # ``_sin_fn`` asks the kernel
+        served = _nested_sin_kernel(n_inputs, n, n_outer)(coeffs, inputs)
+        assert (served is not None) == (kind == "nested")
+
+
 # The samplers as they were before each draw took its doubles from one
 # generator call: one numpy ``rng.uniform`` call per coefficient group.
 def _numpy_box_sample(box, rng, margin=0.1):

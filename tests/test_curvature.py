@@ -506,11 +506,11 @@ def _float_passes(monkeypatch) -> list:
     from fibrum.calculus import DScalar
     calls = []
 
-    def counting(fn, coords):
+    def counting(fn, coords, **kwargs):
         coords = list(coords)
         if not any(isinstance(c, DScalar) for c in coords):
             calls.append((fn, tuple(coords)))
-        return value_and_jacobian(fn, coords)
+        return value_and_jacobian(fn, coords, **kwargs)
 
     for name in ("bundle", "calculus", "connection", "curvature",
                  "transport", "catalog", "scenarios"):
@@ -597,10 +597,14 @@ def _tensoriality_two_passes(conn, e, X, Y, scalar_field):
 def _same_entries(got, want):
     """Equal lists entry by entry: the same type and the same bits, signed
     zeros included; DScalar entries compared layer by layer (their tags
-    number the passes of one run, so they are not compared)."""
+    number the passes of one run, so they are not compared).  Where
+    ``want`` holds a numpy float64, made from a float ndarray Jacobian,
+    ``got`` may hold a Python float: the package's own passes take their
+    Jacobians as lists of float rows."""
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        assert type(g) is type(w)
+        assert type(g) is type(w) or (type(g), type(w)) == (float,
+                                                              np.float64)
         if isinstance(g, DScalar):
             _same_entries([g.value], [w.value])
             _same_entries(g.grad, w.grad)
@@ -816,6 +820,45 @@ def test_tensoriality_takes_one_pass(nonlinear_conn, rng, monkeypatch):
     # f: once in the pass, once for f(e); gamma: H_X and H_Y in the pass,
     # then P_V at e for each of the three brackets
     assert evals == {"f": 2, "gamma": 5}
+
+
+@pytest.mark.parametrize("name,params", _CONNECTIONS)
+def test_route_and_bracket_dots_take_python_floats(name, params,
+                                                   monkeypatch):
+    # the scalar loops of a curvature_routes draw and of a bracket
+    # evaluation multiply Python floats (or derivative-carrying scalars),
+    # never numpy arrays or numpy float64 scalars
+    import fibrum.bundle
+    import fibrum.calculus
+    conn = build_connection(name, params)
+    bundle = conn.bundle
+    rng = np.random.default_rng(20261022)
+    seen = set()
+
+    def checked(module):
+        dot = module.dot
+
+        def fn(a, b):
+            for vec in (a, b):
+                assert type(vec) is not np.ndarray
+                assert not any(type(c) is np.float64 for c in vec)
+            seen.add(module.__name__)
+            return dot(a, b)
+        return fn
+
+    for module in (fibrum.bundle, fibrum.calculus):  # jet_bracket, mat_vec
+        monkeypatch.setattr(module, "dot", checked(module))
+    for _ in range(3):
+        s = random_section(bundle, rng)
+        u = random_base_field(bundle, rng)
+        v = random_base_field(bundle, rng)
+        x = random_base_point(bundle, rng)
+        e = random_total_point(bundle, rng)
+        curvature_routes(conn, s, u, v, x)
+        lie_bracket(horizontal_lift_field(conn, u),
+                    extend_covariant_derivative(conn, s, v))(e)
+        base_lie_bracket(u, v)(x)
+    assert seen == {"fibrum.bundle", "fibrum.calculus"}
 
 
 def test_second_order_required_error(flat_conn):
