@@ -502,9 +502,8 @@ def _nested_sin_inputs(draw):
     call on scalars of an inner pass (tags 7, 8) whose values carry an
     enclosing pass (tags 3, 4)."""
     kind = draw(st.sampled_from(_NESTED_KINDS))
-    n_inputs = draw(st.integers(1 if kind in _NESTED_KINDS[:5] else 2, 4))
-    if kind.startswith("mixed"):
-        n_inputs = max(n_inputs, 2)
+    between = kind.startswith(("mixed", "unequal"))  # needs two inputs
+    n_inputs = draw(st.integers(2 if between else 1, 4))
     coeffs = draw(st.lists(_signed, min_size=3 * n_inputs + 1,
                            max_size=3 * n_inputs + 1))
     n, n_outer = draw(st.integers(1, 5)), draw(st.integers(1, 6))
@@ -525,15 +524,15 @@ def _nested_sin_inputs(draw):
     if kind == "three levels":
         values[j] = DScalar(values[j], [draw(_entry)], 1)
 
-    def tags(pair):
-        if not kind.startswith(f"mixed {pair[2]}"):
-            return [pair[0]] * n_inputs
-        return draw(st.lists(st.sampled_from(pair[:2]), min_size=n_inputs,
-                             max_size=n_inputs).filter(
+    def tags(layer, usual, other):
+        if kind != f"mixed {layer} tags":
+            return [usual] * n_inputs
+        return draw(st.lists(st.sampled_from([usual, other]),
+                             min_size=n_inputs, max_size=n_inputs).filter(
                                  lambda t: len(set(t)) == 2))
 
     inputs = [DScalar(DScalar(v, h, u), g, t) for v, h, g, u, t in zip(
-        values, outer, inner, tags((3, 4, "outer")), tags((7, 8, "inner")))]
+        values, outer, inner, tags("outer", 3, 4), tags("inner", 7, 8))]
     return kind, coeffs, inputs, n, n_outer
 
 
