@@ -13,7 +13,6 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from operator import add, mul
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -58,76 +57,21 @@ class Box:
         """margin -> bounds, filled by ``bounds``."""
         return {}
 
-    def bounds(self, margin: float = 0.1) -> "Bounds":
+    def bounds(self, margin: float = 0.1) -> tuple[tuple, tuple]:
         """(lows, highs) of the box shrunk by ``margin`` of its width on
         each side, as floats, computed once per margin."""
         out = self._shrunk.get(margin)
         if out is None:
             pads = [margin * (hi - lo)
                     for lo, hi in zip(self.lower, self.upper)]
-            out = self._shrunk[margin] = Bounds(
-                [lo + pad for lo, pad in zip(self.lower, pads)],
-                [hi - pad for hi, pad in zip(self.upper, pads)])
+            out = self._shrunk[margin] = (
+                tuple(lo + pad for lo, pad in zip(self.lower, pads)),
+                tuple(hi - pad for hi, pad in zip(self.upper, pads)))
         return out
 
     def sample(self, rng: np.random.Generator, margin: float = 0.1) -> np.ndarray:
         """Uniform draw from the box shrunk by a relative margin per side."""
-        return np.array(self.bounds(margin).draw(rng))
-
-
-class Bounds(tuple):
-    """(lows, highs) of a ``uniform`` draw as tuples, with the draw's spans
-    and guard worked out once, on first use.  Bounds that many draws share
-    are built once and kept as objects (``Box.bounds``), so their plan is
-    found by identity, never by comparing floats: 0.0 equals -0.0, which
-    draws differently, and a NaN equals nothing."""
-
-    def __new__(cls, lows: Sequence[float], highs: Sequence[float]):
-        return super().__new__(cls, (tuple(lows), tuple(highs)))
-
-    @functools.cached_property
-    def plan(self) -> tuple:
-        return _plan(*self)
-
-    def draw(self, rng: np.random.Generator) -> list:
-        """``uniform(rng, lows, highs)``."""
-        return _draw(rng, (self.plan,))[0]
-
-
-_GUARDS = {OverflowError: "Range exceeds valid bounds",
-           ValueError: "high - low < 0"}
-
-
-def _plan(lows: Sequence[float], highs: Sequence[float]) -> tuple:
-    """(lows, spans, guard) of a draw between equal-length bounds: guard is
-    None, or the error numpy's ``uniform`` raises for them, OverflowError
-    for a non-finite range and ValueError for a negative one (-0.0
-    included)."""
-    spans = [hi - lo for lo, hi in zip(lows, highs, strict=True)]
-    guard = None
-    if not all(map(math.isfinite, spans)):
-        guard = OverflowError
-    elif any(math.copysign(1.0, span) < 0.0 for span in spans):
-        guard = ValueError
-    return lows, spans, guard
-
-
-def _draw(rng: np.random.Generator, plans) -> list:
-    """One list of values per plan, all from one ``rng.random`` call, as
-    numpy draws them: entry i is ``lows[i] + spans[i] * u`` with u the
-    generator's next double.  Any guard raises first, drawing nothing;
-    a non-finite range anywhere wins over a negative one."""
-    n = 0
-    for lows, _, guard in plans:
-        if guard is not None:
-            kinds = {kind for _, _, kind in plans}
-            kind = OverflowError if OverflowError in kinds else ValueError
-            raise kind(_GUARDS[kind])
-        n += len(lows)
-    us = iter(rng.random(n).tolist())
-    # map takes from ``us`` only while the plan's spans last
-    return [list(map(add, lows, map(mul, spans, us)))
-            for lows, spans, _ in plans]
+        return np.array(uniform(rng, *self.bounds(margin)))
 
 
 def uniform(rng: np.random.Generator, lows: Sequence[float],
@@ -141,18 +85,28 @@ def uniform(rng: np.random.Generator, lows: Sequence[float],
     stay, checked before anything is drawn: a non-finite range raises
     ``OverflowError`` and a negative one (``-0.0`` included) ``ValueError``.
     """
-    return _draw(rng, (_plan(lows, highs),))[0]
+    spans = [hi - lo for lo, hi in zip(lows, highs, strict=True)]
+    if not all(map(math.isfinite, spans)):
+        raise OverflowError("Range exceeds valid bounds")
+    if any(math.copysign(1.0, span) < 0.0 for span in spans):
+        raise ValueError("high - low < 0")
+    return [lo + span * u for lo, span, u
+            in zip(lows, spans, rng.random(len(spans)).tolist())]
 
 
 def uniform_parts(rng: np.random.Generator, *parts) -> list:
     """Consecutive ``uniform`` draws by one generator call: each part is a
-    (lows, highs) pair and gets the list of its values, in order.  A
-    :class:`Bounds` part brings its plan; any other is planned here."""
-    try:
-        plans = [part.plan for part in parts]
-    except AttributeError:
-        plans = [_plan(*part) for part in parts]
-    return _draw(rng, plans)
+    (lows, highs) pair and gets the list of its values, in order."""
+    lows, highs = [], []
+    for lo, hi in parts:
+        lows += lo
+        highs += hi
+    values = uniform(rng, lows, highs)
+    out, k = [], 0
+    for lo, _ in parts:
+        out.append(values[k:k + len(lo)])
+        k += len(lo)
+    return out
 
 
 @dataclass(frozen=True)
@@ -184,14 +138,6 @@ class TrivializedBundle:
     @property
     def total_dim(self) -> int:
         return self.base_dim + self.fibre_dim
-
-    @functools.cached_property
-    def total_bounds(self) -> Bounds:
-        """Bounds of a total-space draw: the base box, then the fibre box,
-        each shrunk by the default margin."""
-        (blo, bhi), (flo, fhi) = (self.base_box.bounds(),
-                                  self.fibre_box.bounds())
-        return Bounds(blo + flo, bhi + fhi)
 
     def split(self, coords: Sequence[Scalar]) -> tuple[list, list]:
         """Split total-space coordinates into (base, fibre) parts."""
@@ -328,8 +274,8 @@ class SectionMap:
 def jet_bracket(xe, jx, ye, jy) -> list:
     """Coordinate Lie bracket DY X - DX Y at one point, from the 1-jets
     (value, Jacobian) of X and Y there, as ``value_and_jacobian`` gives
-    them; Jacobians as lists of rows (``lists=True``) keep a float
-    bracket's products on Python floats."""
+    them; Jacobians as lists of float rows (``calculus._rows``) keep a
+    float bracket's products on Python floats."""
     return [dot(jy[i], xe) - dot(jx[i], ye) for i in range(len(xe))]
 
 

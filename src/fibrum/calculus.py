@@ -353,8 +353,7 @@ def _unit_basis(n: int) -> tuple:
                  for j in range(n))
 
 
-def value_and_jacobian(fn: VectorFn, coords: Sequence[Scalar], *,
-                       lists: bool = False):
+def value_and_jacobian(fn: VectorFn, coords: Sequence[Scalar]):
     """Values and exact forward-mode Jacobian of ``fn`` at ``coords``.
 
     One evaluation gives both.  The values are the pass's outputs with its
@@ -364,10 +363,8 @@ def value_and_jacobian(fn: VectorFn, coords: Sequence[Scalar], *,
     nested when ``coords`` or the values carry DScalars of an enclosing
     differentiation, as when ``fn`` captures them from that pass: values
     and entries (nested lists) then belong to the enclosing pass.
-    Otherwise the Jacobian is checked for NaN/inf and is a float ``(k, n)``
-    ndarray, or with ``lists=True`` a list of rows of Python floats, the
-    form the package's own passes hand to ``dot`` and ``mat_vec``: their
-    scalar loops multiply floats faster than numpy scalars.
+    Otherwise the Jacobian is a float ``(k, n)`` ndarray, checked for
+    NaN/inf.
     """
     coords = list(coords)
     n = len(coords)
@@ -388,31 +385,37 @@ def value_and_jacobian(fn: VectorFn, coords: Sequence[Scalar], *,
     if (any(type(c) is DScalar for c in coords)
             or any(type(v) is DScalar for v in values)):
         return values, rows
-    _check_finite(rows)
-    return values, rows if lists else np.array(rows, dtype=float)
+    return values, _float_jacobian(rows)
 
 
-def _check_finite(rows) -> None:
-    """Raise unless every entry of the float ``rows`` of a pass is finite.
-    A finite sum of all of them settles it; only a sum that is not (an
-    entry is NaN or inf, or the sum overflowed) looks at each entry."""
-    if not math.isfinite(sum(map(sum, rows))) and not all(
-            math.isfinite(v) for row in rows for v in row):
+def _float_jacobian(rows) -> np.ndarray:
+    """The rows of a pass that is not nested, as a float ndarray checked
+    for NaN/inf."""
+    mat = np.array(rows, dtype=float)
+    if not np.isfinite(mat).all():
         raise NonFiniteOutputError(
             "jacobian produced non-finite entries; evaluator is singular here")
+    return mat
+
+
+def _rows(jac) -> list:
+    """A Jacobian as a list of rows: a float ndarray's as Python floats,
+    which the scalar loops of ``dot`` and ``mat_vec`` multiply faster than
+    numpy scalars, with the same bits; a nested pass's rows as they are."""
+    return jac.tolist() if type(jac) is np.ndarray else jac
 
 
 def _field_jets(fields: Callable, coords: Sequence[Scalar]) -> list:
     """(values, Jacobian) of each field, from one :func:`value_and_jacobian`
     pass over them stacked: ``fields(coords)`` returns their values, one
-    sequence per field.  A float Jacobian is a list of float rows.
+    sequence per field.  Each Jacobian is a list of rows (``_rows``).
 
     Each jet is the one a pass of its own would give, bit for bit: the
     fields are pure, and a forward-mode gradient entry uses only that entry
     of its operands, whatever the gradient length.  That holds for the
     Jacobian's check too: where only other fields carry an enclosing pass's
-    scalars, a field's rows are checked for NaN/inf here, as its own pass
-    would check them.
+    scalars, a field's rows are checked for NaN/inf and made floats here,
+    as its own pass would.
     """
     coords = list(coords)
     sizes = []
@@ -424,14 +427,14 @@ def _field_jets(fields: Callable, coords: Sequence[Scalar]) -> list:
             out += vals
         return out
 
-    values, jac = value_and_jacobian(stacked, coords, lists=True)
-    mixed = (any(type(v) is DScalar for v in values)
-             and not any(type(c) is DScalar for c in coords))
+    values, jac = value_and_jacobian(stacked, coords)
+    mixed = type(jac) is list and not any(type(c) is DScalar for c in coords)
+    jac = _rows(jac)
     jets, k = [], 0
     for n in sizes:
         vals, rows = values[k:k + n], jac[k:k + n]
         if mixed and not any(type(v) is DScalar for v in vals):
-            _check_finite(rows)
+            rows = _float_jacobian(rows).tolist()
         jets.append((vals, rows))
         k += n
     return jets

@@ -23,8 +23,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bundle import (BaseVectorField, Bounds, Box, Point, SectionMap,
-                     TotalTangent, TrivializedBundle, uniform_parts)
+from .bundle import (BaseVectorField, Box, Point, SectionMap,
+                     TotalTangent, TrivializedBundle, uniform,
+                     uniform_parts)
 from .calculus import DScalar, _ds, cos, dot, float_value, mat_vec, sin
 from .connection import ConnectionField, ConnectionKind
 from .errors import ConfigError, DomainError
@@ -297,34 +298,38 @@ def build_connection(name: str, params: dict | None = None) -> ConnectionField:
 # order of a draw's doubles fix every later draw on its stream, so every
 # report, and they are those of numpy's per-part ``uniform`` calls.
 
-@functools.cache
-def _cube(n: int, half: float) -> Bounds:
-    """Bounds of ``n`` draws from (-half, half), built once per (n, half):
-    ``half`` is a positive constant at every call, so keying on it is
-    safe."""
-    return Bounds((-half,) * n, (half,) * n)
+def _cube(n: int, half: float) -> tuple[tuple, tuple]:
+    """Bounds of ``n`` draws from (-half, half)."""
+    return (-half,) * n, (half,) * n
+
+
+def _total_bounds(bundle: TrivializedBundle) -> tuple[tuple, tuple]:
+    """Bounds of ``random_total_point``: the base box, then the fibre box,
+    each shrunk by the default margin."""
+    (blo, bhi), (flo, fhi) = (bundle.base_box.bounds(),
+                              bundle.fibre_box.bounds())
+    return blo + flo, bhi + fhi
 
 
 def random_base_point(bundle: TrivializedBundle,
                       rng: np.random.Generator) -> Point:
-    return bundle.base_point(bundle.base_box.bounds().draw(rng))
+    return bundle.base_point(uniform(rng, *bundle.base_box.bounds()))
 
 
 def random_total_point(bundle: TrivializedBundle,
                        rng: np.random.Generator) -> Point:
-    return bundle.total_point(bundle.total_bounds.draw(rng))
+    return bundle.total_point(uniform(rng, *_total_bounds(bundle)))
 
 
 @functools.cache
 def _sin_bounds(n_inputs: int, constant_scale: float,
-                wave_scale: float) -> Bounds:
+                wave_scale: float) -> tuple[tuple, tuple]:
     """Bounds of a ``_sin_fn``'s coefficients: the constant, then the
     amplitudes, frequencies and phases."""
     n = n_inputs
-    return Bounds(
-        (-constant_scale,) + (-wave_scale,) * n + (0.5,) * n + (0.0,) * n,
-        (constant_scale,) + (wave_scale,) * n + (1.5,) * n
-        + (2.0 * math.pi,) * n)
+    return ((-constant_scale,) + (-wave_scale,) * n + (0.5,) * n + (0.0,) * n,
+            (constant_scale,) + (wave_scale,) * n + (1.5,) * n
+            + (2.0 * math.pi,) * n)
 
 
 def _sin_fn(coeffs: list, n_inputs: int):
@@ -553,7 +558,7 @@ def _tangent(e: Point, coords: Sequence[float]) -> TotalTangent:
 
 def random_tangent(conn: ConnectionField, e: Point,
                    rng: np.random.Generator) -> TotalTangent:
-    return _tangent(e, _cube(conn.bundle.total_dim, 1.0).draw(rng))
+    return _tangent(e, uniform(rng, *_cube(conn.bundle.total_dim, 1.0)))
 
 
 # -- standard curves ----------------------------------------------------------

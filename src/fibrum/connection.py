@@ -23,8 +23,8 @@ import numpy as np
 
 from .bundle import (BaseVectorField, Point, SectionMap, SpaceTag,
                      TotalTangent, TotalVectorField, TrivializedBundle)
-from .calculus import (Scalar, as_float_array, float_value, mat_vec,
-                       value_and_jacobian, vec_add)
+from .calculus import (Scalar, _rows, as_float_array, float_value,
+                       jacobian, mat_vec, value_and_jacobian, vec_add)
 from .errors import DomainError
 
 GammaFn = Callable[[Sequence[Scalar], Sequence[Scalar], Sequence[Scalar]],
@@ -140,9 +140,8 @@ def _nat_value(s_fn, v_fn, x, jet=None) -> list:
     """(v(x), Ds(x) v(x)): the one evaluator of the natural derivative.
     ``jet`` is (s(x), Ds(x)) when already taken."""
     vx = v_fn(x)
-    if jet is None:
-        jet = value_and_jacobian(s_fn, x, lists=True)
-    return list(vx) + mat_vec(jet[1], vx)
+    ds = jacobian(s_fn, x) if jet is None else jet[1]
+    return list(vx) + mat_vec(_rows(ds), vx)
 
 
 def extend_natural_derivative(s: SectionMap,
@@ -171,11 +170,9 @@ def _cov_value(conn: ConnectionField, s_fn, v_fn, x, y=None,
     extends canonically, so evaluating outside the box is sound.  ``jet``
     is (s(x), Ds(x)) when already taken."""
     vx = v_fn(x)
-    if jet is None:
-        jet = value_and_jacobian(s_fn, x, lists=True)
-    sx, ds = jet
+    sx, ds = value_and_jacobian(s_fn, x) if jet is None else jet
     g = conn.gamma(x, sx if y is None else y, vx)
-    return vec_add(mat_vec(ds, vx), g)
+    return vec_add(mat_vec(_rows(ds), vx), g)
 
 
 def covariant_derivative(conn: ConnectionField, s: SectionMap,

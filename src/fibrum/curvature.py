@@ -46,9 +46,9 @@ import numpy as np
 from .bundle import (BaseVectorField, Point, SectionMap, TotalTangent,
                      TotalVectorField, base_lie_bracket, jet_bracket,
                      lie_bracket)
-from .calculus import (Scalar, _field_jets, as_float_array, derivative, dot,
-                       jacobian, mat_vec, value_and_jacobian, vec_add,
-                       vec_scale, vec_sub)
+from .calculus import (Scalar, _field_jets, _rows, as_float_array,
+                       derivative, dot, jacobian, mat_vec, value_and_jacobian,
+                       vec_add, vec_scale, vec_sub)
 from .connection import (ConnectionField, ConnectionKind, _cov_value,
                          constant_base_field, horizontal_lift,
                          horizontal_lift_field)
@@ -287,7 +287,8 @@ def curv_via_covariant_composition(conn: ConnectionField, s: SectionMap,
                 + vec_add(mat_vec(ds, vx), conn.gamma(xs, sx, vx))
                 + vec_add(mat_vec(ds, ux), conn.gamma(xs, sx, ux)))
 
-    values, jac = value_and_jacobian(fields, coords, lists=True)
+    values, jac = value_and_jacobian(fields, coords)
+    jac = _rows(jac)
     sx = list(e.fibre_coords)
 
     def nabla_along_s(k: int, along: BaseVectorField):

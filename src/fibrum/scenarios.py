@@ -34,7 +34,7 @@ from .bundle import (BaseVectorField, TotalVectorField, base_lie_bracket,
                      lie_bracket, uniform_parts)
 from .calculus import as_float_array, dot, float_value, mat_vec
 from .catalog import (CATALOG, GB_NODES, Capabilities, _cube, _tangent,
-                      build_connection, circle_loop,
+                      _total_bounds, build_connection, circle_loop,
                       latitude_loop, random_base_field, random_base_point,
                       random_section, random_tangent, random_total_point,
                       random_total_scalar_field, reversed_curve,
@@ -317,7 +317,7 @@ def _projector_algebra(sub, rng):
 def _gamma_linearity(sub, rng):
     conn = sub.conn
     ec, (a, b), u, v = uniform_parts(
-        rng, sub.bundle.total_bounds, _cube(2, 2.0), _cube(sub.m, 1.0),
+        rng, _total_bounds(sub.bundle), _cube(2, 2.0), _cube(sub.m, 1.0),
         _cube(sub.m, 1.0))
     x, y = sub.bundle.split(ec)
     lhs = as_float_array(conn.gamma(x, y, [a * ui + b * vi
@@ -342,7 +342,7 @@ def _gamma_fibre_linearity(sub, rng):
 
 @_sampled("lift_right_inverse", 100, 1e-12)
 def _lift_right_inverse(sub, rng):
-    ec, v = uniform_parts(rng, sub.bundle.total_bounds, _cube(sub.m, 1.0))
+    ec, v = uniform_parts(rng, _total_bounds(sub.bundle), _cube(sub.m, 1.0))
     e = sub.bundle.total_point(ec)
     tangent = horizontal_lift(sub.conn, e, v)
     pv = vertical_projector(sub.conn, e)
@@ -428,7 +428,7 @@ def _curvature_verticality(sub, rng):
 def _curvature_antisymmetry(sub, rng):
     conn, n = sub.conn, sub.m + sub.f
     ec, xc, yc, zc, (a, b) = uniform_parts(
-        rng, sub.bundle.total_bounds, _cube(n, 1.0), _cube(n, 1.0),
+        rng, _total_bounds(sub.bundle), _cube(n, 1.0), _cube(n, 1.0),
         _cube(n, 1.0), _cube(2, 2.0))
     e = sub.bundle.total_point(ec)
     X, Y, Z = _tangent(e, xc), _tangent(e, yc), _tangent(e, zc)

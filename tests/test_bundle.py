@@ -11,7 +11,7 @@ from fibrum import (BaseVectorField, Box, DomainError, SectionMap,
                     SpaceTag, TotalTangent, TotalVectorField,
                     base_lie_bracket, check_p_related,
                     lie_bracket, make_flat, random_total_point, sin)
-from fibrum.bundle import Bounds, uniform, uniform_parts
+from fibrum.bundle import uniform, uniform_parts
 from fibrum.calculus import as_float_array
 
 
@@ -109,52 +109,6 @@ def test_uniform_parts_split_one_draw(parts, seed):
                     [hi for _, hi in bounds for hi in hi])
     assert [len(g) for g in got] == [len(lo) for lo, _ in bounds]
     assert [c for g in got for c in g] == whole
-
-
-# ``Bounds`` keeps a draw's spans and guard, worked out on first use; a draw
-# from it must be the draw ``uniform`` makes from its lows and highs.
-
-@settings(max_examples=300, deadline=None)
-@given(bounds=st.lists(st.tuples(_any_float, _any_float), max_size=5),
-       seed=_seed)
-def test_bounds_draw_bit_equal_to_uniform(bounds, seed):
-    lows = [lo for lo, _ in bounds]
-    highs = [hi for _, hi in bounds]
-    planned = Bounds(lows, highs)
-    want = _outcome(lambda rng: uniform(rng, lows, highs), seed)
-    for _ in range(2):  # the second draw reads the kept plan
-        assert _outcome(planned.draw, seed) == want
-        assert _outcome(lambda rng: uniform_parts(rng, planned)[0],
-                        seed) == want
-
-
-def test_bounds_plans_keep_signed_zeros_apart():
-    # equal as floats, 0.0 and -0.0 bound different draws; each Bounds keeps
-    # its own plan, whichever is drawn first
-    for first, second in ((([0.0], [0.0]), ([0.0], [-0.0])),
-                          (([0.0], [-0.0]), ([0.0], [0.0]))):
-        for lows, highs in (first, second):
-            want = _outcome(lambda rng: rng.uniform(lows, highs), 5)
-            assert _outcome(Bounds(lows, highs).draw, 5) == want
-
-
-@settings(max_examples=100, deadline=None)
-@given(parts=st.lists(st.lists(st.tuples(_any_float, _any_float),
-                               max_size=3), max_size=4),
-       seed=_seed)
-def test_uniform_parts_of_bounds_match_pairs(parts, seed):
-    # a non-finite range in any part raises OverflowError before a
-    # negative range in any other raises ValueError, drawing nothing
-    pairs = [([lo for lo, _ in part], [hi for _, hi in part])
-             for part in parts]
-    want = _outcome(lambda rng: [c for g in uniform_parts(rng, *pairs)
-                                 for c in g], seed)
-    assert want == _outcome(
-        lambda rng: uniform(rng, [lo for lo, _ in pairs for lo in lo],
-                            [hi for _, hi in pairs for hi in hi]), seed)
-    planned = [Bounds(lo, hi) for lo, hi in pairs]
-    assert _outcome(lambda rng: [c for g in uniform_parts(rng, *planned)
-                                 for c in g], seed) == want
 
 
 @pytest.mark.parametrize("margin", [0.1, 0.25, 0.3, 0.45])
