@@ -82,14 +82,26 @@ def uniform(rng: np.random.Generator, lows: Sequence[float],
     numpy draws entry i as ``lows[i] + (highs[i] - lows[i]) * u``, with u
     the generator's next double, so the same float arithmetic gives the
     same bits and leaves the generator in the same state.  numpy's guards
-    stay, checked before anything is drawn: a non-finite range raises
-    ``OverflowError`` and a negative one (``-0.0`` included) ``ValueError``.
+    stay, checked before anything is drawn (``_spans``).
     """
+    return _uniform_spans(rng, lows, _spans(lows, highs))
+
+
+def _spans(lows: Sequence[float], highs: Sequence[float]) -> list:
+    """The ranges ``highs[i] - lows[i]`` of a ``uniform`` draw, under
+    numpy's guards: a non-finite range raises ``OverflowError`` and a
+    negative one (``-0.0`` included) ``ValueError``."""
     spans = [hi - lo for lo, hi in zip(lows, highs, strict=True)]
     if not all(map(math.isfinite, spans)):
         raise OverflowError("Range exceeds valid bounds")
     if any(math.copysign(1.0, span) < 0.0 for span in spans):
         raise ValueError("high - low < 0")
+    return spans
+
+
+def _uniform_spans(rng: np.random.Generator, lows: Sequence[float],
+                   spans: Sequence[float]) -> list:
+    """``uniform`` on ranges already checked by ``_spans``."""
     return [lo + span * u for lo, span, u
             in zip(lows, spans, rng.random(len(spans)).tolist())]
 

@@ -24,9 +24,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bundle import (BaseVectorField, Box, Point, SectionMap,
-                     TotalTangent, TrivializedBundle, uniform,
-                     uniform_parts)
-from .calculus import DScalar, _ds, cos, dot, float_value, mat_vec, sin
+                     TotalTangent, TrivializedBundle, _spans, _uniform_spans,
+                     uniform, uniform_parts)
+from .calculus import (DScalar, _ds, _rows, cos, dot, float_value, mat_vec,
+                       sin)
 from .connection import ConnectionField, ConnectionKind
 from .errors import ConfigError, DomainError
 
@@ -337,20 +338,26 @@ def _sin_fn(coeffs: list, n_inputs: int):
     coefficients, in Python floats so that float points give float
     arithmetic and results.
 
-    Inputs that are all scalars of one pass with float values go through
-    the fused kernel ``_sin_kernel(n_inputs, gradient length)``; scalars of
-    one pass whose values are all scalars of one enclosing pass with float
-    values, as a nested pass sees, through ``_nested_sin_kernel``.
-    Floats, deeper nesting and mixed inputs take the loop.
+    Inputs that are all floats go through ``_float_sin_kernel(n_inputs)``;
+    all scalars of one pass with float values through the fused kernel
+    ``_sin_kernel(n_inputs, gradient length)``; scalars of one pass whose
+    values are all scalars of one enclosing pass with float values, as a
+    nested pass sees, through ``_nested_sin_kernel``.  Deeper nesting and
+    mixed inputs take the loop.
     """
     c0 = coeffs[0]
     amps = coeffs[1:n_inputs + 1]
     freqs = coeffs[n_inputs + 1:2 * n_inputs + 1]
     phases = coeffs[2 * n_inputs + 1:]
+    float_kernel = _float_sin_kernel(n_inputs)
 
     def fn(coords):
         x0 = coords[0]
-        if type(x0) is DScalar:
+        if type(x0) is float:
+            out = float_kernel(coeffs, coords)
+            if out is not None:
+                return out
+        elif type(x0) is DScalar:
             y0 = x0.value
             out = None
             if type(y0) is float:
@@ -366,6 +373,23 @@ def _sin_fn(coeffs: list, n_inputs: int):
         return acc
 
     return fn
+
+
+@functools.lru_cache(maxsize=None)
+def _float_sin_kernel(n_inputs: int):
+    """``_sin_fn``'s loop for float inputs, as straight-line code compiled
+    on first use: ``acc = c0``, then ``acc = acc + a*sin(f*x + p)`` per
+    input, the loop's float operations in its order.  The kernel returns
+    None, leaving the call to the loop, where an input is not a float."""
+    lines = _kernel_head(n_inputs)[:2]
+    acc = "c0"
+    for j in range(n_inputs):
+        lines += [f"    x{j} = coords[{j}]",
+                  f"    if type(x{j}) is not float:",
+                  "        return None"]
+        acc = f"({acc} + a{j} * sin(f{j} * x{j} + p{j}))"
+    lines.append(f"    return {acc}")
+    return _compile_kernel(lines, f"<float sin field, {n_inputs} inputs>")
 
 
 @functools.lru_cache(maxsize=None)
@@ -477,8 +501,8 @@ def _nested_sin_kernel(n_inputs: int, n: int, n_outer: int):
 
 
 def _kernel_head(n_inputs: int) -> list:
-    """The first lines of a sin-field kernel: it unpacks the coefficients
-    and takes its pass's tag from the first input."""
+    """The first lines of a sin-field kernel: the first two unpack the
+    coefficients, the others take its pass's tag from the first input."""
     js = range(n_inputs)
     params = ([f"a{j}" for j in js] + [f"f{j}" for j in js]
               + [f"p{j}" for j in js])
@@ -524,11 +548,14 @@ def _section_shape(fibre_box: Box) -> tuple[tuple, tuple]:
             tuple((0.45 * h, 0.15 * h) for h in half))
 
 
-def random_section(bundle: TrivializedBundle,
-                   rng: np.random.Generator) -> SectionMap:
-    """Random smooth section whose graph stays well inside the fibre box."""
-    centre, scales = _section_shape(bundle.fibre_box)
-    comps = _sin_fns(rng, bundle.base_dim, scales)
+# (constant_scale, wave_scale) of each component of ``random_base_field``
+_FIELD_SCALES = (0.8, 0.5)
+
+
+def _section_map(bundle: TrivializedBundle, comps: list) -> SectionMap:
+    """The section of ``random_section`` from its drawn combinations, one
+    per fibre component, around the fibre box's centre."""
+    centre = _section_shape(bundle.fibre_box)[0]
 
     def fn(x):
         return [centre[i] + comps[i](x) for i in range(len(comps))]
@@ -536,10 +563,55 @@ def random_section(bundle: TrivializedBundle,
     return SectionMap(bundle, fn)
 
 
+def _base_field(bundle: TrivializedBundle, comps: list) -> BaseVectorField:
+    """The field of ``random_base_field`` from its drawn combinations."""
+    return BaseVectorField(bundle, lambda x: [c(x) for c in comps])
+
+
+def random_section(bundle: TrivializedBundle,
+                   rng: np.random.Generator) -> SectionMap:
+    """Random smooth section whose graph stays well inside the fibre box."""
+    scales = _section_shape(bundle.fibre_box)[1]
+    return _section_map(bundle, _sin_fns(rng, bundle.base_dim, scales))
+
+
 def random_base_field(bundle: TrivializedBundle,
                       rng: np.random.Generator) -> BaseVectorField:
-    comps = _sin_fns(rng, bundle.base_dim, [(0.8, 0.5)] * bundle.base_dim)
-    return BaseVectorField(bundle, lambda x: [c(x) for c in comps])
+    return _base_field(bundle, _sin_fns(rng, bundle.base_dim,
+                                        [_FIELD_SCALES] * bundle.base_dim))
+
+
+@functools.cache
+def _suvx_plan(bundle: TrivializedBundle) -> tuple[list, list]:
+    """(lows, spans) of ``random_suvx``'s draw, worked out once per bundle:
+    the coefficient bounds of the section's combinations, then of the two
+    base fields', then ``base_box.bounds()``, with numpy's guards checked
+    here (``bundle._spans``)."""
+    m = bundle.base_dim
+    scales = (_section_shape(bundle.fibre_box)[1]
+              + (_FIELD_SCALES,) * (2 * m))
+    parts = [_sin_bounds(m, c, w) for c, w in scales]
+    parts.append(bundle.base_box.bounds())
+    lows = [lo for part in parts for lo in part[0]]
+    highs = [hi for part in parts for hi in part[1]]
+    return lows, _spans(lows, highs)
+
+
+def random_suvx(bundle: TrivializedBundle, rng: np.random.Generator
+                ) -> tuple[SectionMap, BaseVectorField, BaseVectorField,
+                           Point]:
+    """(s, u, v, x): ``random_section``, ``random_base_field`` twice and
+    ``random_base_point``, from one generator call that takes their doubles
+    in that order, so values and end state are those of the four calls."""
+    lows, spans = _suvx_plan(bundle)
+    vals = _uniform_spans(rng, lows, spans)
+    m, f = bundle.base_dim, bundle.fibre_dim
+    k = 1 + 3 * m  # coefficients per combination
+    comps = [_sin_fn(vals[i:i + k], m) for i in range(0, (f + 2 * m) * k, k)]
+    return (_section_map(bundle, comps[:f]),
+            _base_field(bundle, comps[f:f + m]),
+            _base_field(bundle, comps[f + m:]),
+            bundle.base_point(vals[-m:]))
 
 
 def random_total_scalar_field(bundle: TrivializedBundle,
@@ -686,24 +758,23 @@ def sphere_latitude_gb_angle(conn: ConnectionField, theta0: float) -> float:
     """
     from .transport import covariant_derivative_along_curve
     loop = latitude_loop(conn.bundle, theta0)
-
-    def velocity(t):
-        from .calculus import derivative
-        return derivative(loop.fn, t)
+    # the closed-form velocity is bit-equal to derivative(loop.fn, t)
+    # (``CurveOnBase``), so it stands for the fibre field c'(t)
+    velocity = loop.velocity_fn
 
     def integrand(t: float) -> float:
-        x = loop.point_at(t)
-        tvec = loop.velocity(t)
-        nab = covariant_derivative_along_curve(conn, loop, velocity, t)
-        g = sphere_metric(x)
+        tvec = velocity(t)
+        nab = covariant_derivative_along_curve(conn, loop, velocity,
+                                               t).tolist()
+        g = _rows(sphere_metric(loop.fn(t)))
         speed = math.sqrt(dot(mat_vec(g, tvec), tvec))
         # inward unit normal for a latitude traversed with increasing phi:
         # minus the theta direction (unit length in the round metric)
         n_hat = [-1.0, 0.0]
-        return float(dot(mat_vec(g, nab), n_hat)) / speed
+        return dot(mat_vec(g, nab), n_hat) / speed
 
     ts = np.linspace(loop.t0, loop.t1, GB_NODES)
-    vals = np.array([integrand(t) for t in ts])
+    vals = np.array([integrand(t) for t in ts.tolist()])
     h = (loop.t1 - loop.t0) / (GB_NODES - 1)
     simpson = (h / 3.0) * (vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum()
                            + 2.0 * vals[2:-1:2].sum())

@@ -8,6 +8,7 @@ runs produce byte-identical files.  Unknown keys are rejected.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -222,27 +223,36 @@ def load_config(source, seed_override: Optional[int] = None,
 # -- canonical report serialization -------------------------------------------
 
 def _format_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        return "null"  # JSON has no non-finite reals; the note says why
-    return format(x, ".17g")
+    if math.isfinite(x):
+        return format(x, ".17g")
+    return "null"  # JSON has no non-finite reals; the note says why
+
+
+@functools.lru_cache(maxsize=1024)
+def _key_text(key: str) -> str:
+    """The text of a dict key and its separator; report keys repeat per
+    row, so each is escaped once."""
+    return json.dumps(key) + ": "
 
 
 def canonical_text(tree, indent: int = 0) -> str:
     """Serialize to JSON text with insertion order and 17-digit reals."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+    if type(tree) is float:
+        return _format_float(tree)
     if isinstance(tree, dict):
         if not tree:
             return "{}"
-        items = [f'{inner}{json.dumps(str(k))}: {canonical_text(v, indent + 1)}'
-                 for k, v in tree.items()]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+        inner = "\n" + "  " * (indent + 1)
+        return ("{" + inner + ("," + inner).join([
+            _key_text(str(k)) + canonical_text(v, indent + 1)
+            for k, v in tree.items()]) + "\n" + "  " * indent + "}")
     if isinstance(tree, (list, tuple)):
-        seq = list(tree)
-        if not seq:
+        if not tree:
             return "[]"
-        items = [f"{inner}{canonical_text(v, indent + 1)}" for v in seq]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+        inner = "\n" + "  " * (indent + 1)
+        return ("[" + inner + ("," + inner).join([
+            canonical_text(v, indent + 1) for v in tree])
+            + "\n" + "  " * indent + "]")
     if isinstance(tree, bool):
         return "true" if tree else "false"
     if tree is None:

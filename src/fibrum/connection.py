@@ -96,14 +96,15 @@ def horizontal_lift(conn: ConnectionField, e: Point,
 
 def horizontal_lift_field(conn: ConnectionField,
                           v: BaseVectorField) -> TotalVectorField:
-    """The horizontal-lift field e -> H(e, v(p(e)))."""
+    """The horizontal-lift field e -> H(e, v(p(e))).  It binds
+    ``conn.gamma`` when it is made."""
     bundle = conn.bundle
+    m, gamma, v_fn = bundle.base_dim, conn.gamma, v.fn
 
     def ev(coords):
-        x, y = bundle.split(coords)
-        vx = v.fn(x)
-        g = conn.gamma(x, y, vx)
-        return list(vx) + [-c for c in g]
+        x, y = list(coords[:m]), list(coords[m:])
+        vx = v_fn(x)
+        return list(vx) + [-c for c in gamma(x, y, vx)]
 
     return TotalVectorField(bundle, ev)
 

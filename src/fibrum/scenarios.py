@@ -36,9 +36,9 @@ from .calculus import as_float_array, dot, float_value, mat_vec
 from .catalog import (CATALOG, GB_NODES, Capabilities, _cube, _tangent,
                       _total_bounds, build_connection, circle_loop,
                       latitude_loop, random_base_field, random_base_point,
-                      random_section, random_tangent, random_total_point,
-                      random_total_scalar_field, reversed_curve,
-                      segment_curve, sphere_angle_between,
+                      random_section, random_suvx, random_tangent,
+                      random_total_point, random_total_scalar_field,
+                      reversed_curve, segment_curve, sphere_angle_between,
                       sphere_latitude_gb_angle, sphere_metric)
 from .connection import (ConnectionKind, covariant_derivative,
                          horizontal_lift, horizontal_lift_field,
@@ -279,19 +279,22 @@ def _run(sub: Subject, check: Check,
 
 
 def _vec(values) -> list:
-    return [float(v) for v in np.asarray(values, dtype=float)]
-
-
-def _draw_suvx(bundle, rng):
-    s = random_section(bundle, rng)
-    u = random_base_field(bundle, rng)
-    v = random_base_field(bundle, rng)
-    x = random_base_point(bundle, rng)
-    return s, u, v, x
+    return np.asarray(values, dtype=float).tolist()
 
 
 def _max_abs(values) -> float:
-    return float(np.max(np.abs(values)))
+    """``float(np.max(np.abs(values)))`` of a non-empty vector, by a
+    Python loop: NaN if any entry is NaN, as ``np.max`` gives."""
+    if type(values) is np.ndarray:
+        values = values.tolist()
+    worst = 0.0
+    for v in values:
+        a = abs(v)
+        if a > worst:
+            worst = a
+        elif a != a:
+            return math.nan
+    return float(worst)
 
 
 # --------------------------------------------------------------------------
@@ -407,7 +410,7 @@ def _bracket_projectability(sub, rng):
 
 @_sampled("lift_route_internal_identity", 100, 1e-9)
 def _lift_route_internal_identity(sub, rng):
-    jets = _RouteJets(sub.conn, *_draw_suvx(sub.bundle, rng),
+    jets = _RouteJets(sub.conn, *random_suvx(sub.bundle, rng),
                       covariant=False)
     return _max_abs(jets.lifts() - jets.vertical_projection())
 
@@ -415,7 +418,7 @@ def _lift_route_internal_identity(sub, rng):
 @_sampled("curvature_verticality", 100, 1e-10)
 def _curvature_verticality(sub, rng):
     conn = sub.conn
-    s, u, v, x = _draw_suvx(sub.bundle, rng)
+    s, u, v, x = random_suvx(sub.bundle, rng)
     e = s.graph(x)
     hu = horizontal_lift_field(conn, u)
     hv = horizontal_lift_field(conn, v)
@@ -464,7 +467,7 @@ def _curvature_tensoriality(sub, rng, n):
 
 @_sampled("curvature_routes_equality", 100, 1e-8, note=ROUTES_NOTE)
 def _curvature_routes_equality(sub, rng):
-    jets = _RouteJets(sub.conn, *_draw_suvx(sub.bundle, rng))
+    jets = _RouteJets(sub.conn, *random_suvx(sub.bundle, rng))
     return _max_abs(jets.covariant() - jets.lifts())
 
 
@@ -477,20 +480,20 @@ def _expansion_residual(m: int, lifts, cov, cross) -> float:
 @_sampled("bracket_expansion_identity", 100, 1e-8, note=EXPANSION_NOTE)
 def _bracket_expansion_identity(sub, rng):
     return _expansion_residual(sub.m, *curvature_routes(
-        sub.conn, *_draw_suvx(sub.bundle, rng)))
+        sub.conn, *random_suvx(sub.bundle, rng)))
 
 
 @_sampled("flatness_via_lifts", 100, 1e-12,
           lambda sub: sub.caps.zero_curvature)
 def _flatness_via_lifts(sub, rng):
-    s, u, v, x = _draw_suvx(sub.bundle, rng)
+    s, u, v, x = random_suvx(sub.bundle, rng)
     return _max_abs(curv_via_lifts(sub.conn, s, u, v, x).fibre_part)
 
 
 @_sampled("flatness_via_covariant", 100, 1e-12,
           lambda sub: sub.caps.zero_curvature, note=ROUTES_NOTE)
 def _flatness_via_covariant(sub, rng):
-    s, u, v, x = _draw_suvx(sub.bundle, rng)
+    s, u, v, x = random_suvx(sub.bundle, rng)
     return _max_abs(curv_via_covariant(sub.conn, s, u, v, x).fibre_part)
 
 
@@ -511,7 +514,7 @@ def _leibniz_rule(sub, rng):
           lambda sub: sub.linear,
           note="operator compositions, not field brackets")
 def _composition_commutator_curvature(sub, rng):
-    s, u, v, x = _draw_suvx(sub.bundle, rng)
+    s, u, v, x = random_suvx(sub.bundle, rng)
     comp = composition_commutator(sub.conn, s, u, v, x)
     return _max_abs(comp - curv_via_lifts(sub.conn, s, u, v, x).fibre_part)
 
@@ -520,7 +523,7 @@ def _composition_commutator_curvature(sub, rng):
           lambda sub: sub.linear and sub.tm)
 def _second_derivative_torsion_form(sub, rng):
     conn = sub.conn
-    s, u, v, x = _draw_suvx(sub.bundle, rng)
+    s, u, v, x = random_suvx(sub.bundle, rng)
     d2uv = second_covariant_derivative(conn, s, u, v, x)
     d2vu = second_covariant_derivative(conn, s, v, u, x)
     tors = torsion(conn, u, v, x)
@@ -813,7 +816,7 @@ def _theorem41_rows(sub: Subject, n_samples: int):
     worst_cross = 0.0
     m = bundle.base_dim
     for _ in range(n_samples):
-        s, u, v, x = _draw_suvx(bundle, rng)
+        s, u, v, x = random_suvx(bundle, rng)
         lifts, cov, cross = curvature_routes(conn, s, u, v, x)
         residual = _max_abs(cov - lifts)
         worst_eq = max(worst_eq, residual)

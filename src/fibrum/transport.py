@@ -162,9 +162,11 @@ def flow(X: TotalVectorField, e0: Point, lam: float,
     if e0.space is not SpaceTag.TOTAL or e0.bundle is not X.bundle:
         raise DomainError("flow needs a total-space start point on X's chart")
     bundle = X.bundle
+    fn = X.fn
 
     def rhs(t, z):
-        return [float_value(c) for c in X.fn(list(z))]
+        return [c if type(c) is float else float_value(c)
+                for c in fn(list(z))]
 
     z = _rk4(rhs, np.array(e0.coords), float(lam), cfg,
              bundle.contains_total, "flow")

@@ -476,13 +476,16 @@ def _sin_inputs(draw):
 @given(case=_sin_inputs())
 @settings(max_examples=400, deadline=None)
 def test_sin_kernel_bit_equal_to_loop(case):
-    from fibrum.catalog import _sin_fn, _sin_kernel
+    from fibrum.catalog import _float_sin_kernel, _sin_fn, _sin_kernel
     kind, coeffs, inputs, n = case
     n_inputs = len(inputs)
     got = _sin_outcome(_sin_fn(coeffs, n_inputs), inputs)
     assert got == _sin_outcome(_sin_loop(coeffs, n_inputs), inputs)
     assert (got is ValueError) == (kind == "unequal lengths")
-    if kind == "one pass":  # the kernel serves the call, not the loop
+    # the kernels serve their calls, not the loop, and decline the others
+    assert (_float_sin_kernel(n_inputs)(coeffs, inputs) is None) \
+        == (kind != "floats")
+    if kind == "one pass":
         assert _sin_kernel(n_inputs, n)(coeffs, inputs) is not None
 
 
@@ -650,6 +653,56 @@ def test_draws_bit_equal_to_numpy_per_call_reference(name, params):
                 assert list(map(float, draw(rng))) \
                     == list(map(float, reference(ref)))
             assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("name,params", [
+    ("flat", {}), ("flat", {"m": 3, "f": 1}), ("sphere", {}),
+    ("nonlinear-demo", {}), ("tm-custom-christoffel", {})])
+def test_random_suvx_equals_the_four_per_object_draws(name, params):
+    # one generator call against random_section, random_base_field twice
+    # and random_base_point on a twin generator: equal values and one-pass
+    # jets of s, u and v, equal points, equal end states
+    from fibrum.calculus import value_and_jacobian
+    from fibrum.catalog import random_suvx
+    bundle = build_connection(name, params).bundle
+    probe = np.random.default_rng(99)
+    points = [list(random_base_point(bundle, probe).coords)
+              for _ in range(3)]
+
+    def bits(field):
+        out = []
+        for p in points:
+            value, jac = value_and_jacobian(field.fn, p)
+            out.append([c.hex() for c in field.fn(p)]
+                       + [float(c).hex() for c in value]
+                       + [c.hex() for c in np.ravel(jac).tolist()])
+        return out
+
+    for seed in range(4):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            s, u, v, x = random_suvx(bundle, rng)
+            want = [random_section(bundle, ref),
+                    random_base_field(bundle, ref),
+                    random_base_field(bundle, ref)]
+            assert [bits(f) for f in (s, u, v)] == [bits(f) for f in want]
+            assert [c.hex() for c in x.coords] == [
+                c.hex() for c in random_base_point(bundle, ref).coords]
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_random_suvx_guards_draw_nothing():
+    # a base box as wide as the floats makes an infinite range: the plan
+    # raises numpy's error before anything is drawn
+    from fibrum.catalog import random_suvx
+    bundle = build_connection("flat", {"base_half": 1e308}).bundle
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(OverflowError):
+        random_suvx(bundle, rng)
+    with pytest.raises(OverflowError):
+        random_base_point(bundle, rng)
+    assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("name", ["flat", "sphere", "nonlinear-demo"])

@@ -7,7 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_report_pins import RUNS, report_sha256
 
 from fibrum import (canonical_text, emit_report, load_config,
                     run_scenario)
@@ -308,6 +312,92 @@ def test_canonical_text_fixed_float_format():
     assert '"a": 0.10000000000000001' in text
     assert "null" in text  # non-finite reals become null
     json.loads(text)  # stays valid JSON
+
+
+def _old_format_float(x: float) -> str:
+    if math.isnan(x) or math.isinf(x):
+        return "null"  # JSON has no non-finite reals; the note says why
+    return format(x, ".17g")
+
+
+def _old_canonical_text(tree, indent: int = 0) -> str:
+    """The serializer ``canonical_text`` replaced, copied verbatim: the
+    reference its bytes are held to."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if isinstance(tree, dict):
+        if not tree:
+            return "{}"
+        items = [f'{inner}{json.dumps(str(k))}: {_old_canonical_text(v, indent + 1)}'
+                 for k, v in tree.items()]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(tree, (list, tuple)):
+        seq = list(tree)
+        if not seq:
+            return "[]"
+        items = [f"{inner}{_old_canonical_text(v, indent + 1)}" for v in seq]
+        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    if isinstance(tree, bool):
+        return "true" if tree else "false"
+    if tree is None:
+        return "null"
+    if isinstance(tree, int):
+        return str(tree)
+    if isinstance(tree, float):
+        return _old_format_float(tree)
+    return json.dumps(str(tree))
+
+
+_text = st.one_of(st.text(max_size=6),
+                  st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\u00e9",
+                                   "\U0001f600", "a\"b\\c"]))
+_leaf = st.one_of(st.booleans(), st.none(), st.integers(-10 ** 20, 10 ** 20),
+                  st.floats(), st.floats().map(np.float64),
+                  st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+                  _text)
+_tree = st.recursive(_leaf, lambda kids: st.one_of(
+    st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+    st.dictionaries(st.one_of(_text, st.integers(-3, 3)), kids,
+                    max_size=4)), max_leaves=25)
+
+
+@given(tree=_tree, indent=st.integers(0, 2))
+@settings(max_examples=150, deadline=None)
+def test_canonical_text_equals_the_old_serializer(tree, indent):
+    assert canonical_text(tree, indent) == _old_canonical_text(tree, indent)
+
+
+@pytest.mark.parametrize("name", list(RUNS))
+def test_canonical_text_equals_the_old_serializer_on_pinned_reports(
+        name, tmp_path, monkeypatch):
+    from fibrum import config
+    trees = []
+    serializer = config.canonical_text
+
+    def recorded(tree, indent=0):
+        if indent == 0:
+            trees.append(tree)
+        return serializer(tree, indent)
+
+    monkeypatch.setattr(config, "canonical_text", recorded)
+    report_sha256(name, tmp_path)
+    assert len(trees) == 1
+    assert serializer(trees[0]) == _old_canonical_text(trees[0])
+
+
+_entry = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf,
+                                    math.nan]), st.floats())
+
+
+@given(values=st.lists(_entry, min_size=1, max_size=6),
+       as_array=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_max_abs_bit_equal_to_numpy(values, as_array):
+    from fibrum.scenarios import _max_abs
+    got = _max_abs(np.array(values) if as_array else values)
+    want = float(np.max(np.abs(values)))
+    assert type(got) is float
+    assert got.hex() == want.hex() or (math.isnan(got) and math.isnan(want))
 
 
 def test_emit_report_deterministic(tmp_path):
