@@ -211,10 +211,16 @@ def _compile(op: str, n: int):
               f"    z.grad = ({grad}{',' if n == 1 else ''})",
               "    z.tag = tag",
               "    return z"]
-    namespace = {"new": _new, "DScalar": DScalar, "unequal": _unequal}
-    exec(compile("\n".join(lines), f"<DScalar {op}, n={n}>", "exec"),
-         namespace)
-    return namespace[op]
+    return _define(lines, f"<DScalar {op}, n={n}>",
+                   {"new": _new, "DScalar": DScalar, "unequal": _unequal})
+
+
+def _define(lines: Sequence[str], name: str, namespace: dict) -> Callable:
+    """The function that generated ``lines`` define, compiled with the
+    globals ``namespace``; the first line is its ``def``, and ``name``
+    shows in tracebacks."""
+    exec(compile("\n".join(lines), name, "exec"), namespace)
+    return namespace[lines[0][4:lines[0].index("(")]]
 
 
 class _Kernels(dict):

@@ -26,8 +26,8 @@ import numpy as np
 from .bundle import (BaseVectorField, Box, Point, SectionMap,
                      TotalTangent, TrivializedBundle, _spans, _uniform_spans,
                      uniform, uniform_parts)
-from .calculus import (DScalar, _ds, _rows, cos, dot, float_value, mat_vec,
-                       sin)
+from .calculus import (DScalar, _define, _ds, _rows, cos, dot, float_value,
+                       mat_vec, sin)
 from .connection import ConnectionField, ConnectionKind
 from .errors import ConfigError, DomainError
 
@@ -190,10 +190,7 @@ def _christoffel_evaluator(terms: list):
              "    def gamma(x, y, v):", *body,
              f"        return [{', '.join(outs)}]",
              "    return gamma"]
-    namespace = {}
-    exec(compile("\n".join(lines), "<custom christoffel gamma>", "exec"),
-         namespace)
-    return namespace["make"](*coeffs)
+    return _define(lines, "<custom christoffel gamma>", {})(*coeffs)
 
 
 @dataclass(frozen=True)
@@ -338,33 +335,26 @@ def _sin_fn(coeffs: list, n_inputs: int):
     coefficients, in Python floats so that float points give float
     arithmetic and results.
 
-    Inputs that are all floats go through ``_float_sin_kernel(n_inputs)``;
-    all scalars of one pass with float values through the fused kernel
-    ``_sin_kernel(n_inputs, gradient length)``; scalars of one pass whose
-    values are all scalars of one enclosing pass with float values, as a
-    nested pass sees, through ``_nested_sin_kernel``.  Deeper nesting and
-    mixed inputs take the loop.
+    Where the first input is a float, or DScalars nested down to a float, a
+    call goes through ``_sin_kernel(n_inputs, lengths)``, with ``lengths``
+    the gradient lengths of that input's layers; the loop takes the calls
+    that the kernel declines, and every other call.  The float kernel, the
+    most used, is looked up once per field.
     """
     c0 = coeffs[0]
     amps = coeffs[1:n_inputs + 1]
     freqs = coeffs[n_inputs + 1:2 * n_inputs + 1]
     phases = coeffs[2 * n_inputs + 1:]
-    float_kernel = _float_sin_kernel(n_inputs)
+    floats = _sin_kernel(n_inputs, ())
 
     def fn(coords):
-        x0 = coords[0]
-        if type(x0) is float:
-            out = float_kernel(coeffs, coords)
-            if out is not None:
-                return out
-        elif type(x0) is DScalar:
-            y0 = x0.value
-            out = None
-            if type(y0) is float:
-                out = _sin_kernel(n_inputs, len(x0.grad))(coeffs, coords)
-            elif type(y0) is DScalar and type(y0.value) is float:
-                out = _nested_sin_kernel(n_inputs, len(x0.grad),
-                                         len(y0.grad))(coeffs, coords)
+        z, lengths = coords[0], ()
+        while type(z) is DScalar:
+            lengths += (len(z.grad),)
+            z = z.value
+        if type(z) is float:
+            kernel = _sin_kernel(n_inputs, lengths) if lengths else floats
+            out = kernel(coeffs, coords)
             if out is not None:
                 return out
         acc = c0
@@ -376,153 +366,120 @@ def _sin_fn(coeffs: list, n_inputs: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _float_sin_kernel(n_inputs: int):
-    """``_sin_fn``'s loop for float inputs, as straight-line code compiled
-    on first use: ``acc = c0``, then ``acc = acc + a*sin(f*x + p)`` per
-    input, the loop's float operations in its order.  The kernel returns
-    None, leaving the call to the loop, where an input is not a float."""
-    lines = _kernel_head(n_inputs)[:2]
-    acc = "c0"
-    for j in range(n_inputs):
-        lines += [f"    x{j} = coords[{j}]",
-                  f"    if type(x{j}) is not float:",
-                  "        return None"]
-        acc = f"({acc} + a{j} * sin(f{j} * x{j} + p{j}))"
-    lines.append(f"    return {acc}")
-    return _compile_kernel(lines, f"<float sin field, {n_inputs} inputs>")
+def _sin_kernel(n_inputs: int, lengths: tuple):
+    """``_sin_fn``'s loop as straight-line code, compiled on first use, for
+    inputs whose layers have gradients of ``lengths``, youngest pass first:
+    ``()`` for floats, ``(n,)`` for one pass, ``(n, n_outer)`` for a pass
+    nested in another.
 
+    The code applies the rules of the loop's ``DScalar`` arithmetic to
+    symbolic jets, so it does the loop's float operations in its order.  A
+    jet is an expression, or a tuple (value jet, gradient jets, tag name).
+    A float factor scales the value and every entry, a float summand goes
+    to the value only, and two scalars of one pass add value to value and
+    entry to entry.  ``sin`` takes the sine and cosine of the value,
+    recursively, and scales the entries by the cosine jet; those of the
+    cosine it scales by the negated sine jet.  The scaled inputs, each sine
+    and cosine and the negated sine are bound to names; everything else is
+    inlined.
 
-@functools.lru_cache(maxsize=None)
-def _sin_kernel(n_inputs: int, n: int):
-    """``_sin_fn``'s loop for inputs of one pass with float values and
-    gradients of length ``n``, as straight-line code compiled on first use.
-
-    Term j is ``w = x*f + p`` and has value ``s*a`` and gradient entries
-    ``(c*(g*f))*a``, with s, c the sine and cosine of w: the float
-    operations of the loop's ``DScalar`` arithmetic, in its order.  The
-    first term is added to c0, the others to the running sum.  The kernel
-    returns None, leaving the call to the loop, where an input is of
-    another pass, has a non-float value or a gradient of another length.
+    The kernel returns None, leaving the call to the loop, unless every
+    input has the first input's tag on each layer, a float at the bottom
+    and gradients of ``lengths``, and the entries of every layer but the
+    oldest are floats: those are the entries that the rules expand.  An
+    entry of the oldest pass goes through the loop's operations whatever
+    its type.  ``_sin_fn`` has checked the first input's layers.
     """
-    js, ks = range(n_inputs), range(n)
-    lines = _kernel_head(n_inputs)
-    for j in js[1:]:
-        lines += [f"    x{j} = coords[{j}]",
-                  f"    if not (type(x{j}) is DScalar and x{j}.tag == tag",
-                  f"            and type(x{j}.value) is float):",
-                  "        return None"]
-    lines.append("    try:")
-    lines += [f"        [{', '.join(f'g{j}_{k}' for k in ks)}] = x{j}.grad"
-              for j in js]
-    lines += ["    except ValueError:",
-              "        return None"]
-    for j in js:
-        lines += [f"    w = x{j}.value * f{j} + p{j}",
-                  "    s = sin(w)",
-                  "    c = cos(w)"]
-        if j == 0:
-            lines.append("    v = s * a0 + c0")
-            lines += [f"    d{k} = (c * (g0_{k} * f0)) * a0" for k in ks]
-        else:
-            lines.append(f"    v = v + s * a{j}")
-            lines += [f"    d{k} = d{k} + (c * (g{j}_{k} * f{j})) * a{j}"
-                      for k in ks]
-    lines.append(f"    return ds(v, {_tuple([f'd{k}' for k in ks])}, tag)")
-    return _compile_kernel(lines, f"<sin field, {n_inputs} inputs, n={n}>")
+    depth, js = len(lengths), range(n_inputs)
+    lines = ["def kernel(coeffs, coords):",
+             "    c0, " + "".join(f"{c}{j}, " for c in "afp" for j in js)
+             + "= coeffs"]
 
+    def guard(tests):
+        lines.extend([f"    if not ({' and '.join(tests)}):",
+                      "        return None"])
 
-@functools.lru_cache(maxsize=None)
-def _nested_sin_kernel(n_inputs: int, n: int, n_outer: int):
-    """``_sin_fn``'s loop for inputs of one pass (gradients of length
-    ``n``) whose values are scalars of one enclosing pass with float values
-    (gradients of length ``n_outer``), as straight-line code compiled on
-    first use; every gradient entry must be a float.
+    def bind(expr):
+        name = f"b{len(lines)}"  # one line per name
+        lines.append(f"    {name} = {expr}")
+        return name
 
-    Input j is x = (y, g) with y = (v, h).  Term j has w = x*f + p, that
-    is value (v*f + p, h*f) and gradient g*f; with s, c the sine and cosine
-    of v*f + p, H = h*f and G = g*f, the loop's ``DScalar`` arithmetic
-    gives it the value (s*a, (c*H)*a) and gradient entries
-    ((c*G)*a, (((-s)*H)*G)*a), and adds the terms as the one-pass kernel
-    does: the first to c0 (its value's value only), the others to the
-    running sum.  The kernel returns None, leaving the call to the loop,
-    for inputs of other passes, other nesting, gradients of other lengths
-    or non-float gradient entries.
-    """
-    js, ks, hs = range(n_inputs), range(n), range(n_outer)
-    lines = _kernel_head(n_inputs) + ["    y0 = x0.value",
-                                      "    utag = y0.tag"]
-    for j in js[1:]:
-        lines += [f"    x{j} = coords[{j}]",
-                  f"    if not (type(x{j}) is DScalar and x{j}.tag == tag):",
-                  "        return None",
-                  f"    y{j} = x{j}.value",
-                  f"    if not (type(y{j}) is DScalar and y{j}.tag == utag",
-                  f"            and type(y{j}.value) is float):",
-                  "        return None"]
-    lines.append("    try:")
+    # the inputs' layers, checked against the first input's
     for j in js:
-        inner = ", ".join(f"g{j}_{k}" for k in ks)
-        outer = ", ".join(f"h{j}_{o}" for o in hs)
-        lines += [f"        [{inner}] = x{j}.grad",
-                  f"        [{outer}] = y{j}.grad"]
-    lines += ["    except ValueError:",
-              "        return None"]
-    entries = ([f"g{j}_{k}" for j in js for k in ks]
-               + [f"h{j}_{o}" for j in js for o in hs])
-    lines += ["    if not (" + " and ".join(
-                  f"type({e}) is float" for e in entries) + "):",
-              "        return None"]
-    for j in js:
-        lines += [f"    w = y{j}.value * f{j} + p{j}",
-                  "    s = sin(w)",
-                  "    c = cos(w)",
-                  "    ms = -s"]
-        lines += [f"    H{o} = h{j}_{o} * f{j}" for o in hs]
-        lines += [f"    G{k} = g{j}_{k} * f{j}" for k in ks]
-        terms = ([("v", f"s * a{j}")]
-                 + [(f"v{o}", f"(c * H{o}) * a{j}") for o in hs]
-                 + [(f"d{k}", f"(c * G{k}) * a{j}") for k in ks]
-                 + [(f"d{k}_{o}", f"((ms * H{o}) * G{k}) * a{j}")
-                    for k in ks for o in hs])
-        for name, term in terms:
-            if j > 0:
-                lines.append(f"    {name} = {name} + {term}")
-            elif name == "v":
-                lines.append(f"    v = {term} + c0")
+        x, tests = f"coords[{j}]", []
+        for l in range(depth):
+            if j == 0:
+                lines += [f"    x0_{l} = {x}", f"    t{l} = x0_{l}.tag"]
             else:
-                lines.append(f"    {name} = {term}")
-    grad = [f"ds(d{k}, {_tuple([f'd{k}_{o}' for o in hs])}, utag)"
-            for k in ks]
-    lines.append(f"    return ds(ds(v, {_tuple([f'v{o}' for o in hs])}, "
-                 f"utag), {_tuple(grad)}, tag)")
-    return _compile_kernel(
-        lines, f"<nested sin field, {n_inputs} inputs, n={n}, "
-               f"n_outer={n_outer}>")
+                tests += [f"type(x{j}_{l} := {x}) is DScalar",
+                          f"x{j}_{l}.tag == t{l}"]
+            x = f"x{j}_{l}.value"
+        if j == 0:
+            lines.append(f"    v0 = {x}")
+        else:
+            guard(tests + [f"type(v{j} := {x}) is float"])
+    grads = [[[f"g{j}_{l}_{k}" for k in range(n)]
+              for l, n in enumerate(lengths)] for j in js]
+    if depth:
+        lines.append("    try:")
+        lines += [f"        [{', '.join(grads[j][l])}] = x{j}_{l}.grad"
+                  for j in js for l in range(depth)]
+        lines += ["    except ValueError:", "        return None"]
+    expanded = [g for j in js for l in range(depth - 1) for g in grads[j][l]]
+    if expanded:
+        guard([f"type({g}) is float" for g in expanded])
 
+    def each(jet, fn, entries=True):
+        """``jet`` with ``fn`` applied to its innermost value and, unless
+        ``entries`` is false, to every entry."""
+        if type(jet) is str:
+            return fn(jet)
+        value, grad, tag = jet
+        return (each(value, fn, entries),
+                [each(g, fn) for g in grad] if entries else grad, tag)
 
-def _kernel_head(n_inputs: int) -> list:
-    """The first lines of a sin-field kernel: the first two unpack the
-    coefficients, the others take its pass's tag from the first input."""
-    js = range(n_inputs)
-    params = ([f"a{j}" for j in js] + [f"f{j}" for j in js]
-              + [f"p{j}" for j in js])
-    return ["def kernel(coeffs, coords):",
-            f"    c0, {', '.join(params)}, = coeffs",
-            "    x0 = coords[0]",
-            "    tag = x0.tag"]
+    def scale(jet, f):
+        return each(jet, lambda e: f"({e} * {f})")
 
+    def add(x, y):  # x is the running sum: + associates to the left
+        if type(x) is str:
+            return f"{x} + {y}"
+        return (add(x[0], y[0]), [add(a, b) for a, b in zip(x[1], y[1])],
+                x[2])
 
-def _tuple(names: list) -> str:
-    """Source text of the tuple of ``names``."""
-    return f"({', '.join(names)}{',' if len(names) == 1 else ''})"
+    def sin_cos(jet, need_cos=True):
+        """The sine jet of ``jet``, and its cosine jet where needed."""
+        if type(jet) is str:
+            return (bind(f"sin({jet})"),
+                    bind(f"cos({jet})") if need_cos else None)
+        value, grad, tag = jet
+        s, c = sin_cos(value)
+        sine = (s, [scale(c, g) for g in grad], tag)
+        if not need_cos:
+            return sine, None
+        minus_s = each(s, lambda e: bind(f"-{e}"))
+        return sine, (c, [scale(minus_s, g) for g in grad], tag)
 
+    def source(jet):
+        if type(jet) is str:
+            return jet
+        value, grad, tag = jet
+        entries = "".join(f"{source(g)}, " for g in grad)
+        return f"ds({source(value)}, ({entries}), {tag})"
 
-def _compile_kernel(lines: list, name: str):
-    """Compile a kernel's ``lines``; ``name`` shows in tracebacks."""
-    namespace = {"DScalar": DScalar, "ds": _ds,
-                 "sin": math.sin, "cos": math.cos}
-    exec(compile("\n".join(lines), name, "exec"), namespace)
-    return namespace["kernel"]
+    for j in js:  # the loop's term a*sin(f*x + p), added to c0, then the sum
+        x = f"v{j}"
+        for l in reversed(range(depth)):
+            x = (x, grads[j][l], f"t{l}")
+        w = each(scale(x, f"f{j}"), lambda e: f"({e} + p{j})", False)
+        term = scale(sin_cos(each(w, bind), need_cos=False)[0], f"a{j}")
+        acc = (each(term, lambda e: f"({e} + c0)", False) if j == 0
+               else add(acc, term))
+    lines.append(f"    return {source(acc)}")
+    return _define(lines, f"<sin field, {n_inputs} inputs, lengths "
+                          f"{lengths}>",
+                   {"DScalar": DScalar, "ds": _ds, "sin": math.sin,
+                    "cos": math.cos})
 
 
 def _sin_fns(rng: np.random.Generator, n_inputs: int, scales) -> list:
@@ -531,11 +488,6 @@ def _sin_fns(rng: np.random.Generator, n_inputs: int, scales) -> list:
     parts = [_sin_bounds(n_inputs, c, w) for c, w in scales]
     return [_sin_fn(coeffs, n_inputs)
             for coeffs in uniform_parts(rng, *parts)]
-
-
-def _sin_combination(rng: np.random.Generator, n_inputs: int,
-                     constant_scale: float, wave_scale: float):
-    return _sin_fns(rng, n_inputs, [(constant_scale, wave_scale)])[0]
 
 
 @functools.cache
@@ -617,7 +569,7 @@ def random_suvx(bundle: TrivializedBundle, rng: np.random.Generator
 def random_total_scalar_field(bundle: TrivializedBundle,
                               rng: np.random.Generator):
     """Random smooth scalar evaluator on the total space."""
-    return _sin_combination(rng, bundle.total_dim, 1.0, 0.6)
+    return _sin_fns(rng, bundle.total_dim, [(1.0, 0.6)])[0]
 
 
 def _tangent(e: Point, coords: Sequence[float]) -> TotalTangent:

@@ -18,7 +18,8 @@ import numpy as np
 
 from .bundle import (BaseVectorField, Point, SectionMap, SpaceTag,
                      TotalVectorField, TrivializedBundle)
-from .calculus import Scalar, as_float_array, derivative, float_value
+from .calculus import (Scalar, _define, as_float_array, derivative,
+                       float_value)
 from .connection import ConnectionField, horizontal_lift_field
 from .errors import (ChartExitError, DomainError, StepBudgetError,
                      TangentBundleRequiredError)
@@ -150,10 +151,8 @@ def _rk4_loop(d: int, negate_from: int):
         "            path.append((t, np.array(z)))",
         "    return z",
     ]
-    namespace = {"ChartExitError": ChartExitError, "np": np}
-    name = f"<rk4 loop, d={d}, negated from {negate_from}>"
-    exec(compile("\n".join(lines), name, "exec"), namespace)
-    return namespace["loop"]
+    return _define(lines, f"<rk4 loop, d={d}, negated from {negate_from}>",
+                   {"ChartExitError": ChartExitError, "np": np})
 
 
 def flow(X: TotalVectorField, e0: Point, lam: float,
@@ -263,7 +262,7 @@ def covariant_derivative_along_curve(conn: ConnectionField, curve: CurveOnBase,
         raise DomainError("curve/fibre data leave the chart box at t")
     ydot = as_float_array(derivative(y_of_t, float(t)))
     cdot = curve.velocity(t)
-    g = as_float_array(conn.gamma(list(x), list(y), list(cdot)))
+    g = as_float_array(conn.gamma(x.tolist(), y.tolist(), cdot.tolist()))
     return ydot + g
 
 

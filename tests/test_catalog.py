@@ -380,10 +380,10 @@ def _numpy_sin_combination(rng, n_inputs, constant_scale, wave_scale):
 def test_sin_combination_floats_bit_equal_to_numpy_reference(
         n_inputs, constant_scale, wave_scale):
     from fibrum.calculus import value_and_jacobian
-    from fibrum.catalog import _sin_combination
+    from fibrum.catalog import _sin_fns
     for seed in range(5):
-        got = _sin_combination(np.random.default_rng(seed), n_inputs,
-                               constant_scale, wave_scale)
+        got = _sin_fns(np.random.default_rng(seed), n_inputs,
+                       [(constant_scale, wave_scale)])[0]
         want = _numpy_sin_combination(np.random.default_rng(seed), n_inputs,
                                       constant_scale, wave_scale)
         points = np.random.default_rng(100 + seed).uniform(
@@ -398,10 +398,11 @@ def test_sin_combination_floats_bit_equal_to_numpy_reference(
             assert g_jac.tolist() == w_jac.tolist()
 
 
-# -- the fused sin-field kernel against the loop ------------------------------
-# ``_sin_fn`` sends inputs that are all scalars of one pass with float values
-# through a generated kernel; every other input takes its loop.  Both must
-# give the same bits, signed zeros included, and raise the same error.
+# -- the generated sin-field kernels against the loop -------------------------
+# ``_sin_fn`` sends inputs of one shape (floats, or scalars of the same passes
+# nested down to floats) through the kernel that ``_sin_kernel`` generates
+# for that shape; every other input takes its loop.  Both must give the same
+# bits, signed zeros included, and raise the same error.
 
 def _sin_loop(coeffs, n_inputs):
     """``_sin_fn`` without its kernel: the loop, copied verbatim."""
@@ -432,6 +433,18 @@ def _sin_outcome(fn, coords):
         return _layers(fn(coords))
     except ValueError:
         return ValueError
+
+
+def _kernel_for(coeffs, inputs):
+    """The kernel ``_sin_fn`` asks for ``inputs``: the one keyed on the
+    gradient lengths of the first input's layers, youngest first."""
+    from fibrum.catalog import _sin_kernel
+    z, lengths = inputs[0], ()
+    while isinstance(z, DScalar):
+        lengths += (len(z.grad),)
+        z = z.value
+    assert type(z) is float
+    return _sin_kernel(len(inputs), lengths)
 
 
 _KINDS = ("floats", "one pass", "nested", "mixed tags", "mixed floats",
@@ -476,26 +489,25 @@ def _sin_inputs(draw):
 @given(case=_sin_inputs())
 @settings(max_examples=400, deadline=None)
 def test_sin_kernel_bit_equal_to_loop(case):
-    from fibrum.catalog import _float_sin_kernel, _sin_fn, _sin_kernel
+    from fibrum.catalog import _sin_fn
     kind, coeffs, inputs, n = case
     n_inputs = len(inputs)
     got = _sin_outcome(_sin_fn(coeffs, n_inputs), inputs)
     assert got == _sin_outcome(_sin_loop(coeffs, n_inputs), inputs)
     assert (got is ValueError) == (kind == "unequal lengths")
-    # the kernels serve their calls, not the loop, and decline the others
-    assert (_float_sin_kernel(n_inputs)(coeffs, inputs) is None) \
-        == (kind != "floats")
-    if kind == "one pass":
-        assert _sin_kernel(n_inputs, n)(coeffs, inputs) is not None
+    # the kernel serves its calls, not the loop, and declines the others
+    served = _kernel_for(coeffs, inputs)(coeffs, inputs)
+    assert (served is not None) == (kind in ("floats", "one pass", "nested"))
 
 
-# ``_sin_fn`` sends scalars of one pass whose values are all scalars of one
-# enclosing pass with float values, with float gradient entries, through a
-# second generated kernel; every other nesting takes the loop.
+# Scalars of one pass whose values carry enclosing passes: the kernel serves
+# them where every input has the same tags layer by layer and float entries
+# on every layer but the oldest; every other nesting takes the loop.
 
 _NESTED_KINDS = ("nested", "mixed inner tags", "mixed outer tags",
                  "non-float inner gradient", "three levels",
-                 "unequal inner lengths", "unequal outer lengths")
+                 "unequal inner lengths", "unequal outer lengths",
+                 "three layers", "non-float oldest gradient")
 _signed = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-7.0, 7.0))
 
 
@@ -521,11 +533,19 @@ def _nested_sin_inputs(draw):
         inner[j] = inner[j] + [draw(_entry)]
     if kind == "unequal outer lengths":
         outer[j] = outer[j] + [draw(_entry)]
+    odd_entry = st.sampled_from([1, DScalar(0.5, [1.0], 2)])
     if kind == "non-float inner gradient":
         k = draw(st.integers(0, n - 1))
-        inner[j][k] = draw(st.sampled_from([1, DScalar(0.5, [1.0], 2)]))
+        inner[j][k] = draw(odd_entry)
+    if kind == "non-float oldest gradient":
+        outer[j][draw(st.integers(0, n_outer - 1))] = draw(odd_entry)
     if kind == "three levels":
         values[j] = DScalar(values[j], [draw(_entry)], 1)
+    if kind == "three layers":  # every input, an oldest pass of tag 1
+        n_oldest = draw(st.integers(1, 3))
+        values = [DScalar(v, draw(st.lists(_entry, min_size=n_oldest,
+                                           max_size=n_oldest)), 1)
+                  for v in values]
 
     def tags(layer, usual, other):
         if kind != f"mixed {layer} tags":
@@ -542,15 +562,67 @@ def _nested_sin_inputs(draw):
 @given(case=_nested_sin_inputs())
 @settings(max_examples=400, deadline=None)
 def test_nested_sin_kernel_bit_equal_to_loop(case):
-    from fibrum.catalog import _nested_sin_kernel, _sin_fn
+    from fibrum.catalog import _sin_fn
     kind, coeffs, inputs, n, n_outer = case
     n_inputs = len(inputs)
     got = _sin_outcome(_sin_fn(coeffs, n_inputs), inputs)
     assert got == _sin_outcome(_sin_loop(coeffs, n_inputs), inputs)
     assert (got is ValueError) == kind.startswith("unequal")
-    if type(inputs[0].value.value) is float:  # ``_sin_fn`` asks the kernel
-        served = _nested_sin_kernel(n_inputs, n, n_outer)(coeffs, inputs)
-        assert (served is not None) == (kind == "nested")
+    if kind != "non-float oldest gradient":  # bit-equal, served or not
+        served = _kernel_for(coeffs, inputs)(coeffs, inputs)
+        # a lone input with a third layer is three layers deep throughout
+        uniform = kind in ("nested", "three layers") or (
+            kind == "three levels" and n_inputs == 1)
+        assert (served is not None) == uniform
+
+
+def test_sin_kernel_serves_many_inputs():
+    # a running sum takes no parenthesis level per term, so the kernel of
+    # a field of 250 inputs compiles under the parser's nesting limit of 200
+    from fibrum.catalog import _sin_fn
+    n_inputs = 250
+    coeffs = np.random.default_rng(5).uniform(
+        -1.0, 1.0, 3 * n_inputs + 1).tolist()
+    values = np.random.default_rng(6).uniform(-1.0, 1.0, n_inputs).tolist()
+    for inputs in (values, [DScalar(v, (1.0, -0.5), 9) for v in values]):
+        got = _sin_fn(coeffs, n_inputs)(inputs)
+        assert _layers(got) == _layers(_sin_loop(coeffs, n_inputs)(inputs))
+        assert _kernel_for(coeffs, inputs)(coeffs, inputs) is not None
+
+
+@pytest.mark.parametrize("bundle_name", ["sphere", "nonlinear-demo"])
+def test_sin_kernel_serves_every_theorem41_call(monkeypatch, bundle_name):
+    # a call on scalars that falls back to the loop gives the same bits at
+    # about four times the cost, so only counting shows it: every draw of
+    # a theorem41 row is floats or scalars of one shape
+    from fibrum import catalog, load_config, run_scenario
+    counts = {"calls": 0, "served": 0}
+    make_fn, make_kernel = catalog._sin_fn, catalog._sin_kernel
+
+    def counted_fn(coeffs, n_inputs):
+        fn = make_fn(coeffs, n_inputs)
+
+        def counted(coords):
+            counts["calls"] += 1
+            return fn(coords)
+        return counted
+
+    def counted_kernel(n_inputs, lengths):
+        kernel = make_kernel(n_inputs, lengths)
+
+        def counted(coeffs, coords):
+            out = kernel(coeffs, coords)
+            counts["served"] += out is not None
+            return out
+        return counted
+
+    monkeypatch.setattr(catalog, "_sin_fn", counted_fn)
+    monkeypatch.setattr(catalog, "_sin_kernel", counted_kernel)
+    run_scenario(load_config({"bundle_name": bundle_name,
+                              "scenario": "theorem41",
+                              "scenario_params": {"samples": 3}}))
+    assert counts["calls"] > 0
+    assert counts["served"] == counts["calls"]
 
 
 # The samplers as they were before each draw took its doubles from one

@@ -235,6 +235,27 @@ def test_covariant_derivative_along_curve_flat_plain_derivative(flat_conn):
     assert np.max(np.abs(val - np.array([0.8, 0.5]))) < 1e-13
 
 
+def test_covariant_derivative_along_curve_hands_gamma_python_floats(
+        sphere_conn):
+    # gamma's scalar arithmetic is cheaper on Python floats than on numpy
+    # float64 scalars, with the same bits
+    from fibrum import ConnectionField
+    seen = set()
+
+    def gamma(x, y, v):
+        seen.update(type(c) for c in (*x, *y, *v))
+        return sphere_conn.gamma(x, y, v)
+
+    spy = ConnectionField(sphere_conn.bundle, gamma, sphere_conn.kind)
+    loop = latitude_loop(sphere_conn.bundle, math.pi / 3.0)
+    for t in (0.0, 1.3, 4.0):
+        got = covariant_derivative_along_curve(spy, loop, loop.velocity_fn, t)
+        want = covariant_derivative_along_curve(sphere_conn, loop,
+                                                loop.velocity_fn, t)
+        assert got.tolist() == want.tolist()
+    assert seen == {float}
+
+
 def test_covariant_derivative_along_curve_recovers_perturbation(sphere_conn):
     # y(t) = transported + t * w: the derivative at t = 0 recovers w
     curve = segment_curve(sphere_conn.bundle, [1.0, -0.5], [1.6, 0.9])
