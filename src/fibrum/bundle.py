@@ -286,8 +286,8 @@ class SectionMap:
 def jet_bracket(xe, jx, ye, jy) -> list:
     """Coordinate Lie bracket DY X - DX Y at one point, from the 1-jets
     (value, Jacobian) of X and Y there, as ``value_and_jacobian`` gives
-    them; Jacobians as lists of float rows (``calculus._rows``) keep a
-    float bracket's products on Python floats."""
+    them: list rows, whose Python float entries keep a float bracket's
+    products off numpy scalars."""
     return [dot(jy[i], xe) - dot(jx[i], ye) for i in range(len(xe))]
 
 

@@ -13,10 +13,11 @@ enclosing differentiation is the typical case), the younger tag is the
 active one and the older operand is threaded through as a constant; this
 is what keeps nested derivatives from contaminating each other.  Every
 scalar of one pass has the pass's gradient length, the number of seeds;
-same-tag operands of different lengths raise ``ValueError``.  A pass whose
-``coords`` or values carry an enclosing pass's scalars (an evaluator may
-capture them) is nested, and :func:`value_and_jacobian` returns it as
-lists.
+same-tag operands of different lengths raise ``ValueError``.  A Jacobian
+is a list of rows.  A pass whose ``coords`` or values carry an enclosing
+pass's scalars (an evaluator may capture them) is nested, and its entries
+belong to that pass; any other pass's entries are Python floats, checked
+for NaN/inf.
 
 Gradients are built by straight-line kernels, one per operation and
 gradient length, generated and compiled on first use of that length and
@@ -364,13 +365,12 @@ def value_and_jacobian(fn: VectorFn, coords: Sequence[Scalar]):
 
     One evaluation gives both.  The values are the pass's outputs with its
     own layer stripped: ``fn(coords)``, except that a division by a varying
-    ``b`` rounds as a product with ``b ** -1``.  Column ``j`` of the
-    Jacobian is the directional derivative along ``e_j``.  The pass is
-    nested when ``coords`` or the values carry DScalars of an enclosing
-    differentiation, as when ``fn`` captures them from that pass: values
-    and entries (nested lists) then belong to the enclosing pass.
-    Otherwise the Jacobian is a float ``(k, n)`` ndarray, checked for
-    NaN/inf.
+    ``b`` rounds as a product with ``b ** -1``.  The Jacobian is a list of
+    rows, one per output; column ``j`` is the directional derivative along
+    ``e_j``.  The pass is nested when ``coords`` or the values carry
+    DScalars of an enclosing differentiation, as when ``fn`` captures them
+    from that pass: values and entries then belong to the enclosing pass.
+    Otherwise the entries are Python floats, checked for NaN/inf.
     """
     coords = list(coords)
     n = len(coords)
@@ -391,30 +391,24 @@ def value_and_jacobian(fn: VectorFn, coords: Sequence[Scalar]):
     if (any(type(c) is DScalar for c in coords)
             or any(type(v) is DScalar for v in values)):
         return values, rows
-    return values, _float_jacobian(rows)
+    return values, _float_rows(rows)
 
 
-def _float_jacobian(rows) -> np.ndarray:
-    """The rows of a pass that is not nested, as a float ndarray checked
-    for NaN/inf."""
-    mat = np.array(rows, dtype=float)
-    if not np.isfinite(mat).all():
-        raise NonFiniteOutputError(
-            "jacobian produced non-finite entries; evaluator is singular here")
-    return mat
-
-
-def _rows(jac) -> list:
-    """A Jacobian as a list of rows: a float ndarray's as Python floats,
-    which the scalar loops of ``dot`` and ``mat_vec`` multiply faster than
-    numpy scalars, with the same bits; a nested pass's rows as they are."""
-    return jac.tolist() if type(jac) is np.ndarray else jac
+def _float_rows(rows) -> list:
+    """The rows of a pass that is not nested, as lists of Python floats
+    checked for NaN/inf."""
+    rows = [[float(x) for x in row] for row in rows]
+    for row in rows:
+        if not all(map(math.isfinite, row)):
+            raise NonFiniteOutputError("jacobian produced non-finite "
+                                       "entries; evaluator is singular here")
+    return rows
 
 
 def _field_jets(fields: Callable, coords: Sequence[Scalar]) -> list:
     """(values, Jacobian) of each field, from one :func:`value_and_jacobian`
     pass over them stacked: ``fields(coords)`` returns their values, one
-    sequence per field.  Each Jacobian is a list of rows (``_rows``).
+    sequence per field.  It is the package's one stacked pass.
 
     Each jet is the one a pass of its own would give, bit for bit: the
     fields are pure, and a forward-mode gradient entry uses only that entry
@@ -434,13 +428,13 @@ def _field_jets(fields: Callable, coords: Sequence[Scalar]) -> list:
         return out
 
     values, jac = value_and_jacobian(stacked, coords)
-    mixed = type(jac) is list and not any(type(c) is DScalar for c in coords)
-    jac = _rows(jac)
+    mixed = (not any(type(c) is DScalar for c in coords)
+             and any(type(v) is DScalar for v in values))
     jets, k = [], 0
     for n in sizes:
         vals, rows = values[k:k + n], jac[k:k + n]
         if mixed and not any(type(v) is DScalar for v in vals):
-            rows = _float_jacobian(rows).tolist()
+            rows = _float_rows(rows)
         jets.append((vals, rows))
         k += n
     return jets

@@ -26,7 +26,7 @@ import numpy as np
 from .bundle import (BaseVectorField, Box, Point, SectionMap,
                      TotalTangent, TrivializedBundle, _spans, _uniform_spans,
                      uniform, uniform_parts)
-from .calculus import (DScalar, _define, _ds, _rows, cos, dot, float_value,
+from .calculus import (DScalar, _define, _ds, cos, dot, float_value,
                        mat_vec, sin)
 from .connection import ConnectionField, ConnectionKind
 from .errors import ConfigError, DomainError
@@ -718,7 +718,7 @@ def sphere_latitude_gb_angle(conn: ConnectionField, theta0: float) -> float:
         tvec = velocity(t)
         nab = covariant_derivative_along_curve(conn, loop, velocity,
                                                t).tolist()
-        g = _rows(sphere_metric(loop.fn(t)))
+        g = sphere_metric(loop.fn(t)).tolist()
         speed = math.sqrt(dot(mat_vec(g, tvec), tvec))
         # inward unit normal for a latitude traversed with increasing phi:
         # minus the theta direction (unit length in the round metric)

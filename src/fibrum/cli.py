@@ -4,7 +4,8 @@
     fibrum verify <bundle-name>  shorthand for verify-all with defaults
     fibrum catalog               list the built-in bundles
 
-Exit status: 0 if every check passed, 1 on check failure, 2 on config
+Exit status: 0 if every check passed, 1 on check failure or a run that
+cannot finish (a library error, an arithmetic overflow), 2 on config
 errors.  ``FIBRUM_SEED`` overrides the config seed; ``--seed`` wins over
 both.
 """
@@ -113,7 +114,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FibrumError as exc:
+    except (FibrumError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -23,8 +23,8 @@ import numpy as np
 
 from .bundle import (BaseVectorField, Point, SectionMap, SpaceTag,
                      TotalTangent, TotalVectorField, TrivializedBundle)
-from .calculus import (Scalar, _rows, as_float_array, float_value,
-                       jacobian, mat_vec, value_and_jacobian, vec_add)
+from .calculus import (Scalar, as_float_array, float_value, jacobian,
+                       mat_vec, value_and_jacobian, vec_add)
 from .errors import DomainError
 
 GammaFn = Callable[[Sequence[Scalar], Sequence[Scalar], Sequence[Scalar]],
@@ -119,8 +119,8 @@ def constant_base_field(bundle: TrivializedBundle,
 
 
 def section_jet(s: SectionMap, x: Point) -> tuple:
-    """The 1-jet (s(x), Ds(x)) of a section at a base point, from one
-    ``value_and_jacobian`` pass; ``natural_derivative`` and
+    """The 1-jet (s(x), Ds(x)) of a section at a base point, Ds(x) as list
+    rows, from one ``value_and_jacobian`` pass; ``natural_derivative`` and
     ``covariant_derivative`` take it as ``jet`` to share one pass."""
     return value_and_jacobian(s.fn, list(x.coords))
 
@@ -142,7 +142,7 @@ def _nat_value(s_fn, v_fn, x, jet=None) -> list:
     ``jet`` is (s(x), Ds(x)) when already taken."""
     vx = v_fn(x)
     ds = jacobian(s_fn, x) if jet is None else jet[1]
-    return list(vx) + mat_vec(_rows(ds), vx)
+    return list(vx) + mat_vec(ds, vx)
 
 
 def extend_natural_derivative(s: SectionMap,
@@ -173,7 +173,7 @@ def _cov_value(conn: ConnectionField, s_fn, v_fn, x, y=None,
     vx = v_fn(x)
     sx, ds = value_and_jacobian(s_fn, x) if jet is None else jet
     g = conn.gamma(x, sx if y is None else y, vx)
-    return vec_add(mat_vec(_rows(ds), vx), g)
+    return vec_add(mat_vec(ds, vx), g)
 
 
 def covariant_derivative(conn: ConnectionField, s: SectionMap,

@@ -46,9 +46,9 @@ import numpy as np
 from .bundle import (BaseVectorField, Point, SectionMap, TotalTangent,
                      TotalVectorField, base_lie_bracket, jet_bracket,
                      lie_bracket)
-from .calculus import (Scalar, _field_jets, _rows, as_float_array,
-                       derivative, dot, jacobian, mat_vec, value_and_jacobian,
-                       vec_add, vec_scale, vec_sub)
+from .calculus import (Scalar, _field_jets, as_float_array, derivative, dot,
+                       jacobian, mat_vec, value_and_jacobian, vec_add,
+                       vec_scale, vec_sub)
 from .connection import (ConnectionField, ConnectionKind, _cov_value,
                          constant_base_field, horizontal_lift,
                          horizontal_lift_field)
@@ -269,41 +269,37 @@ def curv_via_covariant_composition(conn: ConnectionField, s: SectionMap,
     nabla_u W itself and this is ``composition_commutator``.  Evaluators
     must be closed under nested derivative-carrying scalars.
 
-    One ``value_and_jacobian`` pass at x over the stacked fields
-    (u, v, nabla_v s, nabla_u s) gives every jet, with u, v and the nested
-    pass Ds evaluated once in it; [u, v](x) comes from its u and v rows, as
-    in ``_RouteJets``.  Where u, v and s enter undifferentiated they are
-    plain float values: a pass rounds a division by a varying quantity
+    One pass at x over the stacked fields (u, v, nabla_v s, nabla_u s)
+    gives every jet (``_field_jets``), with u, v and the nested pass Ds
+    evaluated once in it; [u, v](x) comes from the jets of u and v, as in
+    ``_RouteJets``.  Where u, v and s enter undifferentiated they are plain
+    float values: a pass rounds a division by a varying quantity
     differently.
     """
     e = s.graph(x)
     coords = list(x.coords)
-    m, f = conn.bundle.base_dim, conn.bundle.fibre_dim
 
     def fields(xs):
         ux, vx = u.fn(xs), v.fn(xs)
         sx, ds = _nested_section_jet(s.fn, xs)
-        return (list(ux) + list(vx)
-                + vec_add(mat_vec(ds, vx), conn.gamma(xs, sx, vx))
-                + vec_add(mat_vec(ds, ux), conn.gamma(xs, sx, ux)))
+        return (ux, vx, vec_add(mat_vec(ds, vx), conn.gamma(xs, sx, vx)),
+                vec_add(mat_vec(ds, ux), conn.gamma(xs, sx, ux)))
 
-    values, jac = value_and_jacobian(fields, coords)
-    jac = _rows(jac)
+    ju, jv, jnv, jnu = _field_jets(fields, coords)
     sx = list(e.fibre_coords)
 
-    def nabla_along_s(k: int, along: BaseVectorField):
-        """nabla_along W for the W in rows k to k + f of the pass."""
+    def nabla_along_s(jet, along: BaseVectorField):
+        """nabla_along W for the jet (W(x), DW(x)) of W."""
         ax = along.fn(coords)
-        wx = values[k:k + f]
-        dw = mat_vec(jac[k:k + f], ax)
+        wx, dw = jet
         dg = derivative(
             lambda t: conn.gamma(coords, vec_add(sx, vec_scale(t, wx)), ax),
             0.0)
-        return as_float_array(vec_add(dw, dg))
+        return as_float_array(vec_add(mat_vec(dw, ax), dg))
 
-    uv = nabla_along_s(2 * m, u)
-    vu = nabla_along_s(2 * m + f, v)
-    bracket = jet_bracket(values[:m], jac[:m], values[m:2 * m], jac[m:2 * m])
+    uv = nabla_along_s(jnv, u)
+    vu = nabla_along_s(jnu, v)
+    bracket = jet_bracket(*ju, *jv)
     w = as_float_array(_cov_value(conn, s.fn, lambda c: bracket, coords))
     return VerticalValue(e, uv - vu - w)
 

@@ -273,7 +273,7 @@ def _run(sub: Subject, check: Check,
     sub.record = {}
     try:
         residual, note = check.run(sub, rng, n)
-    except FibrumError as exc:
+    except (FibrumError, ArithmeticError) as exc:
         residual, note = math.inf, f"{type(exc).__name__}: {exc}"
     return _row(sub, check, n, residual, note)
 

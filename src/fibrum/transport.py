@@ -27,8 +27,12 @@ from .errors import (ChartExitError, DomainError, StepBudgetError,
 
 def step_count(interval: float, step: float) -> int:
     """The number of equal RK4 steps, each at most ``step`` long, that
-    cover ``interval``."""
-    return max(1, int(math.ceil(abs(interval) / step - 1e-12)))
+    cover ``interval``; a number too large to count is a StepBudgetError."""
+    n = abs(interval) / step
+    if not math.isfinite(n):
+        raise StepBudgetError(f"interval {interval!r} in steps of {step!r} "
+                              "needs too many steps to count")
+    return max(1, int(math.ceil(n - 1e-12)))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Derivative-carrying scalar arithmetic and exact Jacobians."""
 
+import itertools
 import math
 import operator
 
@@ -8,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibrum import (DScalar, cos, derivative, exp, float_value, hessian,
-                    jacobian, log, seed_scalars, sin, sqrt, tan,
-                    value_and_jacobian)
+from fibrum import (DScalar, SectionMap, cos, derivative, exp, float_value,
+                    hessian, jacobian, log, make_sphere, section_jet,
+                    seed_scalars, sin, sqrt, tan, value_and_jacobian)
+from fibrum.calculus import _field_jets, _fresh_tag
 from fibrum.errors import NonFiniteOutputError
 
 from conftest import central_fd_jacobian
@@ -45,13 +47,75 @@ def test_jacobian_nonfinite_detected():
         jacobian(lambda x: [float("nan") * x[0]], [1.0])
 
 
+def _ndarray_pass(fn, coords):
+    """A float pass's values and rows as the ndarray Jacobian format gave
+    them, its loop copied verbatim, then made lists:
+    ``np.array(rows, dtype=float).tolist()``."""
+    coords = list(coords)
+    n = len(coords)
+    tag = _fresh_tag()
+    out = fn(seed_scalars(coords, tag))
+    values, rows = [], []
+    for comp in out:
+        if type(comp) is DScalar and comp.tag == tag:
+            values.append(comp.value)
+            rows.append(list(comp.grad))
+        else:
+            values.append(comp)
+            rows.append([0.0] * n)  # constant w.r.t. this pass
+    return values, np.array(rows, dtype=float).tolist()
+
+
+def _float_pass_rows(coords):
+    """Each float pass's rows of a 2-output field at ``coords`` on the
+    sphere's base: ``value_and_jacobian``, ``jacobian``, ``section_jet``,
+    and ``_field_jets``' jets of its first output and of the rest."""
+    bundle = make_sphere().bundle
+    x = bundle.base_point([float(c) for c in coords])
+
+    def field_jets(fn):
+        jets = _field_jets(lambda c: (fn(c)[:1], fn(c)[1:]), coords)
+        return [row for _, rows in jets for row in rows]
+
+    return [lambda fn: value_and_jacobian(fn, coords)[1],
+            lambda fn: jacobian(fn, coords),
+            lambda fn: section_jet(SectionMap(bundle, fn), x)[1],
+            field_jets]
+
+
+def test_float_passes_return_checked_list_rows():
+    # numpy float64 coordinates make numpy float64 gradient entries; every
+    # float pass hands back Python floats with the ndarray format's bits
+    coords = [np.float64(1.1), np.float64(-0.3)]
+    fn = lambda x: [sin(x[0]) * x[1] - x[1] / (3.0 + x[0]), 4.0]
+    want = _ndarray_pass(fn, coords)[1]
+    for rows_of in _float_pass_rows(coords):
+        rows = rows_of(fn)
+        assert type(rows) is list
+        assert all(type(row) is list for row in rows)
+        assert all(type(v) is float for row in rows for v in row)
+        assert [[v.hex() for v in row] for row in rows] \
+            == [[v.hex() for v in row] for row in want]
+    # one NaN or infinity, at any (row, column), fails every float pass
+    for bad, i, j in itertools.product([math.nan, math.inf, -math.inf],
+                                       range(2), range(2)):
+        def fn(x):
+            return [DScalar(0.5, [bad if (r, c) == (i, j) else 0.5
+                                  for c in range(2)], x[0].tag)
+                    for r in range(2)]
+
+        for rows_of in _float_pass_rows(coords):
+            with pytest.raises(NonFiniteOutputError):
+                rows_of(fn)
+
+
 def test_chain_rule_against_composition():
     f = lambda x: [sin(x[0]) * x[1], x[0] + x[1] ** 3]
     g = lambda y: [exp(0.3 * y[0]) - y[1], y[0] * y[1]]
     x0 = [0.7, -0.4]
     J_comp = jacobian(lambda x: g(f(x)), x0)
     fx = [float_value(c) for c in f(x0)]
-    J_chain = jacobian(g, fx) @ jacobian(f, x0)
+    J_chain = np.array(jacobian(g, fx)) @ jacobian(f, x0)
     assert np.max(np.abs(J_comp - J_chain)) < 1e-12
 
 
@@ -78,7 +142,7 @@ def test_chain_rule_over_catalog_pairs():
             coords = list(x.coords)
             J_comp = jacobian(lambda c: g(f(c)), coords)
             fx = [float_value(c) for c in f(coords)]
-            J_chain = jacobian(g, fx) @ jacobian(f, coords)
+            J_chain = np.array(jacobian(g, fx)) @ jacobian(f, coords)
             assert np.max(np.abs(J_comp - J_chain)) < 1e-12
 
 
@@ -507,7 +571,7 @@ def test_kernels_have_no_length_cap():
     J = jacobian(lambda x: _twelve(x, sin), coords)
     want = [[float(g).hex() for g in out.grad]
             for out in _twelve(outer, _ref_sin)]
-    assert [[v.hex() for v in row] for row in J.tolist()] == want
+    assert [[v.hex() for v in row] for row in J] == want
     H = hessian(lambda x: _twelve(x, sin), coords)
     inner = [_RefDScalar(o, e, 2) for o, e in zip(outer, basis)]
     want = [[[_ref_float(h).hex() for h in entry.grad] for entry in out.grad]

@@ -395,7 +395,7 @@ def test_sin_combination_floats_bit_equal_to_numpy_reference(
             g_val, g_jac = value_and_jacobian(lambda c: [got(c)], p)
             w_val, w_jac = value_and_jacobian(lambda c: [want(c)], p)
             assert g_val == w_val
-            assert g_jac.tolist() == w_jac.tolist()
+            assert g_jac == w_jac
 
 
 # -- the generated sin-field kernels against the loop -------------------------

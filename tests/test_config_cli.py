@@ -9,12 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_report_pins import RUNS, report_sha256
 
 from fibrum import (canonical_text, emit_report, load_config,
                     run_scenario)
+from fibrum.catalog import CATALOG
 from fibrum.errors import ConfigError
 
 
@@ -799,3 +800,111 @@ def test_cli_bad_tolerance_fails_named_check(tmp_path):
     tree = json.loads((tmp_path / "rep.json").read_text())
     bad = [r for r in tree["checks"] if not r["pass"]]
     assert [r["check_name"] for r in bad] == ["gamma_linearity"]
+
+
+# Each of these once ended in an OverflowError traceback (exit 1): a step
+# count past the float range (the first four), a base box too wide to
+# sample, and gamma's y**3 on a fibre box of half-width 1e200.
+_OVERFLOWS = [
+    pytest.param(["verify", "sphere", "--step", "1e-320"], None,
+                 id="verify-sphere-step"),
+    pytest.param(["verify", "flat", "--step", "1e-320"], None,
+                 id="verify-flat-step"),
+    pytest.param(["run"], {"bundle_name": "flat", "scenario": "transport",
+                           "integrator": {"step": 1e-320}},
+                 id="transport-flat-step"),
+    pytest.param(["run"], {"bundle_name": "sphere", "scenario": "geodesic",
+                           "scenario_params": {"T": 1e308}},
+                 id="geodesic-sphere-T"),
+    pytest.param(["run"], {"bundle_name": "flat", "scenario": "verify-all",
+                           "bundle_params": {"base_half": 1e308}},
+                 id="verify-all-flat-base_half"),
+    pytest.param(["run"], {"bundle_name": "nonlinear-demo",
+                           "scenario": "verify-all",
+                           "bundle_params": {"fibre_half": 1e200}},
+                 id="verify-all-nonlinear-demo-fibre_half"),
+]
+
+
+@pytest.mark.parametrize("argv, config", _OVERFLOWS)
+def test_cli_overflowing_inputs_exit_1(tmp_path, capsys, argv, config):
+    from fibrum.cli import main
+    if config is not None:
+        argv = argv + [str(_write(tmp_path, config))]
+    assert main(argv + ["--out", str(tmp_path / "rep.json")]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
+_EXTREME = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([5e-324, -5e-324, 1e-320, 1e-300, 1e308, -1e308]))
+
+
+@st.composite
+def _extreme_configs(draw):
+    """A config of a cheap scenario on a catalog bundle, with extreme
+    finite reals in the step, T, radius, latitude, the half-widths and the
+    vector entries; the step, radius and half-widths are mostly positive
+    and latitude or radius only go where they apply, so that most configs
+    get past validation.  m and f stay small (a huge m builds m-long
+    tuples) and max_steps at most 20,000, so no example runs for long."""
+    bundle = draw(st.sampled_from(sorted(CATALOG)))
+    scenario = draw(st.sampled_from(["transport", "geodesic", "holonomy",
+                                     "theorem41"]))
+    params = {}
+    for name in draw(st.lists(st.sampled_from(
+            sorted(set(CATALOG[bundle]["params"]) & {"m", "f", "base_half",
+                                                       "fibre_half"})),
+            unique=True)):
+        params[name] = draw(st.integers(1, 4) if name in ("m", "f")
+                            else _EXTREME.map(abs))
+    m = params.get("m", 2)
+    f = {"flat": params.get("f", 2), "nonlinear-demo": 1}.get(bundle, m)
+    vectors = {"x0": m, "v0": m, "y0": f}
+    optional = {"transport": ["y0"], "geodesic": ["x0", "v0", "T"],
+                "holonomy": ["radius", "y0"], "theorem41": ["seed"]}[scenario]
+    if bundle == "sphere" and scenario in ("transport", "holonomy"):
+        optional = ["latitude", "y0"]
+    scenario_params = {}
+    if scenario == "theorem41":
+        scenario_params["samples"] = draw(st.integers(1, 2))
+    for name in draw(st.lists(st.sampled_from(optional), unique=True)):
+        if name == "seed":
+            scenario_params[name] = draw(st.integers(0, 2**64))
+        elif name in vectors:
+            n = vectors[name]
+            scenario_params[name] = draw(st.lists(_EXTREME, min_size=n,
+                                                  max_size=n))
+        else:
+            scenario_params[name] = draw(_EXTREME.map(abs)
+                                         if name == "radius" else _EXTREME)
+    integrator = {"max_steps": draw(st.integers(1, 20_000))}
+    if draw(st.booleans()):
+        integrator["step"] = draw(_EXTREME.map(abs))
+    return {"bundle_name": bundle, "bundle_params": params,
+            "scenario": scenario, "scenario_params": scenario_params,
+            "integrator": integrator}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@given(config=_extreme_configs())
+@example(config={"bundle_name": "sphere", "scenario": "verify-all",
+                 "integrator": {"step": 1e-320}})
+@example(config={"bundle_name": "flat", "scenario": "verify-all",
+                 "integrator": {"step": 1e-320}})
+@example(config=_OVERFLOWS[2].values[1])
+@example(config=_OVERFLOWS[3].values[1])
+@example(config=_OVERFLOWS[4].values[1])
+@example(config=_OVERFLOWS[5].values[1])
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_cli_extreme_inputs_end_in_an_exit_status(fuzz_dir, config):
+    # an input never ends in a traceback: a check failure exits 1 and a
+    # config error 2 (numpy may still warn on stderr)
+    from fibrum.cli import main
+    path = _write(fuzz_dir, config)
+    assert main(["run", str(path), "--quiet",
+                 "--out", str(fuzz_dir / "rep.json")]) in (0, 1, 2)
