@@ -35,23 +35,25 @@ print("annihilation |P_V P_H| =", np.max(np.abs(pv @ ph)))
 
 # --- horizontal lift ----------------------------------------------------------
 lift = horizontal_lift(conn, e, [0.0, 1.0])
+lift_fibre = np.asarray(lift.fibre_part)
 print("\nhorizontal lift of d_phi at that point:")
-print("  base part :", lift.base_part)
-print("  fibre part:", lift.fibre_part, "(the cot(pi/4) = 1 coefficient)")
+print("  base part :", np.asarray(lift.base_part))
+print("  fibre part:", lift_fibre, "(the cot(pi/4) = 1 coefficient)")
 
 # --- natural and covariant derivative of a section ---------------------------
 s = SectionMap(bundle, lambda x: [1.0, 0.0])      # constant section of TS^2
 v = BaseVectorField(bundle, lambda x: [0.0, 1.0])  # d_phi
 x = bundle.base_point([math.pi / 4, 0.0])
 nat = natural_derivative(s, v, x)
-cov = covariant_derivative(conn, s, v, x)
+nat_base, nat_fibre = np.asarray(nat.base_part), np.asarray(nat.fibre_part)
+cov = np.asarray(covariant_derivative(conn, s, v, x))
 print("\nconstant section y = (1, 0), differentiated along d_phi at "
       "theta = pi/4:")
-print("  natural derivative (base, fibre):", nat.base_part, nat.fibre_part)
+print("  natural derivative (base, fibre):", nat_base, nat_fibre)
 print("  covariant derivative            :", cov)
 print("  split: natural = covariant (vertical) + horizontal lift of d_phi")
-print("         fibre of lift:", lift.fibre_part, " cov + lift =",
-      cov + lift.fibre_part, "= fibre of natural", nat.fibre_part)
+print("         fibre of lift:", lift_fibre, " cov + lift =",
+      cov + lift_fibre, "= fibre of natural", nat_fibre)
 
 # --- the lift is fibrewise injective (full rank) ------------------------------
 print("\nlift rank at the graph point:", lift_rank_check(conn, s, x),

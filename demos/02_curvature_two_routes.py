@@ -40,11 +40,11 @@ v = BaseVectorField(bundle, lambda x: [0.0, 1.0])   # d_phi
 theta = math.pi / 3
 x = bundle.base_point([theta, 0.0])
 
-A = curv_via_lifts(sphere, s, u, v, x).fibre_part
-B = curv_via_vertical_projection(sphere, s, u, v, x).fibre_part
-C = curv_via_covariant(sphere, s, u, v, x).fibre_part
-D = curv_via_covariant_composition(sphere, s, u, v, x).fibre_part
-cross = cross_bracket_sum(sphere, s, u, v, x)
+A = np.asarray(curv_via_lifts(sphere, s, u, v, x).fibre_part)
+B = np.asarray(curv_via_vertical_projection(sphere, s, u, v, x).fibre_part)
+C = np.asarray(curv_via_covariant(sphere, s, u, v, x).fibre_part)
+D = np.asarray(curv_via_covariant_composition(sphere, s, u, v, x).fibre_part)
+cross = np.asarray(cross_bracket_sum(sphere, s, u, v, x))
 
 print("sphere, constant section y=(1,0), coordinate fields, theta = pi/3:")
 print("  route A (lift difference)   :", A)
@@ -67,9 +67,10 @@ s2 = SectionMap(fb, lambda x: [x[0], x[1]])          # s(x) = x
 u2 = BaseVectorField(fb, lambda x: [1.0, 0.0])
 v2 = BaseVectorField(fb, lambda x: [x[0], 0.0])      # [u2, v2] = (1, 0)
 x2 = fb.base_point([0.5, -0.3])
-A2 = curv_via_lifts(flat, s2, u2, v2, x2).fibre_part
-C2 = curv_via_covariant(flat, s2, u2, v2, x2).fibre_part
-D2 = curv_via_covariant_composition(flat, s2, u2, v2, x2).fibre_part
+A2 = np.asarray(curv_via_lifts(flat, s2, u2, v2, x2).fibre_part)
+C2 = np.asarray(curv_via_covariant(flat, s2, u2, v2, x2).fibre_part)
+D2 = np.asarray(curv_via_covariant_composition(flat, s2, u2, v2, x2)
+                .fibre_part)
 print("\nflat chart, s(x) = x, u = d1, v = x1 d1 (so [u,v] = d1):")
 print("  route A:", A2, "(flat: no curvature)")
 print("  route C:", C2, "= -Ds [u,v] = -(1, 0); the commutator of the")
@@ -85,11 +86,13 @@ for _ in range(40):
     u3 = random_base_field(bundle, rng)
     v3 = random_base_field(bundle, rng)
     x3 = random_base_point(bundle, rng)
-    a = curv_via_lifts(sphere, s3, u3, v3, x3).fibre_part
-    b = curv_via_vertical_projection(sphere, s3, u3, v3, x3).fibre_part
-    c = curv_via_covariant(sphere, s3, u3, v3, x3).fibre_part
-    d = curv_via_covariant_composition(sphere, s3, u3, v3, x3).fibre_part
-    cr = cross_bracket_sum(sphere, s3, u3, v3, x3)
+    a = np.asarray(curv_via_lifts(sphere, s3, u3, v3, x3).fibre_part)
+    b = np.asarray(curv_via_vertical_projection(sphere, s3, u3, v3, x3)
+                   .fibre_part)
+    c = np.asarray(curv_via_covariant(sphere, s3, u3, v3, x3).fibre_part)
+    d = np.asarray(curv_via_covariant_composition(sphere, s3, u3, v3, x3)
+                   .fibre_part)
+    cr = np.asarray(cross_bracket_sum(sphere, s3, u3, v3, x3))
     worst_ab = max(worst_ab, float(np.max(np.abs(a - b))))
     worst_ad = max(worst_ad, float(np.max(np.abs(a - d))))
     worst_ac = max(worst_ac, float(np.max(np.abs(c - a))))

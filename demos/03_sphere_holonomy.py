@@ -46,7 +46,7 @@ print(f"\nat theta0 = pi/3 the rotation is exactly pi: the vector returns "
 _, path = parallel_transport_path(conn, loop, y0, cfg)
 norms = []
 for t, y in path[:: len(path) // 8]:
-    g = sphere_metric(loop.fn(t))
+    y, g = np.asarray(y), np.asarray(sphere_metric(loop.fn(t)))
     norms.append(float(y @ g @ y))
 print("\nround-metric norm g(y, y) along the loop (Levi-Civita transport "
       "is an isometry):")

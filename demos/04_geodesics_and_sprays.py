@@ -45,7 +45,7 @@ print(f"  max difference         : "
 # geodesics preserve speed in the round metric
 speeds = []
 for t, x, v in samples[:: len(samples) // 6]:
-    g = sphere_metric(x)
+    v, g = np.asarray(v), np.asarray(sphere_metric(x))
     speeds.append(float(v @ g @ v))
 print("  g(v, v) along the trajectory:", np.round(speeds, 12))
 
@@ -54,13 +54,14 @@ rng = np.random.default_rng(3)
 s = random_section(bundle, rng)
 w = random_base_field(bundle, rng)
 x = bundle.base_point([1.2, 0.4])
-alg = covariant_derivative(conn, s, w, x)
+alg = np.asarray(covariant_derivative(conn, s, w, x))
 print("\ncovariant derivative via flows vs algebra:")
 print(f"  algebraic value: {np.round(alg, 12)}")
 print("  lambda      flow-composition value        error     ")
 prev = None
 for lam in (1e-2, 1e-3, 1e-4):
-    fd = lie_derivative_covariant(conn, s, w, x, IntegratorConfig(step=lam))
+    fd = np.asarray(lie_derivative_covariant(conn, s, w, x,
+                                             IntegratorConfig(step=lam)))
     err = float(np.max(np.abs(fd - alg)))
     order = "" if prev is None else f"   order {math.log10(prev / err):.3f}"
     prev = err

@@ -8,7 +8,7 @@ geodesics, sprays and holonomy, plus a scenario-driven verification CLI.
 from .bundle import (BaseVectorField, Box, Point, SectionMap, SpaceTag,
                      TotalTangent, TotalVectorField, TrivializedBundle,
                      base_lie_bracket, check_p_related, lie_bracket)
-from .calculus import (DScalar, as_float_array, cos, derivative, dot, exp,
+from .calculus import (DScalar, cos, derivative, dot, exp,
                        float_value, hessian, jacobian, log, mat_vec,
                        seed_scalars, sin, sqrt, tan, value_and_jacobian,
                        vec_add, vec_scale, vec_sub)

@@ -17,7 +17,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .calculus import Scalar, _field_jets, as_float_array, dot, float_value
+from .calculus import (Scalar, _field_jets, _max_abs, dot, float_value,
+                       vec_sub)
 from .errors import DomainError
 
 
@@ -69,9 +70,10 @@ class Box:
                 tuple(hi - pad for hi, pad in zip(self.upper, pads)))
         return out
 
-    def sample(self, rng: np.random.Generator, margin: float = 0.1) -> np.ndarray:
-        """Uniform draw from the box shrunk by a relative margin per side."""
-        return np.array(uniform(rng, *self.bounds(margin)))
+    def sample(self, rng: np.random.Generator, margin: float = 0.1) -> list:
+        """Uniform draw from the box shrunk by a relative margin per side, as
+        a list of floats."""
+        return uniform(rng, *self.bounds(margin))
 
 
 def uniform(rng: np.random.Generator, lows: Sequence[float],
@@ -212,28 +214,29 @@ class Point:
 class TotalTangent:
     """Element of the tangent space at a total-space point, split into the
     candidate-horizontal base part (image under the projection's tangent)
-    and the fibre part."""
+    and the fibre part, each a list of floats; other sequences are copied
+    into lists."""
 
     anchor: Point
-    base_part: np.ndarray
-    fibre_part: np.ndarray
+    base_part: list
+    fibre_part: list
 
     def __post_init__(self):
         anchor = self.anchor
         if anchor.space is not SpaceTag.TOTAL:
             raise DomainError("TotalTangent must be anchored at a total-space point")
-        base = np.asarray(self.base_part, dtype=float)
-        fibre = np.asarray(self.fibre_part, dtype=float)
         bundle = anchor.bundle
-        if base.shape != (bundle.base_box.dim,):
-            raise DomainError("base_part has wrong dimension")
-        if fibre.shape != (bundle.fibre_box.dim,):
-            raise DomainError("fibre_part has wrong dimension")
-        object.__setattr__(self, "base_part", base)
-        object.__setattr__(self, "fibre_part", fibre)
+        for name, dim in (("base_part", bundle.base_dim),
+                          ("fibre_part", bundle.fibre_dim)):
+            part = getattr(self, name)
+            if type(part) is not list:
+                part = [float(c) for c in part]
+                object.__setattr__(self, name, part)
+            if len(part) != dim:
+                raise DomainError(f"{name} has wrong dimension")
 
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.base_part, self.fibre_part])
+    def as_vector(self) -> list:
+        return self.base_part + self.fibre_part
 
 
 def _coords_of(arg, expected: SpaceTag):
@@ -323,7 +326,6 @@ def check_p_related(X: TotalVectorField, v: BaseVectorField,
     worst = 0.0
     m = X.bundle.base_dim
     for e in samples:
-        xe = as_float_array(X(e))[:m]
-        vx = as_float_array(v.fn(list(e.base_coords)))
-        worst = max(worst, float(np.max(np.abs(xe - vx))))
+        diff = vec_sub(X(e)[:m], v.fn(list(e.base_coords)))
+        worst = max(worst, _max_abs(diff))
     return worst

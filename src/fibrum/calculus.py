@@ -37,8 +37,6 @@ import itertools
 import math
 from typing import Callable, Sequence, Union
 
-import numpy as np
-
 from .errors import NonFiniteOutputError
 
 Scalar = Union[float, "DScalar"]
@@ -311,7 +309,7 @@ def sqrt(z: Scalar) -> Scalar:
 
 def dot(a: Sequence[Scalar], b: Sequence[Scalar]) -> Scalar:
     """sum_k a[k] b[k] added left to right, the one summation order of every
-    contraction in a report; indexed, not sliced, to stay cheap on ndarrays."""
+    contraction in a report."""
     acc = a[0] * b[0]
     for k in range(1, len(a)):
         acc = acc + a[k] * b[k]
@@ -334,8 +332,17 @@ def vec_scale(c: Scalar, a: Sequence[Scalar]) -> list:
     return [c * x for x in a]
 
 
-def as_float_array(v: Sequence[Scalar]) -> np.ndarray:
-    return np.array([float_value(x) for x in v], dtype=float)
+def _max_abs(values: Sequence[float]) -> float:
+    """The largest |v| of a non-empty vector: NaN if any entry is NaN, where
+    Python's ``max`` would skip it."""
+    worst = 0.0
+    for v in values:
+        a = abs(v)
+        if a > worst:
+            worst = a
+        elif a != a:
+            return math.nan
+    return float(worst)
 
 
 # -- seeding and derivatives -----------------------------------------------
@@ -451,21 +458,16 @@ def derivative(fn: Callable[[Scalar], Sequence[Scalar]], t: Scalar) -> list:
     return [row[0] for row in rows]
 
 
-def hessian(fn: VectorFn, coords: Sequence[float]) -> np.ndarray:
-    """Exact Hessians of every output component, shape ``(k, n, n)``.
+def hessian(fn: VectorFn, coords: Sequence[float]) -> list:
+    """Exact Hessians of every output component, as nested lists: entry
+    ``[i][j][l]`` is the second derivative of output i along e_j and e_l.
 
     Obtained by one nested first-order pass: the outer seeds ride inside
     the values of the inner seeds.
     """
     coords = [float(c) for c in coords]
     n = len(coords)
-    outer = seed_scalars(coords)
-    rows = jacobian(fn, outer)  # entries carry the outer pass
-    k = len(rows)
-    out = np.zeros((k, n, n))
-    for i in range(k):
-        for j in range(n):
-            entry = rows[i][j]
-            if isinstance(entry, DScalar):
-                out[i, j, :] = [float_value(g) for g in entry.grad]
-    return out
+    rows = jacobian(fn, seed_scalars(coords))  # entries carry the outer pass
+    return [[[float_value(g) for g in entry.grad]
+             if isinstance(entry, DScalar) else [0.0] * n for entry in row]
+            for row in rows]

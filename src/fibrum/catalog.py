@@ -572,12 +572,11 @@ def random_total_scalar_field(bundle: TrivializedBundle,
     return _sin_fns(rng, bundle.total_dim, [(1.0, 0.6)])[0]
 
 
-def _tangent(e: Point, coords: Sequence[float]) -> TotalTangent:
-    """The tangent at ``e`` with total-space components ``coords``; its
-    parts are views of one float array."""
-    vals = np.array(coords, dtype=float)
+def _tangent(e: Point, coords: list) -> TotalTangent:
+    """The tangent at ``e`` with total-space components ``coords``, a list
+    of floats split into its base and fibre parts."""
     m = e.bundle.base_dim
-    return TotalTangent(e, vals[:m], vals[m:])
+    return TotalTangent(e, coords[:m], coords[m:])
 
 
 def random_tangent(conn: ConnectionField, e: Point,
@@ -676,10 +675,10 @@ def circle_loop(bundle: TrivializedBundle, center: Sequence[float],
 
 # -- sphere-specific helpers (round metric) ----------------------------------
 
-def sphere_metric(x: Sequence[float]) -> np.ndarray:
-    """Round metric in polar coordinates: diag(1, sin^2 theta)."""
+def sphere_metric(x: Sequence[float]) -> list:
+    """Round metric in polar coordinates: diag(1, sin^2 theta), as rows."""
     th = float_value(x[0])
-    return np.diag([1.0, math.sin(th) ** 2])
+    return [[1.0, 0.0], [0.0, math.sin(th) ** 2]]
 
 
 def sphere_angle_between(x: Sequence[float], a: Sequence[float],
@@ -690,7 +689,7 @@ def sphere_angle_between(x: Sequence[float], a: Sequence[float],
     precision at every angle, where acos of the cosine loses half the digits
     near 0 and pi (the default latitude's holonomy is pi)."""
     g = sphere_metric(x)
-    cross = math.sqrt(g[0, 0] * g[1, 1]) * (a[0] * b[1] - a[1] * b[0])
+    cross = math.sqrt(g[0][0] * g[1][1]) * (a[0] * b[1] - a[1] * b[0])
     return abs(math.atan2(cross, dot(mat_vec(g, a), b)))
 
 
@@ -716,9 +715,8 @@ def sphere_latitude_gb_angle(conn: ConnectionField, theta0: float) -> float:
 
     def integrand(t: float) -> float:
         tvec = velocity(t)
-        nab = covariant_derivative_along_curve(conn, loop, velocity,
-                                               t).tolist()
-        g = sphere_metric(loop.fn(t)).tolist()
+        nab = covariant_derivative_along_curve(conn, loop, velocity, t)
+        g = sphere_metric(loop.fn(t))
         speed = math.sqrt(dot(mat_vec(g, tvec), tvec))
         # inward unit normal for a latitude traversed with increasing phi:
         # minus the theta direction (unit length in the round metric)

@@ -48,9 +48,9 @@ def _resolve_seed(flag_value):
 def _print_summary(report: VerificationReport) -> None:
     for row in report.checks:
         status = "PASS" if row.passed else "FAIL"
+        tol = "none" if row.tolerance is None else f"{row.tolerance:.3e}"
         line = (f"{status}  {row.check_name:34s} samples={row.samples:<4d} "
-                f"max_residual={row.max_residual:.3e} "
-                f"tolerance={row.tolerance:.3e}")
+                f"max_residual={row.max_residual:.3e} tolerance={tol}")
         print(line)
         if not row.passed and row.note:
             print(f"      note: {row.note}")

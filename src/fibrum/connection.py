@@ -23,8 +23,8 @@ import numpy as np
 
 from .bundle import (BaseVectorField, Point, SectionMap, SpaceTag,
                      TotalTangent, TotalVectorField, TrivializedBundle)
-from .calculus import (Scalar, as_float_array, float_value, jacobian,
-                       mat_vec, value_and_jacobian, vec_add)
+from .calculus import (Scalar, float_value, jacobian, mat_vec,
+                       value_and_jacobian, vec_add)
 from .errors import DomainError
 
 GammaFn = Callable[[Sequence[Scalar], Sequence[Scalar], Sequence[Scalar]],
@@ -89,7 +89,7 @@ def horizontal_lift(conn: ConnectionField, e: Point,
     horizontal-lift field of the constant field ``v_x``, at e."""
     _require_total(conn, e)
     lift = horizontal_lift_field(conn, constant_base_field(conn.bundle, v_x))
-    vals = as_float_array(lift(e))
+    vals = lift(e)
     m = conn.bundle.base_dim
     return TotalTangent(e, vals[:m], vals[m:])
 
@@ -132,8 +132,7 @@ def natural_derivative(s: SectionMap, v: BaseVectorField, x: Point,
     ``jet = section_jet(s, x)`` to reuse a pass already made."""
     anchor = s.graph(x)
     m = s.bundle.base_dim
-    vals = as_float_array(_nat_value(s.fn, v.fn, list(anchor.coords[:m]),
-                                     jet))
+    vals = _nat_value(s.fn, v.fn, list(anchor.coords[:m]), jet)
     return TotalTangent(anchor, vals[:m], vals[m:])
 
 
@@ -178,13 +177,12 @@ def _cov_value(conn: ConnectionField, s_fn, v_fn, x, y=None,
 
 def covariant_derivative(conn: ConnectionField, s: SectionMap,
                          v: BaseVectorField, x: Point,
-                         jet=None) -> np.ndarray:
+                         jet=None) -> list:
     """Vertical component of the natural derivative:
     Ds(x) v(x) + gamma(x, s(x)) v(x).  Pass ``jet = section_jet(s, x)`` to
     reuse a pass already made."""
     s.graph(x)  # validates that the graph point is inside the chart
-    return as_float_array(_cov_value(conn, s.fn, v.fn, list(x.coords),
-                                     jet=jet))
+    return _cov_value(conn, s.fn, v.fn, list(x.coords), jet=jet)
 
 
 def extend_covariant_derivative(conn: ConnectionField, s: SectionMap,

@@ -41,12 +41,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .bundle import (BaseVectorField, Point, SectionMap, TotalTangent,
                      TotalVectorField, base_lie_bracket, jet_bracket,
                      lie_bracket)
-from .calculus import (Scalar, _field_jets, as_float_array, derivative, dot,
+from .calculus import (Scalar, _field_jets, _max_abs, derivative, dot,
                        jacobian, mat_vec, value_and_jacobian, vec_add,
                        vec_scale, vec_sub)
 from .connection import (ConnectionField, ConnectionKind, _cov_value,
@@ -58,15 +56,17 @@ from .errors import (DomainError, LinearityRequiredError,
 
 @dataclass(frozen=True, eq=False)
 class VerticalValue:
-    """A vertical tangent vector: fibre components at a total-space anchor."""
+    """A vertical tangent vector: fibre components, a list of floats, at a
+    total-space anchor; another sequence is copied into a list."""
 
     anchor: Point
-    fibre_part: np.ndarray
+    fibre_part: list
 
     def __post_init__(self):
-        object.__setattr__(self, "fibre_part",
-                           np.asarray(self.fibre_part, dtype=float))
-        if self.fibre_part.shape != (self.anchor.bundle.fibre_dim,):
+        if type(self.fibre_part) is not list:
+            object.__setattr__(self, "fibre_part",
+                               [float(c) for c in self.fibre_part])
+        if len(self.fibre_part) != self.anchor.bundle.fibre_dim:
             raise DomainError("fibre_part has wrong dimension")
 
 
@@ -108,7 +108,7 @@ def _curvature_pairs(conn: ConnectionField, e: Point, vectors,
     ``curvature``'s value."""
     lifts = [_const_lift_field(conn, vec).fn for vec in vectors]
     jets = _field_jets(lambda c: [h(c) for h in lifts], list(e.coords))
-    return [-as_float_array(_pv_apply(conn, e,
+    return [vec_scale(-1.0, _pv_apply(conn, e,
                                       jet_bracket(*jets[i], *jets[j])))
             for i, j in pairs]
 
@@ -130,7 +130,8 @@ def cocurvature(conn: ConnectionField, e: Point, X: TotalTangent,
     vy_field = TotalVectorField(conn.bundle,
                                 lambda coords: [0.0] * m + list(wy))
     lift = horizontal_lift(conn, e, lie_bracket(vx_field, vy_field)(e)[:m])
-    return TotalTangent(e, -lift.base_part, -lift.fibre_part)
+    return TotalTangent(e, vec_scale(-1.0, lift.base_part),
+                        vec_scale(-1.0, lift.fibre_part))
 
 
 def _nested_section_jet(s_fn, xs) -> tuple:
@@ -193,29 +194,29 @@ class _RouteJets:
                          ve[:m], [row[:m] for row in jv[:m]])
         self.uv = constant_base_field(bundle, uv)
 
-    def lifts(self) -> np.ndarray:
+    def lifts(self) -> list:
         """Fibre part of H_[u,v](e) - [H_u, H_v](e)."""
         hw = horizontal_lift_field(self.conn, self.uv)(self.e)
         br = jet_bracket(*self.hu, *self.hv)
         m = self.conn.bundle.base_dim
-        return as_float_array(vec_sub(hw, br)[m:])
+        return vec_sub(hw[m:], br[m:])
 
-    def vertical_projection(self) -> np.ndarray:
+    def vertical_projection(self) -> list:
         """Fibre part of -P_V [H_u, H_v](e)."""
         br = jet_bracket(*self.hu, *self.hv)
-        return -as_float_array(_pv_apply(self.conn, self.e, br))
+        return vec_scale(-1.0, _pv_apply(self.conn, self.e, br))
 
-    def covariant(self) -> np.ndarray:
+    def covariant(self) -> list:
         """Fibre part of [N_u, N_v](e) minus nabla_[u,v] s(x)."""
         br = jet_bracket(*self.nu, *self.nv)
         nw = _cov_value(self.conn, self.s.fn, self.uv.fn, list(self.x.coords))
         m = self.conn.bundle.base_dim
-        return as_float_array(br[m:]) - as_float_array(nw)
+        return vec_sub(br[m:], nw)
 
-    def cross(self) -> np.ndarray:
+    def cross(self) -> list:
         """[H_v, N_u](e) + [N_v, H_u](e), all components."""
-        return as_float_array(vec_add(jet_bracket(*self.hv, *self.nu),
-                                      jet_bracket(*self.nv, *self.hu)))
+        return vec_add(jet_bracket(*self.hv, *self.nu),
+                       jet_bracket(*self.nv, *self.hu))
 
 
 def curv_via_lifts(conn: ConnectionField, s: SectionMap, u: BaseVectorField,
@@ -295,18 +296,18 @@ def curv_via_covariant_composition(conn: ConnectionField, s: SectionMap,
         dg = derivative(
             lambda t: conn.gamma(coords, vec_add(sx, vec_scale(t, wx)), ax),
             0.0)
-        return as_float_array(vec_add(mat_vec(dw, ax), dg))
+        return vec_add(mat_vec(dw, ax), dg)
 
     uv = nabla_along_s(jnv, u)
     vu = nabla_along_s(jnu, v)
     bracket = jet_bracket(*ju, *jv)
-    w = as_float_array(_cov_value(conn, s.fn, lambda c: bracket, coords))
-    return VerticalValue(e, uv - vu - w)
+    w = _cov_value(conn, s.fn, lambda c: bracket, coords)
+    return VerticalValue(e, vec_sub(vec_sub(uv, vu), w))
 
 
 def cross_bracket_sum(conn: ConnectionField, s: SectionMap,
                       u: BaseVectorField, v: BaseVectorField, x: Point
-                      ) -> np.ndarray:
+                      ) -> list:
     """([H_v, nabla_u] + [nabla_v, H_u]) evaluated at (x, s(x)).
 
     By pure bracket bilinearity this equals via_covariant - via_lifts at
@@ -318,7 +319,7 @@ def cross_bracket_sum(conn: ConnectionField, s: SectionMap,
 
 def curvature_routes(conn: ConnectionField, s: SectionMap,
                      u: BaseVectorField, v: BaseVectorField, x: Point
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                     ) -> tuple[list, list, list]:
     """(``curv_via_lifts``, ``curv_via_covariant``) fibre parts and
     ``cross_bracket_sum`` at one draw, from one set of jets.
 
@@ -350,11 +351,11 @@ def tensoriality_check_curvature(conn: ConnectionField, e: Point,
 
     jx, jy, jfx, jfy = _field_jets(fields, list(e.coords))
     fe = float(scalar_field([float(c) for c in e.coords]))
-    base_val = -as_float_array(_pv_apply(conn, e, jet_bracket(*jx, *jy)))
+    base_val = vec_scale(-1.0, _pv_apply(conn, e, jet_bracket(*jx, *jy)))
     worst = 0.0
     for br in (jet_bracket(*jfx, *jy), jet_bracket(*jx, *jfy)):
-        val = -as_float_array(_pv_apply(conn, e, br))
-        worst = max(worst, float(np.max(np.abs(val - fe * base_val))))
+        val = vec_scale(-1.0, _pv_apply(conn, e, br))
+        worst = max(worst, _max_abs(vec_sub(val, vec_scale(fe, base_val))))
     return worst
 
 
@@ -387,7 +388,7 @@ def base_covariant_derivative(conn: ConnectionField, u: BaseVectorField,
 
 def second_covariant_derivative(conn: ConnectionField, s: SectionMap,
                                 u: BaseVectorField, v: BaseVectorField,
-                                x: Point) -> np.ndarray:
+                                x: Point) -> list:
     """Second covariant derivative nabla^2_uv s = nabla_u(nabla_v s)
     - nabla_{nabla_u v} s for a linear connection on a tangent-bundle
     configuration, which also supplies nabla_u v.
@@ -398,12 +399,12 @@ def second_covariant_derivative(conn: ConnectionField, s: SectionMap,
     inner = covariant_derivative_section(conn, s, v)
     term1 = _cov_value(conn, inner.fn, u.fn, coords)
     term2 = _cov_value(conn, s.fn, w.fn, coords)
-    return as_float_array(vec_sub(term1, term2))
+    return vec_sub(term1, term2)
 
 
 def composition_commutator(conn: ConnectionField, s: SectionMap,
                            u: BaseVectorField, v: BaseVectorField,
-                           x: Point) -> np.ndarray:
+                           x: Point) -> list:
     """(nabla_u nabla_v - nabla_v nabla_u - nabla_[u,v]) s at x, composing
     covariant derivatives as operators on sections (linear connections).
 
@@ -418,11 +419,11 @@ def composition_commutator(conn: ConnectionField, s: SectionMap,
     t2 = _cov_value(conn, nab_u_s.fn, v.fn, coords)
     w = base_lie_bracket(u, v)
     t3 = _cov_value(conn, s.fn, w.fn, coords)
-    return as_float_array(vec_sub(vec_sub(t1, t2), t3))
+    return vec_sub(vec_sub(t1, t2), t3)
 
 
 def torsion(conn: ConnectionField, u: BaseVectorField, v: BaseVectorField,
-            x: Point) -> np.ndarray:
+            x: Point) -> list:
     """Torsion nabla_u v - nabla_v u - [u, v] of a connection on TM.
 
     Antisymmetric; vanishes iff the coefficient is symmetric in its two
@@ -435,7 +436,7 @@ def torsion(conn: ConnectionField, u: BaseVectorField, v: BaseVectorField,
     a = _cov_value(conn, v.fn, u.fn, coords)   # nabla_u v
     b = _cov_value(conn, u.fn, v.fn, coords)   # nabla_v u
     w = base_lie_bracket(u, v)(coords)
-    return as_float_array(vec_sub(vec_sub(a, b), w))
+    return vec_sub(vec_sub(a, b), w)
 
 
 def leibniz_check(conn: ConnectionField, s: SectionMap,
@@ -448,9 +449,9 @@ def leibniz_check(conn: ConnectionField, s: SectionMap,
     def fs(xp):
         return vec_scale(scalar_field_on_base(xp), s.fn(xp))
 
-    lhs = as_float_array(_cov_value(conn, fs, v.fn, coords))
+    lhs = _cov_value(conn, fs, v.fn, coords)
     df = jacobian(lambda xp: [scalar_field_on_base(xp)], coords)[0]
     fx = float(scalar_field_on_base(coords))
-    rhs = float(dot(df, v.fn(coords))) * as_float_array(s.fn(coords)) \
-        + fx * as_float_array(_cov_value(conn, s.fn, v.fn, coords))
-    return float(np.max(np.abs(lhs - rhs)))
+    rhs = vec_add(vec_scale(float(dot(df, v.fn(coords))), s.fn(coords)),
+                  vec_scale(fx, _cov_value(conn, s.fn, v.fn, coords)))
+    return _max_abs(vec_sub(lhs, rhs))

@@ -30,9 +30,10 @@ from typing import TYPE_CHECKING, Callable, Optional, Union
 
 import numpy as np
 
-from .bundle import (BaseVectorField, TotalVectorField, base_lie_bracket,
-                     lie_bracket, uniform_parts)
-from .calculus import as_float_array, dot, float_value, mat_vec
+from .bundle import (BaseVectorField, TotalVectorField, _spans,
+                     base_lie_bracket, lie_bracket, uniform_parts)
+from .calculus import (_max_abs, dot, float_value, mat_vec, vec_add,
+                       vec_scale, vec_sub)
 from .catalog import (CATALOG, GB_NODES, Capabilities, _cube, _tangent,
                       _total_bounds, build_connection, circle_loop,
                       latitude_loop, random_base_field, random_base_point,
@@ -85,7 +86,7 @@ class CheckRow:
     check_name: str
     samples: int
     max_residual: float
-    tolerance: float
+    tolerance: Optional[float]
     passed: bool
     note: str = ""
 
@@ -254,47 +255,41 @@ def _rng_for(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng([seed, zlib.crc32(name.encode())])
 
 
-def _row(sub: Subject, check: Check, samples: int, residual: float,
-         note: str = "") -> CheckRow:
-    """The row of ``check``, held to the config's ``tolerances`` entry for
-    it, else to the check's own tolerance."""
+def _tolerance(sub: Subject, check: Check) -> float:
+    """The config's ``tolerances`` entry for ``check``, else the check's own
+    tolerance, derived from the subject where it is a function."""
     tol = sub.cfg.tolerances.get(check.name, check.tolerance)
-    tol = float(tol(sub) if callable(tol) else tol)
-    ok = math.isfinite(residual) and residual <= tol
+    return float(tol(sub) if callable(tol) else tol)
+
+
+def _row(check: Check, samples: int, residual: float,
+         tol: Optional[float], note: str = "") -> CheckRow:
+    """The row of ``check`` held to ``tol``; with no tolerance (None) it
+    fails."""
+    ok = tol is not None and math.isfinite(residual) and residual <= tol
     return CheckRow(check.name, samples, float(residual), tol, ok, note)
 
 
 def _run(sub: Subject, check: Check,
          samples: Optional[int] = None) -> CheckRow:
     """The row of ``check`` over its own random stream.  A scenario passes
-    ``samples=1``: it runs the check once, on the input it fixes."""
+    ``samples=1``: it runs the check once, on the input it fixes.  An error
+    in deriving the tolerance or in the run fails the row with its note;
+    a tolerance that could not be derived is None."""
     n = check.samples if samples is None else samples
     rng = _rng_for(sub.cfg.seed, check.name)
     sub.record = {}
+    tol = None
     try:
+        tol = _tolerance(sub, check)
         residual, note = check.run(sub, rng, n)
     except (FibrumError, ArithmeticError) as exc:
         residual, note = math.inf, f"{type(exc).__name__}: {exc}"
-    return _row(sub, check, n, residual, note)
+    return _row(check, n, residual, tol, note)
 
 
 def _vec(values) -> list:
-    return np.asarray(values, dtype=float).tolist()
-
-
-def _max_abs(values) -> float:
-    """``float(np.max(np.abs(values)))`` of a non-empty vector, by a
-    Python loop: NaN if any entry is NaN, as ``np.max`` gives."""
-    if type(values) is np.ndarray:
-        values = values.tolist()
-    worst = 0.0
-    for v in values:
-        a = abs(v)
-        if a > worst:
-            worst = a
-        elif a != a:
-            return math.nan
-    return float(worst)
+    return [float(c) for c in values]
 
 
 # --------------------------------------------------------------------------
@@ -323,11 +318,14 @@ def _gamma_linearity(sub, rng):
         rng, _total_bounds(sub.bundle), _cube(2, 2.0), _cube(sub.m, 1.0),
         _cube(sub.m, 1.0))
     x, y = sub.bundle.split(ec)
-    lhs = as_float_array(conn.gamma(x, y, [a * ui + b * vi
-                                           for ui, vi in zip(u, v)]))
-    rhs = a * as_float_array(conn.gamma(x, y, u)) \
-        + b * as_float_array(conn.gamma(x, y, v))
-    return _max_abs(lhs - rhs)
+    lhs = conn.gamma(x, y, _combination(a, u, b, v))
+    rhs = _combination(a, conn.gamma(x, y, u), b, conn.gamma(x, y, v))
+    return _max_abs(vec_sub(lhs, rhs))
+
+
+def _combination(a: float, p, b: float, q) -> list:
+    """a p + b q, per component."""
+    return vec_add(vec_scale(a, p), vec_scale(b, q))
 
 
 @_sampled("gamma_fibre_linearity", 100, 1e-10, lambda sub: sub.linear)
@@ -336,11 +334,9 @@ def _gamma_fibre_linearity(sub, rng):
     x, y1, y2, (a, b), v = uniform_parts(
         rng, bundle.base_box.bounds(), bundle.fibre_box.bounds(0.3),
         bundle.fibre_box.bounds(0.3), _cube(2, 0.7), _cube(sub.m, 1.0))
-    mix = [a * c1 + b * c2 for c1, c2 in zip(y1, y2)]
-    lhs = as_float_array(conn.gamma(x, mix, v))
-    rhs = a * as_float_array(conn.gamma(x, y1, v)) \
-        + b * as_float_array(conn.gamma(x, y2, v))
-    return _max_abs(lhs - rhs)
+    lhs = conn.gamma(x, _combination(a, y1, b, y2), v)
+    rhs = _combination(a, conn.gamma(x, y1, v), b, conn.gamma(x, y2, v))
+    return _max_abs(vec_sub(lhs, rhs))
 
 
 @_sampled("lift_right_inverse", 100, 1e-12)
@@ -348,8 +344,8 @@ def _lift_right_inverse(sub, rng):
     ec, v = uniform_parts(rng, _total_bounds(sub.bundle), _cube(sub.m, 1.0))
     e = sub.bundle.total_point(ec)
     tangent = horizontal_lift(sub.conn, e, v)
-    pv = vertical_projector(sub.conn, e)
-    return max(_max_abs(tangent.base_part - v),
+    pv = vertical_projector(sub.conn, e).tolist()
+    return max(_max_abs(vec_sub(tangent.base_part, v)),
                _max_abs(mat_vec(pv, tangent.as_vector())))
 
 
@@ -361,9 +357,10 @@ def _split_law(sub, rng):
     jet = section_jet(s, x)
     nat = natural_derivative(s, v, x, jet)
     cov = covariant_derivative(sub.conn, s, v, x, jet)
-    lift = horizontal_lift(sub.conn, s.graph(x), as_float_array(v(x)))
-    return max(_max_abs(nat.base_part - lift.base_part),
-               _max_abs(nat.fibre_part - (cov + lift.fibre_part)))
+    lift = horizontal_lift(sub.conn, s.graph(x), v(x))
+    return max(_max_abs(vec_sub(nat.base_part, lift.base_part)),
+               _max_abs(vec_sub(nat.fibre_part,
+                                vec_add(cov, lift.fibre_part))))
 
 
 @_sampled("lift_rank", 50, 1e-9)
@@ -389,7 +386,8 @@ def _covariant_tensoriality_in_v(sub, rng):
     lhs = covariant_derivative(sub.conn, s, BaseVectorField(bundle, scaled),
                                x, jet)
     fx = float_value(scale_fn(list(x.coords) + [0.0] * f))
-    return _max_abs(lhs - fx * covariant_derivative(sub.conn, s, v, x, jet))
+    rhs = vec_scale(fx, covariant_derivative(sub.conn, s, v, x, jet))
+    return _max_abs(vec_sub(lhs, rhs))
 
 
 # --------------------------------------------------------------------------
@@ -403,16 +401,15 @@ def _bracket_projectability(sub, rng):
     e = random_total_point(sub.bundle, rng)
     br = lie_bracket(horizontal_lift_field(sub.conn, u),
                      horizontal_lift_field(sub.conn, v))
-    base = as_float_array(br(e))[:sub.m]
     uv = base_lie_bracket(u, v)
-    return _max_abs(base - as_float_array(uv(list(e.base_coords))))
+    return _max_abs(vec_sub(br(e)[:sub.m], uv(list(e.base_coords))))
 
 
 @_sampled("lift_route_internal_identity", 100, 1e-9)
 def _lift_route_internal_identity(sub, rng):
     jets = _RouteJets(sub.conn, *random_suvx(sub.bundle, rng),
                       covariant=False)
-    return _max_abs(jets.lifts() - jets.vertical_projection())
+    return _max_abs(vec_sub(jets.lifts(), jets.vertical_projection()))
 
 
 @_sampled("curvature_verticality", 100, 1e-10)
@@ -423,8 +420,7 @@ def _curvature_verticality(sub, rng):
     hu = horizontal_lift_field(conn, u)
     hv = horizontal_lift_field(conn, v)
     hw = horizontal_lift_field(conn, base_lie_bracket(u, v))
-    diff = as_float_array(hw(e)) - as_float_array(lie_bracket(hu, hv)(e))
-    return _max_abs(diff[:sub.m])
+    return _max_abs(vec_sub(hw(e)[:sub.m], lie_bracket(hu, hv)(e)[:sub.m]))
 
 
 @_sampled("curvature_antisymmetry", 100, 1e-10)
@@ -435,12 +431,15 @@ def _curvature_antisymmetry(sub, rng):
         _cube(n, 1.0), _cube(2, 2.0))
     e = sub.bundle.total_point(ec)
     X, Y, Z = _tangent(e, xc), _tangent(e, yc), _tangent(e, zc)
-    mix = a * X.base_part + b * Z.base_part
+    mix = _combination(a, X.base_part, b, Z.base_part)
     # R(X, Y), R(Y, X), R(a X + b Z, Y) and R(Z, Y) from one pass
     rxy, ryx, rmix, rxz = _curvature_pairs(
         conn, e, [X.base_part, Y.base_part, Z.base_part, mix],
         [(0, 1), (1, 0), (3, 1), (2, 1)])
-    return max(_max_abs(rxy + ryx), _max_abs(rmix - a * rxy - b * rxz))
+    # rmix - a rxy - b rxz, subtracted left to right
+    return max(_max_abs(vec_add(rxy, ryx)),
+               _max_abs(vec_sub(vec_sub(rmix, vec_scale(a, rxy)),
+                                vec_scale(b, rxz))))
 
 
 @_check("curvature_tensoriality", 100, 1e-9)
@@ -468,13 +467,14 @@ def _curvature_tensoriality(sub, rng, n):
 @_sampled("curvature_routes_equality", 100, 1e-8, note=ROUTES_NOTE)
 def _curvature_routes_equality(sub, rng):
     jets = _RouteJets(sub.conn, *random_suvx(sub.bundle, rng))
-    return _max_abs(jets.covariant() - jets.lifts())
+    return _max_abs(vec_sub(jets.covariant(), jets.lifts()))
 
 
 def _expansion_residual(m: int, lifts, cov, cross) -> float:
     """Residual of via_covariant - via_lifts = cross-bracket sum, whose
     base part must vanish, at one draw of ``curvature_routes``."""
-    return max(_max_abs(cov - lifts - cross[m:]), _max_abs(cross[:m]))
+    return max(_max_abs(vec_sub(vec_sub(cov, lifts), cross[m:])),
+               _max_abs(cross[:m]))
 
 
 @_sampled("bracket_expansion_identity", 100, 1e-8, note=EXPANSION_NOTE)
@@ -516,7 +516,8 @@ def _leibniz_rule(sub, rng):
 def _composition_commutator_curvature(sub, rng):
     s, u, v, x = random_suvx(sub.bundle, rng)
     comp = composition_commutator(sub.conn, s, u, v, x)
-    return _max_abs(comp - curv_via_lifts(sub.conn, s, u, v, x).fibre_part)
+    lifts = curv_via_lifts(sub.conn, s, u, v, x).fibre_part
+    return _max_abs(vec_sub(comp, lifts))
 
 
 @_sampled("second_derivative_torsion_form", 50, 1e-8,
@@ -530,7 +531,7 @@ def _second_derivative_torsion_form(sub, rng):
     w = BaseVectorField(sub.bundle, lambda c: list(tors))
     nt = covariant_derivative(conn, s, w, x)
     lifts = curv_via_lifts(conn, s, u, v, x).fibre_part
-    return _max_abs(d2uv - d2vu + nt - lifts)
+    return _max_abs(vec_sub(vec_add(vec_sub(d2uv, d2vu), nt), lifts))
 
 
 @_sampled("torsion_symmetric", 50, 1e-12,
@@ -561,25 +562,34 @@ def _five_point_residual(ts, ys, coeff) -> float:
     h = ts[1] - ts[0]
     worst = 0.0
     for k in range(2, n - 2, max(1, n // 40)):
-        ydot = (-ys[k + 2] + 8.0 * ys[k + 1] - 8.0 * ys[k - 1] + ys[k - 2]) \
-            / (12.0 * h)
-        worst = max(worst, _max_abs(ydot + coeff(k)))
+        ydot = [(-a + 8.0 * b - 8.0 * c + d) / (12.0 * h)
+                for a, b, c, d in zip(ys[k + 2], ys[k + 1], ys[k - 1],
+                                      ys[k - 2])]
+        worst = max(worst, _max_abs(vec_add(ydot, coeff(k))))
     return worst
 
 
 def _transport_data(sub: Subject, rng: np.random.Generator) -> tuple:
     """(curve, y0): the scenario's fixed input, else a safe in-box segment
-    and start element drawn from ``rng``."""
+    drawn from ``rng``, with the scenario's ``y0`` parameter or a start
+    element drawn with it."""
     if sub.transport is not None:
         return sub.transport
     bundle = sub.bundle
     p, q, w = uniform_parts(rng, bundle.base_box.bounds(0.25),
                             bundle.base_box.bounds(0.25),
                             _cube(bundle.fibre_dim, 1.0))
-    curve = segment_curve(bundle, p, q)
-    lo = np.asarray(bundle.fibre_box.lower)
-    hi = np.asarray(bundle.fibre_box.upper)
-    return curve, 0.5 * (lo + hi) + 0.2 * (hi - lo) * np.asarray(w)
+    y0 = _vector_param(sub, "y0", ()) or _fibre_offset(bundle, 0.2, w)
+    return segment_curve(bundle, p, q), y0
+
+
+def _fibre_offset(bundle, scale: float, w) -> list:
+    """The fibre box's centre plus ``scale`` times its width times ``w``,
+    per component; the widths pass ``bundle._spans``' guards, so one too
+    large for a float is an OverflowError, not an infinite start."""
+    lo, hi = bundle.fibre_box.lower, bundle.fibre_box.upper
+    return [0.5 * (l + h) + scale * width * c
+            for l, h, width, c in zip(lo, hi, _spans(lo, hi), w)]
 
 
 def _geodesic_start(sub: Subject, rng: np.random.Generator) -> tuple:
@@ -622,15 +632,15 @@ def _rk4_order(sub, rng, n):
     raw, x0, y0 = uniform_parts(rng, _cube(d * d, 1.0),
                                 bundle.base_box.bounds(0.45),
                                 bundle.fibre_box.bounds(0.45))
-    raw = np.reshape(raw, (d, d))
-    mat = raw - raw.T
-    lo = np.concatenate([bundle.base_box.lower, bundle.fibre_box.lower])
-    hi = np.concatenate([bundle.base_box.upper, bundle.fibre_box.upper])
-    centre = 0.5 * (lo + hi)
+    mat = [[raw[i * d + j] - raw[j * d + i] for j in range(d)]
+           for i in range(d)]
+    lo = bundle.base_box.lower + bundle.fibre_box.lower
+    hi = bundle.base_box.upper + bundle.fibre_box.upper
+    centre = [0.5 * (l + h) for l, h in zip(lo, hi)]
 
     def linear_fn(coords):
         rel = [c - ci for c, ci in zip(coords, centre)]
-        return [sum(mat[i, j] * rel[j] for j in range(d)) for i in range(d)]
+        return [sum(mat[i][j] * rel[j] for j in range(d)) for i in range(d)]
 
     field = TotalVectorField(bundle, linear_fn)
     e0 = bundle.graph_point(x0, y0)
@@ -638,9 +648,9 @@ def _rk4_order(sub, rng, n):
     vals = []
     for divisor in (10, 20, 40):
         c = IntegratorConfig(step=lam / divisor, max_steps=sub.cfg.max_steps)
-        vals.append(np.array(flow(field, e0, lam, c).coords))
-    e1 = _max_abs(vals[0] - vals[1])
-    e2 = _max_abs(vals[1] - vals[2])
+        vals.append(flow(field, e0, lam, c).coords)
+    e1 = _max_abs(vec_sub(vals[0], vals[1]))
+    e2 = _max_abs(vec_sub(vals[1], vals[2]))
     if e2 < 1e-15:
         return -1.0, f"step-halving errors below round-off ({e1:.3g})"
     order = math.log2(e1 / e2)
@@ -656,7 +666,7 @@ def _flow_group_law(sub, rng):
     lam, mu = 0.08, 0.05
     once = flow(hv, e0, lam + mu, icfg)
     twice = flow(hv, flow(hv, e0, mu, icfg), lam, icfg)
-    return _max_abs(np.array(once.coords) - np.array(twice.coords))
+    return _max_abs(vec_sub(once.coords, twice.coords))
 
 
 @_sampled("transport_roundtrip", 3, 1e-8)
@@ -670,7 +680,7 @@ def _transport_roundtrip(sub, rng):
         y1 = parallel_transport_vector(sub.conn, curve, y0, sub.icfg)
     y2 = parallel_transport_vector(sub.conn, reversed_curve(curve), y1,
                                    sub.icfg)
-    residual = _max_abs(y2 - np.asarray(y0, dtype=float))
+    residual = _max_abs(vec_sub(y2, y0))
     sub.record = {"transported": y1, "roundtrip_residual": residual}
     return residual
 
@@ -682,8 +692,8 @@ def _transport_covariantly_constant(sub, rng):
     _, path = parallel_transport_path(sub.conn, curve, y0, sub.icfg)
     ts = [t for t, _ in path]
     ys = [y for _, y in path]
-    return _five_point_residual(ts, ys, lambda k: as_float_array(sub.conn.gamma(
-        list(curve.fn(ts[k])), list(ys[k]), list(curve.velocity(ts[k])))))
+    return _five_point_residual(ts, ys, lambda k: sub.conn.gamma(
+        list(curve.fn(ts[k])), ys[k], curve.velocity(ts[k])))
 
 
 @_check("flow_algebra_bridge_order", 3, 0.0)
@@ -697,8 +707,8 @@ def _flow_algebra_bridge_order(sub, rng, n):
         errs = []
         for lam in (1e-2, 1e-3, 1e-4):
             c = IntegratorConfig(step=lam, max_steps=sub.cfg.max_steps)
-            errs.append(_max_abs(lie_derivative_covariant(sub.conn, s, v, x, c)
-                                 - alg))
+            flows = lie_derivative_covariant(sub.conn, s, v, x, c)
+            errs.append(_max_abs(vec_sub(flows, alg)))
         if best is None or errs[0] > best[0]:
             best = errs
     errs = best
@@ -717,15 +727,15 @@ def _geodesic_covariant_residual(sub, rng, n):
     samples = geodesic(sub.conn, x0, v0, T, sub.icfg)
     ts, xs, vs = zip(*samples)
     sub.record = {"x_final": xs[-1], "v_final": vs[-1]}
-    return _five_point_residual(ts, vs, lambda k: as_float_array(sub.conn.gamma(
-        list(xs[k]), list(vs[k]), list(vs[k])))), ""
+    return _five_point_residual(ts, vs, lambda k: sub.conn.gamma(
+        xs[k], vs[k], vs[k])), ""
 
 
 @_check("holonomy_flat_loop", 1, 1e-10,
         lambda sub: sub.caps.zero_curvature and sub.m >= 2)
 def _holonomy_flat_loop(sub, rng, n):
     loop, y0 = sub.transport or (
-        circle_loop(sub.bundle, [0.0] * sub.m, 0.8), np.full(sub.f, 0.5))
+        circle_loop(sub.bundle, [0.0] * sub.m, 0.8), [0.5] * sub.f)
     y1, disp = holonomy_loop(sub.conn, loop, y0, sub.icfg)
     sub.record = {"transported": y1}
     return disp, ""
@@ -818,7 +828,7 @@ def _theorem41_rows(sub: Subject, n_samples: int):
     for _ in range(n_samples):
         s, u, v, x = random_suvx(bundle, rng)
         lifts, cov, cross = curvature_routes(conn, s, u, v, x)
-        residual = _max_abs(cov - lifts)
+        residual = _max_abs(vec_sub(cov, lifts))
         worst_eq = max(worst_eq, residual)
         worst_cross = max(worst_cross,
                           _expansion_residual(m, lifts, cov, cross))
@@ -829,13 +839,11 @@ def _theorem41_rows(sub: Subject, n_samples: int):
             "residual": residual,
             "cross_residual": _max_abs(cross),
         })
-    checks = [
-        _row(sub, CHECKS["curvature_routes_equality"], n_samples, worst_eq,
-             ROUTES_NOTE),
-        _row(sub, CHECKS["bracket_expansion_identity"], n_samples,
-             worst_cross, EXPANSION_NOTE),
-    ]
-    return checks, table
+    rows = ((CHECKS["curvature_routes_equality"], worst_eq, ROUTES_NOTE),
+            (CHECKS["bracket_expansion_identity"], worst_cross,
+             EXPANSION_NOTE))
+    return [_row(check, n_samples, worst, _tolerance(sub, check), note)
+            for check, worst, note in rows], table
 
 
 def run_scenario(cfg: ScenarioConfig) -> VerificationReport:
@@ -891,7 +899,6 @@ def _transport_scenario(sub: Subject, report: VerificationReport) -> None:
     else:
         curve, y0 = _transport_data(
             sub, _rng_for(sub.cfg.seed, "transport_scenario"))
-        y0 = _vector_param(sub, "y0", y0)
     sub.transport = (curve, y0)
     record = _run_named(sub, report, *names)
     if record:
@@ -928,10 +935,8 @@ def _holonomy_scenario(sub: Subject, report: VerificationReport) -> None:
         names = ["holonomy_latitude_angle", "holonomy_oracle_agreement"]
     else:
         radius = float(sub.cfg.scenario_params.get("radius", 0.6))
-        lo = np.asarray(sub.bundle.fibre_box.lower)
-        hi = np.asarray(sub.bundle.fibre_box.upper)
-        y0 = _vector_param(sub, "y0",
-                           0.5 * (lo + hi) + HOLONOMY_Y0_OFFSET * (hi - lo))
+        y0 = _vector_param(sub, "y0", ()) or _fibre_offset(
+            sub.bundle, HOLONOMY_Y0_OFFSET, [1.0] * sub.f)
         sub.transport = (circle_loop(sub.bundle, [0.0] * sub.m, radius), y0)
         head = {"radius": radius}
         names = ["holonomy_flat_loop" if sub.caps.zero_curvature
@@ -941,7 +946,7 @@ def _holonomy_scenario(sub: Subject, report: VerificationReport) -> None:
         y1 = record["transported"]
         report.results = {
             **head, "y0": _vec(y0), "transported": _vec(y1),
-            "displacement": math.hypot(*(y1 - np.asarray(y0, dtype=float))),
+            "displacement": math.hypot(*vec_sub(y1, y0)),
             **{key: record[key] for key in ("rotation_angle",
                                             "closed_form_angle")
                if key in record}}

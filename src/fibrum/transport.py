@@ -14,12 +14,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from .bundle import (BaseVectorField, Point, SectionMap, SpaceTag,
                      TotalVectorField, TrivializedBundle)
-from .calculus import (Scalar, _define, as_float_array, derivative,
-                       float_value)
+from .calculus import (Scalar, _define, derivative, float_value, vec_add,
+                       vec_sub)
 from .connection import ConnectionField, horizontal_lift_field
 from .errors import (ChartExitError, DomainError, StepBudgetError,
                      TangentBundleRequiredError)
@@ -76,35 +74,35 @@ class CurveOnBase:
     t1: float
     velocity_fn: Optional[Callable[[float], Sequence[float]]] = None
 
-    def point_at(self, t: float) -> np.ndarray:
-        return as_float_array(self.fn(t))
+    def point_at(self, t: float) -> list:
+        return [float_value(c) for c in self.fn(t)]
 
-    def velocity(self, t: float) -> np.ndarray:
+    def velocity(self, t: float) -> list:
         if self.velocity_fn is not None:
-            return as_float_array(self.velocity_fn(float(t)))
-        return as_float_array(derivative(self.fn, float(t)))
+            return [float(c) for c in self.velocity_fn(float(t))]
+        return derivative(self.fn, float(t))
 
 
-def _rk4(rhs, z0: np.ndarray, span: float, cfg: IntegratorConfig,
+def _rk4(rhs, z0: Sequence[float], span: float, cfg: IntegratorConfig,
          inside, what: str, t_base: float = 0.0,
          collect: bool = False, negate_from: Optional[int] = None):
     """Fixed-step RK4 driver for ``rhs(t, z)`` with its components from
     index ``negate_from`` on negated (none when it is None); the state is
     checked per node.
 
-    The state is a plain list of floats and ``rhs`` returns one; the final
-    state and the collected (t, z) path entries come back as ndarrays.
+    The state is a list of floats and ``rhs`` returns one.  The final state
+    comes back as such a list, and with ``collect`` also the path: a list
+    of (t, z) entries, one per node, whose states are never changed later.
     """
     z = [float(c) for c in z0]
-    path = [(t_base, np.array(z))] if collect else None
-    if span == 0.0:
-        return (np.array(z), path) if collect else np.array(z)
-    n = cfg.n_steps(span)
-    h = span / n
-    d = len(z)
-    loop = _rk4_loop(d, d if negate_from is None else negate_from)
-    z = loop(rhs, z, n, h, 0.5 * h, h / 6.0, t_base, inside, what, path)
-    return (np.array(z), path) if collect else np.array(z)
+    path = [(t_base, z)] if collect else None
+    if span != 0.0:
+        n = cfg.n_steps(span)
+        h = span / n
+        d = len(z)
+        loop = _rk4_loop(d, d if negate_from is None else negate_from)
+        z = loop(rhs, z, n, h, 0.5 * h, h / 6.0, t_base, inside, what, path)
+    return (z, path) if collect else z
 
 
 @functools.lru_cache(maxsize=None)
@@ -152,11 +150,11 @@ def _rk4_loop(d: int, negate_from: int):
         "        if not inside(z):",
         "            raise ChartExitError(f'{what} left the chart box', t)",
         "        if path is not None:",
-        "            path.append((t, np.array(z)))",
+        "            path.append((t, z))",
         "    return z",
     ]
     return _define(lines, f"<rk4 loop, d={d}, negated from {negate_from}>",
-                   {"ChartExitError": ChartExitError, "np": np})
+                   {"ChartExitError": ChartExitError})
 
 
 def flow(X: TotalVectorField, e0: Point, lam: float,
@@ -168,11 +166,9 @@ def flow(X: TotalVectorField, e0: Point, lam: float,
     fn = X.fn
 
     def rhs(t, z):
-        return [c if type(c) is float else float_value(c)
-                for c in fn(list(z))]
+        return [c if type(c) is float else float_value(c) for c in fn(z)]
 
-    z = _rk4(rhs, np.array(e0.coords), float(lam), cfg,
-             bundle.contains_total, "flow")
+    z = _rk4(rhs, e0.coords, float(lam), cfg, bundle.contains_total, "flow")
     return bundle.total_point(z)
 
 
@@ -184,10 +180,10 @@ def flow_base(v: BaseVectorField, x0: Point, lam: float,
     bundle = v.bundle
 
     def rhs(t, z):
-        return [float_value(c) for c in v.fn(list(z))]
+        return [float_value(c) for c in v.fn(z)]
 
-    z = _rk4(rhs, np.array(x0.coords), float(lam), cfg,
-             bundle.contains_base, "base flow")
+    z = _rk4(rhs, x0.coords, float(lam), cfg, bundle.contains_base,
+             "base flow")
     return bundle.base_point(z)
 
 
@@ -226,7 +222,7 @@ def _transport(conn: ConnectionField, curve: CurveOnBase,
     start = curve.point_at(curve.t0)
     if not bundle.contains_base(start):
         raise DomainError("curve start lies outside the base box")
-    y0 = np.asarray(y0, dtype=float)
+    y0 = [float(c) for c in y0]
     if not bundle.fibre_box.contains(y0):
         raise DomainError("initial fibre element lies outside the fibre box")
     span = curve.t1 - curve.t0
@@ -237,7 +233,7 @@ def _transport(conn: ConnectionField, curve: CurveOnBase,
 
 def parallel_transport_vector(conn: ConnectionField, curve: CurveOnBase,
                               y0: Sequence[float],
-                              cfg: IntegratorConfig) -> np.ndarray:
+                              cfg: IntegratorConfig) -> list:
     """Transport a fibre element along a base curve by integrating the
     horizontal-lift equation dy/dt = -gamma(c(t), y) c'(t)."""
     return _transport(conn, curve, y0, cfg, False)
@@ -245,7 +241,7 @@ def parallel_transport_vector(conn: ConnectionField, curve: CurveOnBase,
 
 def parallel_transport_path(conn: ConnectionField, curve: CurveOnBase,
                             y0: Sequence[float], cfg: IntegratorConfig
-                            ) -> tuple[np.ndarray, list]:
+                            ) -> tuple[list, list]:
     """Like :func:`parallel_transport_vector` but also returns the sampled
     path as a list of (t, y) pairs."""
     return _transport(conn, curve, y0, cfg, True)
@@ -253,7 +249,7 @@ def parallel_transport_path(conn: ConnectionField, curve: CurveOnBase,
 
 def covariant_derivative_along_curve(conn: ConnectionField, curve: CurveOnBase,
                                      y_of_t: Callable[[Scalar], Sequence[Scalar]],
-                                     t: float) -> np.ndarray:
+                                     t: float) -> list:
     """Covariant derivative of a fibre element field given along the curve:
     y'(t) + gamma(c(t), y(t)) c'(t), in closed form.
 
@@ -261,13 +257,11 @@ def covariant_derivative_along_curve(conn: ConnectionField, curve: CurveOnBase,
     needed.
     """
     x = curve.point_at(t)
-    y = as_float_array(y_of_t(t))
+    y = [float_value(c) for c in y_of_t(t)]
     if not conn.bundle.contains_base(x) or not conn.bundle.fibre_box.contains(y):
         raise DomainError("curve/fibre data leave the chart box at t")
-    ydot = as_float_array(derivative(y_of_t, float(t)))
-    cdot = curve.velocity(t)
-    g = as_float_array(conn.gamma(x.tolist(), y.tolist(), cdot.tolist()))
-    return ydot + g
+    ydot = derivative(y_of_t, float(t))
+    return vec_add(ydot, conn.gamma(x, y, curve.velocity(t)))
 
 
 def spray_from_connection(conn: ConnectionField) -> TotalVectorField:
@@ -303,8 +297,7 @@ def geodesic(conn: ConnectionField, x0: Sequence[float], v0: Sequence[float],
         raise TangentBundleRequiredError(
             "geodesics need the tangent-bundle configuration (f = m)")
     m = bundle.base_dim
-    z0 = np.concatenate([np.asarray(x0, dtype=float),
-                         np.asarray(v0, dtype=float)])
+    z0 = [float(c) for c in x0] + [float(c) for c in v0]
     if not bundle.contains_total(z0):
         raise DomainError("geodesic initial data outside the chart box")
 
@@ -314,12 +307,12 @@ def geodesic(conn: ConnectionField, x0: Sequence[float], v0: Sequence[float],
 
     _, path = _rk4(rhs, z0, float(T), cfg, bundle.contains_total,
                    "geodesic", collect=True, negate_from=m)
-    return [(t, z[:m].copy(), z[m:].copy()) for t, z in path]
+    return [(t, z[:m], z[m:]) for t, z in path]
 
 
 def lie_derivative_covariant(conn: ConnectionField, s: SectionMap,
                              v: BaseVectorField, x: Point,
-                             cfg: IntegratorConfig) -> np.ndarray:
+                             cfg: IntegratorConfig) -> list:
     """Flow definition of the covariant derivative: central difference in
     the flow parameter of (backward horizontal flow) o s o (forward base
     flow), at parameter cfg.step.
@@ -331,20 +324,18 @@ def lie_derivative_covariant(conn: ConnectionField, s: SectionMap,
     hv = horizontal_lift_field(conn, v)
     m = conn.bundle.base_dim
 
-    def composed(sign: float) -> np.ndarray:
+    def composed(sign: float) -> list:
         x1 = flow_base(v, x, sign * lam, cfg)
         e1 = s.graph(x1)
-        e2 = flow(hv, e1, -sign * lam, cfg)
-        return np.array(e2.coords)
+        return flow(hv, e1, -sign * lam, cfg).coords[m:]
 
-    diff = composed(+1.0) - composed(-1.0)
-    return diff[m:] / (2.0 * lam)
+    return [d / (2.0 * lam) for d in vec_sub(composed(+1.0), composed(-1.0))]
 
 
-def _loop_is_closed(bundle: TrivializedBundle, start: np.ndarray,
-                    end: np.ndarray, tol: float = 1e-9) -> bool:
+def _loop_is_closed(bundle: TrivializedBundle, start: Sequence[float],
+                    end: Sequence[float], tol: float = 1e-9) -> bool:
     periods = bundle.base_periods or (None,) * bundle.base_dim
-    for d, period in zip(end - start, periods):
+    for d, period in zip(vec_sub(end, start), periods):
         if period is None:
             if abs(d) > tol:
                 return False
@@ -357,7 +348,7 @@ def _loop_is_closed(bundle: TrivializedBundle, start: np.ndarray,
 
 def holonomy_loop(conn: ConnectionField, loop: CurveOnBase,
                   y0: Sequence[float], cfg: IntegratorConfig
-                  ) -> tuple[np.ndarray, float]:
+                  ) -> tuple[list, float]:
     """Transport y0 once around a closed base loop; returns the transported
     element and the displacement norm |y1 - y0|.
 
@@ -371,4 +362,4 @@ def holonomy_loop(conn: ConnectionField, loop: CurveOnBase,
         raise DomainError("holonomy_loop needs a closed curve "
                           "(up to declared base periods)")
     y1 = parallel_transport_vector(conn, loop, y0, cfg)
-    return y1, math.hypot(*(y1 - np.asarray(y0, dtype=float)))
+    return y1, math.hypot(*vec_sub(y1, [float(c) for c in y0]))

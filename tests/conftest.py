@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fibrum import (make_flat, make_nonlinear_demo, make_sphere)
+from fibrum import (float_value, make_flat, make_nonlinear_demo,
+                    make_sphere)
 
 # pytest puts src/ on sys.path (pyproject.toml); the CLI tests' child
 # interpreters need it on PYTHONPATH to import the same checkout.
@@ -38,6 +39,12 @@ def nonlinear_conn():
 def any_conn(request, flat_conn, sphere_conn, nonlinear_conn):
     return {"flat": flat_conn, "sphere": sphere_conn,
             "nonlinear-demo": nonlinear_conn}[request.param]
+
+
+def as_array(values) -> np.ndarray:
+    """A vector that the package returns as a list, as a float ndarray for
+    numpy arithmetic in a test; derivative layers are stripped."""
+    return np.array([float_value(c) for c in values], dtype=float)
 
 
 def central_fd_jacobian(fn, x, h):

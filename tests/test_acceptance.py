@@ -41,8 +41,9 @@ from fibrum import (BaseVectorField, IntegratorConfig, SectionMap,
                     sin, sphere_angle_between, sphere_latitude_gb_angle,
                     spray_from_connection, tensoriality_check_curvature,
                     torsion, vertical_projector)
-from fibrum.calculus import as_float_array
 from fibrum.config import DEFAULT_SEED
+
+from conftest import as_array
 
 ACCEPT_SEED = 31415
 STEP = 1e-3
@@ -77,8 +78,9 @@ def test_c01_curvature_route_equality():
     t0 = time.monotonic()
     worst = 0.0
     for conn, s, u, v, x in _tuples(100):
-        lifts = curv_via_lifts(conn, s, u, v, x).fibre_part
-        cov = curv_via_covariant_composition(conn, s, u, v, x).fibre_part
+        lifts = as_array(curv_via_lifts(conn, s, u, v, x).fibre_part)
+        cov = as_array(curv_via_covariant_composition(conn, s, u, v, x)
+                       .fibre_part)
         worst = max(worst, float(np.max(np.abs(cov - lifts))))
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0, f"runtime {elapsed:.1f}s exceeds the 30 s budget"
@@ -93,14 +95,15 @@ def test_c02_lift_route_internal_identity():
     worst_base = 0.0
     for conn, s, u, v, x in _tuples(100):
         m = conn.bundle.base_dim
-        a = curv_via_lifts(conn, s, u, v, x).fibre_part
-        b = curv_via_vertical_projection(conn, s, u, v, x).fibre_part
+        a = as_array(curv_via_lifts(conn, s, u, v, x).fibre_part)
+        b = as_array(curv_via_vertical_projection(conn, s, u, v, x)
+                     .fibre_part)
         worst_eq = max(worst_eq, float(np.max(np.abs(a - b))))
         hu = horizontal_lift_field(conn, u)
         hv = horizontal_lift_field(conn, v)
         hw = horizontal_lift_field(conn, base_lie_bracket(u, v))
         e = s.graph(x)
-        diff = as_float_array(hw(e)) - as_float_array(lie_bracket(hu, hv)(e))
+        diff = as_array(hw(e)) - as_array(lie_bracket(hu, hv)(e))
         worst_base = max(worst_base, float(np.max(np.abs(diff[:m]))))
     _report(2, "difference route equals projected-bracket route, vertically",
             worst_eq <= 1e-9 and worst_base <= 1e-10,
@@ -178,8 +181,8 @@ def test_c06_bracket_relatedness():
                              horizontal_lift_field(conn, v))
             uv = base_lie_bracket(u, v)
             worst_bracket = max(worst_bracket, float(np.max(np.abs(
-                as_float_array(br(e))[:m]
-                - as_float_array(uv(list(e.base_coords)))))))
+                as_array(br(e))[:m]
+                - as_array(uv(list(e.base_coords)))))))
         s = random_section(bundle, rng)
         v = random_base_field(bundle, rng)
         ext = extend_natural_derivative(s, v)
@@ -205,12 +208,14 @@ def test_c07_lift_rank_and_section_tensoriality():
                 rank_ok = False
         s1 = random_section(bundle, rng)
         x = random_base_point(bundle, rng)
-        sx = [float(c) for c in as_float_array(s1(x))]
+        sx = [float(c) for c in as_array(s1(x))]
         s2 = SectionMap(bundle, lambda c, _v=sx: _v)
         for j in range(bundle.base_dim):
             basis = [1.0 if k == j else 0.0 for k in range(bundle.base_dim)]
-            l1 = horizontal_lift(conn, s1.graph(x), basis).as_vector()
-            l2 = horizontal_lift(conn, s2.graph(x), basis).as_vector()
+            l1 = as_array(horizontal_lift(conn, s1.graph(x), basis)
+                          .as_vector())
+            l2 = as_array(horizontal_lift(conn, s2.graph(x), basis)
+                          .as_vector())
             exact = max(exact, float(np.max(np.abs(l1 - l2))))
     _report(7, "lift rank m at 50 points per connection; lift depends on the "
                "section only through its point value (exact)",
@@ -224,11 +229,11 @@ def test_c08_flow_algebra_bridge_order():
     s = random_section(conn.bundle, rng)
     v = random_base_field(conn.bundle, rng)
     x = random_base_point(conn.bundle, rng)
-    alg = covariant_derivative(conn, s, v, x)
+    alg = as_array(covariant_derivative(conn, s, v, x))
     errs = []
     for lam in (1e-2, 1e-3, 1e-4):
-        fd = lie_derivative_covariant(conn, s, v, x,
-                                      IntegratorConfig(step=lam))
+        fd = as_array(lie_derivative_covariant(conn, s, v, x,
+                                               IntegratorConfig(step=lam)))
         errs.append(float(np.max(np.abs(fd - alg))))
     orders = [math.log10(errs[i] / errs[i + 1]) for i in range(2)]
     _report(8, "flow definition converges to the algebraic covariant "
@@ -253,13 +258,13 @@ def test_c09_sprays_and_geodesics():
     def geo_residual():
         ts = [t for t, _, _ in samples]
         xs = [x for _, x, _ in samples]
-        vs = [v for _, _, v in samples]
+        vs = [as_array(v) for _, _, v in samples]
         h = ts[1] - ts[0]
         worst = 0.0
         for k in range(2, len(ts) - 2, 25):
             vdot = (-vs[k + 2] + 8 * vs[k + 1] - 8 * vs[k - 1]
                     + vs[k - 2]) / (12 * h)
-            g = as_float_array(conn.gamma(list(xs[k]), list(vs[k]),
+            g = as_array(conn.gamma(list(xs[k]), list(vs[k]),
                                           list(vs[k])))
             worst = max(worst, float(np.max(np.abs(vdot + g))))
         return worst
@@ -273,7 +278,7 @@ def test_c09_sprays_and_geodesics():
             vdot = (-states[4][2:] + 8 * states[3][2:] - 8 * states[1][2:]
                     + states[0][2:]) / (12 * delta)
             x, v = states[2][:2], states[2][2:]
-            g = as_float_array(conn.gamma(list(x), list(v), list(v)))
+            g = as_array(conn.gamma(list(x), list(v), list(v)))
             worst = max(worst, float(np.max(np.abs(vdot + g))))
         return worst
 
@@ -326,14 +331,14 @@ def test_c11_linear_specialization():
         x = random_base_point(bundle, rng)
         worst_leib = max(worst_leib, leibniz_check(
             conn, s, lambda c: fsin(c[0]), v, x))
-        lifts = curv_via_lifts(conn, s, u, v, x).fibre_part
-        comp = composition_commutator(conn, s, u, v, x)
+        lifts = as_array(curv_via_lifts(conn, s, u, v, x).fibre_part)
+        comp = as_array(composition_commutator(conn, s, u, v, x))
         worst_comp = max(worst_comp, float(np.max(np.abs(comp - lifts))))
-        d2uv = second_covariant_derivative(conn, s, u, v, x)
-        d2vu = second_covariant_derivative(conn, s, v, u, x)
+        d2uv = as_array(second_covariant_derivative(conn, s, u, v, x))
+        d2vu = as_array(second_covariant_derivative(conn, s, v, u, x))
         tors = torsion(conn, u, v, x)
         w = BaseVectorField(bundle, lambda c, _t=tors: list(_t))
-        nt = covariant_derivative(conn, s, w, x)
+        nt = as_array(covariant_derivative(conn, s, w, x))
         worst_tors_form = max(worst_tors_form, float(np.max(np.abs(
             d2uv - d2vu + nt - lifts))))
         worst_tors = max(worst_tors, float(np.max(np.abs(tors))))
@@ -370,8 +375,10 @@ def test_c12_extension_independence():
         s2 = SectionMap(bundle, _bend(s.fn, x0, bundle.fibre_dim, rng))
         u2 = BaseVectorField(bundle, _bend(u.fn, x0, bundle.base_dim, rng))
         v2 = BaseVectorField(bundle, _bend(v.fn, x0, bundle.base_dim, rng))
-        base = curv_via_covariant_composition(conn, s, u, v, x).fibre_part
-        bent = curv_via_covariant_composition(conn, s2, u2, v2, x).fibre_part
+        base = as_array(curv_via_covariant_composition(conn, s, u, v, x)
+                        .fibre_part)
+        bent = as_array(curv_via_covariant_composition(conn, s2, u2, v2, x)
+                        .fibre_part)
         worst = max(worst, float(np.max(np.abs(base - bent))))
     _report(12, "curvature in covariant derivatives depends only on s, u "
                 "and v at x, not on their first derivatives there",

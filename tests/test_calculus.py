@@ -200,7 +200,7 @@ def test_hessian_exact():
 
 def test_second_order_scalar_symmetry():
     fn = lambda x: [exp(x[0] * x[1]) + sin(x[0]) / (x[1] + 2.0)]
-    H = hessian(fn, [0.4, 0.9])[0]
+    H = np.array(hessian(fn, [0.4, 0.9])[0])
     assert np.max(np.abs(H - H.T)) < 1e-12
     got = jacobian(fn, [0.4, 0.9])[0]
     fd = central_fd_jacobian(
@@ -577,4 +577,4 @@ def test_kernels_have_no_length_cap():
     want = [[[_ref_float(h).hex() for h in entry.grad] for entry in out.grad]
             for out in _twelve(inner, _ref_sin)]
     assert [[[v.hex() for v in row] for row in block]
-            for block in H.tolist()] == want
+            for block in H] == want

@@ -12,10 +12,12 @@ from fibrum import (ConnectionField, ConnectionKind, IntegratorConfig,
                     make_custom_christoffel, make_flat, make_nonlinear_demo,
                     make_sphere, random_base_field, random_base_point,
                     random_section, random_total_point, sphere_metric)
-from fibrum.calculus import DScalar, as_float_array, cos, seed_scalars, sin
+from fibrum.calculus import DScalar, cos, seed_scalars, sin
 from fibrum.catalog import CATALOG, CHRISTOFFELS, _parse_christoffel_key
 from fibrum.config import DEFAULT_STEP
 from fibrum.errors import ConfigError
+
+from conftest import as_array
 
 
 def test_flat_dimensions_configurable():
@@ -38,12 +40,12 @@ def test_sphere_chart_excludes_polar_collar():
 def test_sphere_christoffel_values():
     conn = make_sphere()
     th = 0.9
-    got = as_float_array(conn.gamma([th, 0.3], [1.0, 0.0], [0.0, 1.0]))
+    got = as_array(conn.gamma([th, 0.3], [1.0, 0.0], [0.0, 1.0]))
     # (gamma(x,y)v)^a = G^a_bc v^b y^c with v = d_phi, y = (1,0):
     # a=phi: G^ph_ph,th v^ph y^th = cot(th)
     assert np.max(np.abs(got - np.array([0.0, math.cos(th) / math.sin(th)]))) \
         < 1e-15
-    got = as_float_array(conn.gamma([th, 0.3], [0.0, 1.0], [0.0, 1.0]))
+    got = as_array(conn.gamma([th, 0.3], [0.0, 1.0], [0.0, 1.0]))
     # a=theta: G^th_ph,ph v^ph y^ph = -sin cos
     assert abs(got[0] - (-math.sin(th) * math.cos(th))) < 1e-15
 
@@ -52,8 +54,8 @@ def test_nonlinear_demo_is_nonlinear_in_y():
     conn = make_nonlinear_demo()
     x = [0.5, -0.2]
     v = [1.0, 0.0]
-    g1 = as_float_array(conn.gamma(x, [0.5], v))
-    g2 = as_float_array(conn.gamma(x, [1.0], v))
+    g1 = as_array(conn.gamma(x, [0.5], v))
+    g2 = as_array(conn.gamma(x, [1.0], v))
     # (y + y^3): doubling y does not double gamma
     assert abs(2.0 * g1[0] - g2[0]) > 1e-3
     assert conn.kind is ConnectionKind.NONLINEAR
@@ -61,12 +63,12 @@ def test_nonlinear_demo_is_nonlinear_in_y():
 
 def test_custom_christoffel_constant_and_linear_terms():
     conn = make_custom_christoffel({"G_1_12": 1.0, "G_2_21_x1": 0.5})
-    got = as_float_array(conn.gamma([0.4, 0.0], [0.0, 1.0], [1.0, 0.0]))
+    got = as_array(conn.gamma([0.4, 0.0], [0.0, 1.0], [1.0, 0.0]))
     # G^1_12 v^1 y^2 = 1
     assert abs(got[0] - 1.0) < 1e-15
     # G^2_21(x) v^2 y^1 = 0 here since v^2 = 0
     assert abs(got[1]) < 1e-15
-    got = as_float_array(conn.gamma([0.4, 0.0], [1.0, 0.0], [0.0, 1.0]))
+    got = as_array(conn.gamma([0.4, 0.0], [1.0, 0.0], [0.0, 1.0]))
     # G^2_21(x) = 0.5 x1 = 0.2; v^2 y^1 = 1
     assert abs(got[1] - 0.2) < 1e-15
 
@@ -135,13 +137,12 @@ def test_random_fields_are_deterministic(any_conn):
     v1 = random_base_field(any_conn.bundle, r1)
     v2 = random_base_field(any_conn.bundle, r2)
     x = [0.3] * any_conn.bundle.base_dim
-    assert as_float_array(v1(x)).tolist() == as_float_array(v2(x)).tolist()
+    assert as_array(v1(x)).tolist() == as_array(v2(x)).tolist()
 
 
 def test_sphere_metric_values():
     g = sphere_metric([1.3, 0.0])
-    assert g[0, 0] == 1.0
-    assert abs(g[1, 1] - math.sin(1.3) ** 2) < 1e-15
+    assert g == [[1.0, 0.0], [0.0, math.sin(1.3) ** 2]]
 
 
 # -- evaluators against the table walks they replaced -------------------------
@@ -325,7 +326,7 @@ def test_sphere_latitude_holonomy_bit_equal_to_reference():
     cfg = IntegratorConfig(step=DEFAULT_STEP)
     got, got_disp = holonomy_loop(conn, loop, [1.0, 0.0], cfg)
     want, want_disp = holonomy_loop(reference, loop, [1.0, 0.0], cfg)
-    assert got.tolist() == want.tolist()
+    assert got == want
     assert got_disp == want_disp
 
 

@@ -835,6 +835,60 @@ def test_cli_overflowing_inputs_exit_1(tmp_path, capsys, argv, config):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_cli_uncountable_latitude_steps_fail_only_their_rows(tmp_path,
+                                                             capsys):
+    # the latitude rows derive their tolerance from the step count, so a
+    # count past the float range fails those rows, with no tolerance, and
+    # the report of every row is still written
+    from fibrum.cli import main
+    rep = tmp_path / "rep.json"
+    assert main(["verify", "sphere", "--step", "1e-320", "--quiet",
+                 "--out", str(rep)]) == 1
+    assert capsys.readouterr().err == ""
+    rows = {r["check_name"]: r for r in json.loads(rep.read_text())["checks"]}
+    latitude = ["holonomy_latitude_angle", "holonomy_oracle_agreement",
+                "metric_compatibility"]
+    for name in latitude:
+        assert rows[name]["tolerance"] is None
+        assert not rows[name]["pass"]
+        assert rows[name]["note"].startswith("StepBudgetError: ")
+    assert rows["projector_algebra"]["pass"]
+    assert len(rows) > len(latitude)
+
+
+@pytest.mark.parametrize("scenario", ["holonomy", "transport"])
+def test_cli_default_y0_of_an_overflowing_fibre_box_is_an_error(
+        tmp_path, capsys, scenario):
+    # the default start element is the fibre box's centre plus a share of
+    # its width, and a width past the float range is a named error, not an
+    # overflow warning and an infinite start
+    import warnings
+    from fibrum.cli import main
+    path = _write(tmp_path, {"bundle_name": "tm-custom-christoffel",
+                             "scenario": scenario,
+                             "bundle_params": {"fibre_half": 1e308}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(path), "--quiet",
+                     "--out", str(tmp_path / "rep.json")]) == 1
+    assert capsys.readouterr().err \
+        == "error: Range exceeds valid bounds\n"
+    assert not (tmp_path / "rep.json").exists()
+    # a given y0 needs no default: the loop runs, and only the head row,
+    # whose draws span the fibre box, fails
+    path = _write(tmp_path, {"bundle_name": "tm-custom-christoffel",
+                             "scenario": scenario,
+                             "bundle_params": {"fibre_half": 1e308},
+                             "scenario_params": {"y0": [0.1, 0.2]}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(path), "--quiet",
+                     "--out", str(tmp_path / "rep.json")]) == 1
+    rows = json.loads((tmp_path / "rep.json").read_text())["checks"]
+    assert [r["pass"] for r in rows] == [False, True]
+    assert rows[0]["note"] == "OverflowError: Range exceeds valid bounds"
+
+
 _EXTREME = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([5e-324, -5e-324, 1e-320, 1e-300, 1e308, -1e308]))
@@ -903,7 +957,7 @@ def fuzz_dir(tmp_path_factory):
 @settings(derandomize=True, max_examples=300, deadline=None)
 def test_cli_extreme_inputs_end_in_an_exit_status(fuzz_dir, config):
     # an input never ends in a traceback: a check failure exits 1 and a
-    # config error 2 (numpy may still warn on stderr)
+    # config error 2
     from fibrum.cli import main
     path = _write(fuzz_dir, config)
     assert main(["run", str(path), "--quiet",

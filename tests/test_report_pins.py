@@ -14,11 +14,13 @@ where transport leaves the fibre box: the report's
 ``transport_roundtrip`` row (seed 1) and ``transport_covariantly_constant``
 row (seed 11) carry the ``ChartExitError`` note with its exit time.
 
-The bytes do not depend on the CPU either.  numpy stores, samples and does
-elementwise arithmetic; every contraction that reaches a report goes through
-``fibrum.calculus`` (``dot``, ``mat_vec``), which sums in a fixed order.  A
-numpy ``@`` would go to OpenBLAS, whose kernel, picked from the CPU at run
-time, may fuse multiply-adds and round differently, so the pins are also
+The bytes do not depend on the CPU either.  Values are lists of Python
+floats, and every number in a report outside the two rank rows comes from
+Python float arithmetic through ``fibrum.calculus`` (``dot`` and
+``mat_vec`` sum in a fixed order); numpy draws the seeded streams and
+serves the rank rows and the Gauss-Bonnet oracle's nodes and sums.  A numpy
+``@`` would go to OpenBLAS, whose kernel, picked from the CPU at run time,
+may fuse multiply-adds and round differently, so the pins are also
 recomputed under OpenBLAS's SSE3 kernel.
 
 A change that alters report bytes on purpose rewrites ``report_pins.json``
