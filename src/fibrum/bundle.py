@@ -17,8 +17,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .calculus import (Scalar, _field_jets, _max_abs, dot, float_value,
-                       vec_sub)
+from .calculus import (Scalar, _define, _field_jets, _max_abs, dot,
+                       float_value, vec_sub)
 from .errors import DomainError
 
 
@@ -27,9 +27,46 @@ class SpaceTag(enum.Enum):
     TOTAL = "total"
 
 
+@functools.lru_cache(maxsize=None)
+def _box_test(n: int):
+    """The maker of chart tests on ``n`` coordinates, written out as one
+    straight-line predicate and compiled on first use of ``n``.
+
+    ``make(l0, h0, ..., l{n-1}, h{n-1})`` returns ``contains(coords)``,
+    which is ``len(coords) == n and l0 < coords[0] < h0 and ...``: the
+    bounds reach it as closure variables, not as text, so every bit of them
+    is kept, and every test on ``n`` coordinates shares one code object.
+    """
+    bounds = ", ".join(f"l{i}, h{i}" for i in range(n))
+    test = " and ".join([f"len(coords) == {n}"] + [
+        f"l{i} < coords[{i}] < h{i}" for i in range(n)])
+    lines = [f"def make({bounds}):",
+             "    def contains(coords):",
+             '        """Whether the real coordinates ``coords`` lie inside '
+             'the box."""',
+             f"        return {test}",
+             "    return contains"]
+    return _define(lines, f"<chart box test, n={n}>", {})
+
+
+def _chart_test(*boxes: Box):
+    """The compiled chart test of the product of ``boxes``, in order."""
+    bounds = [b for box in boxes for lh in zip(box.lower, box.upper)
+              for b in lh]
+    return _box_test(len(bounds) // 2)(*bounds)
+
+
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned open box with explicit bounds."""
+    """Axis-aligned open box with explicit bounds.
+
+    ``dim``, the number of axes, and the chart test ``contains(coords)``
+    are set once, at construction.  ``contains`` is one compiled predicate
+    (``_box_test``): ``coords`` has one entry per axis and each lies
+    strictly between its bounds, so a bound itself and NaN are outside.
+    Both are plain attributes, not fields, so equal boxes stay equal and
+    hash equal.
+    """
 
     lower: tuple[float, ...]
     upper: tuple[float, ...]
@@ -39,19 +76,12 @@ class Box:
             raise DomainError("box bounds have mismatched dimensions")
         if not all(lo < hi for lo, hi in zip(self.lower, self.upper)):
             raise DomainError("box is empty: need lower < upper in every axis")
+        object.__setattr__(self, "dim", len(self.lower))
+        object.__setattr__(self, "contains", _chart_test(self))
 
-    @property
-    def dim(self) -> int:
-        return len(self.lower)
-
-    def contains(self, coords: Sequence[float]) -> bool:
-        """Whether the real coordinates ``coords`` lie inside the box."""
-        if len(coords) != len(self.lower):
-            return False
-        for c, lo, hi in zip(coords, self.lower, self.upper):
-            if not lo < c < hi:
-                return False
-        return True
+    def __reduce__(self):
+        # the chart test is a compiled closure, so a copy is rebuilt
+        return Box, (self.lower, self.upper)
 
     @functools.cached_property
     def _shrunk(self) -> dict:
@@ -73,13 +103,14 @@ class Box:
     def sample(self, rng: np.random.Generator, margin: float = 0.1) -> list:
         """Uniform draw from the box shrunk by a relative margin per side, as
         a list of floats."""
-        return uniform(rng, *self.bounds(margin))
+        return _uniform_spans(rng, *_plan(self.bounds(margin)))
 
 
 def uniform(rng: np.random.Generator, lows: Sequence[float],
             highs: Sequence[float]) -> list:
     """numpy's ``Generator.uniform(lows, highs)`` for equal-length bounds,
-    as a list, from one ``rng.random`` call.
+    as a list, from one ``rng.random`` call; draws on constant bounds take
+    their checked ranges from ``_plan`` instead.
 
     numpy draws entry i as ``lows[i] + (highs[i] - lows[i]) * u``, with u
     the generator's next double, so the same float arithmetic gives the
@@ -108,14 +139,29 @@ def _uniform_spans(rng: np.random.Generator, lows: Sequence[float],
             in zip(lows, spans, rng.random(len(spans)).tolist())]
 
 
+@functools.cache
+def _plan(*parts) -> tuple[tuple, tuple]:
+    """(lows, spans) of one ``uniform`` draw over ``parts``, each a (lows,
+    highs) pair of tuples, in order, checked by ``_spans``.
+
+    The parts are constant bounds (``Box.bounds``, ``catalog._cube``,
+    ``_total_bounds`` and ``_sin_bounds``), so each set is checked once.
+    A call that raises caches nothing, so failing bounds raise before
+    anything is drawn on every call.  Bounds that compare equal differ at
+    most in the sign of a zero, which changes no draw; only a -0.0 high
+    over a 0.0 low would fail where its equal passes, and no constant
+    bound has one.
+    """
+    lows = tuple(lo for part in parts for lo in part[0])
+    highs = [hi for part in parts for hi in part[1]]
+    return lows, tuple(_spans(lows, highs))
+
+
 def uniform_parts(rng: np.random.Generator, *parts) -> list:
     """Consecutive ``uniform`` draws by one generator call: each part is a
-    (lows, highs) pair and gets the list of its values, in order."""
-    lows, highs = [], []
-    for lo, hi in parts:
-        lows += lo
-        highs += hi
-    values = uniform(rng, lows, highs)
+    (lows, highs) pair of constant tuples (``_plan``) and gets the list of
+    its values, in order."""
+    values = _uniform_spans(rng, *_plan(*parts))
     out, k = [], 0
     for lo, _ in parts:
         out.append(values[k:k + len(lo)])
@@ -130,6 +176,14 @@ class TrivializedBundle:
     ``base_periods`` marks base coordinates that wrap (entry = period, or
     None).  It is metadata used only for loop-closure tests; all analysis
     stays inside the single chart box.
+
+    ``base_dim``, ``fibre_dim`` and ``total_dim`` and the chart tests are
+    set once, at construction: ``contains_base`` is the base box's
+    ``contains``, and ``contains_total`` one compiled predicate over the
+    base bounds, then the fibre bounds, with the semantics of
+    ``Box.contains``.  They are plain attributes, not fields, so equal
+    bundles stay equal and hash equal; a pickled bundle, like a pickled
+    box, is rebuilt from its fields.
     """
 
     name: str
@@ -138,32 +192,24 @@ class TrivializedBundle:
     base_periods: Optional[tuple[Optional[float], ...]] = None
 
     def __post_init__(self):
-        if self.base_periods is not None and len(self.base_periods) != self.base_box.dim:
+        m, f = self.base_box.dim, self.fibre_box.dim
+        if self.base_periods is not None and len(self.base_periods) != m:
             raise DomainError("base_periods length must equal base dimension")
+        for name, value in (("base_dim", m), ("fibre_dim", f),
+                            ("total_dim", m + f),
+                            ("contains_base", self.base_box.contains),
+                            ("contains_total",
+                             _chart_test(self.base_box, self.fibre_box))):
+            object.__setattr__(self, name, value)
 
-    @property
-    def base_dim(self) -> int:
-        return self.base_box.dim
-
-    @property
-    def fibre_dim(self) -> int:
-        return self.fibre_box.dim
-
-    @property
-    def total_dim(self) -> int:
-        return self.base_dim + self.fibre_dim
+    def __reduce__(self):
+        return TrivializedBundle, (self.name, self.base_box, self.fibre_box,
+                                   self.base_periods)
 
     def split(self, coords: Sequence[Scalar]) -> tuple[list, list]:
         """Split total-space coordinates into (base, fibre) parts."""
         m = self.base_dim
         return list(coords[:m]), list(coords[m:])
-
-    def contains_base(self, coords: Sequence[float]) -> bool:
-        return self.base_box.contains(coords)
-
-    def contains_total(self, coords: Sequence[float]) -> bool:
-        x, y = self.split(coords)
-        return self.base_box.contains(x) and self.fibre_box.contains(y)
 
     def base_point(self, coords: Sequence[float]) -> "Point":
         return Point(self, SpaceTag.BASE, tuple(float(c) for c in coords))
@@ -184,18 +230,18 @@ class Point:
     coords: tuple[float, ...]
 
     def __post_init__(self):
-        box_dim = (self.bundle.base_dim if self.space is SpaceTag.BASE
-                   else self.bundle.total_dim)
-        if len(self.coords) != box_dim:
+        bundle = self.bundle
+        if self.space is SpaceTag.BASE:
+            dim, inside = bundle.base_dim, bundle.contains_base
+        else:
+            dim, inside = bundle.total_dim, bundle.contains_total
+        if len(self.coords) != dim:
             raise DomainError(
-                f"point has {len(self.coords)} coordinates, expected {box_dim}")
-        inside = (self.bundle.contains_base(self.coords)
-                  if self.space is SpaceTag.BASE
-                  else self.bundle.contains_total(self.coords))
-        if not inside:
+                f"point has {len(self.coords)} coordinates, expected {dim}")
+        if not inside(self.coords):
             raise DomainError(
                 f"point {self.coords} lies outside the chart box of "
-                f"bundle '{self.bundle.name}'")
+                f"bundle '{bundle.name}'")
 
     @property
     def base_coords(self) -> tuple[float, ...]:

@@ -24,8 +24,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bundle import (BaseVectorField, Box, Point, SectionMap,
-                     TotalTangent, TrivializedBundle, _spans, _uniform_spans,
-                     uniform, uniform_parts)
+                     TotalTangent, TrivializedBundle, _plan, _uniform_spans,
+                     uniform_parts)
 from .calculus import (DScalar, _define, _ds, cos, dot, float_value,
                        mat_vec, sin)
 from .connection import ConnectionField, ConnectionKind
@@ -311,12 +311,13 @@ def _total_bounds(bundle: TrivializedBundle) -> tuple[tuple, tuple]:
 
 def random_base_point(bundle: TrivializedBundle,
                       rng: np.random.Generator) -> Point:
-    return bundle.base_point(uniform(rng, *bundle.base_box.bounds()))
+    return bundle.base_point(bundle.base_box.sample(rng))
 
 
 def random_total_point(bundle: TrivializedBundle,
                        rng: np.random.Generator) -> Point:
-    return bundle.total_point(uniform(rng, *_total_bounds(bundle)))
+    return bundle.total_point(
+        _uniform_spans(rng, *_plan(_total_bounds(bundle))))
 
 
 @functools.cache
@@ -491,13 +492,21 @@ def _sin_fns(rng: np.random.Generator, n_inputs: int, scales) -> list:
 
 
 @functools.cache
-def _section_shape(fibre_box: Box) -> tuple[tuple, tuple]:
-    """(centre, scales) of ``random_section`` on a fibre box: its centre,
-    and per component the constant and wave scales of its combination."""
+def _section_shape(fibre_box: Box, m: int) -> tuple[tuple, tuple]:
+    """(centre, scales) of ``random_section`` on a fibre box over a base of
+    dimension ``m``: the box's centre, and per component the constant and
+    wave scales of its combination, 0.45 h and min(0.15, 0.45 / m) h for a
+    box of half-width h on that axis.
+
+    A component is the centre plus a constant and m waves, each at most
+    its scale in size, so the graph stays within 0.45 h + m min(0.15,
+    0.45 / m) h <= 0.9 h of the centre at every x, inside the box at any
+    m.  In doubles 0.45 / 3 == 0.15, so m <= 3 keeps the 0.15 h waves."""
     lower, upper = fibre_box.lower, fibre_box.upper
     half = [0.5 * (hi - lo) for lo, hi in zip(lower, upper)]
+    wave = min(0.15, 0.45 / m)
     return (tuple(0.5 * (hi + lo) for lo, hi in zip(lower, upper)),
-            tuple((0.45 * h, 0.15 * h) for h in half))
+            tuple((0.45 * h, wave * h) for h in half))
 
 
 # (constant_scale, wave_scale) of each component of ``random_base_field``
@@ -507,7 +516,7 @@ _FIELD_SCALES = (0.8, 0.5)
 def _section_map(bundle: TrivializedBundle, comps: list) -> SectionMap:
     """The section of ``random_section`` from its drawn combinations, one
     per fibre component, around the fibre box's centre."""
-    centre = _section_shape(bundle.fibre_box)[0]
+    centre = _section_shape(bundle.fibre_box, bundle.base_dim)[0]
 
     def fn(x):
         return [centre[i] + comps[i](x) for i in range(len(comps))]
@@ -522,8 +531,9 @@ def _base_field(bundle: TrivializedBundle, comps: list) -> BaseVectorField:
 
 def random_section(bundle: TrivializedBundle,
                    rng: np.random.Generator) -> SectionMap:
-    """Random smooth section whose graph stays well inside the fibre box."""
-    scales = _section_shape(bundle.fibre_box)[1]
+    """Random smooth section whose graph stays within 0.9 of the fibre
+    box's half-width of its centre on every axis (``_section_shape``)."""
+    scales = _section_shape(bundle.fibre_box, bundle.base_dim)[1]
     return _section_map(bundle, _sin_fns(rng, bundle.base_dim, scales))
 
 
@@ -534,19 +544,17 @@ def random_base_field(bundle: TrivializedBundle,
 
 
 @functools.cache
-def _suvx_plan(bundle: TrivializedBundle) -> tuple[list, list]:
+def _suvx_plan(bundle: TrivializedBundle) -> tuple[tuple, tuple]:
     """(lows, spans) of ``random_suvx``'s draw, worked out once per bundle:
     the coefficient bounds of the section's combinations, then of the two
     base fields', then ``base_box.bounds()``, with numpy's guards checked
-    here (``bundle._spans``)."""
+    through ``bundle._plan``."""
     m = bundle.base_dim
-    scales = (_section_shape(bundle.fibre_box)[1]
+    scales = (_section_shape(bundle.fibre_box, m)[1]
               + (_FIELD_SCALES,) * (2 * m))
     parts = [_sin_bounds(m, c, w) for c, w in scales]
     parts.append(bundle.base_box.bounds())
-    lows = [lo for part in parts for lo in part[0]]
-    highs = [hi for part in parts for hi in part[1]]
-    return lows, _spans(lows, highs)
+    return _plan(*parts)
 
 
 def random_suvx(bundle: TrivializedBundle, rng: np.random.Generator
@@ -581,7 +589,8 @@ def _tangent(e: Point, coords: list) -> TotalTangent:
 
 def random_tangent(conn: ConnectionField, e: Point,
                    rng: np.random.Generator) -> TotalTangent:
-    return _tangent(e, uniform(rng, *_cube(conn.bundle.total_dim, 1.0)))
+    return _tangent(e, _uniform_spans(
+        rng, *_plan(_cube(conn.bundle.total_dim, 1.0))))
 
 
 # -- standard curves ----------------------------------------------------------

@@ -1,6 +1,7 @@
 """Chart boxes, points, fields and Lie brackets."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from fibrum import (BaseVectorField, Box, DomainError, SectionMap,
                     SpaceTag, TotalTangent, TotalVectorField,
-                    base_lie_bracket, check_p_related,
+                    TrivializedBundle, base_lie_bracket, check_p_related,
                     lie_bracket, make_flat, random_total_point, sin)
 from fibrum.bundle import uniform, uniform_parts
 
@@ -26,6 +27,105 @@ def test_box_is_open():
     assert box.contains([0.5])
     assert not box.contains([0.0])
     assert not box.contains([1.0])
+
+
+# -- the compiled chart tests ------------------------------------------------
+# Each box tests membership with one compiled predicate; these compare it
+# with the definition: one coordinate per axis, each strictly inside.
+
+def _reference_contains(box, coords):
+    return (len(coords) == len(box.lower)
+            and all(lo < c < hi
+                    for c, lo, hi in zip(coords, box.lower, box.upper)))
+
+
+@st.composite
+def _boxes(draw, min_dim=1, max_dim=6):
+    axes = draw(st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(1e-3, 1e6)),
+                         min_size=min_dim, max_size=max_dim))
+    return Box(tuple(lo for lo, _ in axes), tuple(lo + w for lo, w in axes))
+
+
+@st.composite
+def _coords_near(draw, box):
+    """Coordinates for ``box``: of a length near its dimension, inside on
+    every axis but up to two, which hold a bound, a signed zero, an
+    infinity, NaN or any float."""
+    n = draw(st.integers(max(0, box.dim - 1), box.dim + 1))
+    axes = [(box.lower[i % box.dim], box.upper[i % box.dim])
+            for i in range(n)]
+    out = [draw(st.floats(lo, hi, exclude_min=True, exclude_max=True))
+           for lo, hi in axes]
+    for i in draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=min(n, 2))):
+        lo, hi = axes[i]
+        out[i] = draw(st.sampled_from([lo, hi, 0.0, -0.0, math.inf,
+                                       -math.inf, math.nan]) | st.floats())
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), box=_boxes())
+def test_box_contains_matches_definition(data, box):
+    coords = data.draw(_coords_near(box))
+    assert box.contains(coords) == _reference_contains(box, coords)
+    assert box.contains(tuple(coords)) == _reference_contains(box, coords)
+    # every bound and NaN, one axis at a time, with the rest at the centre
+    centre = [0.5 * (lo + hi) for lo, hi in zip(box.lower, box.upper)]
+    assert box.contains(centre)
+    for i in range(box.dim):
+        for c in (box.lower[i], box.upper[i], math.nan):
+            assert not box.contains(centre[:i] + [c] + centre[i + 1:])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), base=_boxes(max_dim=4), fibre=_boxes(max_dim=3))
+def test_contains_total_is_base_then_fibre(data, base, fibre):
+    bundle = TrivializedBundle("b", base, fibre)
+    m = bundle.base_dim
+    total = Box(base.lower + fibre.lower, base.upper + fibre.upper)
+    coords = data.draw(_coords_near(total))
+    expected = _reference_contains(total, coords)
+    assert bundle.contains_total(coords) == expected
+    assert (base.contains(coords[:m]) and fibre.contains(coords[m:])) \
+        == expected
+    assert bundle.contains_base(coords[:m]) == base.contains(coords[:m])
+    assert (bundle.base_dim, bundle.fibre_dim, bundle.total_dim) \
+        == (base.dim, fibre.dim, base.dim + fibre.dim)
+
+
+def test_equal_boxes_and_bundles_stay_equal_and_share_caches():
+    from fibrum.catalog import _section_shape, _suvx_plan
+    one, two = make_flat(m=3, f=2).bundle, make_flat(m=3, f=2).bundle
+    assert one is not two and one.base_box is not two.base_box
+    assert one == two and hash(one) == hash(two)
+    assert one.fibre_box == two.fibre_box
+    assert hash(one.fibre_box) == hash(two.fibre_box)
+    # the stored dimensions and tests are no fields: repr and eq skip them
+    assert "contains" not in repr(one.base_box)
+    for cached, args in ((_section_shape, lambda b: (b.fibre_box, 3)),
+                         (_suvx_plan, lambda b: (b,))):
+        cached(*args(one))
+        hits = cached.cache_info().hits
+        assert cached(*args(two)) is cached(*args(one))
+        assert cached.cache_info().hits == hits + 2
+
+
+def test_boxes_bundles_and_points_pickle():
+    bundle = make_flat(m=3, f=2).bundle
+    point = random_total_point(bundle, np.random.default_rng(0))
+    for value in (bundle.base_box, bundle, point):
+        copy = pickle.loads(pickle.dumps(value))
+        assert copy == value and hash(copy) == hash(value)
+    copy = pickle.loads(pickle.dumps(bundle))
+    assert copy.contains_total(point.coords)
+    assert not copy.contains_total(point.coords[:-1])
+
+
+def test_chart_tests_share_one_code_object_per_length():
+    boxes = [Box((0.0, float(k)), (1.0, k + 2.0)) for k in range(3)]
+    assert len({box.contains.__code__ for box in boxes}) == 1
+    assert boxes[0].contains([0.5, 1.0])
+    assert not boxes[1].contains([0.5, 1.0])
 
 
 # -- the stream contract -----------------------------------------------------
@@ -102,7 +202,7 @@ def test_uniform_guards_draw_nothing(lows, highs, error):
                                max_size=4), max_size=4),
        seed=_seed)
 def test_uniform_parts_split_one_draw(parts, seed):
-    bounds = [([lo for lo, _ in part], [lo + w for lo, w in part])
+    bounds = [(tuple(lo for lo, _ in part), tuple(lo + w for lo, w in part))
               for part in parts]
     got = uniform_parts(np.random.default_rng(seed), *bounds)
     whole = uniform(np.random.default_rng(seed),

@@ -131,6 +131,18 @@ def test_random_sections_stay_inside_fibre_box(any_conn, rng):
             s.graph(x)  # raises DomainError if the graph leaves the chart
 
 
+@pytest.mark.parametrize("m, seed", [(10, 2), (12, 0), (16, 0)])
+def test_flat_verify_all_stays_in_the_chart_at_high_base_dimension(m, seed):
+    # with 0.15 h waves the m + 1 terms of a section reached past the fibre
+    # box's half-width h at these draws; no row may fail by a chart exit
+    from fibrum import load_config, run_scenario
+    cfg = load_config({"bundle_name": "flat", "bundle_params": {"m": m, "f": 2},
+                       "scenario": "verify-all"}, seed_override=seed)
+    notes = {row.check_name: row.note for row in run_scenario(cfg).checks}
+    assert {name: note for name, note in notes.items()
+            if "chart box" in note} == {}
+
+
 def test_random_fields_are_deterministic(any_conn):
     r1 = np.random.default_rng(5)
     r2 = np.random.default_rng(5)
