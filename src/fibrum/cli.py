@@ -41,7 +41,8 @@ def _resolve_seed(flag_value):
         try:
             return int(env)
         except ValueError:
-            raise ConfigError(f"FIBRUM_SEED must be an integer, got {env!r}")
+            raise ConfigError(f"FIBRUM_SEED must be an integer, got {env!r}",
+                              field="FIBRUM_SEED")
     return None
 
 

@@ -39,25 +39,46 @@ def _real(value) -> bool:
 
 
 _SEED = (lambda v: _integer(v) and v >= 0, "a non-negative integer")
-_SAMPLES = (lambda v: _integer(v) and v >= 1, "an integer >= 1")
+_COUNT = (lambda v: _integer(v) and v >= 1, "an integer >= 1")
 _REAL = (_real, "a finite real")
 _POSITIVE = (lambda v: _real(v) and v > 0, "a positive finite real")
 _VECTOR = (lambda v: isinstance(v, (list, tuple)) and all(map(_real, v)),
            "a list of finite reals")
+_OBJECT = (lambda v: isinstance(v, dict), "an object")
 
-# The scenarios, in the order a config error lists them, each with its
-# parameter schema: name -> (accepts(value), what it takes).  Vector
-# lengths and the latitude's range depend on the bundle and are checked
-# where it is built (``scenarios.Subject``).
+
+def _one_of(names: list) -> tuple:
+    return (lambda v: isinstance(v, str) and v in names, f"one of {names}")
+
+
+# A rule table maps each key of an object to its rule, the pair
+# (accepts(value), what it takes).  The scenarios, in the order a config
+# error lists them, each with its parameter table; vector lengths and the
+# latitude's range depend on the bundle (``scenarios.Subject`` checks them).
 _SCENARIO_PARAMS: dict[str, dict[str, tuple]] = {
     "verify-all": {"seed": _SEED},
-    "theorem41": {"seed": _SEED, "samples": _SAMPLES},
+    "theorem41": {"seed": _SEED, "samples": _COUNT},
     "transport": {"seed": _SEED, "latitude": _REAL, "y0": _VECTOR},
     "geodesic": {"seed": _SEED, "x0": _VECTOR, "v0": _VECTOR, "T": _REAL},
     "holonomy": {"seed": _SEED, "latitude": _REAL, "radius": _POSITIVE,
                  "y0": _VECTOR},
-    "curvature-table": {"seed": _SEED, "samples": _SAMPLES},
+    "curvature-table": {"seed": _SEED, "samples": _COUNT},
 }
+# The config's own keys; ``catalog.build_connection`` checks each value of
+# ``bundle_params`` against the catalog entry's schema.
+_CONFIG = {
+    "bundle_name": _one_of(sorted(CATALOG)),
+    "bundle_params": _OBJECT,
+    "scenario": _one_of(list(_SCENARIO_PARAMS)),
+    "scenario_params": _OBJECT,
+    "integrator": _OBJECT,
+    "tolerances": _OBJECT,
+    "output_path": (lambda v: v is None or isinstance(v, str),
+                    "a string or null"),
+}
+_INTEGRATOR = {"step": _POSITIVE, "max_steps": _COUNT}
+_TOLERANCES = dict.fromkeys(CHECKS, _REAL)  # a negative one fails its row
+_OVERRIDES = {"seed": _SEED, "step": _POSITIVE}  # --seed/FIBRUM_SEED, --step
 
 
 @dataclass(frozen=True)
@@ -83,22 +104,32 @@ class ScenarioConfig:
         }
 
 
-def _step(value, field: str) -> float:
-    """An integrator step: a finite positive real, else a ConfigError."""
-    try:
-        step = float(value)
-    except (TypeError, ValueError):
-        step = math.nan
-    if not (step > 0.0 and math.isfinite(step)):
-        raise ConfigError(f"{field} must be a finite positive real, got "
-                          f"{value!r}", field=field)
-    return step
+def _checked(where: str, values: dict, rules: dict, **defaults) -> dict:
+    """``values`` over ``defaults`` if ``rules`` lists every key and accepts
+    every value, else a ConfigError naming ``where`` (an unknown key) or
+    ``<where>.<key>`` (a rejected value; the bare key in ``config``)."""
+    unknown = values.keys() - rules.keys()
+    if unknown:
+        raise ConfigError(f"unknown {where} keys {sorted(unknown)} (allowed: "
+                          f"{sorted(rules)})", field=where)
+    values = {**defaults, **values}
+    for key, value in values.items():
+        accepts, what = rules[key]
+        if not accepts(value):
+            name = key if where == "config" else f"{where}.{key}"
+            raise ConfigError(f"{name} must be {what}, got {value!r}",
+                              field=name)
+    return values
 
 
 def load_config(source, seed_override: Optional[int] = None,
                 step_override: Optional[float] = None,
                 out_override: Optional[str] = None) -> ScenarioConfig:
-    """Parse and validate a config from a path, '-' (stdin), or a dict."""
+    """Parse and validate a config from a path, '-' (stdin), or a dict.
+
+    Each value and override is checked, with no coercion, by ``_checked``
+    against its rule table; the report path is checked too, before any run.
+    """
     if isinstance(source, dict):
         raw = source
     else:
@@ -120,86 +151,20 @@ def load_config(source, seed_override: Optional[int] = None,
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
 
-    allowed = {"bundle_name", "bundle_params", "scenario", "scenario_params",
-               "integrator", "tolerances", "output_path"}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"unknown config keys {sorted(unknown)}",
-                          field=sorted(unknown)[0])
-
-    bundle_name = raw.get("bundle_name")
-    if not isinstance(bundle_name, str) or bundle_name not in CATALOG:
-        raise ConfigError(
-            f"bundle_name must be one of {sorted(CATALOG)}, got "
-            f"{bundle_name!r}", field="bundle_name")
-
-    scenario = raw.get("scenario")
-    if not isinstance(scenario, str) or scenario not in _SCENARIO_PARAMS:
-        raise ConfigError(
-            f"scenario must be one of {list(_SCENARIO_PARAMS)}, got "
-            f"{scenario!r}", field="scenario")
-
-    # Each value is checked against the catalog entry's schema when the
-    # bundle is built (``catalog.build_connection``).
-    bundle_params = raw.get("bundle_params", {})
-    if not isinstance(bundle_params, dict):
-        raise ConfigError("bundle_params must be an object",
-                          field="bundle_params")
-
-    scenario_params = raw.get("scenario_params", {})
-    if not isinstance(scenario_params, dict):
-        raise ConfigError("scenario_params must be an object",
-                          field="scenario_params")
-    schema = _SCENARIO_PARAMS[scenario]
-    unknown = set(scenario_params) - set(schema)
-    if unknown:
-        raise ConfigError(
-            f"unknown scenario_params {sorted(unknown)} for '{scenario}' "
-            f"(allowed: {sorted(schema)})", field="scenario_params")
-    for name, value in scenario_params.items():
-        accepts, what = schema[name]
-        if not accepts(value):
-            raise ConfigError(f"scenario_params.{name} must be {what}, got "
-                              f"{value!r}", field=f"scenario_params.{name}")
-
-    integrator = raw.get("integrator", {})
-    if not isinstance(integrator, dict):
-        raise ConfigError("integrator must be an object", field="integrator")
-    unknown = set(integrator) - {"step", "max_steps"}
-    if unknown:
-        raise ConfigError(f"unknown integrator keys {sorted(unknown)}",
-                          field="integrator")
-    step = _step(integrator.get("step", DEFAULT_STEP), "integrator.step")
-    max_steps = integrator.get("max_steps", DEFAULT_MAX_STEPS)
-    if not _integer(max_steps) or max_steps < 1:
-        raise ConfigError("integrator.max_steps must be a positive integer",
-                          field="integrator.max_steps")
-
-    tolerances = raw.get("tolerances", {})
-    if not isinstance(tolerances, dict):
-        raise ConfigError("tolerances must be an object", field="tolerances")
-    for name, val in tolerances.items():
-        if name not in CHECKS:
-            raise ConfigError(f"unknown tolerance name '{name}'",
-                              field="tolerances")
-        if not _real(val):
-            raise ConfigError(f"tolerances.{name} must be a finite real, "
-                              f"got {val!r}", field=f"tolerances.{name}")
-
-    output_path = raw.get("output_path")
-    if output_path is not None and not isinstance(output_path, str):
-        raise ConfigError("output_path must be a string", field="output_path")
-
-    seed = scenario_params.get("seed", DEFAULT_SEED)
-    if seed_override is not None:
-        seed = int(seed_override)
-        if seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got "
-                              f"{seed}", field="seed")
-    if step_override is not None:
-        step = _step(step_override, "step")
-    if out_override is not None:
-        output_path = out_override
+    raw = _checked("config", raw, _CONFIG, bundle_name=None, scenario=None,
+                   bundle_params={}, scenario_params={}, integrator={},
+                   tolerances={}, output_path=None)
+    scenario_params = _checked("scenario_params", raw["scenario_params"],
+                               _SCENARIO_PARAMS[raw["scenario"]])
+    integrator = _checked("integrator", raw["integrator"], _INTEGRATOR,
+                          step=DEFAULT_STEP, max_steps=DEFAULT_MAX_STEPS)
+    tolerances = _checked("tolerances", raw["tolerances"], _TOLERANCES)
+    seed = (scenario_params.get("seed", DEFAULT_SEED) if seed_override is None
+            else seed_override)
+    step = integrator["step"] if step_override is None else step_override
+    _checked("config", {"seed": seed, "step": step}, _OVERRIDES)
+    output_path = (raw["output_path"] if out_override is None
+                   else out_override)
     # checked before anything runs, so a bad path does not cost a scenario
     if output_path and (Path(output_path).is_dir()
                         or not Path(output_path).parent.is_dir()):
@@ -208,13 +173,12 @@ def load_config(source, seed_override: Optional[int] = None,
                           f"got {output_path!r}", field=name)
 
     return ScenarioConfig(
-        bundle_name=bundle_name,
-        scenario=scenario,
-        bundle_params=dict(bundle_params),
-        scenario_params=dict(scenario_params),
-        step=step,
-        max_steps=max_steps,
-        tolerances=dict(tolerances),
+        bundle_name=raw["bundle_name"], scenario=raw["scenario"],
+        bundle_params=dict(raw["bundle_params"]),
+        scenario_params=scenario_params,
+        step=float(step),
+        max_steps=integrator["max_steps"],
+        tolerances=tolerances,
         output_path=output_path,
         seed=seed,
     )

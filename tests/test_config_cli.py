@@ -77,7 +77,7 @@ def test_unknown_scenario_and_keys_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("step", [float("inf"), float("nan"), 0.0, -1e-3,
-                                  "abc", [1e-3]])
+                                  "abc", [1e-3], True, "1", "0.01"])
 def test_integrator_step_must_be_finite_positive(step):
     with pytest.raises(ConfigError) as err:
         load_config({"bundle_name": "flat", "scenario": "verify-all",
@@ -90,6 +90,75 @@ def test_cli_step_override_must_be_finite_positive(step, capsys):
     from fibrum.cli import main
     assert main(["verify", "flat", f"--step={step}"]) == 2
     assert "(field: step)" in capsys.readouterr().err
+
+
+_BASE = {"bundle_name": "flat", "scenario": "verify-all"}
+_SCALAR_WRONG = [True, False, "1", "0.01", None, [], {}, [1.0]]
+_VECTOR_WRONG = [True, "ab", [True], [None], {}, None, 1.0, ["1"]]
+_OBJECT_WRONG = [1, "x", [], True, None]
+_NAME_WRONG = [1, True, None, [], "nope"]
+
+
+def _wrong_typed_configs():
+    """(config, field) for each key of each rule table and each JSON value
+    of the wrong type for that key's rule."""
+    from fibrum import config
+
+    def values(key, rule):
+        if key in ("bundle_name", "scenario"):
+            return _NAME_WRONG
+        if key == "output_path":
+            return [1, True, [], {}]
+        if rule is config._VECTOR:
+            return _VECTOR_WRONG
+        return _OBJECT_WRONG if rule is config._OBJECT else _SCALAR_WRONG
+
+    cases = [({**_BASE, key: v}, key, v)
+             for key, rule in config._CONFIG.items()
+             for v in values(key, rule)]
+    first_scenario = {}
+    for scenario, table in config._SCENARIO_PARAMS.items():
+        for key in table:
+            first_scenario.setdefault(key, scenario)
+    for key, scenario in first_scenario.items():
+        rule = config._SCENARIO_PARAMS[scenario][key]
+        cases += [({**_BASE, "scenario": scenario,
+                    "scenario_params": {key: v}}, f"scenario_params.{key}", v)
+                  for v in values(key, rule)]
+    for where, table in (("integrator", config._INTEGRATOR),
+                         ("tolerances", config._TOLERANCES)):
+        cases += [({**_BASE, where: {key: v}}, f"{where}.{key}", v)
+                  for key, rule in table.items() for v in values(key, rule)]
+    return [pytest.param(cfg, field, id=f"{field}={json.dumps(v)}")
+            for cfg, field, v in cases]
+
+
+@pytest.mark.parametrize("config, field", _wrong_typed_configs())
+def test_every_rule_rejects_wrong_typed_json(config, field):
+    with pytest.raises(ConfigError) as err:
+        load_config(json.loads(json.dumps(config)))
+    assert err.value.field == field
+
+
+def test_readme_config_table_lists_every_rule():
+    from fibrum import config
+    from fibrum.scenarios import CHECKS
+    text = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = text.split("### Config schema")[1].split("\n### ")[0]
+    rows = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            key, _, _, field = [c.strip() for c in line.split("|")[1:-1]]
+            rows[key.strip("`")] = field
+    keys = set(config._CONFIG) | {"tolerances.<check>"}
+    keys |= {f"scenario_params.{k}"
+             for table in config._SCENARIO_PARAMS.values() for k in table}
+    keys |= {f"integrator.{k}" for k in config._INTEGRATOR}
+    assert set(rows) == keys
+    assert list(config._TOLERANCES) == list(CHECKS)
+    for key, field in rows.items():
+        assert field.startswith(f"`{key}`"), key
 
 
 # Each of these once ended in a traceback (exit 1) or, for samples <= 0,
@@ -786,6 +855,13 @@ def test_cli_seed_precedence(tmp_path):
     _cli("run", str(cfg), "--seed", "9", env={"FIBRUM_SEED": "5"})
     flag_tree = json.loads((tmp_path / "rep.json").read_text())
     assert flag_tree["environment"]["seed"] == 9
+
+
+def test_cli_malformed_env_seed_names_its_field(monkeypatch, capsys):
+    from fibrum.cli import main
+    monkeypatch.setenv("FIBRUM_SEED", "abc")
+    assert main(["verify", "flat", "--quiet"]) == 2
+    assert "(field: FIBRUM_SEED)" in capsys.readouterr().err
 
 
 def test_cli_bad_tolerance_fails_named_check(tmp_path):
