@@ -106,22 +106,8 @@ class Box:
         return _uniform_spans(rng, *_plan(self.bounds(margin)))
 
 
-def uniform(rng: np.random.Generator, lows: Sequence[float],
-            highs: Sequence[float]) -> list:
-    """numpy's ``Generator.uniform(lows, highs)`` for equal-length bounds,
-    as a list, from one ``rng.random`` call; draws on constant bounds take
-    their checked ranges from ``_plan`` instead.
-
-    numpy draws entry i as ``lows[i] + (highs[i] - lows[i]) * u``, with u
-    the generator's next double, so the same float arithmetic gives the
-    same bits and leaves the generator in the same state.  numpy's guards
-    stay, checked before anything is drawn (``_spans``).
-    """
-    return _uniform_spans(rng, lows, _spans(lows, highs))
-
-
 def _spans(lows: Sequence[float], highs: Sequence[float]) -> list:
-    """The ranges ``highs[i] - lows[i]`` of a ``uniform`` draw, under
+    """The ranges ``highs[i] - lows[i]`` of a uniform draw, under
     numpy's guards: a non-finite range raises ``OverflowError`` and a
     negative one (``-0.0`` included) ``ValueError``."""
     spans = [hi - lo for lo, hi in zip(lows, highs, strict=True)]
@@ -134,14 +120,20 @@ def _spans(lows: Sequence[float], highs: Sequence[float]) -> list:
 
 def _uniform_spans(rng: np.random.Generator, lows: Sequence[float],
                    spans: Sequence[float]) -> list:
-    """``uniform`` on ranges already checked by ``_spans``."""
+    """numpy's ``Generator.uniform(lows, highs)`` on ranges ``spans``
+    already checked by ``_spans``, as a list, from one ``rng.random`` call.
+
+    numpy draws entry i as ``lows[i] + (highs[i] - lows[i]) * u``, with u
+    the generator's next double, so the same float arithmetic gives the
+    same bits and leaves the generator in the same state.
+    """
     return [lo + span * u for lo, span, u
             in zip(lows, spans, rng.random(len(spans)).tolist())]
 
 
 @functools.cache
 def _plan(*parts) -> tuple[tuple, tuple]:
-    """(lows, spans) of one ``uniform`` draw over ``parts``, each a (lows,
+    """(lows, spans) of one uniform draw over ``parts``, each a (lows,
     highs) pair of tuples, in order, checked by ``_spans``.
 
     The parts are constant bounds (``Box.bounds``, ``catalog._cube``,
@@ -158,9 +150,10 @@ def _plan(*parts) -> tuple[tuple, tuple]:
 
 
 def uniform_parts(rng: np.random.Generator, *parts) -> list:
-    """Consecutive ``uniform`` draws by one generator call: each part is a
-    (lows, highs) pair of constant tuples (``_plan``) and gets the list of
-    its values, in order."""
+    """Consecutive ``rng.uniform(lows, highs)`` draws by one generator call:
+    each part is a (lows, highs) pair of constant tuples (``_plan``) and
+    gets the list of its values, in order.  numpy's guards hold, checked
+    before anything is drawn (``_spans``)."""
     values = _uniform_spans(rng, *_plan(*parts))
     out, k = [], 0
     for lo, _ in parts:

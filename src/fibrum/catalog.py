@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -29,7 +30,9 @@ from .bundle import (BaseVectorField, Box, Point, SectionMap,
 from .calculus import (DScalar, _define, _ds, cos, dot, float_value,
                        mat_vec, sin)
 from .connection import ConnectionField, ConnectionKind
-from .errors import ConfigError, DomainError
+from .errors import (_COUNT, _POSITIVE, _REAL, ConfigError, DomainError,
+                     _checked)
+from .transport import CurveOnBase, covariant_derivative_along_curve
 
 SPHERE_COLLAR = 0.2
 SPHERE_PHI_SLACK = 0.2  # widen past one period so closed loops stay inside
@@ -39,8 +42,8 @@ def make_flat(m: int = 2, f: int = 2, base_half: float = 2.0,
               fibre_half: float = 2.0) -> ConnectionField:
     bundle = TrivializedBundle(
         name="flat",
-        base_box=Box((-base_half,) * m, (base_half,) * m),
-        fibre_box=Box((-fibre_half,) * f, (fibre_half,) * f),
+        base_box=Box(*_cube(m, float(base_half))),
+        fibre_box=Box(*_cube(f, float(fibre_half))),
     )
     return ConnectionField(bundle, lambda x, y, v: [0.0] * f,
                            ConnectionKind.LINEAR)
@@ -53,7 +56,7 @@ def make_sphere(fibre_half: float = 4.0) -> ConnectionField:
     bundle = TrivializedBundle(
         name="sphere",
         base_box=Box((lo, -phi_half), (hi, phi_half)),
-        fibre_box=Box((-fibre_half, -fibre_half), (fibre_half, fibre_half)),
+        fibre_box=Box(*_cube(2, float(fibre_half))),
         base_periods=(None, 2.0 * math.pi),
     )
 
@@ -85,8 +88,8 @@ def make_nonlinear_demo(base_half: float = 1.0,
                         fibre_half: float = 1.5) -> ConnectionField:
     bundle = TrivializedBundle(
         name="nonlinear-demo",
-        base_box=Box((-base_half, -base_half), (base_half, base_half)),
-        fibre_box=Box((-fibre_half,), (fibre_half,)),
+        base_box=Box(*_cube(2, float(base_half))),
+        fibre_box=Box(*_cube(1, float(fibre_half))),
     )
 
     def gamma(x, y, v):
@@ -96,28 +99,23 @@ def make_nonlinear_demo(base_half: float = 1.0,
     return ConnectionField(bundle, gamma, ConnectionKind.NONLINEAR)
 
 
+# G_a_bc or G_a_bc_xk: one ASCII digit 1-9 per index a, b, c, and k
+# written without leading zeros, so no two keys name one coefficient.
+_CHRISTOFFEL_KEY = re.compile(
+    r"G_([1-9])_([1-9])([1-9])(?:_x([1-9][0-9]*))?")
+
+
 def _parse_christoffel_key(key: str, m: int):
-    """Parse 'G_a_bc' or 'G_a_bc_xk' (1-based indices) into tensor slots."""
-    parts = key.split("_")
-    ok = (len(parts) in (3, 4) and parts[0] == "G" and len(parts[1]) == 1
-          and len(parts[2]) == 2)
-    if not ok:
-        raise ConfigError(f"malformed Christoffel coefficient '{key}'", field=key)
-    try:
-        a = int(parts[1]) - 1
-        b = int(parts[2][0]) - 1
-        c = int(parts[2][1]) - 1
-        k = None
-        if len(parts) == 4:
-            if not parts[3].startswith("x"):
-                raise ValueError
-            k = int(parts[3][1:]) - 1
-    except ValueError:
-        raise ConfigError(f"malformed Christoffel coefficient '{key}'", field=key)
-    for idx in (a, b, c) + ((k,) if k is not None else ()):
-        if not 0 <= idx < m:
-            raise ConfigError(f"index out of range in '{key}' for m={m}", field=key)
-    return a, b, c, k
+    """Parse 'G_a_bc' or 'G_a_bc_xk' (1-based indices, each <= m) into
+    tensor slots (a, b, c, k), with k None for a constant."""
+    match = _CHRISTOFFEL_KEY.fullmatch(key)
+    slots = [int(i) - 1 for i in match.groups() if i] if match else []
+    if not slots or max(slots) >= m:
+        raise ConfigError(f"bundle_params.{key} must be a key G_a_bc or "
+                          f"G_a_bc_xk with indices 1 to {m}",
+                          field=f"bundle_params.{key}")
+    a, b, c, *k = slots
+    return a, b, c, k[0] if k else None
 
 
 def make_custom_christoffel(coeffs: dict[str, float], m: int = 2,
@@ -146,8 +144,8 @@ def make_custom_christoffel(coeffs: dict[str, float], m: int = 2,
 
     bundle = TrivializedBundle(
         name="tm-custom-christoffel",
-        base_box=Box((-base_half,) * m, (base_half,) * m),
-        fibre_box=Box((-fibre_half,) * m, (fibre_half,) * m),
+        base_box=Box(*_cube(m, float(base_half))),
+        fibre_box=Box(*_cube(m, float(fibre_half))),
     )
     return ConnectionField(bundle, _christoffel_evaluator(terms),
                            ConnectionKind.LINEAR)
@@ -211,19 +209,20 @@ class Capabilities:
 # Stands for every Christoffel coefficient key, G_a_bc or G_a_bc_xk.
 CHRISTOFFELS = "G_a_bc[_xk]..."
 
-# Each entry's ``params`` maps every accepted bundle parameter to the type
-# its builder takes; ``_param`` says which values each type accepts.
+# Each entry's ``params`` is the rule table (``errors._checked``) of its
+# bundle parameters, one key per keyword of its builder; CHRISTOFFELS stands
+# for the coefficient keys that the custom builder takes as ``coeffs``.
 CATALOG: dict[str, dict] = {
     "flat": {
         "builder": make_flat,
-        "params": {"m": int, "f": int, "base_half": float,
-                   "fibre_half": float},
+        "params": {"m": _COUNT, "f": _COUNT, "base_half": _POSITIVE,
+                   "fibre_half": _POSITIVE},
         "capabilities": Capabilities(zero_curvature=True),
         "description": "zero coefficient on an (m+f)-dimensional chart",
     },
     "sphere": {
         "builder": make_sphere,
-        "params": {"fibre_half": float},
+        "params": {"fibre_half": _POSITIVE},
         "capabilities": Capabilities(
             symmetric_christoffels=True,
             latitude_holonomy=(math.pi / 3.0, (1.0, 0.0)),
@@ -233,15 +232,15 @@ CATALOG: dict[str, dict] = {
     },
     "nonlinear-demo": {
         "builder": make_nonlinear_demo,
-        "params": {"base_half": float, "fibre_half": float},
+        "params": {"base_half": _POSITIVE, "fibre_half": _POSITIVE},
         "capabilities": Capabilities(),
         "description": "scalar-fibre coefficient (y + y^3, x1*y), nonlinear "
                        "in the fibre coordinate",
     },
     "tm-custom-christoffel": {
         "builder": make_custom_christoffel,
-        "params": {"m": int, "base_half": float, "fibre_half": float,
-                   CHRISTOFFELS: float},
+        "params": {"m": _COUNT, "base_half": _POSITIVE,
+                   "fibre_half": _POSITIVE, CHRISTOFFELS: _REAL},
         "capabilities": Capabilities(),
         "description": "tangent-bundle chart with user-supplied constant or "
                        "degree-one Christoffel coefficients",
@@ -249,45 +248,22 @@ CATALOG: dict[str, dict] = {
 }
 
 
-def _param(name: str, kind: type, value):
-    """Bundle parameter ``name`` as its schema type ``kind``, else a
-    ConfigError: an int is a whole number >= 1, a float a finite real, and
-    a half-width (``*_half``) a finite real > 0."""
-    try:
-        finite = not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):  # not a real, or an int past float
-        finite = False
-    if kind is int:
-        ok = finite and value == int(value) and value >= 1
-        what = "a whole number >= 1"
-    elif name.endswith("_half"):
-        ok, what = finite and value > 0, "a finite real > 0"
-    else:
-        ok, what = finite, "a finite real"
-    if not ok:
-        raise ConfigError(f"bundle_params.{name} must be {what}, got "
-                          f"{value!r}", field=f"bundle_params.{name}")
-    return kind(value)
-
-
 def build_connection(name: str, params: dict | None = None) -> ConnectionField:
+    """The catalog entry ``name`` built from ``params``, each checked by
+    ``_checked`` against the entry's rule table: a ConfigError names
+    ``bundle_params`` (an unknown key) or ``bundle_params.<key>``."""
     if name not in CATALOG:
         raise ConfigError(f"unknown bundle '{name}'; catalog has "
                           f"{sorted(CATALOG)}", field="bundle_name")
-    schema = CATALOG[name]["params"]
-    kwargs, coeffs, unknown = {}, {}, []
-    for key, value in (params or {}).items():
-        if CHRISTOFFELS in schema and key.startswith("G_"):
-            coeffs[key] = _param(key, schema[CHRISTOFFELS], value)
-        elif key in schema:
-            kwargs[key] = _param(key, schema[key], value)
-        else:
-            unknown.append(key)
-    if unknown:
-        raise ConfigError(f"unknown bundle_params {sorted(unknown)} for "
-                          f"'{name}'", field="bundle_params")
-    if CHRISTOFFELS in schema:
-        kwargs["coeffs"] = coeffs
+    rules = dict(CATALOG[name]["params"])
+    coeff = rules.pop(CHRISTOFFELS, None)
+    params = params or {}
+    coeffs = {k: v for k, v in params.items() if coeff and k.startswith("G_")}
+    kwargs = _checked("bundle_params", {k: v for k, v in params.items()
+                                        if k not in coeffs}, rules)
+    if coeff:
+        kwargs["coeffs"] = _checked("bundle_params", coeffs,
+                                    dict.fromkeys(coeffs, coeff))
     return CATALOG[name]["builder"](**kwargs)
 
 
@@ -297,7 +273,8 @@ def build_connection(name: str, params: dict | None = None) -> ConnectionField:
 # report, and they are those of numpy's per-part ``uniform`` calls.
 
 def _cube(n: int, half: float) -> tuple[tuple, tuple]:
-    """Bounds of ``n`` draws from (-half, half)."""
+    """Bounds of the cube (-half, half)^n: a box's, or those of ``n``
+    draws."""
     return (-half,) * n, (half,) * n
 
 
@@ -606,7 +583,6 @@ def segment_curve(bundle: TrivializedBundle, p: Sequence[float],
                   q: Sequence[float], t0: float = 0.0,
                   t1: float = 1.0):
     """Straight coordinate segment from p to q."""
-    from .transport import CurveOnBase
     p = [float(c) for c in p]
     steps = [float(qi) - pi for pi, qi in zip(p, q)]
     span = t1 - t0
@@ -625,7 +601,6 @@ def segment_curve(bundle: TrivializedBundle, p: Sequence[float],
 
 def reversed_curve(curve):
     """The same image traversed backwards."""
-    from .transport import CurveOnBase
     t0, t1 = curve.t0, curve.t1
     ends, fn, inner = t0 + t1, curve.fn, curve.velocity_fn
     velocity = None if inner is None else (
@@ -639,7 +614,6 @@ def latitude_loop(bundle: TrivializedBundle, theta0: float,
     """One full traversal of the latitude circle theta = theta0 on the
     sphere chart, at unit coordinate speed in phi; closed modulo the
     declared polar-angle period."""
-    from .transport import CurveOnBase
     theta0 = float(theta0)
     span = t1 - t0
     two_pi = 2.0 * math.pi
@@ -660,7 +634,6 @@ def circle_loop(bundle: TrivializedBundle, center: Sequence[float],
     """Closed circle around ``center`` (one entry per base coordinate) in
     the plane of the first two base coordinates; the others stay at the
     centre's."""
-    from .transport import CurveOnBase
     if bundle.base_dim < 2 or len(center) != bundle.base_dim:
         raise DomainError("circle_loop needs a base of dimension >= 2 and a "
                           "centre with one entry per base coordinate")
@@ -716,7 +689,6 @@ def sphere_latitude_gb_angle(conn: ConnectionField, theta0: float) -> float:
     geodesic curvature comes from ``covariant_derivative_along_curve`` and
     the round metric, a code path independent of the transport integrator.
     """
-    from .transport import covariant_derivative_along_curve
     loop = latitude_loop(conn.bundle, theta0)
     # the closed-form velocity is bit-equal to derivative(loop.fn, t)
     # (``CurveOnBase``), so it stands for the fibre field c'(t)

@@ -16,7 +16,8 @@ from pathlib import Path
 from typing import Optional
 
 from .catalog import CATALOG
-from .errors import ConfigError
+from .errors import (_COUNT, _OBJECT, _POSITIVE, _REAL, _SEED, _VECTOR,
+                     ConfigError, _checked, _one_of)
 from .scenarios import CHECKS
 
 DEFAULT_STEP = 1e-3
@@ -24,37 +25,10 @@ DEFAULT_MAX_STEPS = 10_000_000
 DEFAULT_SEED = 42
 
 
-def _integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _real(value) -> bool:
-    """A finite real: an int or float (not a bool) that fits a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
-_SEED = (lambda v: _integer(v) and v >= 0, "a non-negative integer")
-_COUNT = (lambda v: _integer(v) and v >= 1, "an integer >= 1")
-_REAL = (_real, "a finite real")
-_POSITIVE = (lambda v: _real(v) and v > 0, "a positive finite real")
-_VECTOR = (lambda v: isinstance(v, (list, tuple)) and all(map(_real, v)),
-           "a list of finite reals")
-_OBJECT = (lambda v: isinstance(v, dict), "an object")
-
-
-def _one_of(names: list) -> tuple:
-    return (lambda v: isinstance(v, str) and v in names, f"one of {names}")
-
-
-# A rule table maps each key of an object to its rule, the pair
-# (accepts(value), what it takes).  The scenarios, in the order a config
-# error lists them, each with its parameter table; vector lengths and the
-# latitude's range depend on the bundle (``scenarios.Subject`` checks them).
+# The scenarios, in the order a config error lists them, each with the
+# rule table (``errors._checked``) of its parameters; vector lengths, the
+# latitude's range and where a radius applies depend on the bundle
+# (``scenarios.Subject`` checks them).
 _SCENARIO_PARAMS: dict[str, dict[str, tuple]] = {
     "verify-all": {"seed": _SEED},
     "theorem41": {"seed": _SEED, "samples": _COUNT},
@@ -64,8 +38,8 @@ _SCENARIO_PARAMS: dict[str, dict[str, tuple]] = {
                  "y0": _VECTOR},
     "curvature-table": {"seed": _SEED, "samples": _COUNT},
 }
-# The config's own keys; ``catalog.build_connection`` checks each value of
-# ``bundle_params`` against the catalog entry's schema.
+# The config's own keys; ``catalog.build_connection`` checks
+# ``bundle_params`` against the catalog entry's rule table.
 _CONFIG = {
     "bundle_name": _one_of(sorted(CATALOG)),
     "bundle_params": _OBJECT,
@@ -102,24 +76,6 @@ class ScenarioConfig:
             "scenario": self.scenario,
             "scenario_params": dict(self.scenario_params),
         }
-
-
-def _checked(where: str, values: dict, rules: dict, **defaults) -> dict:
-    """``values`` over ``defaults`` if ``rules`` lists every key and accepts
-    every value, else a ConfigError naming ``where`` (an unknown key) or
-    ``<where>.<key>`` (a rejected value; the bare key in ``config``)."""
-    unknown = values.keys() - rules.keys()
-    if unknown:
-        raise ConfigError(f"unknown {where} keys {sorted(unknown)} (allowed: "
-                          f"{sorted(rules)})", field=where)
-    values = {**defaults, **values}
-    for key, value in values.items():
-        accepts, what = rules[key]
-        if not accepts(value):
-            name = key if where == "config" else f"{where}.{key}"
-            raise ConfigError(f"{name} must be {what}, got {value!r}",
-                              field=name)
-    return values
 
 
 def load_config(source, seed_override: Optional[int] = None,

@@ -50,7 +50,8 @@ from .curvature import (_RouteJets, _curvature_pairs, composition_commutator,
                         curv_via_covariant, curv_via_lifts, curvature_routes,
                         second_covariant_derivative,
                         tensoriality_check_curvature, torsion, leibniz_check)
-from .errors import ConfigError, FibrumError, TooFewSamplesError
+from .errors import (ConfigError, FibrumError, TooFewSamplesError,
+                     _checked)
 from .transport import (IntegratorConfig, flow, geodesic,
                         holonomy_loop, lie_derivative_covariant,
                         parallel_transport_path, parallel_transport_vector,
@@ -167,40 +168,32 @@ class Subject:
         return path
 
     def _check_params(self) -> None:
-        """What the config schema cannot know without the bundle: vector
-        lengths, a latitude inside the polar-angle range of the chart, a
-        base with a plane for the holonomy scenario's circle loop, and a
-        radius only where that circle loop runs."""
-        params = self.cfg.scenario_params
+        """What the config's rules cannot know without the bundle, checked
+        by ``_checked``: vector lengths, a latitude inside the polar-angle
+        range of the chart on a bundle with a latitude loop, and a radius
+        only where the circle loop runs; and a base with a plane for the
+        holonomy scenario's circle loop."""
+        name = self.bundle.name
         if self.cfg.scenario == "holonomy" and self.m < 2:
             raise ConfigError(
                 f"scenario 'holonomy' needs a base of dimension >= 2 for its "
-                f"circle loop; '{self.bundle.name}' has {self.m}",
-                field="scenario")
-        for key, dim in (("x0", self.m), ("v0", self.m), ("y0", self.f)):
-            if key in params and len(params[key]) != dim:
-                raise ConfigError(
-                    f"scenario_params.{key} must have {dim} components on "
-                    f"'{self.bundle.name}', got {len(params[key])}",
-                    field=f"scenario_params.{key}")
-        if "latitude" in params:
-            if self.caps.latitude_holonomy is None:
-                raise ConfigError(
-                    f"scenario_params.latitude needs a bundle with a latitude "
-                    f"loop; '{self.bundle.name}' has none",
-                    field="scenario_params.latitude")
-            box = self.bundle.base_box
-            lo, hi = box.lower[0], box.upper[0]
-            if not lo < params["latitude"] < hi:
-                raise ConfigError(
-                    f"scenario_params.latitude must lie in ({lo:.6g}, "
-                    f"{hi:.6g}), got {params['latitude']!r}",
-                    field="scenario_params.latitude")
-        if "radius" in params and self.caps.latitude_holonomy is not None:
-            raise ConfigError(
-                f"scenario_params.radius sets the circle loop of a bundle "
-                f"without a latitude loop; '{self.bundle.name}' runs its "
-                f"latitude loop", field="scenario_params.radius")
+                f"circle loop; '{name}' has {self.m}", field="scenario")
+        rules = {key: (lambda v, n=n: len(v) == n,
+                       f"a list of {n} reals on '{name}'")
+                 for key, n in (("x0", self.m), ("v0", self.m),
+                                ("y0", self.f))}
+        lo, hi = self.bundle.base_box.lower[0], self.bundle.base_box.upper[0]
+        if self.caps.latitude_holonomy is None:
+            rules["latitude"] = (lambda v: False, f"left out: '{name}' has "
+                                 "no latitude loop")
+        else:
+            rules["latitude"] = (lambda v: lo < v < hi,
+                                 f"in ({lo:.6g}, {hi:.6g})")
+            rules["radius"] = (lambda v: False, f"left out: '{name}' runs "
+                               "its latitude loop, not the circle loop")
+        _checked("scenario_params", {k: v for k, v in
+                                     self.cfg.scenario_params.items()
+                                     if k in rules}, rules)
 
 
 Tolerance = Union[float, Callable[[Subject], float]]

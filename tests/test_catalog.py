@@ -1,5 +1,6 @@
 """Catalog bundles, custom Christoffel parsing, samplers."""
 
+import inspect
 import math
 
 import numpy as np
@@ -74,9 +75,16 @@ def test_custom_christoffel_constant_and_linear_terms():
 
 
 def test_custom_christoffel_key_validation():
-    for bad in ("G_1", "H_1_12", "G_1_123", "G_1_12_y1", "G_3_12", "G_a_bc"):
-        with pytest.raises(ConfigError):
+    # the last four once parsed through int(): a sign, a space, a leading
+    # zero (an alias of G_1_11_x1) and an Arabic-Indic digit
+    for bad in ("G_1", "H_1_12", "G_1_123", "G_1_12_y1", "G_3_12", "G_a_bc",
+                "G_1_12_x3", "G_1_11_x+1", "G_1_11_x 1", "G_1_11_x01",
+                "G_1_11_x\u0661"):
+        with pytest.raises(ConfigError) as err:
             make_custom_christoffel({bad: 1.0})
+        assert err.value.field == f"bundle_params.{bad}"
+    assert _parse_christoffel_key("G_2_13", 3) == (1, 0, 2, None)
+    assert _parse_christoffel_key("G_1_11_x12", 12) == (0, 0, 0, 11)
 
 
 def test_build_connection_dispatch():
@@ -90,7 +98,7 @@ def test_build_connection_dispatch():
     assert conn.bundle.fibre_dim == 2
 
 
-_PARAM_VALUES = {"m": 2.0, "f": 1.0, "base_half": 1.5, "fibre_half": 1.8}
+_PARAM_VALUES = {"m": 2, "f": 1, "base_half": 1.5, "fibre_half": 1.8}
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
@@ -108,6 +116,28 @@ def test_catalog_params_schema(name):
     with pytest.raises(ConfigError) as err:
         build_connection(name, undeclared)
     assert err.value.field == "bundle_params"
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_catalog_params_are_the_builder_keywords(name):
+    # one schema per entry: its rule table names each keyword of its
+    # builder, with CHRISTOFFELS standing for ``coeffs``
+    entry = CATALOG[name]
+    keywords = set(inspect.signature(entry["builder"]).parameters)
+    assert {"coeffs" if key == CHRISTOFFELS else key
+            for key in entry["params"]} == keywords
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_integer_half_widths_build_the_float_boxes(name):
+    halves = {k: 3 for k in CATALOG[name]["params"] if k.endswith("_half")}
+    as_ints = build_connection(name, halves).bundle
+    as_floats = build_connection(
+        name, {k: float(v) for k, v in halves.items()}).bundle
+    for box in ("base_box", "fibre_box"):
+        got, want = getattr(as_ints, box), getattr(as_floats, box)
+        assert got == want
+        assert all(type(b) is float for b in got.lower + got.upper)
 
 
 def test_samplers_stay_inside_with_margin(any_conn, rng):

@@ -140,8 +140,35 @@ def test_every_rule_rejects_wrong_typed_json(config, field):
     assert err.value.field == field
 
 
+def _wrong_typed_bundle_params():
+    """(bundle, params, field) for each key of each catalog entry's rule
+    table, a coefficient key standing for CHRISTOFFELS, and each wrong JSON
+    value for it: 2.0 too where the rule takes an integer."""
+    from fibrum import errors
+    from fibrum.catalog import CHRISTOFFELS
+    cases = []
+    for name, entry in sorted(CATALOG.items()):
+        for key, rule in entry["params"].items():
+            key = "G_1_12" if key == CHRISTOFFELS else key
+            wrong = _SCALAR_WRONG + [2.0] * (rule is errors._COUNT)
+            cases += [pytest.param(name, {key: v}, f"bundle_params.{key}",
+                                   id=f"{name}-{key}={json.dumps(v)}")
+                      for v in wrong]
+    return cases
+
+
+@pytest.mark.parametrize("bundle, params, field",
+                         _wrong_typed_bundle_params())
+def test_every_bundle_rule_rejects_wrong_typed_json(bundle, params, field):
+    from fibrum.catalog import build_connection
+    with pytest.raises(ConfigError) as err:
+        build_connection(bundle, json.loads(json.dumps(params)))
+    assert err.value.field == field
+
+
 def test_readme_config_table_lists_every_rule():
     from fibrum import config
+    from fibrum.catalog import CHRISTOFFELS
     from fibrum.scenarios import CHECKS
     text = (Path(__file__).parents[1] / "README.md").read_text(
         encoding="utf-8")
@@ -155,6 +182,10 @@ def test_readme_config_table_lists_every_rule():
     keys |= {f"scenario_params.{k}"
              for table in config._SCENARIO_PARAMS.values() for k in table}
     keys |= {f"integrator.{k}" for k in config._INTEGRATOR}
+    keys |= {f"bundle_params.{k}" for entry in CATALOG.values()
+             for key in entry["params"]
+             for k in (("G_a_bc", "G_a_bc_xk") if key == CHRISTOFFELS
+                       else (key,))}
     assert set(rows) == keys
     assert list(config._TOLERANCES) == list(CHECKS)
     for key, field in rows.items():
@@ -207,6 +238,15 @@ def test_cli_bad_scenario_param_exits_2(tmp_path, capsys, scenario, params,
      "bundle_params.m"),
     ("tm-custom-christoffel", "bundle_params", '{"G_1_12": Infinity}',
      "bundle_params.G_1_12"),
+    ("flat", "bundle_params", '{"m": 2.0}', "bundle_params.m"),
+    ("flat", "bundle_params", '{"f": 1.0}', "bundle_params.f"),
+    ("tm-custom-christoffel", "bundle_params", '{"G_1_1x": 0.5}',
+     "bundle_params.G_1_1x"),
+    ("tm-custom-christoffel", "bundle_params", '{"G_3_11": 0.5}',
+     "bundle_params.G_3_11"),
+    # G_1_11_x01 once aliased G_1_11_x1 and ran with slope 0.3 alone
+    ("tm-custom-christoffel", "bundle_params",
+     '{"G_1_11_x1": 0.5, "G_1_11_x01": 0.3}', "bundle_params.G_1_11_x01"),
     ("flat", "integrator", '{"max_steps": true}', "integrator.max_steps"),
     ("flat", "tolerances", '{"gamma_linearity": NaN}',
      "tolerances.gamma_linearity"),
