@@ -159,8 +159,10 @@ def _christoffel_evaluator(terms: list):
     term of row a, where g is the constant, plus ``slope * x[k]`` for each
     of its slopes in order.  A sloped term is skipped where g is a float
     equal to zero, so a float x that cancels it adds nothing, where a
-    DScalar x still adds its derivative.  The coefficients reach the code
-    as closure variables, not as text, so every bit of them is kept.
+    DScalar x still adds its derivative; the test reads ``g != 0.0 or not
+    isinstance(g, float)``, so a nonzero float costs one comparison.  The
+    coefficients reach the code as closure variables, not as text, so every
+    bit of them is kept.
     """
     coeffs, body, outs = [], [], []
 
@@ -180,7 +182,7 @@ def _christoffel_evaluator(terms: list):
             if acc != f"a{a}":
                 body.append(f"        a{a} = {acc}")
             body += [f"        g = {g}",
-                     "        if not (isinstance(g, float) and g == 0.0):",
+                     "        if g != 0.0 or not isinstance(g, float):",
                      f"            a{a} = a{a} + g * v[{b}] * y[{c}]"]
             acc = f"a{a}"
         outs.append(acc)
@@ -317,13 +319,15 @@ def _sin_fn(coeffs: list, n_inputs: int):
     call goes through ``_sin_kernel(n_inputs, lengths)``, with ``lengths``
     the gradient lengths of that input's layers; the loop takes the calls
     that the kernel declines, and every other call.  The float kernel, the
-    most used, is looked up once per field.
+    most used, is looked up once per field, and the others once per field
+    and ``lengths``, into a plain dict keyed by ``lengths``.
     """
     c0 = coeffs[0]
     amps = coeffs[1:n_inputs + 1]
     freqs = coeffs[n_inputs + 1:2 * n_inputs + 1]
     phases = coeffs[2 * n_inputs + 1:]
     floats = _sin_kernel(n_inputs, ())
+    kernels = {}  # lengths -> _sin_kernel(n_inputs, lengths)
 
     def fn(coords):
         z, lengths = coords[0], ()
@@ -331,7 +335,10 @@ def _sin_fn(coeffs: list, n_inputs: int):
             lengths += (len(z.grad),)
             z = z.value
         if type(z) is float:
-            kernel = _sin_kernel(n_inputs, lengths) if lengths else floats
+            if not lengths:
+                kernel = floats
+            elif (kernel := kernels.get(lengths)) is None:
+                kernel = kernels[lengths] = _sin_kernel(n_inputs, lengths)
             out = kernel(coeffs, coords)
             if out is not None:
                 return out
@@ -358,7 +365,8 @@ def _sin_kernel(n_inputs: int, lengths: tuple):
     entry to entry.  ``sin`` takes the sine and cosine of the value,
     recursively, and scales the entries by the cosine jet; those of the
     cosine it scales by the negated sine jet.  The scaled inputs, each sine
-    and cosine and the negated sine are bound to names; everything else is
+    and cosine and the negated sine are bound to names, except the entries
+    of a one-pass input, which each scale one cosine; everything else is
     inlined.
 
     The kernel returns None, leaving the call to the loop, unless every
@@ -450,7 +458,8 @@ def _sin_kernel(n_inputs: int, lengths: tuple):
         for l in reversed(range(depth)):
             x = (x, grads[j][l], f"t{l}")
         w = each(scale(x, f"f{j}"), lambda e: f"({e} + p{j})", False)
-        term = scale(sin_cos(each(w, bind), need_cos=False)[0], f"a{j}")
+        w = (bind(w[0]), w[1], w[2]) if depth == 1 else each(w, bind)
+        term = scale(sin_cos(w, need_cos=False)[0], f"a{j}")
         acc = (each(term, lambda e: f"({e} + c0)", False) if j == 0
                else add(acc, term))
     lines.append(f"    return {source(acc)}")
@@ -503,7 +512,21 @@ def _section_map(bundle: TrivializedBundle, comps: list) -> SectionMap:
 
 def _base_field(bundle: TrivializedBundle, comps: list) -> BaseVectorField:
     """The field of ``random_base_field`` from its drawn combinations."""
-    return BaseVectorField(bundle, lambda x: [c(x) for c in comps])
+    return BaseVectorField(bundle, _field_evaluator(len(comps))(*comps))
+
+
+@functools.lru_cache(maxsize=None)
+def _field_evaluator(n: int):
+    """The maker of a field of ``n`` components, written out as one
+    straight-line return and compiled on first use of ``n``:
+    ``make(f0, ..., f{n-1})`` returns ``fn(x)``, which is ``[f0(x), ...,
+    f{n-1}(x)]``."""
+    fs = [f"f{i}" for i in range(n)]
+    lines = [f"def make({', '.join(fs)}):",
+             "    def fn(x):",
+             "        return [" + ", ".join(f"{f}(x)" for f in fs) + "]",
+             "    return fn"]
+    return _define(lines, f"<base field, n={n}>", {})
 
 
 def random_section(bundle: TrivializedBundle,
@@ -588,25 +611,44 @@ def segment_curve(bundle: TrivializedBundle, p: Sequence[float],
     span = t1 - t0
     rate = 1.0 / float(span)
     vel = [rate * d for d in steps]
-
-    def fn(t):
-        lam = (t - t0) / span
-        return [pi + lam * d for pi, d in zip(p, steps)]
+    fn = _segment_fn(len(steps))(
+        t0, span, *[b for pd in zip(p, steps) for b in pd])
 
     def velocity(t):
         return list(vel)
 
-    return CurveOnBase(bundle, fn, t0, t1, velocity)
+    return CurveOnBase(bundle, fn, t0, t1, velocity, constant_velocity=True)
+
+
+@functools.lru_cache(maxsize=None)
+def _segment_fn(m: int):
+    """The maker of ``segment_curve``'s ``fn`` on ``m`` coordinates, written
+    out as straight-line code and compiled on first use of ``m``.
+
+    ``make(t0, span, p0, d0, ..., p{m-1}, d{m-1})`` returns ``fn(t)``:
+    ``lam = (t - t0) / span``, then ``[p0 + lam * d0, ...]``, closed under
+    DScalar t.  The start and steps reach the code as closure variables, so
+    every bit of them is kept.
+    """
+    args = "".join(f", p{i}, d{i}" for i in range(m))
+    lines = [f"def make(t0, span{args}):",
+             "    def fn(t):",
+             "        lam = (t - t0) / span",
+             "        return [" + ", ".join(f"p{i} + lam * d{i}"
+                                            for i in range(m)) + "]",
+             "    return fn"]
+    return _define(lines, f"<segment curve, m={m}>", {})
 
 
 def reversed_curve(curve):
-    """The same image traversed backwards."""
+    """The same image traversed backwards; a constant velocity stays
+    declared constant."""
     t0, t1 = curve.t0, curve.t1
     ends, fn, inner = t0 + t1, curve.fn, curve.velocity_fn
     velocity = None if inner is None else (
         lambda t: [-c for c in inner(ends - t)])
     return CurveOnBase(curve.bundle, lambda t: fn(ends - t), t0, t1,
-                       velocity)
+                       velocity, curve.constant_velocity)
 
 
 def latitude_loop(bundle: TrivializedBundle, theta0: float,
@@ -626,7 +668,7 @@ def latitude_loop(bundle: TrivializedBundle, theta0: float,
     def velocity(t):
         return [0.0, rate]
 
-    return CurveOnBase(bundle, fn, t0, t1, velocity)
+    return CurveOnBase(bundle, fn, t0, t1, velocity, constant_velocity=True)
 
 
 def circle_loop(bundle: TrivializedBundle, center: Sequence[float],

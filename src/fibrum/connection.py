@@ -16,6 +16,7 @@ the classical covariant derivative ``(D s) v + gamma(x, s(x)) v``.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from .bundle import (BaseVectorField, Point, SectionMap, SpaceTag,
                      TotalTangent, TotalVectorField, TrivializedBundle)
-from .calculus import (Scalar, float_value, jacobian, mat_vec,
+from .calculus import (Scalar, _define, float_value, jacobian, mat_vec,
                        value_and_jacobian, vec_add)
 from .errors import DomainError
 
@@ -99,14 +100,35 @@ def horizontal_lift_field(conn: ConnectionField,
     """The horizontal-lift field e -> H(e, v(p(e))).  It binds
     ``conn.gamma`` when it is made."""
     bundle = conn.bundle
-    m, gamma, v_fn = bundle.base_dim, conn.gamma, v.fn
+    make = _lift_evaluator(bundle.base_dim, bundle.fibre_dim)
+    return TotalVectorField(bundle, make(v.fn, conn.gamma))
 
-    def ev(coords):
-        x, y = list(coords[:m]), list(coords[m:])
-        vx = v_fn(x)
-        return list(vx) + [-c for c in gamma(x, y, vx)]
 
-    return TotalVectorField(bundle, ev)
+@functools.lru_cache(maxsize=None)
+def _lift_evaluator(m: int, f: int):
+    """The maker of :func:`horizontal_lift_field`'s evaluator on a base of
+    dimension ``m`` and a fibre of dimension ``f``, written out as
+    straight-line code and compiled on first use of (m, f).
+
+    ``make(v, gamma)`` returns ``ev(coords)``, which unpacks ``coords`` into
+    ``x = [c0, ..., c{m-1}]`` and ``y = [c{m}, ...]``, takes ``vx = v(x)``
+    and ``g = gamma(x, y, vx)`` and returns ``[vx0, ..., -g0, ...]``: the
+    entries of vx, then the negated ones of g.
+    """
+    cs = [f"c{i}" for i in range(m + f)]
+    vs = [f"v{i}" for i in range(m)]
+    gs = [f"g{a}" for a in range(f)]
+    lines = ["def make(v, gamma):",
+             "    def ev(coords):",
+             f"        {', '.join(cs)}, = coords",
+             f"        x = [{', '.join(cs[:m])}]",
+             f"        y = [{', '.join(cs[m:])}]",
+             "        vx = v(x)",
+             f"        {', '.join(vs)}, = vx",
+             f"        {', '.join(gs)}, = gamma(x, y, vx)",
+             "        return [" + ", ".join(vs + [f"-{g}" for g in gs]) + "]",
+             "    return ev"]
+    return _define(lines, f"<horizontal lift field, m={m}, f={f}>", {})
 
 
 def constant_base_field(bundle: TrivializedBundle,

@@ -66,6 +66,9 @@ class CurveOnBase:
     repeat the operation order of that pass, so that transport results do
     not change with its presence.  Without it the velocity is
     differentiated.
+
+    ``constant_velocity`` declares that the velocity has the same bits at
+    every t, so transport reads it once per integration, at ``t0``.
     """
 
     bundle: TrivializedBundle
@@ -73,6 +76,7 @@ class CurveOnBase:
     t0: float
     t1: float
     velocity_fn: Optional[Callable[[float], Sequence[float]]] = None
+    constant_velocity: bool = False
 
     def point_at(self, t: float) -> list:
         return [float_value(c) for c in self.fn(t)]
@@ -163,13 +167,30 @@ def flow(X: TotalVectorField, e0: Point, lam: float,
     if e0.space is not SpaceTag.TOTAL or e0.bundle is not X.bundle:
         raise DomainError("flow needs a total-space start point on X's chart")
     bundle = X.bundle
-    fn = X.fn
-
-    def rhs(t, z):
-        return [c if type(c) is float else float_value(c) for c in fn(z)]
-
+    rhs = _float_rhs(len(e0.coords))(X.fn)
     z = _rk4(rhs, e0.coords, float(lam), cfg, bundle.contains_total, "flow")
     return bundle.total_point(z)
+
+
+@functools.lru_cache(maxsize=None)
+def _float_rhs(d: int):
+    """The maker of :func:`flow`'s right-hand side for states of length
+    ``d``, written out per component and compiled on first use of ``d``.
+
+    ``make(fn)`` returns ``rhs(t, z)``, which unpacks ``fn(z)`` into
+    ``c0, ..., c{d-1}`` and returns ``[c0 if type(c0) is float else
+    float_value(c0), ...]``: a float component as it is, any other through
+    ``float_value``.
+    """
+    cs = [f"c{i}" for i in range(d)]
+    lines = ["def make(fn):",
+             "    def rhs(t, z):",
+             f"        {', '.join(cs)}, = fn(z)",
+             "        return [" + ", ".join(
+                 f"{c} if type({c}) is float else float_value({c})"
+                 for c in cs) + "]",
+             "    return rhs"]
+    return _define(lines, f"<flow rhs, d={d}>", {"float_value": float_value})
 
 
 def flow_base(v: BaseVectorField, x0: Point, lam: float,
@@ -192,24 +213,34 @@ def _transport_rhs(conn: ConnectionField, curve: CurveOnBase):
     without its sign; :func:`_rk4`, negating from component 0, supplies
     the sign.
 
-    A one-entry cache keyed on t computes the curve point and velocity once
-    per distinct stage time; RK4 stages k2 and k3 share the midpoint.  The
-    curve point is checked against the base box there, so every stage time
-    (t, t + h/2, t + h) is checked, and an exit reports that stage time.
+    A one-entry cache keyed on t computes the curve point, and the velocity
+    unless it is constant, once per distinct stage time; RK4 stages k2 and
+    k3 share the midpoint.  A constant velocity is read once, here.  The
+    curve point is checked against the base box at each node, so every
+    stage time (t, t + h/2, t + h) is checked, and an exit reports that
+    stage time.  A node is copied into a list only where ``fn`` or the
+    velocity did not return one.
     """
     gamma = conn.gamma
     fn = curve.fn
     velocity = curve.velocity_fn or functools.partial(derivative, fn)
     in_base = conn.bundle.base_box.contains
-    node_t = node_x = node_v = None  # t, c(t), c'(t)
+    moving = not curve.constant_velocity
+    node_t = node_x = None  # t, c(t)
+    node_v = None if moving else list(velocity(curve.t0))  # c'(t)
 
     def rhs(t, y):
         nonlocal node_t, node_x, node_v
         if t != node_t:
-            x = list(fn(t))
+            x = fn(t)
+            if type(x) is not list:
+                x = list(x)
             if not in_base(x):
                 raise ChartExitError("curve left the base box", t)
-            node_t, node_x, node_v = t, x, list(velocity(t))
+            node_t, node_x = t, x
+            if moving:
+                v = velocity(t)
+                node_v = v if type(v) is list else list(v)
         return gamma(node_x, y, node_v)
 
     return rhs

@@ -1,6 +1,7 @@
 """Catalog bundles, custom Christoffel parsing, samplers."""
 
 import inspect
+import itertools
 import math
 
 import numpy as np
@@ -18,7 +19,8 @@ from fibrum.catalog import CATALOG, CHRISTOFFELS, _parse_christoffel_key
 from fibrum.config import DEFAULT_STEP
 from fibrum.errors import ConfigError
 
-from conftest import as_array
+from conftest import (as_array, assert_all_bit_equal, assert_bit_equal,
+                      list_form_segment_fn, scalar_layers)
 
 
 def test_flat_dimensions_configurable():
@@ -239,19 +241,6 @@ def _reference_custom_gamma(coeffs, m):
     return gamma
 
 
-def _assert_bit_equal(got, want):
-    if isinstance(want, DScalar):
-        assert isinstance(got, DScalar) and got.tag == want.tag
-        _assert_bit_equal(got.value, want.value)
-        assert len(got.grad) == len(want.grad)
-        for g, w in zip(got.grad, want.grad):
-            _assert_bit_equal(g, w)
-    else:
-        assert not isinstance(got, DScalar)
-        assert got == want
-        assert math.copysign(1.0, got) == math.copysign(1.0, want)
-
-
 def _gamma_inputs(m, base_lo, base_hi):
     """(x, y, v) triples: random ones, signed zeros, and some of them as
     first- and second-order DScalars, and with DScalars in y and v only."""
@@ -263,14 +252,17 @@ def _gamma_inputs(m, base_lo, base_hi):
                        list(rng.uniform(-2.0, 2.0, size=m))))
     xs = [list(rng.uniform(base_lo, base_hi, size=m))]
     if base_lo < 0.0 < base_hi:  # zero slope terms, where the chart allows
-        xs += [[0.0] * m, [0.7] + [-0.0] * (m - 1)]
+        # the last x, of numpy float64 entries, cancels a coefficient to a
+        # float subclass's zero, which is skipped like a float's
+        xs += [[0.0] * m, [0.7] + [-0.0] * (m - 1),
+               [np.float64(0.7)] + [np.float64(-0.0)] * (m - 1)]
     units = ([1.0] + [0.0] * (m - 1), [-0.0] * m, [0.0] * (m - 1) + [-1.0])
     for x in xs:
         for y in units:
             for v in units:
                 floats.append((x, y, v))
     cases = list(floats)
-    for x, y, v in floats[:5] + floats[-12:]:
+    for x, y, v in floats[:5] + floats[-21:]:
         first = seed_scalars(x + y + v)
         cases.append((first[:m], first[m:2 * m], first[2 * m:]))
         second = seed_scalars(seed_scalars(x + y + v))
@@ -287,7 +279,7 @@ def _assert_same_evaluator(conn, reference):
         got, want = conn.gamma(x, y, v), reference(x, y, v)
         assert len(got) == len(want)
         for g, w in zip(got, want):
-            _assert_bit_equal(g, w)
+            assert_bit_equal(g, w)
 
 
 def test_sphere_gamma_bit_equal_to_reference():
@@ -318,7 +310,7 @@ def test_sphere_trig_memo_bit_equal_to_reference(thetas):
         got = conn.gamma(x, y, v)
         assert len(got) == len(want)
         for g, w in zip(got, want):
-            _assert_bit_equal(g, w)
+            assert_bit_equal(g, w)
 
 
 def test_sphere_trig_memo_skips_trig_for_the_same_theta(monkeypatch):
@@ -352,7 +344,8 @@ def test_sphere_trig_memo_skips_trig_for_the_same_theta(monkeypatch):
       "G_1_11_x2": -0.0, "G_3_31": 1.1, "G_3_31_x1": 0.37, "G_3_31_x2": -1.9,
       "G_3_31_x3": 0.61}, 3),
     # -0.35 + 0.5 * x1 is exactly 0.0 at x1 = 0.7: the term is skipped, so
-    # with DScalar y and v and a float x the output stays a float
+    # with DScalar y and v and a float x the output stays a float, also
+    # where x1 is a numpy float64
     ({"G_1_12": -0.35, "G_1_12_x1": 0.5}, 2),
 ])
 def test_custom_gamma_bit_equal_to_reference(coeffs, m):
@@ -834,3 +827,36 @@ def test_random_samplers_return_floats_for_float_input(name):
         assert all(type(c) is float for c in s.fn(x))
         assert all(type(c) is float for c in u.fn(x))
         assert type(f(e)) is float
+
+
+# -- the compiled curve and field evaluators against their list forms ---------
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_compiled_segment_fn_bit_equal_to_list_form(m):
+    from fibrum import segment_curve
+    bundle = make_flat(m=m).bundle
+    rng = np.random.default_rng(m)
+    p = rng.uniform(-1.5, 1.5, m).tolist()
+    ends = [(p, rng.uniform(-1.5, 1.5, m).tolist()),
+            ([-0.0] * m, [0.0] * m),  # zero steps from signed zeros
+            (p, p)]
+    for (a, b), (t0, t1) in itertools.product(
+            ends, [(0.0, 1.0), (0.25, 1.5), (-0.4, 3.3), (2.0, -1.0)]):
+        got_fn = segment_curve(bundle, a, b, t0, t1).fn
+        want_fn = list_form_segment_fn(a, b, t0, t1)
+        for t in (t0, t1, -0.0, 0.5 * (t0 + t1), 0.37):
+            for [arg] in scalar_layers([t]):
+                assert_all_bit_equal(got_fn(arg), want_fn(arg))
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_compiled_base_field_bit_equal_to_list_form(m):
+    from fibrum.catalog import _FIELD_SCALES, _base_field, _sin_fns
+    bundle = make_flat(m=m).bundle
+    rng = np.random.default_rng(10 + m)
+    comps = _sin_fns(rng, m, [_FIELD_SCALES] * m)
+    field = _base_field(bundle, comps)
+    for _ in range(3):
+        x = random_base_point(bundle, rng).coords
+        for arg in scalar_layers(x):
+            assert_all_bit_equal(field.fn(arg), [c(arg) for c in comps])

@@ -5,15 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from fibrum import (BaseVectorField, SectionMap, check_p_related,
-                    covariant_derivative, extend_covariant_derivative,
-                    extend_natural_derivative, horizontal_lift,
-                    horizontal_lift_field, horizontal_projector,
-                    lift_rank_check, natural_derivative, random_base_field,
+from fibrum import (BaseVectorField, ConnectionField, ConnectionKind,
+                    SectionMap, check_p_related, covariant_derivative,
+                    extend_covariant_derivative, extend_natural_derivative,
+                    horizontal_lift, horizontal_lift_field,
+                    horizontal_projector, lift_rank_check, make_flat,
+                    natural_derivative, random_base_field,
                     random_base_point, random_section, random_total_point,
                     section_jet, vertical_projector)
 
-from conftest import as_array
+from conftest import (as_array, assert_all_bit_equal, list_form_lift_field,
+                      scalar_layers)
 
 
 def test_flat_vertical_projector_block(flat_conn):
@@ -320,3 +322,37 @@ def test_covariant_tensoriality_in_v(any_conn, rng):
         fx = 1.3 + math.sin(x.coords[0])
         rhs = fx * as_array(covariant_derivative(any_conn, s, v, x))
         assert np.max(np.abs(lhs - rhs)) < 1e-10
+
+
+# -- the compiled lift-field evaluator against its list form ------------------
+
+def _mixing_connection(m, f):
+    """A nonlinear connection on flat charts of any (m, f) in which every
+    output reads x, y and v, closed under DScalar inputs."""
+    bundle = make_flat(m=m, f=f).bundle
+
+    def gamma(x, y, v):
+        out = []
+        for a in range(f):
+            acc = 0.0
+            for b in range(m):
+                acc = acc + (x[b] * y[a] + y[(a + b) % f] ** 2) * v[b]
+            out.append(acc)
+        return out
+
+    return ConnectionField(bundle, gamma, ConnectionKind.NONLINEAR)
+
+
+@pytest.mark.parametrize("f", range(1, 5))
+@pytest.mark.parametrize("m", range(1, 5))
+def test_compiled_lift_field_bit_equal_to_list_form(m, f):
+    conn = _mixing_connection(m, f)
+    rng = np.random.default_rng(4 * m + f)
+    for field in (random_base_field(conn.bundle, rng),
+                  BaseVectorField(conn.bundle, lambda x: [-0.0] * m)):
+        got_ev = horizontal_lift_field(conn, field).fn
+        want_ev = list_form_lift_field(conn, field.fn)
+        for _ in range(3):
+            e = random_total_point(conn.bundle, rng).coords
+            for arg in scalar_layers(e):
+                assert_all_bit_equal(got_ev(arg), want_ev(arg))

@@ -27,7 +27,7 @@ from fibrum import (BaseVectorField, CurveOnBase, IntegratorConfig,
 from fibrum.errors import (ChartExitError, DomainError, StepBudgetError,
                            TangentBundleRequiredError)
 
-from conftest import as_array
+from conftest import as_array, list_form_lift_field, list_form_segment_fn
 
 CFG = IntegratorConfig(step=1e-3)
 
@@ -934,3 +934,185 @@ def test_transport_evaluates_curve_once_per_stage_time(sphere_conn,
         assert len(set(stages)) == len(stages)
         # the start check, then one evaluation per distinct stage time
         assert curve_times == [curve.t0] + stages
+
+
+# -- the compiled right-hand sides against their list forms -------------------
+# Transport and flow as they were before their curve, velocity and field
+# evaluators were compiled: list-form curves whose velocity is read at every
+# node, the transport right-hand side that copies each node, and the flow's
+# lift field over a list-form base field, each fed to ``transport._rk4`` as
+# the package feeds it.
+
+def _list_form_segment(bundle, p, q, t0, t1):
+    rate = 1.0 / float(t1 - t0)
+    vel = [rate * (float(qi) - float(pi)) for pi, qi in zip(p, q)]
+    return CurveOnBase(bundle, list_form_segment_fn(p, q, t0, t1), t0, t1,
+                       lambda t: list(vel))
+
+
+def _list_form_reversed(curve):
+    t0, t1 = curve.t0, curve.t1
+    ends, fn, inner = t0 + t1, curve.fn, curve.velocity_fn
+    return CurveOnBase(curve.bundle, lambda t: fn(ends - t), t0, t1,
+                       lambda t: [-c for c in inner(ends - t)])
+
+
+def _list_form_transport_rhs(conn, curve):
+    gamma, fn, velocity = conn.gamma, curve.fn, curve.velocity_fn
+    in_base = conn.bundle.base_box.contains
+    node_t = node_x = node_v = None
+
+    def rhs(t, y):
+        nonlocal node_t, node_x, node_v
+        if t != node_t:
+            x = list(fn(t))
+            if not in_base(x):
+                raise ChartExitError("curve left the base box", t)
+            node_t, node_x, node_v = t, x, list(velocity(t))
+        return gamma(node_x, y, node_v)
+
+    return rhs
+
+
+def _list_form_flow_rhs(conn, comps):
+    """``flow``'s right-hand side for the lift of the base field of
+    ``comps``, through the list-form field and lift evaluators."""
+    from fibrum.calculus import float_value
+    ev = list_form_lift_field(conn, lambda x: [c(x) for c in comps])
+
+    def rhs(t, z):
+        return [c if type(c) is float else float_value(c) for c in ev(z)]
+
+    return rhs
+
+
+# per catalog bundle: parameters, segment ends, circle centre and radius,
+# and a fibre element
+_RHS_CASES = {
+    "flat": ({}, [-0.5, 0.25], [0.8, -0.6], [0.1, -0.2], 0.8, [0.6, -0.3]),
+    "sphere": ({}, [0.8, -1.2], [2.0, 1.4], [1.5, 0.0], 0.6, [0.6, 0.1]),
+    "nonlinear-demo": ({}, [-0.5, 0.3], [0.6, -0.4], [0.0, 0.1], 0.3, [0.1]),
+    "tm-custom-christoffel": (
+        {"G_1_12": 0.1, "G_2_11_x1": -0.05, "G_1_22": 0.07, "G_2_21": -0.2,
+         "G_2_21_x2": 0.04}, [-0.5, 0.25], [0.8, -0.6], [0.1, -0.2], 0.8,
+        [0.5, -0.6]),
+}
+
+
+def _curve_pairs(name, bundle):
+    """(curve, its list form) along every standard curve of ``bundle``,
+    each also reversed."""
+    _, p, q, centre, radius, _ = _RHS_CASES[name]
+    circle = circle_loop(bundle, centre, radius, -0.4, 1.3)
+    pairs = [(segment_curve(bundle, p, q, 0.25, 1.5),
+              _list_form_segment(bundle, p, q, 0.25, 1.5)),
+             (circle, CurveOnBase(bundle, circle.fn, circle.t0, circle.t1,
+                                  circle.velocity_fn))]
+    if name == "sphere":
+        loop = latitude_loop(bundle, 1.1)
+        pairs.append((loop, CurveOnBase(bundle, loop.fn, loop.t0, loop.t1,
+                                        loop.velocity_fn)))
+    return pairs + [(reversed_curve(c), _list_form_reversed(r))
+                    for c, r in pairs]
+
+
+@pytest.mark.parametrize("name", sorted(_RHS_CASES))
+def test_transport_bit_equal_to_list_form_rhs(name):
+    from fibrum import transport
+    params, *_, y0 = _RHS_CASES[name]
+    conn = build_connection(name, params)
+    cfg = IntegratorConfig(step=1e-2)
+    pairs = _curve_pairs(name, conn.bundle)
+    assert len(pairs) == (6 if name == "sphere" else 4)
+    for curve, ref in pairs:
+        got, got_path = parallel_transport_path(conn, curve, y0, cfg)
+        want, want_path = transport._rk4(
+            _list_form_transport_rhs(conn, ref), y0, ref.t1 - ref.t0, cfg,
+            conn.bundle.fibre_box.contains, "parallel transport", ref.t0,
+            True, 0)
+        _assert_same_bits(got, want)
+        assert len(got_path) == len(want_path)
+        for (gt, gy), (wt, wy) in zip(got_path, want_path):
+            _assert_same_bits([gt] + gy, [wt] + wy)
+
+
+@pytest.mark.parametrize("name", sorted(_RHS_CASES))
+def test_flow_bit_equal_to_list_form_rhs(name):
+    from fibrum import transport
+    from fibrum.catalog import _FIELD_SCALES, _base_field, _sin_fns
+    conn = build_connection(name, _RHS_CASES[name][0])
+    bundle = conn.bundle
+    rng = np.random.default_rng(17)
+    cfg = IntegratorConfig(step=1e-2)
+    for lam in (0.3, -0.25):
+        comps = _sin_fns(rng, bundle.base_dim,
+                         [_FIELD_SCALES] * bundle.base_dim)
+        hv = horizontal_lift_field(conn, _base_field(bundle, comps))
+        e0 = random_base_point(bundle, rng).coords + tuple(_RHS_CASES[name][5])
+        got = flow(hv, bundle.total_point(e0), lam, cfg).coords
+        want = transport._rk4(_list_form_flow_rhs(conn, comps), list(e0),
+                              lam, cfg, bundle.contains_total, "flow")
+        _assert_same_bits(got, want)
+
+
+def test_constant_velocity_is_declared_by_segments_and_latitudes(
+        sphere_conn, flat_conn):
+    # segments and latitudes declare it, circles do not, and a reversed
+    # curve keeps the declaration of the curve it reverses
+    curves = _standard_curves(sphere_conn, flat_conn)
+    declared = [c.constant_velocity for c in curves]
+    assert declared == [True] * 4 + [False] * 3
+    assert [reversed_curve(c).constant_velocity for c in curves] == declared
+    seg = curves[0]
+    assert CurveOnBase(seg.bundle, seg.fn, seg.t0,
+                       seg.t1).constant_velocity is False
+
+
+def _velocity_calls(conn, curve, y0, cfg, monkeypatch):
+    """(result, rhs times, velocity times) of one transport along
+    ``curve``, whose ``velocity_fn`` is recorded."""
+    from fibrum import transport
+    original = transport._rk4
+    rhs_times, velocity_times = [], []
+
+    def hooked(rhs, *args):
+        def timed_rhs(t, z):
+            rhs_times.append(t)
+            return rhs(t, z)
+
+        return original(timed_rhs, *args)
+
+    def velocity(t):
+        velocity_times.append(t)
+        return curve.velocity_fn(t)
+
+    monkeypatch.setattr(transport, "_rk4", hooked)
+    recorded = CurveOnBase(curve.bundle, curve.fn, curve.t0, curve.t1,
+                           velocity, curve.constant_velocity)
+    out = parallel_transport_vector(conn, recorded, y0, cfg)
+    monkeypatch.undo()
+    return out, rhs_times, velocity_times
+
+
+@pytest.mark.parametrize("make", [
+    lambda b: segment_curve(b, [0.8, -1.0], [1.9, 1.2], 0.25, 1.5),
+    lambda b: latitude_loop(b, 1.1, 0.3, 2.0),
+    lambda b: circle_loop(b, [1.5, 0.0], 0.6, -0.4, 1.3),
+], ids=["segment", "latitude", "circle"])
+def test_velocity_read_once_when_constant_else_per_stage_time(
+        sphere_conn, monkeypatch, make):
+    curve = make(sphere_conn.bundle)
+    cfg = IntegratorConfig(step=0.03)
+    y0 = [0.6, 0.1]
+    moving = CurveOnBase(curve.bundle, curve.fn, curve.t0, curve.t1,
+                         curve.velocity_fn)
+    runs = [_velocity_calls(sphere_conn, c, y0, cfg, monkeypatch)
+            for c in (curve, moving)]
+    for (out, rhs_times, velocity_times), c in zip(runs, (curve, moving)):
+        _assert_same_bits(out, runs[1][0])
+        assert len(rhs_times) == 4 * cfg.n_steps(curve.t1 - curve.t0)
+        stages = [t for k, t in enumerate(rhs_times)
+                  if k == 0 or t != rhs_times[k - 1]]
+        # a constant velocity is read once, at t0; any other once per
+        # distinct stage time
+        assert velocity_times == ([c.t0] if c.constant_velocity else stages)
