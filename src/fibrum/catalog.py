@@ -319,15 +319,13 @@ def _sin_fn(coeffs: list, n_inputs: int):
     call goes through ``_sin_kernel(n_inputs, lengths)``, with ``lengths``
     the gradient lengths of that input's layers; the loop takes the calls
     that the kernel declines, and every other call.  The float kernel, the
-    most used, is looked up once per field, and the others once per field
-    and ``lengths``, into a plain dict keyed by ``lengths``.
+    most used, is looked up once per field.
     """
     c0 = coeffs[0]
     amps = coeffs[1:n_inputs + 1]
     freqs = coeffs[n_inputs + 1:2 * n_inputs + 1]
     phases = coeffs[2 * n_inputs + 1:]
     floats = _sin_kernel(n_inputs, ())
-    kernels = {}  # lengths -> _sin_kernel(n_inputs, lengths)
 
     def fn(coords):
         z, lengths = coords[0], ()
@@ -335,10 +333,7 @@ def _sin_fn(coeffs: list, n_inputs: int):
             lengths += (len(z.grad),)
             z = z.value
         if type(z) is float:
-            if not lengths:
-                kernel = floats
-            elif (kernel := kernels.get(lengths)) is None:
-                kernel = kernels[lengths] = _sin_kernel(n_inputs, lengths)
+            kernel = _sin_kernel(n_inputs, lengths) if lengths else floats
             out = kernel(coeffs, coords)
             if out is not None:
                 return out
@@ -365,8 +360,7 @@ def _sin_kernel(n_inputs: int, lengths: tuple):
     entry to entry.  ``sin`` takes the sine and cosine of the value,
     recursively, and scales the entries by the cosine jet; those of the
     cosine it scales by the negated sine jet.  The scaled inputs, each sine
-    and cosine and the negated sine are bound to names, except the entries
-    of a one-pass input, which each scale one cosine; everything else is
+    and cosine and the negated sine are bound to names; everything else is
     inlined.
 
     The kernel returns None, leaving the call to the loop, unless every
@@ -458,8 +452,7 @@ def _sin_kernel(n_inputs: int, lengths: tuple):
         for l in reversed(range(depth)):
             x = (x, grads[j][l], f"t{l}")
         w = each(scale(x, f"f{j}"), lambda e: f"({e} + p{j})", False)
-        w = (bind(w[0]), w[1], w[2]) if depth == 1 else each(w, bind)
-        term = scale(sin_cos(w, need_cos=False)[0], f"a{j}")
+        term = scale(sin_cos(each(w, bind), need_cos=False)[0], f"a{j}")
         acc = (each(term, lambda e: f"({e} + c0)", False) if j == 0
                else add(acc, term))
     lines.append(f"    return {source(acc)}")
@@ -615,9 +608,9 @@ def segment_curve(bundle: TrivializedBundle, p: Sequence[float],
         t0, span, *[b for pd in zip(p, steps) for b in pd])
 
     def velocity(t):
-        return list(vel)
+        return vel
 
-    return CurveOnBase(bundle, fn, t0, t1, velocity, constant_velocity=True)
+    return CurveOnBase(bundle, fn, t0, t1, velocity)
 
 
 @functools.lru_cache(maxsize=None)
@@ -641,14 +634,13 @@ def _segment_fn(m: int):
 
 
 def reversed_curve(curve):
-    """The same image traversed backwards; a constant velocity stays
-    declared constant."""
+    """The same image traversed backwards."""
     t0, t1 = curve.t0, curve.t1
     ends, fn, inner = t0 + t1, curve.fn, curve.velocity_fn
     velocity = None if inner is None else (
         lambda t: [-c for c in inner(ends - t)])
     return CurveOnBase(curve.bundle, lambda t: fn(ends - t), t0, t1,
-                       velocity, curve.constant_velocity)
+                       velocity)
 
 
 def latitude_loop(bundle: TrivializedBundle, theta0: float,
@@ -659,16 +651,16 @@ def latitude_loop(bundle: TrivializedBundle, theta0: float,
     theta0 = float(theta0)
     span = t1 - t0
     two_pi = 2.0 * math.pi
-    rate = (1.0 / float(span)) * two_pi
+    vel = [0.0, (1.0 / float(span)) * two_pi]
 
     def fn(t):
         lam = (t - t0) / span
         return [theta0, -math.pi + two_pi * lam]
 
     def velocity(t):
-        return [0.0, rate]
+        return vel
 
-    return CurveOnBase(bundle, fn, t0, t1, velocity, constant_velocity=True)
+    return CurveOnBase(bundle, fn, t0, t1, velocity)
 
 
 def circle_loop(bundle: TrivializedBundle, center: Sequence[float],

@@ -65,10 +65,8 @@ class CurveOnBase:
     ``derivative(fn, t)``, up to the sign of a zero component: it has to
     repeat the operation order of that pass, so that transport results do
     not change with its presence.  Without it the velocity is
-    differentiated.
-
-    ``constant_velocity`` declares that the velocity has the same bits at
-    every t, so transport reads it once per integration, at ``t0``.
+    differentiated.  It may return one list at every call; its callers
+    do not change it.
     """
 
     bundle: TrivializedBundle
@@ -76,7 +74,6 @@ class CurveOnBase:
     t0: float
     t1: float
     velocity_fn: Optional[Callable[[float], Sequence[float]]] = None
-    constant_velocity: bool = False
 
     def point_at(self, t: float) -> list:
         return [float_value(c) for c in self.fn(t)]
@@ -213,21 +210,18 @@ def _transport_rhs(conn: ConnectionField, curve: CurveOnBase):
     without its sign; :func:`_rk4`, negating from component 0, supplies
     the sign.
 
-    A one-entry cache keyed on t computes the curve point, and the velocity
-    unless it is constant, once per distinct stage time; RK4 stages k2 and
-    k3 share the midpoint.  A constant velocity is read once, here.  The
-    curve point is checked against the base box at each node, so every
-    stage time (t, t + h/2, t + h) is checked, and an exit reports that
-    stage time.  A node is copied into a list only where ``fn`` or the
-    velocity did not return one.
+    A one-entry cache keyed on t computes the curve point and velocity once
+    per distinct stage time; RK4 stages k2 and k3 share the midpoint.  The
+    curve point is checked against the base box there, so every stage time
+    (t, t + h/2, t + h) is checked, and an exit reports that stage time.  A
+    node is copied into a list only where ``fn`` or the velocity did not
+    return one.
     """
     gamma = conn.gamma
     fn = curve.fn
     velocity = curve.velocity_fn or functools.partial(derivative, fn)
     in_base = conn.bundle.base_box.contains
-    moving = not curve.constant_velocity
-    node_t = node_x = None  # t, c(t)
-    node_v = None if moving else list(velocity(curve.t0))  # c'(t)
+    node_t = node_x = node_v = None  # t, c(t), c'(t)
 
     def rhs(t, y):
         nonlocal node_t, node_x, node_v
@@ -237,10 +231,8 @@ def _transport_rhs(conn: ConnectionField, curve: CurveOnBase):
                 x = list(x)
             if not in_base(x):
                 raise ChartExitError("curve left the base box", t)
-            node_t, node_x = t, x
-            if moving:
-                v = velocity(t)
-                node_v = v if type(v) is list else list(v)
+            v = velocity(t)
+            node_t, node_x, node_v = t, x, v if type(v) is list else list(v)
         return gamma(node_x, y, node_v)
 
     return rhs

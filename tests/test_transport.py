@@ -1055,22 +1055,10 @@ def test_flow_bit_equal_to_list_form_rhs(name):
         _assert_same_bits(got, want)
 
 
-def test_constant_velocity_is_declared_by_segments_and_latitudes(
-        sphere_conn, flat_conn):
-    # segments and latitudes declare it, circles do not, and a reversed
-    # curve keeps the declaration of the curve it reverses
-    curves = _standard_curves(sphere_conn, flat_conn)
-    declared = [c.constant_velocity for c in curves]
-    assert declared == [True] * 4 + [False] * 3
-    assert [reversed_curve(c).constant_velocity for c in curves] == declared
-    seg = curves[0]
-    assert CurveOnBase(seg.bundle, seg.fn, seg.t0,
-                       seg.t1).constant_velocity is False
-
-
-def _velocity_calls(conn, curve, y0, cfg, monkeypatch):
-    """(result, rhs times, velocity times) of one transport along
-    ``curve``, whose ``velocity_fn`` is recorded."""
+def _velocity_calls(conn, curve, y0, cfg, monkeypatch, as_tuple):
+    """(result, rhs times, velocity times) of one transport along a
+    hand-built copy of ``curve``, whose ``velocity_fn`` is recorded and,
+    with ``as_tuple``, returns a tuple."""
     from fibrum import transport
     original = transport._rk4
     rhs_times, velocity_times = [], []
@@ -1084,11 +1072,12 @@ def _velocity_calls(conn, curve, y0, cfg, monkeypatch):
 
     def velocity(t):
         velocity_times.append(t)
-        return curve.velocity_fn(t)
+        v = curve.velocity_fn(t)
+        return tuple(v) if as_tuple else v
 
     monkeypatch.setattr(transport, "_rk4", hooked)
     recorded = CurveOnBase(curve.bundle, curve.fn, curve.t0, curve.t1,
-                           velocity, curve.constant_velocity)
+                           velocity)
     out = parallel_transport_vector(conn, recorded, y0, cfg)
     monkeypatch.undo()
     return out, rhs_times, velocity_times
@@ -1096,23 +1085,21 @@ def _velocity_calls(conn, curve, y0, cfg, monkeypatch):
 
 @pytest.mark.parametrize("make", [
     lambda b: segment_curve(b, [0.8, -1.0], [1.9, 1.2], 0.25, 1.5),
+    lambda b: reversed_curve(segment_curve(b, [0.8, -1.0], [1.9, 1.2])),
     lambda b: latitude_loop(b, 1.1, 0.3, 2.0),
     lambda b: circle_loop(b, [1.5, 0.0], 0.6, -0.4, 1.3),
-], ids=["segment", "latitude", "circle"])
-def test_velocity_read_once_when_constant_else_per_stage_time(
-        sphere_conn, monkeypatch, make):
+], ids=["segment", "reversed-segment", "latitude", "circle"])
+def test_velocity_read_once_per_stage_time(sphere_conn, monkeypatch, make):
     curve = make(sphere_conn.bundle)
     cfg = IntegratorConfig(step=0.03)
     y0 = [0.6, 0.1]
-    moving = CurveOnBase(curve.bundle, curve.fn, curve.t0, curve.t1,
-                         curve.velocity_fn)
-    runs = [_velocity_calls(sphere_conn, c, y0, cfg, monkeypatch)
-            for c in (curve, moving)]
-    for (out, rhs_times, velocity_times), c in zip(runs, (curve, moving)):
-        _assert_same_bits(out, runs[1][0])
+    want = parallel_transport_vector(sphere_conn, curve, y0, cfg)
+    for as_tuple in (False, True):
+        out, rhs_times, velocity_times = _velocity_calls(
+            sphere_conn, curve, y0, cfg, monkeypatch, as_tuple)
+        # a velocity given as a tuple is copied into a list, same bits
+        _assert_same_bits(out, want)
         assert len(rhs_times) == 4 * cfg.n_steps(curve.t1 - curve.t0)
         stages = [t for k, t in enumerate(rhs_times)
                   if k == 0 or t != rhs_times[k - 1]]
-        # a constant velocity is read once, at t0; any other once per
-        # distinct stage time
-        assert velocity_times == ([c.t0] if c.constant_velocity else stages)
+        assert velocity_times == stages
