@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .calculus import (Scalar, _define, _field_jets, _max_abs, dot,
+from .calculus import (Scalar, _define, _field_jets, _max_abs,
                        float_value, vec_sub)
 from .errors import DomainError
 
@@ -329,8 +329,43 @@ def jet_bracket(xe, jx, ye, jy) -> list:
     """Coordinate Lie bracket DY X - DX Y at one point, from the 1-jets
     (value, Jacobian) of X and Y there, as ``value_and_jacobian`` gives
     them: list rows, whose Python float entries keep a float bracket's
-    products off numpy scalars."""
-    return [dot(jy[i], xe) - dot(jx[i], ye) for i in range(len(xe))]
+    products off numpy scalars.  Entry i is ``dot(jy[i], xe) - dot(jx[i],
+    ye)``, computed by the compiled kernel of ``len(xe)`` coordinates."""
+    return _bracket_kernel(len(xe))(xe, jx, ye, jy)
+
+
+@functools.lru_cache(maxsize=None)
+def _bracket_kernel(n: int):
+    """:func:`jet_bracket` on ``n`` coordinates, written out as one
+    straight-line function and compiled on first use of ``n``.
+
+    ``bracket(xe, jx, ye, jy)`` unpacks the values into ``x0, ...`` and
+    ``y0, ...`` and the n-by-n Jacobians into ``jx{i}_{k}`` and
+    ``jy{i}_{k}``, and returns row i as ``(jy{i}_0 * x0 + jy{i}_1 * x1 +
+    ...) - (jx{i}_0 * y0 + ...)``: the operands, their order and ``dot``'s
+    left-to-right sums, so floats, one pass's scalars and nested ones give
+    ``dot``'s bits.
+    """
+    ks = range(n)
+
+    def names(prefix):
+        return ", ".join(f"{prefix}{k}" for k in ks) + ","
+
+    def rows(jac):
+        return " ".join(f"({names(f'{jac}{i}_')})," for i in ks)
+
+    def row_dot(jac, i, vec):
+        return " + ".join(f"{jac}{i}_{k} * {vec}{k}" for k in ks)
+
+    lines = ["def bracket(xe, jx, ye, jy):",
+             f"    {names('x')} = xe",
+             f"    {names('y')} = ye",
+             f"    {rows('jx')} = jx",
+             f"    {rows('jy')} = jy",
+             "    return [" + ", ".join(
+                 f"({row_dot('jy', i, 'x')}) - ({row_dot('jx', i, 'y')})"
+                 for i in ks) + "]"]
+    return _define(lines, f"<jet bracket, n={n}>", {})
 
 
 def _bracket_fn(fx, fy):

@@ -395,8 +395,7 @@ def value_and_jacobian(fn: VectorFn, coords: Sequence[Scalar]):
         else:
             values.append(comp)
             rows.append([0.0] * n)  # constant w.r.t. this pass
-    if (any(type(c) is DScalar for c in coords)
-            or any(type(v) is DScalar for v in values)):
+    if DScalar in map(type, coords) or DScalar in map(type, values):
         return values, rows
     return values, _float_rows(rows)
 
@@ -405,10 +404,14 @@ def _float_rows(rows) -> list:
     """The rows of a pass that is not nested, as lists of Python floats
     checked for NaN/inf."""
     rows = [[float(x) for x in row] for row in rows]
-    for row in rows:
-        if not all(map(math.isfinite, row)):
-            raise NonFiniteOutputError("jacobian produced non-finite "
-                                       "entries; evaluator is singular here")
+    # a NaN or inf entry makes the sum NaN or inf, so a finite sum needs no
+    # entry checked
+    if not math.isfinite(sum(map(sum, rows))):
+        for row in rows:
+            if not all(map(math.isfinite, row)):
+                raise NonFiniteOutputError(
+                    "jacobian produced non-finite entries; evaluator is "
+                    "singular here")
     return rows
 
 
@@ -435,12 +438,11 @@ def _field_jets(fields: Callable, coords: Sequence[Scalar]) -> list:
         return out
 
     values, jac = value_and_jacobian(stacked, coords)
-    mixed = (not any(type(c) is DScalar for c in coords)
-             and any(type(v) is DScalar for v in values))
+    mixed = DScalar not in map(type, coords) and DScalar in map(type, values)
     jets, k = [], 0
     for n in sizes:
         vals, rows = values[k:k + n], jac[k:k + n]
-        if mixed and not any(type(v) is DScalar for v in vals):
+        if mixed and DScalar not in map(type, vals):
             rows = _float_rows(rows)
         jets.append((vals, rows))
         k += n

@@ -634,11 +634,25 @@ def _segment_fn(m: int):
 
 
 def reversed_curve(curve):
-    """The same image traversed backwards."""
+    """The same image traversed backwards.
+
+    Its velocity negates the list that the curve's velocity returns once
+    per list: where that is one list at every call (a segment or a
+    latitude), the negated list is also returned at every call.
+    """
     t0, t1 = curve.t0, curve.t1
     ends, fn, inner = t0 + t1, curve.fn, curve.velocity_fn
-    velocity = None if inner is None else (
-        lambda t: [-c for c in inner(ends - t)])
+    velocity = None
+    if inner is not None:
+        last = negated = None  # the last list of inner, and its negation
+
+        def velocity(t):
+            nonlocal last, negated
+            vel = inner(ends - t)
+            if vel is not last:
+                last, negated = vel, [-c for c in vel]
+            return negated
+
     return CurveOnBase(curve.bundle, lambda t: fn(ends - t), t0, t1,
                        velocity)
 

@@ -44,9 +44,9 @@ from typing import Callable, Sequence
 from .bundle import (BaseVectorField, Point, SectionMap, TotalTangent,
                      TotalVectorField, base_lie_bracket, jet_bracket,
                      lie_bracket)
-from .calculus import (Scalar, _field_jets, _max_abs, derivative, dot,
-                       jacobian, mat_vec, value_and_jacobian, vec_add,
-                       vec_scale, vec_sub)
+from .calculus import (DScalar, Scalar, _field_jets, _float_rows, _max_abs,
+                       derivative, dot, jacobian, mat_vec,
+                       value_and_jacobian, vec_add, vec_scale, vec_sub)
 from .connection import (ConnectionField, ConnectionKind, _cov_value,
                          constant_base_field, horizontal_lift,
                          horizontal_lift_field)
@@ -146,6 +146,29 @@ def _nested_section_jet(s_fn, xs) -> tuple:
             "under nested derivative-carrying scalars") from exc
 
 
+def _float_section_jet(jet, tag: int) -> tuple:
+    """The jet (s(x), Ds(x)) that the section's own pass at the float point
+    x gives, read from the jet ``jet`` of the section's pass nested in the
+    pass ``tag`` at x (``_nested_section_jet``).
+
+    The lowest layer of a nested tangent is the plain computation: with the
+    layer of pass ``tag`` stripped, every value and entry has the bits of
+    the float pass, since both passes round a division by a varying b as
+    a * b ** -1 and a nested scalar's value layer takes the float
+    operations in their order.  The rows are then checked as that pass
+    checks them: floats, NaN/inf raising ``NonFiniteOutputError``, unless
+    the values carry other scalars (a section that captures them).
+    """
+    def strip(c):
+        return c.value if type(c) is DScalar and c.tag == tag else c
+
+    sx = [strip(c) for c in jet[0]]
+    ds = [[strip(c) for c in row] for row in jet[1]]
+    if DScalar in map(type, sx):
+        return sx, ds
+    return sx, _float_rows(ds)
+
+
 class _RouteJets:
     """One draw (s, u, v, x) of the bracket routes, read from one pass.
 
@@ -155,9 +178,11 @@ class _RouteJets:
     ``value_and_jacobian`` pass over the stacked fields gives them all.
     Inside it u(x), v(x), gamma(x, y, u(x)), gamma(x, y, v(x)) and the
     nested pass Ds(x) are each evaluated once; H_u = (u, -g_u) and
-    N_u = (0, Ds u + g_u) are built from the same scalars.  With
-    ``covariant=False`` the pass covers H_u and H_v only and does no
-    nested work.
+    N_u = (0, Ds u + g_u) are built from the same scalars.  The float layer
+    of that nested pass is the section's own jet at x, which
+    nabla_[u,v] s(x) takes (``_float_section_jet``), so the section has no
+    second pass.  With ``covariant=False`` the pass covers H_u and H_v only
+    and does no nested work.
 
     The stacked jets have the bits of separate passes (``_field_jets``).
     So the base rows and first m columns of the jets of H_u and H_v are the
@@ -182,7 +207,8 @@ class _RouteJets:
             hv = list(vx) + [-c for c in gv]
             if not covariant:
                 return hu, hv
-            ds = _nested_section_jet(s.fn, xs)[1]
+            self.section = _nested_section_jet(s.fn, xs), xs[0].tag
+            ds = self.section[0][1]
             return (hu, hv, [0.0] * m + vec_add(mat_vec(ds, ux), gu),
                     [0.0] * m + vec_add(mat_vec(ds, vx), gv))
 
@@ -193,23 +219,33 @@ class _RouteJets:
         uv = jet_bracket(ue[:m], [row[:m] for row in ju[:m]],
                          ve[:m], [row[:m] for row in jv[:m]])
         self.uv = constant_base_field(bundle, uv)
+        self.hh = None
+
+    def lift_bracket(self) -> list:
+        """[H_u, H_v](e), taken once for ``lifts`` and
+        ``vertical_projection``."""
+        if self.hh is None:
+            self.hh = jet_bracket(*self.hu, *self.hv)
+        return self.hh
 
     def lifts(self) -> list:
-        """Fibre part of H_[u,v](e) - [H_u, H_v](e)."""
-        hw = horizontal_lift_field(self.conn, self.uv)(self.e)
-        br = jet_bracket(*self.hu, *self.hv)
+        """Fibre part of H_[u,v](e) - [H_u, H_v](e); the first is
+        -gamma(x, s(x), [u, v](x))."""
+        xs, y = self.conn.bundle.split(self.e.coords)
         m = self.conn.bundle.base_dim
-        return vec_sub(hw[m:], br[m:])
+        return vec_sub([-c for c in self.conn.gamma(xs, y, self.uv.fn(xs))],
+                       self.lift_bracket()[m:])
 
     def vertical_projection(self) -> list:
         """Fibre part of -P_V [H_u, H_v](e)."""
-        br = jet_bracket(*self.hu, *self.hv)
-        return vec_scale(-1.0, _pv_apply(self.conn, self.e, br))
+        return vec_scale(-1.0, _pv_apply(self.conn, self.e,
+                                          self.lift_bracket()))
 
     def covariant(self) -> list:
         """Fibre part of [N_u, N_v](e) minus nabla_[u,v] s(x)."""
         br = jet_bracket(*self.nu, *self.nv)
-        nw = _cov_value(self.conn, self.s.fn, self.uv.fn, list(self.x.coords))
+        nw = _cov_value(self.conn, self.s.fn, self.uv.fn, list(self.x.coords),
+                        jet=_float_section_jet(*self.section))
         m = self.conn.bundle.base_dim
         return vec_sub(br[m:], nw)
 
@@ -273,16 +309,20 @@ def curv_via_covariant_composition(conn: ConnectionField, s: SectionMap,
     One pass at x over the stacked fields (u, v, nabla_v s, nabla_u s)
     gives every jet (``_field_jets``), with u, v and the nested pass Ds
     evaluated once in it; [u, v](x) comes from the jets of u and v, as in
-    ``_RouteJets``.  Where u, v and s enter undifferentiated they are plain
-    float values: a pass rounds a division by a varying quantity
-    differently.
+    ``_RouteJets``, and nabla_[u,v] s(x) takes the section's jet at x from
+    the float layer of the nested pass (``_float_section_jet``).  Where u,
+    v and s enter undifferentiated they are plain float values: a pass
+    rounds a division by a varying quantity differently.
     """
     e = s.graph(x)
     coords = list(x.coords)
+    section = None
 
     def fields(xs):
+        nonlocal section
         ux, vx = u.fn(xs), v.fn(xs)
-        sx, ds = _nested_section_jet(s.fn, xs)
+        section = _nested_section_jet(s.fn, xs), xs[0].tag
+        sx, ds = section[0]
         return (ux, vx, vec_add(mat_vec(ds, vx), conn.gamma(xs, sx, vx)),
                 vec_add(mat_vec(ds, ux), conn.gamma(xs, sx, ux)))
 
@@ -301,7 +341,8 @@ def curv_via_covariant_composition(conn: ConnectionField, s: SectionMap,
     uv = nabla_along_s(jnv, u)
     vu = nabla_along_s(jnu, v)
     bracket = jet_bracket(*ju, *jv)
-    w = _cov_value(conn, s.fn, lambda c: bracket, coords)
+    w = _cov_value(conn, s.fn, lambda c: bracket, coords,
+                   jet=_float_section_jet(*section))
     return VerticalValue(e, vec_sub(vec_sub(uv, vu), w))
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from fibrum import (float_value, make_flat, make_nonlinear_demo,
                     make_sphere)
-from fibrum.calculus import DScalar, seed_scalars
+from fibrum.calculus import DScalar, dot, seed_scalars
 
 # pytest puts src/ on sys.path (pyproject.toml); the CLI tests' child
 # interpreters need it on PYTHONPATH to import the same checkout.
@@ -121,3 +121,8 @@ def list_form_lift_field(conn, v_fn):
         return list(vx) + [-c for c in gamma(x, y, vx)]
 
     return ev
+
+
+def list_form_jet_bracket(xe, jx, ye, jy):
+    """``jet_bracket`` as a comprehension over ``dot``'s rows."""
+    return [dot(jy[i], xe) - dot(jx[i], ye) for i in range(len(xe))]

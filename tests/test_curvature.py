@@ -43,16 +43,18 @@ from fibrum import (BaseVectorField, SectionMap, TotalTangent,
                     tensoriality_check_curvature, torsion, vec_add, vec_sub)
 from fibrum.bundle import TotalVectorField, jet_bracket
 from fibrum.catalog import random_total_scalar_field
-from fibrum.calculus import (DScalar, derivative, mat_vec,
+from fibrum.calculus import (DScalar, derivative, mat_vec, seed_scalars,
                              value_and_jacobian, vec_scale)
 from fibrum.connection import _cov_value
 from fibrum.curvature import (VerticalValue, _const_lift_field,
-                              _curvature_pairs, _pv_apply)
+                              _curvature_pairs, _float_section_jet,
+                              _nested_section_jet, _pv_apply)
 from fibrum.errors import (DomainError, LinearityRequiredError,
-                           SecondOrderUnavailableError,
+                           NonFiniteOutputError, SecondOrderUnavailableError,
                            TangentBundleRequiredError)
 
-from conftest import as_array
+from conftest import (as_array, assert_all_bit_equal, list_form_jet_bracket,
+                      scalar_layers)
 
 
 # -- independent oracle: classical tensor on the round sphere ---------------
@@ -403,13 +405,28 @@ _CONNECTIONS = [
 ]
 
 
+def _dividing_section(bundle, rng):
+    """A section that divides by a varying quantity, which a pass rounds
+    as a product with its reciprocal: its value at x differs from a pass's
+    in the last bit."""
+    centre = [0.5 * (lo + hi) for lo, hi in zip(bundle.fibre_box.lower,
+                                                bundle.fibre_box.upper)]
+    a = rng.uniform(0.05, 0.2, len(centre)).tolist()
+    return SectionMap(bundle, lambda c: [y + ai / (3.0 + c[0] * c[-1])
+                                         for y, ai in zip(centre, a)])
+
+
 @pytest.mark.parametrize("name,params", _CONNECTIONS)
 def test_shared_jets_bit_equal_to_separate_brackets(name, params):
     conn = build_connection(name, params)
     bundle = conn.bundle
     rng = np.random.default_rng(20261017)
-    for _ in range(6):
-        s = random_section(bundle, rng)
+    for k in range(9):
+        # the last three draws take a section that divides by a varying
+        # quantity: nabla_[u,v] s(x) reads the float layer of the nested
+        # pass, where the reference makes a float pass
+        s = (random_section(bundle, rng) if k < 6
+             else _dividing_section(bundle, rng))
         u = random_base_field(bundle, rng)
         v = random_base_field(bundle, rng)
         x = random_base_point(bundle, rng)
@@ -481,6 +498,78 @@ def test_composition_bit_equal_to_one_pass_per_jet(name, params):
         assert _bits(got) == _bits(ref)
 
 
+@pytest.mark.parametrize("name,params", _CONNECTIONS)
+def test_float_layer_of_nested_section_pass_is_the_float_pass(name, params):
+    # the section's jet at x read from its pass nested in a pass at x (or
+    # at e = (x, s(x))) has the bits, types and tags of its own float pass
+    bundle = build_connection(name, params).bundle
+    m = bundle.base_dim
+    rng = np.random.default_rng(20261021)
+    c = DScalar(0.25, (1.0,))  # a user scalar, tag 0
+    sections = [random_section(bundle, rng) for _ in range(4)]
+    sections += [_dividing_section(bundle, rng) for _ in range(2)]
+    sections.append(SectionMap(bundle, lambda x: [c * x[0] + y for y in
+                                                  sections[0].fn(x)]))
+    sections.append(SectionMap(bundle, lambda x: [0.5] * bundle.fibre_dim))
+    for s in sections:
+        x = random_base_point(bundle, rng)
+        for point in (list(x.coords), list(s.graph(x).coords)):
+            outer = seed_scalars(point)
+            got = _float_section_jet(_nested_section_jet(s.fn, outer[:m]),
+                                     outer[0].tag)
+            want = value_and_jacobian(s.fn, list(x.coords))
+            assert_all_bit_equal(got[0], want[0])
+            assert len(got[1]) == len(want[1])
+            for grow, wrow in zip(*(jet[1] for jet in (got, want))):
+                assert type(grow) is list
+                assert_all_bit_equal(grow, wrow)
+
+
+def test_routes_non_finite_section_jacobian_still_raises():
+    # a finite s(x) whose Jacobian is NaN at x: every route that takes
+    # nabla s raises as the section's own float pass does
+    conn = make_flat()
+    bundle = conn.bundle
+    s = SectionMap(bundle, lambda c: [c[0] * 1e308 * 10.0
+                                      - c[0] * 1e308 * 10.0 + 0.1, c[1]])
+    u = BaseVectorField(bundle, lambda c: [1.0, c[0]])
+    v = BaseVectorField(bundle, lambda c: [c[1], 1.0])
+    x = bundle.base_point([1e-3, 0.2])
+    assert s(x) == [0.1, 0.2]
+    with pytest.raises(NonFiniteOutputError):
+        value_and_jacobian(s.fn, list(x.coords))
+    for route in (curvature_routes, curv_via_covariant,
+                  curv_via_covariant_composition):
+        with pytest.raises(NonFiniteOutputError):
+            route(conn, s, u, v, x)
+    # the float layer of the nested pass is checked as that pass checks it
+    outer = seed_scalars(list(x.coords))
+    nested = _nested_section_jet(s.fn, outer)
+    with pytest.raises(NonFiniteOutputError):
+        _float_section_jet(nested, outer[0].tag)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_compiled_jet_bracket_bit_equal_to_list_form(n):
+    # floats, one pass's scalars, nested ones, and each entry drawn from
+    # those three (mixed tags), with signed zeros among them
+    rng = np.random.default_rng(20261021 + n)
+    count = 2 * n + 2 * n * n
+    values = rng.uniform(-2.0, 2.0, count).tolist()
+    for k in rng.choice(count, size=min(count, 4), replace=False).tolist():
+        values[k] = 0.0 if k % 2 else -0.0
+    layers = scalar_layers(values)
+    picks = rng.integers(0, 3, count).tolist()
+    layers.append([layers[p][i] for i, p in enumerate(picks)])
+    for entries in layers:
+        it = iter(entries)
+        xe, ye = ([next(it) for _ in range(n)] for _ in range(2))
+        jx, jy = ([[next(it) for _ in range(n)] for _ in range(n)]
+                  for _ in range(2))
+        assert_all_bit_equal(jet_bracket(xe, jx, ye, jy),
+                             list_form_jet_bracket(xe, jx, ye, jy))
+
+
 def _evaluation_counter():
     """(counter, counted): ``counted(name, fn)`` wraps fn so that each call
     adds one to ``counter[name]``."""
@@ -527,8 +616,9 @@ def test_curvature_routes_take_each_jet_once(nonlinear_conn, monkeypatch):
     # one draw makes one pass at e over the stacked H_u, H_v, N_u and N_v,
     # in which u(x), v(x), gamma(x, y, u(x)), gamma(x, y, v(x)) and the
     # nested Ds(x) are each evaluated once, and reads [u, v](x) from it; the
-    # only other pass at a float point is the section's at x, for
-    # nabla_[u,v] s.  The lift routes make one pass at e and none at x
+    # section's jet at x, for nabla_[u,v] s, is the float layer of the
+    # nested pass, so there is no other pass at a float point.  The lift
+    # routes make one pass at e and none at x
     bundle = nonlinear_conn.bundle
     rng = np.random.default_rng(5)
     evals, counted = _evaluation_counter()
@@ -542,17 +632,55 @@ def test_curvature_routes_take_each_jet_once(nonlinear_conn, monkeypatch):
     calls = _float_passes(monkeypatch)
     evals.clear()
     curvature_routes(conn, s, u, v, x)
-    assert [c for _, c in calls] == [e, x.coords]
-    assert calls[1][0] is s.fn
-    # s: the graph point, the nested Ds and the float pass at x; gamma:
-    # two in the pass, H_[u,v](e) and nabla_[u,v] s(x)
-    assert evals == {"u": 1, "v": 1, "s": 3, "gamma": 4}
+    assert [c for _, c in calls] == [e]
+    # s: the graph point and the nested Ds; gamma: two in the pass,
+    # H_[u,v](e) and nabla_[u,v] s(x)
+    assert evals == {"u": 1, "v": 1, "s": 2, "gamma": 4}
     for route in (curv_via_lifts, curv_via_vertical_projection):
         calls.clear()
         evals.clear()
         route(conn, s, u, v, x)
         assert [c for _, c in calls] == [e]
         assert evals["u"] == 1 and evals["v"] == 1 and evals["s"] == 1
+    # the composition route: one pass at x over u, v, nabla_v s and
+    # nabla_u s, then one pass in t for each of the two d_y gamma terms;
+    # nabla_[u,v] s(x) reads the nested pass's float layer too
+    calls.clear()
+    evals.clear()
+    curv_via_covariant_composition(conn, s, u, v, x)
+    assert [c for _, c in calls] == [x.coords, (0.0,), (0.0,)]
+    # s: the graph point and the nested Ds; u and v: in the pass and as
+    # the direction of one d_y gamma term; gamma: two in the pass, one in
+    # each d_y gamma pass and nabla_[u,v] s(x)
+    assert evals == {"u": 2, "v": 2, "s": 2, "gamma": 5}
+
+
+def test_lift_routes_share_one_bracket(nonlinear_conn, monkeypatch):
+    # a workspace read by both lift routes (the row
+    # lift_route_internal_identity) brackets H_u and H_v once, besides
+    # [u, v](x)
+    import importlib
+    from fibrum.curvature import _RouteJets
+    module = importlib.import_module("fibrum.curvature")  # not the function
+    bundle = nonlinear_conn.bundle
+    rng = np.random.default_rng(6)
+    s, u, v = (random_section(bundle, rng), random_base_field(bundle, rng),
+               random_base_field(bundle, rng))
+    x = random_base_point(bundle, rng)
+    brackets = []
+
+    def counted(*jets):
+        brackets.append(len(jets[0]))
+        return jet_bracket(*jets)
+
+    monkeypatch.setattr(module, "jet_bracket", counted)
+    jets = _RouteJets(nonlinear_conn, s, u, v, x, covariant=False)
+    lifts, vert = jets.lifts(), jets.vertical_projection()
+    assert brackets == [bundle.base_dim, bundle.total_dim]
+    assert _bits(lifts) == _bits(curv_via_lifts(nonlinear_conn, s, u, v,
+                                                x).fibre_part)
+    assert _bits(vert) == _bits(curv_via_vertical_projection(
+        nonlinear_conn, s, u, v, x).fibre_part)
 
 
 # -- one pass per bracket draw ------------------------------------------------
@@ -838,9 +966,10 @@ def test_tensoriality_takes_one_pass(nonlinear_conn, rng, monkeypatch):
 @pytest.mark.parametrize("name,params", _CONNECTIONS)
 def test_route_and_bracket_dots_take_python_floats(name, params,
                                                    monkeypatch):
-    # the scalar loops of a curvature_routes draw and of a bracket
+    # the scalar products of a curvature_routes draw and of a bracket
     # evaluation multiply Python floats (or derivative-carrying scalars),
-    # never numpy arrays or numpy float64 scalars
+    # never numpy arrays or numpy float64 scalars: the compiled kernel of
+    # jet_bracket and mat_vec's dot take none
     import fibrum.bundle
     import fibrum.calculus
     conn = build_connection(name, params)
@@ -848,19 +977,32 @@ def test_route_and_bracket_dots_take_python_floats(name, params,
     rng = np.random.default_rng(20261022)
     seen = set()
 
-    def checked(module):
-        dot = module.dot
+    def check(vectors):
+        for vec in vectors:
+            assert type(vec) is not np.ndarray
+            assert not any(type(c) is np.float64 for c in vec)
 
-        def fn(a, b):
-            for vec in (a, b):
-                assert type(vec) is not np.ndarray
-                assert not any(type(c) is np.float64 for c in vec)
-            seen.add(module.__name__)
-            return dot(a, b)
+    dot = fibrum.calculus.dot
+
+    def checked_dot(a, b):
+        check((a, b))
+        seen.add("fibrum.calculus")
+        return dot(a, b)
+
+    bracket_kernel = fibrum.bundle._bracket_kernel
+
+    def checked_kernel(n):
+        kernel = bracket_kernel(n)
+
+        def fn(xe, jx, ye, jy):
+            check((jx, jy))
+            check((xe, ye, *jx, *jy))
+            seen.add("fibrum.bundle")
+            return kernel(xe, jx, ye, jy)
         return fn
 
-    for module in (fibrum.bundle, fibrum.calculus):  # jet_bracket, mat_vec
-        monkeypatch.setattr(module, "dot", checked(module))
+    monkeypatch.setattr(fibrum.calculus, "dot", checked_dot)  # mat_vec
+    monkeypatch.setattr(fibrum.bundle, "_bracket_kernel", checked_kernel)
     for _ in range(3):
         s = random_section(bundle, rng)
         u = random_base_field(bundle, rng)

@@ -4,15 +4,17 @@ Reports are byte-reproducible, and a refactor keeps every one of them
 byte-identical.  These pins guard that in the suite: ``fibrum verify`` on
 every catalog bundle, the sphere ``transport`` scenario, 20-sample
 ``theorem41`` tables on ``nonlinear-demo`` and ``sphere`` (whose gamma
-divides by sin theta), ``verify-all`` on a ``tm-custom-christoffel`` with
-degree-one coefficients (the default one is the zero connection), the
-``transport`` scenario on ``nonlinear-demo`` and the ``geodesic`` scenario
-on ``flat`` (whose segment, start element and geodesic start are drawn
-from the seed), all at the default seed, ``verify-all`` on ``sphere``
-at seed 7, and ``verify-all`` on ``nonlinear-demo`` at seeds 1 and 11,
-where transport leaves the fibre box: the report's
-``transport_roundtrip`` row (seed 1) and ``transport_covariantly_constant``
-row (seed 11) carry the ``ChartExitError`` note with its exit time.
+divides by sin theta), ``verify-all`` and a 20-sample ``theorem41`` table
+on a ``tm-custom-christoffel`` with degree-one coefficients (the default
+one is the zero connection; the table differentiates its compiled
+Christoffel gamma on nested scalars), the ``transport`` scenario on
+``nonlinear-demo`` and the ``geodesic`` scenario on ``flat`` (whose
+segment, start element and geodesic start are drawn from the seed), all at
+the default seed, ``verify-all`` on ``sphere`` at seed 7, and
+``verify-all`` on ``nonlinear-demo`` at seeds 1 and 11, where transport
+leaves the fibre box: the report's ``transport_roundtrip`` row (seed 1)
+and ``transport_covariantly_constant`` row (seed 11) carry the
+``ChartExitError`` note with its exit time.
 
 The bytes do not depend on the CPU either.  Values are lists of Python
 floats, and every number in a report outside the two rank rows comes from
@@ -43,6 +45,12 @@ from fibrum.cli import main
 
 PINS = Path(__file__).with_name("report_pins.json")
 
+# degree-one coefficients of tm-custom-christoffel (the default one is the
+# zero connection)
+_DEGREE_ONE = {"G_1_11": 0.2, "G_1_12": -0.15, "G_1_12_x2": 0.08,
+               "G_2_11_x1": -0.06, "G_2_21": 0.11, "G_2_21_x1": 0.04,
+               "G_2_22_x2": -0.09, "G_1_22": 0.05}
+
 # pin name -> the `fibrum verify` bundle, or the config of a `fibrum run`
 RUNS = {
     "verify flat": "flat",
@@ -59,10 +67,10 @@ RUNS = {
         "scenario_params": {"samples": 20}},
     "run tm-custom-christoffel verify-all degree-one": {
         "bundle_name": "tm-custom-christoffel", "scenario": "verify-all",
-        "bundle_params": {"G_1_11": 0.2, "G_1_12": -0.15, "G_1_12_x2": 0.08,
-                          "G_2_11_x1": -0.06, "G_2_21": 0.11,
-                          "G_2_21_x1": 0.04, "G_2_22_x2": -0.09,
-                          "G_1_22": 0.05}},
+        "bundle_params": _DEGREE_ONE},
+    "run tm-custom-christoffel theorem41 samples=20 degree-one": {
+        "bundle_name": "tm-custom-christoffel", "scenario": "theorem41",
+        "scenario_params": {"samples": 20}, "bundle_params": _DEGREE_ONE},
     "run nonlinear-demo transport": {"bundle_name": "nonlinear-demo",
                                      "scenario": "transport"},
     "run flat geodesic": {"bundle_name": "flat", "scenario": "geodesic"},

@@ -1103,3 +1103,35 @@ def test_velocity_read_once_per_stage_time(sphere_conn, monkeypatch, make):
         stages = [t for k, t in enumerate(rhs_times)
                   if k == 0 or t != rhs_times[k - 1]]
         assert velocity_times == stages
+
+
+@pytest.mark.parametrize("make,lists", [
+    (lambda b: segment_curve(b, [0.8, -1.0], [1.9, 1.2], 0.25, 1.5), 1),
+    (lambda b: latitude_loop(b, 1.1, 0.3, 2.0), 1),
+    (lambda b: circle_loop(b, [1.5, 0.0], 0.6, -0.4, 1.3), None),
+], ids=["segment", "latitude", "circle"])
+def test_reversed_velocity_negates_each_list_once(sphere_conn, make, lists):
+    # over one transport, a reversed segment or latitude returns one
+    # negated list at every stage time, so it negates once; a circle, whose
+    # velocity is a new list at every call, negates every one.  Each value
+    # and the transport keep the bits of the comprehension that negated at
+    # every call
+    bundle = sphere_conn.bundle
+    curve = make(bundle)
+    back, ref = reversed_curve(curve), _list_form_reversed(curve)
+    returned = []
+
+    def velocity(t):
+        returned.append((t, back.velocity_fn(t)))
+        return returned[-1][1]
+
+    recorded = CurveOnBase(bundle, back.fn, back.t0, back.t1, velocity)
+    cfg = IntegratorConfig(step=0.03)
+    y0 = [0.6, 0.1]
+    _assert_same_bits(parallel_transport_vector(sphere_conn, recorded, y0,
+                                                cfg),
+                      parallel_transport_vector(sphere_conn, ref, y0, cfg))
+    assert len({id(v) for _, v in returned}) == (lists or len(returned))
+    for t, v in returned:
+        assert type(v) is list
+        _assert_same_bits(v, ref.velocity_fn(t))
