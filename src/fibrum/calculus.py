@@ -404,14 +404,10 @@ def _float_rows(rows) -> list:
     """The rows of a pass that is not nested, as lists of Python floats
     checked for NaN/inf."""
     rows = [[float(x) for x in row] for row in rows]
-    # a NaN or inf entry makes the sum NaN or inf, so a finite sum needs no
-    # entry checked
-    if not math.isfinite(sum(map(sum, rows))):
-        for row in rows:
-            if not all(map(math.isfinite, row)):
-                raise NonFiniteOutputError(
-                    "jacobian produced non-finite entries; evaluator is "
-                    "singular here")
+    for row in rows:
+        if not all(map(math.isfinite, row)):
+            raise NonFiniteOutputError("jacobian produced non-finite "
+                                       "entries; evaluator is singular here")
     return rows
 
 

@@ -19,6 +19,8 @@ import functools
 import itertools
 import math
 import re
+import types
+import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -595,6 +597,22 @@ def random_tangent(conn: ConnectionField, e: Point,
 # t is computed once, when the curve is built, and ``fn`` stays closed under
 # DScalar t.
 
+# The velocities of the segments and latitudes built here, each returning
+# one list at every call, with that list: ``reversed_curve`` negates it once.
+# Its keys are plain functions; a velocity of another type, which may not be
+# hashable, is not looked up.
+_CONSTANT_VELOCITIES = weakref.WeakKeyDictionary()
+
+
+def _constant_velocity(vel: list):
+    """A curve velocity that returns the list ``vel`` at every call."""
+    def velocity(t):
+        return vel
+
+    _CONSTANT_VELOCITIES[velocity] = vel
+    return velocity
+
+
 def segment_curve(bundle: TrivializedBundle, p: Sequence[float],
                   q: Sequence[float], t0: float = 0.0,
                   t1: float = 1.0):
@@ -606,11 +624,7 @@ def segment_curve(bundle: TrivializedBundle, p: Sequence[float],
     vel = [rate * d for d in steps]
     fn = _segment_fn(len(steps))(
         t0, span, *[b for pd in zip(p, steps) for b in pd])
-
-    def velocity(t):
-        return vel
-
-    return CurveOnBase(bundle, fn, t0, t1, velocity)
+    return CurveOnBase(bundle, fn, t0, t1, _constant_velocity(vel))
 
 
 @functools.lru_cache(maxsize=None)
@@ -636,23 +650,17 @@ def _segment_fn(m: int):
 def reversed_curve(curve):
     """The same image traversed backwards.
 
-    Its velocity negates the list that the curve's velocity returns once
-    per list: where that is one list at every call (a segment or a
-    latitude), the negated list is also returned at every call.
+    The reverse of a segment or a latitude negates its velocity list once,
+    here; any other velocity is negated at every call.
     """
     t0, t1 = curve.t0, curve.t1
     ends, fn, inner = t0 + t1, curve.fn, curve.velocity_fn
-    velocity = None
-    if inner is not None:
-        last = negated = None  # the last list of inner, and its negation
-
-        def velocity(t):
-            nonlocal last, negated
-            vel = inner(ends - t)
-            if vel is not last:
-                last, negated = vel, [-c for c in vel]
-            return negated
-
+    if type(inner) is types.FunctionType and inner in _CONSTANT_VELOCITIES:
+        velocity = _constant_velocity(
+            [-c for c in _CONSTANT_VELOCITIES[inner]])
+    else:
+        velocity = None if inner is None else (
+            lambda t: [-c for c in inner(ends - t)])
     return CurveOnBase(curve.bundle, lambda t: fn(ends - t), t0, t1,
                        velocity)
 
@@ -671,10 +679,7 @@ def latitude_loop(bundle: TrivializedBundle, theta0: float,
         lam = (t - t0) / span
         return [theta0, -math.pi + two_pi * lam]
 
-    def velocity(t):
-        return vel
-
-    return CurveOnBase(bundle, fn, t0, t1, velocity)
+    return CurveOnBase(bundle, fn, t0, t1, _constant_velocity(vel))
 
 
 def circle_loop(bundle: TrivializedBundle, center: Sequence[float],

@@ -219,27 +219,20 @@ class _RouteJets:
         uv = jet_bracket(ue[:m], [row[:m] for row in ju[:m]],
                          ve[:m], [row[:m] for row in jv[:m]])
         self.uv = constant_base_field(bundle, uv)
-        self.hh = None
-
-    def lift_bracket(self) -> list:
-        """[H_u, H_v](e), taken once for ``lifts`` and
-        ``vertical_projection``."""
-        if self.hh is None:
-            self.hh = jet_bracket(*self.hu, *self.hv)
-        return self.hh
 
     def lifts(self) -> list:
         """Fibre part of H_[u,v](e) - [H_u, H_v](e); the first is
         -gamma(x, s(x), [u, v](x))."""
         xs, y = self.conn.bundle.split(self.e.coords)
         m = self.conn.bundle.base_dim
+        br = jet_bracket(*self.hu, *self.hv)
         return vec_sub([-c for c in self.conn.gamma(xs, y, self.uv.fn(xs))],
-                       self.lift_bracket()[m:])
+                       br[m:])
 
     def vertical_projection(self) -> list:
         """Fibre part of -P_V [H_u, H_v](e)."""
-        return vec_scale(-1.0, _pv_apply(self.conn, self.e,
-                                          self.lift_bracket()))
+        br = jet_bracket(*self.hu, *self.hv)
+        return vec_scale(-1.0, _pv_apply(self.conn, self.e, br))
 
     def covariant(self) -> list:
         """Fibre part of [N_u, N_v](e) minus nabla_[u,v] s(x)."""

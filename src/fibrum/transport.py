@@ -65,8 +65,8 @@ class CurveOnBase:
     ``derivative(fn, t)``, up to the sign of a zero component: it has to
     repeat the operation order of that pass, so that transport results do
     not change with its presence.  Without it the velocity is
-    differentiated.  It may return one list at every call; neither it nor
-    its callers change a list it returned.
+    differentiated.  It may return one list at every call; its callers
+    do not change it.
     """
 
     bundle: TrivializedBundle

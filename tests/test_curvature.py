@@ -655,34 +655,6 @@ def test_curvature_routes_take_each_jet_once(nonlinear_conn, monkeypatch):
     assert evals == {"u": 2, "v": 2, "s": 2, "gamma": 5}
 
 
-def test_lift_routes_share_one_bracket(nonlinear_conn, monkeypatch):
-    # a workspace read by both lift routes (the row
-    # lift_route_internal_identity) brackets H_u and H_v once, besides
-    # [u, v](x)
-    import importlib
-    from fibrum.curvature import _RouteJets
-    module = importlib.import_module("fibrum.curvature")  # not the function
-    bundle = nonlinear_conn.bundle
-    rng = np.random.default_rng(6)
-    s, u, v = (random_section(bundle, rng), random_base_field(bundle, rng),
-               random_base_field(bundle, rng))
-    x = random_base_point(bundle, rng)
-    brackets = []
-
-    def counted(*jets):
-        brackets.append(len(jets[0]))
-        return jet_bracket(*jets)
-
-    monkeypatch.setattr(module, "jet_bracket", counted)
-    jets = _RouteJets(nonlinear_conn, s, u, v, x, covariant=False)
-    lifts, vert = jets.lifts(), jets.vertical_projection()
-    assert brackets == [bundle.base_dim, bundle.total_dim]
-    assert _bits(lifts) == _bits(curv_via_lifts(nonlinear_conn, s, u, v,
-                                                x).fibre_part)
-    assert _bits(vert) == _bits(curv_via_vertical_projection(
-        nonlinear_conn, s, u, v, x).fibre_part)
-
-
 # -- one pass per bracket draw ------------------------------------------------
 # ``lie_bracket``, ``base_lie_bracket``, ``curvature`` and
 # ``tensoriality_check_curvature`` read every jet of a draw from one stacked

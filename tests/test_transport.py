@@ -1105,17 +1105,53 @@ def test_velocity_read_once_per_stage_time(sphere_conn, monkeypatch, make):
         assert velocity_times == stages
 
 
+def _buffered(curve):
+    """``curve`` with a velocity that refills one list and returns it."""
+    inner, buf = curve.velocity_fn, []
+
+    def velocity(t):
+        buf[:] = inner(t)
+        return buf
+
+    return CurveOnBase(curve.bundle, curve.fn, curve.t0, curve.t1, velocity)
+
+
+class _UnhashableVelocity:
+    """A velocity given as an object that defines ``==`` and so has no
+    hash."""
+
+    def __init__(self, curve):
+        self.inner = curve.velocity_fn
+
+    def __eq__(self, other):
+        return self is other
+
+    def __call__(self, t):
+        return self.inner(t)
+
+
+def _as_object(curve):
+    return CurveOnBase(curve.bundle, curve.fn, curve.t0, curve.t1,
+                       _UnhashableVelocity(curve))
+
+
 @pytest.mark.parametrize("make,lists", [
     (lambda b: segment_curve(b, [0.8, -1.0], [1.9, 1.2], 0.25, 1.5), 1),
     (lambda b: latitude_loop(b, 1.1, 0.3, 2.0), 1),
+    (lambda b: reversed_curve(latitude_loop(b, 1.1, 0.3, 2.0)), 1),
     (lambda b: circle_loop(b, [1.5, 0.0], 0.6, -0.4, 1.3), None),
-], ids=["segment", "latitude", "circle"])
+    (lambda b: _buffered(segment_curve(b, [0.8, -1.0], [1.9, 1.2])), None),
+    (lambda b: _buffered(circle_loop(b, [1.5, 0.0], 0.6)), None),
+    (lambda b: _as_object(circle_loop(b, [1.5, 0.0], 0.6)), None),
+], ids=["segment", "latitude", "reversed-latitude", "circle",
+        "buffered-segment", "buffered-circle", "unhashable"])
 def test_reversed_velocity_negates_each_list_once(sphere_conn, make, lists):
-    # over one transport, a reversed segment or latitude returns one
-    # negated list at every stage time, so it negates once; a circle, whose
-    # velocity is a new list at every call, negates every one.  Each value
-    # and the transport keep the bits of the comprehension that negated at
-    # every call
+    # over one transport, a reversed segment or latitude (or a reversed
+    # reverse) returns one list, negated once when the curve was reversed;
+    # any other velocity, a circle's new list at every call, one list
+    # refilled at every call or an object without a hash, is negated at
+    # every call.  Each value and the transport keep the bits of the
+    # comprehension that negated at every call
     bundle = sphere_conn.bundle
     curve = make(bundle)
     back, ref = reversed_curve(curve), _list_form_reversed(curve)
